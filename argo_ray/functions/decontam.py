@@ -54,7 +54,7 @@ def _gram_hashes(
     if hasher == "fast":
         # hash the Arrow array directly (zero-copy into the polars Rust
         # kernel) — the to_pylist detour costs ~4x wall on token-heavy
-        # corpora (measured via bench.py --docs-scale)
+        # corpora
         try:
             import polars as pl
 

@@ -26,6 +26,16 @@ push down to Parquet row groups via ``subject_hash`` the same way
 operator M1 does.  The join chain shuffles only binding columns (narrow
 tables), never the full triple set.
 
+Two executors run the same operators.  A ``MaterializedDataset`` of
+at most ``_LOCAL_MAX_BYTES`` is pulled into this process once (cached
+per dataset) and the query runs in-process on a ``LocalFrame``
+(``frame.py``): no Ray tasks, no exchange.  Lazy or larger inputs run
+as the Ray Data plan described above.  ``_executor`` makes the choice
+once per query; every operator is written against the shared slice of
+the ``Dataset`` API and builds new frames through ``_table_like``, so
+it stays on the tier of its input.  Either way SELECT / CONSTRUCT /
+DESCRIBE return a ``ray.data.Dataset``.
+
 Caller contract: each triple pattern scans ``ds`` once.  Hand the
 evaluator a *stored* dataset (``decode_store`` /
 ``read_parquet`` / a ``materialize()``d Dataset) — an expensive lazy
@@ -33,6 +43,9 @@ upstream pipeline would re-execute per pattern.
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
 
 import pandas as pd
 import pyarrow as pa
@@ -50,6 +63,7 @@ from ..terms import (
     table_to_triples,
     triples_to_table,
 )
+from .frame import LocalFrame
 from .parser import (
     AltPath,
     GraphBlock,
@@ -106,6 +120,85 @@ _NUMERIC_DTS = {
 
 def _var_cols(name: str) -> list[str]:
     return [f"{name}__{f}" for f in _FIELDS]
+
+
+#: Largest materialized store (``size_bytes()``) a query runs on
+#: in-process — ~450k triples at ~146 bytes per row.  Not a user option.
+_LOCAL_MAX_BYTES = 64 << 20
+
+# store → its pulled LocalFrame; a MaterializedDataset is immutable, so
+# the pull is valid for the dataset's lifetime.  The lock makes the
+# check-then-pull atomic for servers answering queries on threads.
+_PULLED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_PULL_LOCK = threading.Lock()
+
+
+def _fits_locally(ds) -> bool:
+    from ray.data.dataset import MaterializedDataset
+
+    return (
+        isinstance(ds, MaterializedDataset)
+        and ds.num_blocks() > 0
+        and ds.size_bytes() <= _LOCAL_MAX_BYTES
+    )
+
+
+def _pull(ds) -> LocalFrame:
+    """The store's blocks as one in-process table, fetched once."""
+    with _PULL_LOCK:
+        frame = _PULLED.get(ds)
+        if frame is None:
+            import ray
+
+            frame = LocalFrame(
+                pa.concat_tables(
+                    ray.get(ds.to_arrow_refs()), promote_options="permissive"
+                )
+            )
+            _PULLED[ds] = frame
+        return frame
+
+
+def _service_iris(node):
+    """Every ``SERVICE`` endpoint IRI anywhere in a parsed query (the
+    AST is nested NamedTuples and lists)."""
+    if isinstance(node, ServiceBlock):
+        yield node.iri
+    if isinstance(node, (tuple, list)):
+        for child in node:
+            yield from _service_iris(child)
+
+
+def _executor(ds, q):
+    """The frame query ``q`` runs on: the store's ``LocalFrame`` when it
+    and every registered ``SERVICE`` dataset the query reads fit
+    locally, else ``ds`` itself (the distributed plan)."""
+    services = [
+        _SERVICE_REGISTRY[iri] for iri in _service_iris(q)
+        if iri in _SERVICE_REGISTRY
+    ]
+    if all(_fits_locally(d) for d in (ds, *services)):
+        return _pull(ds)
+    return ds
+
+
+def _table_like(like, table: pa.Table):
+    """``table`` as a frame of the same tier as ``like`` — the one
+    constructor every operator uses for the tables it builds itself."""
+    if isinstance(like, LocalFrame):
+        return LocalFrame(table)
+    import ray.data
+
+    return ray.data.from_arrow(table)
+
+
+def _to_dataset(out):
+    """A query result as a ``ray.data.Dataset`` whichever tier ran it."""
+    if isinstance(out, LocalFrame):
+        import ray.data
+
+        return ray.data.from_arrow(out.table)
+    return out
 
 
 def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
@@ -239,11 +332,12 @@ def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
 
 
 def _norm_table(batch: pa.Table) -> pa.Table:
-    """Canonical binding-column types (kind → int64, the rest →
-    large_string) so datasets from different execution paths (Arrow
-    projection, pandas co-group, union branches) join cleanly."""
+    """Canonical binding columns — sorted by name, kind → int64, the
+    rest → large_string — so datasets from different execution paths
+    (Arrow projection, pandas co-group, union branches) carry one block
+    schema and join cleanly."""
     cols = {}
-    for c in batch.column_names:
+    for c in sorted(batch.column_names):
         col = batch[c]
         if c.endswith("__kind"):
             col = pc.cast(col, pa.int64())
@@ -363,22 +457,32 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
     out_cols = (
         [c for v in pat_vars[0] for c in _var_cols(v)] if semi_like else all_cols
     )
-    proto_cols = {c: pd.Series([], dtype="int64" if c.endswith("__kind") else "object")
-                  for c in all_cols}
+    # every output block, empty or not, carries this one schema: the
+    # _norm_table column order and types
+    schema = pa.schema(
+        [
+            (c, pa.int64() if c.endswith("__kind") else pa.large_string())
+            for c in sorted(out_cols)
+        ]
+    )
 
-    def _quiet_empty(out: pd.DataFrame) -> pd.DataFrame:
-        # object-dtype columns of length 0 trip Ray's block-size
-        # estimator (np.vectorize on empty input) — harmless but noisy;
-        # typed empties keep the logs clean
-        if len(out) == 0:
-            out = out.astype(
-                {c: "string" for c in out.columns if not c.endswith("__kind")}
-            )
-        return out
+    def typed(out: pd.DataFrame) -> pa.Table:
+        cols = []
+        for f in schema:
+            if f.name not in out.columns:
+                cols.append(pa.nulls(len(out), f.type))
+                continue
+            col = out[f.name]
+            if f.name.endswith("__kind"):
+                # null-padding in the union coerced kinds to float64;
+                # nullable Int64 keeps left-join misses as nulls
+                col = col.astype("Int64")
+            cols.append(pa.array(col, f.type, from_pandas=True))
+        return pa.table(cols, schema=schema)
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def combine(df: pd.DataFrame) -> pa.Table:
         if df.empty:
-            return _quiet_empty(pd.DataFrame({c: proto_cols[c] for c in out_cols}))
+            return schema.empty_table()
         frames = []
         for i, vs in enumerate(pat_vars):
             cols = [c for v in vs for c in _var_cols(v)]
@@ -388,16 +492,9 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
             on = [c for v in shared for c in _var_cols(v)]
             right = frames[1][on].drop_duplicates()
             if how == "semi":
-                out = frames[0].merge(right, on=on, how="inner")
-            else:
-                m = frames[0].merge(
-                    right, on=on, how="left", indicator="_exists"
-                )
-                out = m.loc[m["_exists"] == "left_only"].drop(columns="_exists")
-            for c in out_cols:
-                if c.endswith("__kind"):
-                    out[c] = out[c].astype("Int64")
-            return _quiet_empty(out[out_cols])
+                return typed(frames[0].merge(right, on=on, how="inner"))
+            m = frames[0].merge(right, on=on, how="left", indicator="_exists")
+            return typed(m.loc[m["_exists"] == "left_only"])
         out = frames[0]
         seen = set(pat_vars[0])
         for i in range(1, len(frames)):
@@ -408,19 +505,11 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
             else:  # disconnected parts: cartesian product in-block
                 out = out.merge(frames[i], how="cross")
             seen |= set(pat_vars[i])
-        for c in all_cols:
-            if c not in out.columns:
-                out[c] = pd.Series([], dtype=proto_cols[c].dtype)
-            elif c.endswith("__kind"):
-                # null-padding in the union coerced kinds to float64;
-                # nullable Int64 keeps left-join misses as nulls
-                out[c] = out[c].astype("Int64")
-        return _quiet_empty(out[all_cols])
+        return typed(out)
 
-    joined = unioned.sort("_k").map_batches(
+    return unioned.sort("_k").map_batches(
         combine, batch_format="pandas", batch_size=None
     )
-    return joined.map_batches(_norm_table, batch_format="pyarrow")
 
 
 def _union_bindings(ds, block: UnionBlock):
@@ -483,12 +572,11 @@ def _rename_binding(ds, mapping: dict):
 TRANSITIVE_MAX_HOPS = 64
 
 
-def _term_row(var: str, t: Term):
+def _term_row(like, var: str, t: Term):
     """One-row bindings table: ``var`` bound to the constant term
     (the zero-length-path solution for a constant end)."""
-    import ray.data
-
-    return ray.data.from_arrow(
+    return _table_like(
+        like,
         pa.table(
             {
                 f"{var}__kind": pa.array([t.kind], pa.int64()),
@@ -496,7 +584,7 @@ def _term_row(var: str, t: Term):
                 f"{var}__lang": pa.array([t.lang], pa.large_string()),
                 f"{var}__datatype": pa.array([t.datatype], pa.large_string()),
             }
-        )
+        ),
     )
 
 
@@ -537,8 +625,6 @@ def _zero_or_one_bindings(ds, pattern, witness: str = "_match"):
     matches itself; with both ends variable every graph node matches
     itself.  One edge scan + (at most) one node scan, distinct over
     the bound columns; no fixpoint."""
-    import ray.data
-
     subj, tp, obj = pattern
     one, vs = _pattern_bindings(ds, (subj, tp.pred, obj), witness=witness)
     one = one.map_batches(_norm_table, batch_format="pyarrow")
@@ -546,14 +632,14 @@ def _zero_or_one_bindings(ds, pattern, witness: str = "_match"):
         if subj != obj:
             return one.limit(1), set()
         return (
-            ray.data.from_arrow(pa.table({witness: pa.array([1], pa.int64())})),
+            _table_like(ds, pa.table({witness: pa.array([1], pa.int64())})),
             set(),
         )
     if isinstance(subj, Term):  # obj is a Var
-        out = _distinct(one.union(_term_row(obj.name, subj)), _var_cols(obj.name))
+        out = _distinct(one.union(_term_row(one, obj.name, subj)), _var_cols(obj.name))
         return out, vs
     if isinstance(obj, Term):  # subj is a Var
-        out = _distinct(one.union(_term_row(subj.name, obj)), _var_cols(subj.name))
+        out = _distinct(one.union(_term_row(one, subj.name, obj)), _var_cols(subj.name))
         return out, vs
     if subj.name == obj.name:
         # ?x p? ?x — zero-length covers every node; self-loops add nothing
@@ -586,8 +672,6 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
     documented cliff for dense graphs.  Iterations materialize (a
     fixpoint needs a barrier per hop); hop count is bounded by graph
     diameter and capped at TRANSITIVE_MAX_HOPS (loud error)."""
-    import ray.data
-
     subj, tp, obj = pattern
     pred = tp.pred
     S, O, M = "_tcs$s", "_tcs$o", "_tcs$m"
@@ -602,9 +686,7 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
         if tp.zero and isinstance(obj, Term) and subj == obj:
             # zero-length path: a constant end matches itself
             return (
-                ray.data.from_arrow(
-                    pa.table({witness: pa.array([1], pa.int64())})
-                ),
+                _table_like(ds, pa.table({witness: pa.array([1], pa.int64())})),
                 set(),
             )
         seed, _ = _pattern_bindings(ds, (subj, pred, Var(O)))
@@ -636,7 +718,7 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
         if isinstance(obj, Var):
             if tp.zero:
                 reached = _distinct(
-                    reached.union(_term_row(O, subj)), _var_cols(O)
+                    reached.union(_term_row(reached, O, subj)), _var_cols(O)
                 )
             return _rename_binding(reached, {O: obj.name}), {obj.name}
         # both ends constant: ASK-style witness (rows where O == obj)
@@ -679,7 +761,7 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
             )
         if tp.zero:
             reached = _distinct(
-                reached.union(_term_row(S, obj)), _var_cols(S)
+                reached.union(_term_row(reached, S, obj)), _var_cols(S)
             )
         return _rename_binding(reached, {S: subj.name}), {subj.name}
 
@@ -771,12 +853,10 @@ def _apply_group_filter(result, bound: set, ds, f):
     )
 
 
-def _values_bindings(block: ValuesBlock):
+def _values_bindings(ds, block: ValuesBlock):
     """``VALUES`` → an inline bindings Dataset (constant, driver-built;
     joins like any other part — VALUES at corpus scale is always the
     small broadcast-able side)."""
-    import ray.data
-
     cols = {}
     for j, v in enumerate(block.variables):
         terms = [r[j] for r in block.rows]
@@ -786,7 +866,7 @@ def _values_bindings(block: ValuesBlock):
         cols[f"{v}__datatype"] = pa.array(
             [t.datatype for t in terms], pa.large_string()
         )
-    return ray.data.from_arrow(pa.table(cols)), set(block.variables)
+    return _table_like(ds, pa.table(cols)), set(block.variables)
 
 
 def _subselect_bindings(ds, q):
@@ -963,14 +1043,13 @@ def unregister_service(iri: str) -> None:
     _SERVICE_REGISTRY.pop(iri, None)
 
 
-def _service_bindings(block):
+def _service_bindings(ds, block):
     """``SERVICE [SILENT] <iri> { … }`` → (bindings, vars): the inner
     group evaluates with the full engine against the registered
-    endpoint dataset, then joins like any other group element.
+    endpoint dataset (on the tier ``_executor`` chose for the whole
+    query), then joins like any other group element.
     Unknown endpoint: error, or with SILENT the identity solution
     (one empty row — §2.2 failure semantics)."""
-    import ray.data as _rd
-
     target = _SERVICE_REGISTRY.get(block.iri)
     if target is None:
         if not block.silent:
@@ -978,7 +1057,9 @@ def _service_bindings(block):
                 f"no dataset registered for SERVICE <{block.iri}> "
                 "(engine.register_service)"
             )
-        return _rd.from_arrow(pa.table({"_svc": pa.array([1], pa.int64())})), set()
+        return _table_like(ds, pa.table({"_svc": pa.array([1], pa.int64())})), set()
+    if isinstance(ds, LocalFrame):
+        target = _pull(target)
     bindings, bound, leftover = _bgp(target, block.patterns, block.filters)
     if leftover:
         _check_filter_vars(leftover, bound)
@@ -1053,9 +1134,9 @@ def _bgp(ds, patterns, filters=(), graph_var=None):
         elif isinstance(pattern, GraphBlock):
             b, vs = _graph_bindings(ds, pattern)
         elif isinstance(pattern, ServiceBlock):
-            b, vs = _service_bindings(pattern)
+            b, vs = _service_bindings(ds, pattern)
         elif isinstance(pattern, ValuesBlock):
-            b, vs = _values_bindings(pattern)
+            b, vs = _values_bindings(ds, pattern)
         elif isinstance(pattern[1], NegPath) and pattern[1].rev_preds:
             b, vs = _negset_bindings(
                 ds, pattern, witness=f"_match{pat_i}", graph_var=graph_var
@@ -1106,10 +1187,9 @@ def _bgp(ds, patterns, filters=(), graph_var=None):
             if not vars2 and not bound:
                 # both ground: the product is a 1-column witness again
                 m = result.count()
-                import ray.data
-
-                result = ray.data.from_arrow(
-                    pa.table({"_match": pa.array([1] * (n * m), pa.int64())})
+                result = _table_like(
+                    result,
+                    pa.table({"_match": pa.array([1] * (n * m), pa.int64())}),
                 )
             else:
                 result = _replicate_rows(keeper, n)
@@ -1882,13 +1962,13 @@ def _negset_bindings(ds, pattern, witness, graph_var=None):
     if np_.preds:
         pieces.append(
             _pattern_bindings(
-                ds, (s, NegPath(list(np_.preds), []), o),
+                ds, (s, NegPath(np_.preds), o),
                 witness=witness, graph_var=graph_var,
             )
         )
     pieces.append(
         _pattern_bindings(
-            ds, (o, NegPath(list(np_.rev_preds), []), s),
+            ds, (o, NegPath(np_.rev_preds), s),
             witness=witness, graph_var=graph_var,
         )
     )
@@ -2117,12 +2197,8 @@ def _aggregate_bindings(bindings, group_vars: list[str], aggs, project=None):
             *combiners
         )
     else:
-        import ray.data
-
         res = ds2.aggregate(*combiners)
-        out = ray.data.from_arrow(
-            pa.table({k: [v] for k, v in res.items()})
-        )
+        out = _table_like(ds2, pa.table({k: [v] for k, v in res.items()}))
 
     keep = project if project is not None else (
         list(group_vars) + [a.alias for a in aggs]
@@ -2132,12 +2208,19 @@ def _aggregate_bindings(bindings, group_vars: list[str], aggs, project=None):
         cols = {gv: batch[gv] for gv in group_vars}
         for i, a in enumerate(aggs):
             col = batch[f"_g{i}"]
+            # COUNT / SUM of no values is 0 and AVG of none is unbound
+            # (null) — also when no partial row exists at all, which is
+            # how an empty input reaches here on the Ray tier
             if a.func == "count":
-                col = pc.cast(col, pa.int64())
+                col = pc.fill_null(pc.cast(col, pa.int64()), 0)
+            elif a.func == "sum":
+                col = pc.fill_null(pc.cast(col, pa.float64()), 0.0)
             elif a.func == "avg":
-                col = pc.divide(
-                    pc.cast(col, pa.float64()),
-                    pc.cast(batch[f"_gn{i}"], pa.float64()),
+                n = pc.fill_null(pc.cast(batch[f"_gn{i}"], pa.float64()), 0.0)
+                col = pc.if_else(
+                    pc.equal(n, 0.0),
+                    pa.scalar(None, pa.float64()),
+                    pc.divide(pc.cast(col, pa.float64()), n),
                 )
             elif a.func == "sample":
                 col = pc.cast(col, pa.large_string())
@@ -2204,8 +2287,6 @@ def _distinct_count_agg(bindings, group_vars: list[str], agg):
         combiners.append(Sum("_num", alias_name="_s"))
 
     if not group_vars:
-        import ray.data
-
         res = ds2.aggregate(*combiners)
         n = int(res.get("_n") or 0)
         if agg.func == "count":
@@ -2216,7 +2297,7 @@ def _distinct_count_agg(bindings, group_vars: list[str], agg):
             val = pa.array(
                 [float(res["_s"]) / n if n else None], pa.float64()
             )
-        return ray.data.from_arrow(pa.table({agg.alias: val}))
+        return _table_like(ds2, pa.table({agg.alias: val}))
 
     out = ds2.groupby(
         group_vars if len(group_vars) > 1 else group_vars[0]
@@ -2254,8 +2335,6 @@ def _group_concat_agg(bindings, group_vars: list[str], agg):
     to ``""``.  With no GROUP BY the output is a single row whose
     length is the whole column — inherently driver-sized; the
     per-group form is the scale path."""
-    import ray.data
-
     var = agg.var
     sep = agg.separator
 
@@ -2276,9 +2355,12 @@ def _group_concat_agg(bindings, group_vars: list[str], agg):
     if agg.distinct:
         ds2 = _distinct(ds2, list(group_vars) + ["_v"])
     if not group_vars:
-        vals = ds2.sort("_v").to_pandas()["_v"].dropna()
-        return ray.data.from_arrow(
-            pa.table({agg.alias: pa.array([sep.join(vals)], pa.large_string())})
+        # take_all, not to_pandas()["_v"]: an empty Ray Dataset has no
+        # columns at all
+        vals = [r["_v"] for r in ds2.sort("_v").take_all() if r["_v"] is not None]
+        return _table_like(
+            ds2,
+            pa.table({agg.alias: pa.array([sep.join(vals)], pa.large_string())}),
         )
 
     def concat_block(df: pd.DataFrame) -> pd.DataFrame:
@@ -2366,8 +2448,6 @@ def _count_distinct_star(bindings, group_vars: list[str], agg, cols):
     Renders every variable into its canonical N-Triples string, runs
     the hash-keyed sort distinct (the SELECT DISTINCT plan), then ONE
     partial-count groupby — fully distributed, group-bounded output."""
-    import ray.data
-
     from ray.data.aggregate import Sum
 
     names = sorted(
@@ -2413,8 +2493,8 @@ def _count_distinct_star(bindings, group_vars: list[str], agg, cols):
         ).aggregate(Sum("_p", alias_name=agg.alias))
     else:
         res = parts.aggregate(Sum("_p", alias_name=agg.alias))
-        out = ray.data.from_arrow(
-            pa.table({agg.alias: [int(res[agg.alias] or 0)]})
+        out = _table_like(
+            parts, pa.table({agg.alias: [int(res[agg.alias] or 0)]})
         )
     return out.map_batches(
         lambda b: pa.table(
@@ -2471,8 +2551,7 @@ def _aggregate_query(bindings, q: SelectQuery, cols: list[str]):
         )
     # mixed aggregate classes: merge the (small) per-group outputs
     # driver-side
-    import ray.data
-
+    #
     # each piece below consumes `bindings`; without this, every piece
     # re-executes the whole lazy BGP join pipeline from the scan
     bindings = bindings.materialize()
@@ -2499,7 +2578,9 @@ def _aggregate_query(bindings, q: SelectQuery, cols: list[str]):
             merged[a.alias] = merged[a.alias].fillna(0).astype("int64")
     for a in concat:
         merged[a.alias] = merged[a.alias].fillna("")
-    return ray.data.from_pandas(merged[cols])
+    return _table_like(
+        bindings, pa.Table.from_pandas(merged[cols], preserve_index=False)
+    )
 
 
 def _apply_dataset_clause(ds, q):
@@ -2550,6 +2631,10 @@ def evaluate_select(ds, query: str | SelectQuery):
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, SelectQuery):
         raise SparqlSyntaxError("not a SELECT query")
+    return _to_dataset(_select(_executor(ds, q), q))
+
+
+def _select(ds, q: SelectQuery):
     ds = _apply_dataset_clause(ds, q)
     bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
     bindings, bound = _finish_group(
@@ -2619,7 +2704,7 @@ def evaluate_ask(ds, query: str | AskQuery) -> bool:
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, AskQuery):
         raise SparqlSyntaxError("not an ASK query")
-    ds = _apply_dataset_clause(ds, q)
+    ds = _apply_dataset_clause(_executor(ds, q), q)
     bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
     bindings, _ = _finish_group(
         ds, bindings, bound, leftover, q.optionals, q.binds
@@ -2638,7 +2723,7 @@ def evaluate_construct(ds, query: str | ConstructQuery):
         for x in t:
             if not isinstance(x, (Var, Term)):
                 raise SparqlSyntaxError("bad template term")
-    ds = _apply_dataset_clause(ds, q)
+    ds = _apply_dataset_clause(_executor(ds, q), q)
     bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
     bindings, bound = _finish_group(
         ds, bindings, bound, leftover, q.optionals, q.binds
@@ -2735,8 +2820,8 @@ def evaluate_construct(ds, query: str | ConstructQuery):
 
     out = bindings.map_batches(instantiate, batch_format="pyarrow")
     out = dedup_exact(out)
-    return out.map_batches(
-        lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow"
+    return _to_dataset(
+        out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
     )
 
 
@@ -2749,7 +2834,7 @@ def evaluate_describe(ds, query: str | DescribeQuery):
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, DescribeQuery):
         raise SparqlSyntaxError("not a DESCRIBE query")
-    ds = _apply_dataset_clause(ds, q)
+    ds = _apply_dataset_clause(_executor(ds, q), q)
     if q.var is not None:
         # DESCRIBE ?v WHERE { … }: evaluate the group, collect the
         # variable's DISTINCT rendered bindings (the described-resource
@@ -2760,9 +2845,7 @@ def evaluate_describe(ds, query: str | DescribeQuery):
             [q.var], True, list(q.patterns), list(q.filters),
             [], None, [], [], [], [], 0, [],
         )
-        vals = sorted(
-            {row[q.var] for row in evaluate_select(ds, sel).take_all()}
-        )
+        vals = sorted({row[q.var] for row in _select(ds, sel).take_all()})
         value_set = pa.array(vals, pa.large_string())
 
         def fvar(batch: pa.Table) -> pa.Table:
@@ -2774,9 +2857,10 @@ def evaluate_describe(ds, query: str | DescribeQuery):
                 pc.is_in(rendered, value_set=value_set)
             ).select(TRIPLE_COLUMNS)
 
-        return dedup_exact(
-            ds.map_batches(fvar, batch_format="pyarrow")
-        ).map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
+        out = dedup_exact(ds.map_batches(fvar, batch_format="pyarrow"))
+        return _to_dataset(
+            out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
+        )
     terms = q.terms
 
     def f(batch: pa.Table) -> pa.Table:
@@ -2786,44 +2870,33 @@ def evaluate_describe(ds, query: str | DescribeQuery):
             mask = m if mask is None else pc.or_(mask, m)
         return batch.filter(mask).select(TRIPLE_COLUMNS)
 
-    return dedup_exact(ds.map_batches(f, batch_format="pyarrow")).map_batches(
-        lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow"
+    out = dedup_exact(ds.map_batches(f, batch_format="pyarrow"))
+    return _to_dataset(
+        out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
     )
 
 
-def _unify(binding: dict, pattern, triple):
-    """Extend ``binding`` so ``pattern`` matches ``triple``; None on
-    conflict.  Terms compare by full identity (M9 semantics)."""
-    out = None
-    for pel, tel in zip(pattern, triple):
-        if isinstance(pel, Var):
-            cur = (out or binding).get(pel.name)
-            if cur is None:
-                if out is None:
-                    out = dict(binding)
-                out[pel.name] = tel
-            elif cur != tel:
-                return None
-        elif pel != tel:
-            return None
-    return binding if out is None else out
-
-
-def _match_bgp_local(triples, patterns):
-    """Nested-loop BGP match over an in-memory triple list — sized for
-    one stored graph (a document, thousands of triples), the same
-    driver-side axis as ``apply_update`` itself."""
-    sols = [{}]
-    for pat in patterns:
-        sols = [
-            b2
-            for b in sols
-            for t in triples
-            if (b2 := _unify(b, pat, t)) is not None
-        ]
-        if not sols:
-            break
-    return sols
+def _where_solutions(triples, patterns) -> list[dict]:
+    """A modify op's WHERE solutions over one graph's triples, as
+    ``{var: Term}`` dicts: the engine's own BGP evaluation, run on the
+    graph's local frame."""
+    if not patterns:
+        return [{}]
+    frame = LocalFrame(triples_to_table(triples, with_hash=False))
+    bindings, bound, _ = _bgp(frame, patterns)
+    table = bindings.table
+    names = sorted(v for v in bound if "$" not in v)
+    cols = {
+        v: [table[f"{v}__{f}"].to_pylist() for f in _FIELDS] for v in names
+    }
+    return [
+        {
+            v: Term(*(c[i] for c in fields))
+            for v, fields in cols.items()
+            if fields[0][i] is not None
+        }
+        for i in range(table.num_rows)
+    ]
 
 
 def _instantiate_tmpl(tmpl, sol):
@@ -2868,7 +2941,7 @@ def apply_update(table: pa.Table, query: str) -> pa.Table:
                 "apply it at store level via FileGraphStore.manage()"
             )
         if isinstance(op, ModifyOp):
-            sols = _match_bgp_local(current, op.where)
+            sols = _where_solutions(current, op.where)
             if op.delete_tmpl:
                 rm = set()
                 for sol in sols:

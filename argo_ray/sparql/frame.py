@@ -1,0 +1,134 @@
+"""In-process executor for the SPARQL engine.
+
+``LocalFrame`` holds one ``pa.Table`` and implements exactly the slice
+of the ``ray.data.Dataset`` API the engine calls, with Ray's semantics
+except where noted, so every engine operator keeps ONE implementation
+and runs on whichever executor fits the data:
+
+- ``map_batches`` calls the function once on the whole table (one
+  batch == one block, which also satisfies ``batch_size=None``
+  callers that rely on sort co-location within a block).  Unlike
+  Ray, it calls it on an empty table too, so an empty result keeps
+  its typed columns;
+- ``sort`` / ``groupby().aggregate`` / ``aggregate`` run as Arrow
+  kernels; the Sum/Min/Max aggregates map onto ``pa.Table.group_by``
+  through the aggregate objects' public ``name`` and
+  ``get_target_column()``;
+- every operation is eager: a failing function raises at the call,
+  not at consumption.
+
+Which queries run here is decided by the engine (``engine._executor``);
+this module only executes.
+"""
+
+from __future__ import annotations
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _agg_spec(agg) -> tuple[str, str, str]:
+    """``ray.data.aggregate`` Sum/Min/Max → (column, arrow func, alias)."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    for cls, func in ((Sum, "sum"), (Min, "min"), (Max, "max")):
+        if isinstance(agg, cls):
+            return agg.get_target_column(), func, agg.name
+    raise NotImplementedError(f"LocalFrame does not support {type(agg).__name__}")
+
+
+class LocalFrame:
+    """One ``pa.Table`` behind the ``Dataset`` methods the engine uses."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    def map_batches(self, fn, *, batch_format: str, batch_size=None) -> LocalFrame:
+        if batch_format == "pandas":
+            out = fn(self.table.to_pandas())
+        elif batch_format == "pyarrow":
+            out = fn(self.table)
+        else:
+            raise ValueError(f"unsupported batch_format {batch_format!r}")
+        if isinstance(out, pd.DataFrame):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return LocalFrame(out)
+
+    def union(self, *others: LocalFrame) -> LocalFrame:
+        return LocalFrame(
+            pa.concat_tables(
+                [self.table, *(o.table for o in others)],
+                promote_options="permissive",
+            )
+        )
+
+    def sort(self, key, descending=False) -> LocalFrame:
+        keys = [key] if isinstance(key, str) else list(key)
+        desc = (
+            [descending] * len(keys)
+            if isinstance(descending, bool)
+            else list(descending)
+        )
+        return LocalFrame(
+            self.table.sort_by(
+                [(k, "descending" if d else "ascending") for k, d in zip(keys, desc)]
+            )
+        )
+
+    def limit(self, n: int) -> LocalFrame:
+        return LocalFrame(self.table.slice(0, n))
+
+    def split_at_indices(self, indices: list[int]) -> list[LocalFrame]:
+        bounds = [0, *indices, self.table.num_rows]
+        return [
+            LocalFrame(self.table.slice(a, max(b - a, 0)))
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def count(self) -> int:
+        return self.table.num_rows
+
+    def materialize(self) -> LocalFrame:
+        return self
+
+    def take_all(self) -> list[dict]:
+        return self.table.to_pylist()
+
+    def to_pandas(self) -> pd.DataFrame:
+        return self.table.to_pandas()
+
+    def columns(self) -> list[str]:
+        return self.table.column_names
+
+    def aggregate(self, *aggs) -> dict:
+        kernels = {"sum": pc.sum, "min": pc.min, "max": pc.max}
+        out = {}
+        for agg in aggs:
+            col, func, name = _agg_spec(agg)
+            out[name] = kernels[func](self.table[col]).as_py()
+        return out
+
+    def groupby(self, key) -> _LocalGroupBy:
+        return _LocalGroupBy(self.table, [key] if isinstance(key, str) else list(key))
+
+
+class _LocalGroupBy:
+    __slots__ = ("table", "keys")
+
+    def __init__(self, table: pa.Table, keys: list[str]):
+        self.table = table
+        self.keys = keys
+
+    def aggregate(self, *aggs) -> LocalFrame:
+        specs = [_agg_spec(a) for a in aggs]
+        out = self.table.group_by(self.keys).aggregate(
+            [(col, func) for col, func, _ in specs]
+        )
+        # Arrow names outputs "<col>_<func>"; Ray names them by alias,
+        # keys first, sorted by key
+        out = out.select(self.keys + [f"{col}_{func}" for col, func, _ in specs])
+        out = out.rename_columns(self.keys + [name for _, _, name in specs])
+        return LocalFrame(out.sort_by([(k, "ascending") for k in self.keys]))

@@ -225,8 +225,8 @@ class AltPath(NamedTuple):
     engine evaluates a mixed set as the union of one forward and one
     reverse scan."""
 
-    preds: list  # list[Term] — forward members
-    rev_preds: list = []  # list[Term] — ^-prefixed members
+    preds: tuple  # tuple[Term, ...] — forward members
+    rev_preds: tuple = ()  # tuple[Term, ...] — ^-prefixed members
 
 
 class TransPath(NamedTuple):
@@ -252,8 +252,8 @@ class NegPath(NamedTuple):
     ``rev_preds`` (iff nonempty); a mixed set is their union.  One
     scan per component."""
 
-    preds: list  # list[Term] — forward members
-    rev_preds: list = []  # list[Term] — ^-prefixed members
+    preds: tuple  # tuple[Term, ...] — forward members
+    rev_preds: tuple = ()  # tuple[Term, ...] — ^-prefixed members
 
 
 class UnionBlock(NamedTuple):
@@ -595,8 +595,8 @@ class _Parser:
                             raise SparqlSyntaxError(
                                 "negated property set members must be IRIs"
                             )
-                        fwd = [p for rev, p in members if not rev]
-                        bwd = [p for rev, p in members if rev]
+                        fwd = tuple(p for rev, p in members if not rev)
+                        bwd = tuple(p for rev, p in members if rev)
                         if inv:
                             # ^(!(p|^q)) ≡ !(^p|q): outer inverse swaps
                             # the component sets
@@ -623,8 +623,8 @@ class _Parser:
                                 "(optionally ^-prefixed)"
                             )
                         pred = AltPath(
-                            [p for rev, p in members if not rev],
-                            [p for rev, p in members if rev],
+                            tuple(p for rev, p in members if not rev),
+                            tuple(p for rev, p in members if rev),
                         )
                         inv = False  # absorbed into the member split
                     if self.peek() in (("op", "+"), ("op", "*"), ("op", "?")):

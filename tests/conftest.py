@@ -27,3 +27,15 @@ def ray_session():
 
 
 SF_DIR = "/root/testdata/sf0.001"
+
+
+@pytest.fixture(params=["local", "ray"])
+def sparql_tier(request, ray_session, monkeypatch):
+    """Runs a SPARQL test once per executor: ``local`` keeps the
+    engine's in-process threshold, ``ray`` sets it below every store's
+    size so each query takes the distributed plan."""
+    from argo_ray.sparql import engine
+
+    if request.param == "ray":
+        monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", -1)
+    return request.param

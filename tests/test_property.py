@@ -5,7 +5,7 @@ equivalence that the scanner's correctness rests on."""
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from argo_ray.sinks.ntriples import serialize_ntriples
@@ -348,12 +348,18 @@ def _ref_bgp(triples, patterns):
     return sols
 
 
-@settings(max_examples=20, deadline=None)
+# sparql_tier only pins the engine's executor for the whole test, the
+# same for every example, so reusing it across examples is intended
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     st.lists(_triple_gen, min_size=1, max_size=10),
     st.lists(_pattern_gen, min_size=1, max_size=3),
 )
-def test_sparql_bgp_differential(ray_session, triples, patterns):
+def test_sparql_bgp_differential(sparql_tier, triples, patterns):
     """evaluate_select's co-grouped/witness join machinery must produce
     exactly the naive evaluator's solution multiset, for arbitrary
     small graphs and 1-3-pattern BGPs (shared vars, repeated vars,

@@ -116,7 +116,7 @@ def test_parse_update_ops():
 # -- evaluation ------------------------------------------------------------
 
 
-def test_select_join_filter_order(ray_session):
+def test_select_join_filter_order(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -128,7 +128,7 @@ def test_select_join_filter_order(ray_session):
     assert out == [{"s": f"<{EX}d1>", "l": '"en"'}]
 
 
-def test_select_star_and_regex(ray_session):
+def test_select_star_and_regex(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -137,7 +137,7 @@ def test_select_star_and_regex(ray_session):
     assert out == [{"l": '"Guten Tag"@de', "s": f"<{EX}d3>"}]
 
 
-def test_select_distinct_collapses(ray_session):
+def test_select_distinct_collapses(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"PREFIX ex: <{EX}> SELECT DISTINCT ?t WHERE {{ ?s a ?t }}",
@@ -145,7 +145,7 @@ def test_select_distinct_collapses(ray_session):
     assert out == [{"t": f"<{EX}Doc>"}]
 
 
-def test_filter_string_functions(ray_session):
+def test_filter_string_functions(sparql_tier):
     # CONTAINS / STRSTARTS / STRENDS over lexical forms
     out = evaluate_select(
         _ds(),
@@ -163,7 +163,7 @@ def test_filter_string_functions(ray_session):
     assert out == [{"s": f"<{EX}d2>"}]
 
 
-def test_filter_term_functions(ray_session):
+def test_filter_term_functions(sparql_tier):
     # STRLEN / LANG / DATATYPE / isLiteral
     out = evaluate_select(
         _ds(),
@@ -200,7 +200,7 @@ def test_filter_term_functions(ray_session):
     assert {r["o"] for r in out} == {f"<{EX}Doc>"}
 
 
-def test_filter_in(ray_session):
+def test_filter_in(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -218,7 +218,7 @@ def test_filter_in(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}d1>", f"<{EX}d3>"]
 
 
-def test_offset(ray_session):
+def test_offset(sparql_tier):
     base = f"PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s ex:lang ?l }} ORDER BY ?s"
     assert [r["s"] for r in evaluate_select(_ds(), base + " OFFSET 1").take_all()] == [
         f"<{EX}d2>", f"<{EX}d3>",
@@ -233,7 +233,7 @@ def test_offset(ray_session):
     assert evaluate_select(_ds(), base + " OFFSET 9").take_all() == []
 
 
-def test_count_distinct_and_sample(ray_session):
+def test_count_distinct_and_sample(sparql_tier):
     # 3 lang triples but only 2 distinct subjects typed Doc
     out = evaluate_select(
         _ds(),
@@ -267,7 +267,7 @@ def test_count_distinct_and_sample(ray_session):
     ]
 
 
-def test_exists_not_exists(ray_session):
+def test_exists_not_exists(sparql_tier):
     # docs with a chars assertion (d1, d2) / without one (d3)
     out = evaluate_select(
         _ds(),
@@ -299,7 +299,7 @@ def test_exists_not_exists(ray_session):
     assert len(out) == 3
 
 
-def test_minus(ray_session):
+def test_minus(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -321,7 +321,7 @@ def test_minus(ray_session):
     assert len(out) == 3
 
 
-def test_alternative_path(ray_session):
+def test_alternative_path(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -336,7 +336,7 @@ def test_alternative_path(ray_session):
     ]
 
 
-def test_alternative_path_with_reverse_members(ray_session):
+def test_alternative_path_with_reverse_members(sparql_tier):
     """p|^q (§18.4 PathAlternative over PathEltOrInverse): bag union
     of forward p edges and inverted q edges; a leading ^ binds to the
     FIRST member only (^p|q ≡ (^p)|q)."""
@@ -393,7 +393,7 @@ def _chain_ds():
     return ray.data.from_arrow(triples_to_table(tr, with_hash=False))
 
 
-def test_transitive_path_seeded(ray_session):
+def test_transitive_path_seeded(sparql_tier):
     # constant subject: BFS frontier expansion
     out = evaluate_select(
         _chain_ds(),
@@ -415,7 +415,7 @@ def test_transitive_path_seeded(ray_session):
     )
 
 
-def test_transitive_path_closure(ray_session):
+def test_transitive_path_closure(sparql_tier):
     # both ends variables: full closure (set semantics)
     out = evaluate_select(
         _chain_ds(),
@@ -437,12 +437,12 @@ def test_transitive_path_closure(ray_session):
     assert [r["o"] for r in out] == [f"<{EX}{n}>" for n in "bcd"]
 
 
-def test_ask(ray_session):
+def test_ask(sparql_tier):
     assert evaluate_ask(_ds(), f'PREFIX ex: <{EX}> ASK {{ ?s ex:lang "de" }}')
     assert not evaluate_ask(_ds(), f'PREFIX ex: <{EX}> ASK {{ ?s ex:lang "xx" }}')
 
 
-def test_construct(ray_session):
+def test_construct(sparql_tier):
     rows = evaluate_construct(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -454,7 +454,7 @@ def test_construct(ray_session):
     assert all(r["pred_value"] == EX + "spokenIn" for r in rows)
 
 
-def test_unbound_select_var_raises(ray_session):
+def test_unbound_select_var_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(_ds(), f"PREFIX ex: <{EX}> SELECT ?x WHERE {{ ?s a ex:Doc }}")
 
@@ -475,7 +475,7 @@ def test_apply_update_set_semantics():
     assert got == [(EX + "lang", "fr"), (RDF_TYPE, EX + "Doc")]
 
 
-def test_graphstore_patch_roundtrip(tmp_path, ray_session):
+def test_graphstore_patch_roundtrip(tmp_path, sparql_tier):
     from argo_ray.sinks.graphstore import FileGraphStore
 
     store = FileGraphStore(str(tmp_path))
@@ -498,7 +498,7 @@ def test_graphstore_patch_roundtrip(tmp_path, ray_session):
 # -- service ---------------------------------------------------------------
 
 
-def test_file_sparql_service(tmp_path, ray_session):
+def test_file_sparql_service(tmp_path, sparql_tier):
     from argo_ray.sinks.graphstore import FileGraphStore
 
     store = FileGraphStore(str(tmp_path))
@@ -528,7 +528,7 @@ def test_file_sparql_service(tmp_path, ray_session):
 # -- OPTIONAL / UNION ------------------------------------------------------
 
 
-def test_optional_left_join(ray_session):
+def test_optional_left_join(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -544,7 +544,7 @@ def test_optional_left_join(ray_session):
     ]
 
 
-def test_union_branches(ray_session):
+def test_union_branches(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -557,7 +557,7 @@ def test_union_branches(ray_session):
     assert len(got) == 5  # 3 lang + 2 chars
 
 
-def test_union_mismatched_vars_raises(ray_session):
+def test_union_mismatched_vars_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),
@@ -578,7 +578,7 @@ def test_nested_optional_parses_union_rejected():
         )
 
 
-def test_construct_skips_unbound_template_rows(ray_session):
+def test_construct_skips_unbound_template_rows(sparql_tier):
     rows = evaluate_construct(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -596,7 +596,7 @@ def test_construct_skips_unbound_template_rows(ray_session):
 # -- aggregates ------------------------------------------------------------
 
 
-def test_groupby_aggregates(ray_session):
+def test_groupby_aggregates(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -608,7 +608,7 @@ def test_groupby_aggregates(ray_session):
     ]
 
 
-def test_global_aggregate_no_groupby(ray_session):
+def test_global_aggregate_no_groupby(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"PREFIX ex: <{EX}> SELECT (COUNT(*) AS ?n) (MIN(?c) AS ?mn) WHERE {{ ?s ex:chars ?c }}",
@@ -616,7 +616,7 @@ def test_global_aggregate_no_groupby(ray_session):
     assert out == [{"n": 2, "mn": 80.0}]
 
 
-def test_count_bound_only_with_optional(ray_session):
+def test_count_bound_only_with_optional(sparql_tier):
     # COUNT(?l) counts bound bindings; d3 has a lang but no type
     out = evaluate_select(
         _ds(),
@@ -636,7 +636,7 @@ def test_aggregate_parse_errors():
         )
 
 
-def test_describe(ray_session):
+def test_describe(sparql_tier):
     from argo_ray.sparql import evaluate_describe
 
     rows = evaluate_describe(
@@ -649,7 +649,7 @@ def test_describe(ray_session):
         evaluate_describe(_ds(), f"PREFIX ex: <{EX}> ASK {{ ?s ?p ?o }}")
 
 
-def test_filter_unbound_var_raises(ray_session):
+def test_filter_unbound_var_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),
@@ -660,7 +660,7 @@ def test_filter_unbound_var_raises(ray_session):
 # -- property paths & HAVING ----------------------------------------------
 
 
-def test_sequence_path_desugars(ray_session):
+def test_sequence_path_desugars(sparql_tier):
     # d1 -> Doc via a 2-step chain through lang? No — use type/… is 1-step;
     # exercise via chars: no chain exists, so build one: ?s ex:lang ?l has
     # no second hop; instead assert the desugaring itself on the parsed AST
@@ -676,7 +676,7 @@ def test_sequence_path_desugars(ray_session):
         parse_update(f"PREFIX ex: <{EX}> INSERT DATA {{ ex:a ex:p/ex:q ex:b }}")
 
 
-def test_having_filters_groups(ray_session):
+def test_having_filters_groups(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -695,7 +695,7 @@ def test_having_filters_groups(ray_session):
         )
 
 
-def test_values_inline_bindings(ray_session):
+def test_values_inline_bindings(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -710,7 +710,7 @@ def test_values_inline_bindings(ray_session):
     ]
 
 
-def test_values_multi_var(ray_session):
+def test_values_multi_var(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -727,7 +727,7 @@ def test_values_multi_var(ray_session):
 # -- code-review regression fixes ------------------------------------------
 
 
-def test_numeric_filter_skips_unparseable(ray_session):
+def test_numeric_filter_skips_unparseable(sparql_tier):
     import ray.data
 
     trips = TRIPLES + [(IRI(EX + "d9"), IRI(EX + "chars"), Literal("abc"))]
@@ -745,7 +745,7 @@ def test_numeric_filter_skips_unparseable(ray_session):
     assert out == [{"s": f"<{EX}d2>"}]
 
 
-def test_equality_filter_full_term_identity(ray_session):
+def test_equality_filter_full_term_identity(sparql_tier):
     import ray.data
 
     trips = [
@@ -765,7 +765,7 @@ def test_equality_filter_full_term_identity(ray_session):
     assert out == [{"s": f"<{EX}a>"}]
 
 
-def test_aggregate_excludes_unparseable(ray_session):
+def test_aggregate_excludes_unparseable(sparql_tier):
     import ray.data
 
     trips = TRIPLES + [(IRI(EX + "d1"), IRI(EX + "chars"), Literal("oops"))]
@@ -778,7 +778,7 @@ def test_aggregate_excludes_unparseable(ray_session):
     assert out == [{"tot": 200.0, "n": 3}]
 
 
-def test_select_star_hides_path_vars(ray_session):
+def test_select_star_hides_path_vars(sparql_tier):
     import ray.data
 
     trips = [
@@ -792,7 +792,7 @@ def test_select_star_hides_path_vars(ray_session):
     assert out == [{"o": '"end"', "s": f"<{EX}d>"}]  # no _path$ column
 
 
-def test_ask_two_ground_patterns(ray_session):
+def test_ask_two_ground_patterns(sparql_tier):
     assert evaluate_ask(
         _ds(),
         f'PREFIX ex: <{EX}> ASK {{ ex:d1 ex:lang "en" . ex:d2 ex:lang "de" }}',
@@ -803,7 +803,7 @@ def test_ask_two_ground_patterns(ray_session):
     )
 
 
-def test_values_after_dot_terminated_triple(ray_session):
+def test_values_after_dot_terminated_triple(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -812,7 +812,7 @@ def test_values_after_dot_terminated_triple(ray_session):
     assert out == [{"s": f"<{EX}d2>", "l": '"de"'}]
 
 
-def test_aggregate_projection_matches_select_clause(ray_session):
+def test_aggregate_projection_matches_select_clause(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"PREFIX ex: <{EX}> SELECT (COUNT(?s) AS ?n) WHERE {{ ?s a ?t }} GROUP BY ?t",
@@ -827,7 +827,7 @@ def test_skew_requires_enough_replicate():
         pages_dataset("/root/testdata/sf0.001", replicate=2, skew=0.3)
 
 
-def test_inverse_path(ray_session):
+def test_inverse_path(sparql_tier):
     import ray.data
 
     trips = [
@@ -852,7 +852,7 @@ def test_inverse_path(ray_session):
 # -- BIND / BOUND ----------------------------------------------------------
 
 
-def test_bind_integer_arithmetic(ray_session):
+def test_bind_integer_arithmetic(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -866,7 +866,7 @@ def test_bind_integer_arithmetic(ray_session):
     ]
 
 
-def test_bind_subtraction_and_filter_on_alias(ray_session):
+def test_bind_subtraction_and_filter_on_alias(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -878,7 +878,7 @@ def test_bind_subtraction_and_filter_on_alias(ray_session):
     assert out["s"].tolist() == [f"<{EX}d1>"]
 
 
-def test_bind_string_functions(ray_session):
+def test_bind_string_functions(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -890,7 +890,7 @@ def test_bind_string_functions(ray_session):
     assert out["u"].tolist() == ['"x-DE-qq"', '"x-EN-qq"']
 
 
-def test_bind_substr_replace_strlen(ray_session):
+def test_bind_substr_replace_strlen(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -906,7 +906,7 @@ def test_bind_substr_replace_strlen(ray_session):
     assert out["n"].tolist() == [f'"2"^^<{XSD_INT}>'] * 2
 
 
-def test_bind_arith_error_leaves_unbound(ray_session):
+def test_bind_arith_error_leaves_unbound(sparql_tier):
     # d3's lang literal is non-numeric: ?x stays unbound (renders '')
     out = evaluate_select(
         _ds(),
@@ -918,7 +918,7 @@ def test_bind_arith_error_leaves_unbound(ray_session):
     assert out["x"].tolist() == ["", "", ""]
 
 
-def test_bind_bare_var_copies_term(ray_session):
+def test_bind_bare_var_copies_term(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -929,7 +929,7 @@ def test_bind_bare_var_copies_term(ray_session):
     assert out["l2"].tolist() == ['"Guten Tag"@de']
 
 
-def test_bind_alias_rebind_raises(ray_session):
+def test_bind_alias_rebind_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError, match="already bound"):
         evaluate_select(
             _ds(),
@@ -938,7 +938,7 @@ def test_bind_alias_rebind_raises(ray_session):
         )
 
 
-def test_bind_unbound_input_raises(ray_session):
+def test_bind_unbound_input_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError, match="unbound"):
         evaluate_select(
             _ds(),
@@ -973,7 +973,7 @@ def test_bind_inside_optional_parses():
         )
 
 
-def test_bound_filter_with_optional(ray_session):
+def test_bound_filter_with_optional(sparql_tier):
     # d3 has a lang but no chars assertion
     out = evaluate_select(
         _ds(),
@@ -987,7 +987,7 @@ def test_bound_filter_with_optional(ray_session):
     assert out["s"].tolist() == [f"<{EX}d3>"]
 
 
-def test_bound_true_keeps_matched(ray_session):
+def test_bound_true_keeps_matched(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1000,7 +1000,7 @@ def test_bound_true_keeps_matched(ray_session):
     assert out["s"].tolist() == [f"<{EX}d1>", f"<{EX}d2>"]
 
 
-def test_bind_coalesce_optional(ray_session):
+def test_bind_coalesce_optional(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1013,7 +1013,7 @@ def test_bind_coalesce_optional(ray_session):
     assert out["cc"].tolist() == ['"120"', '"80"', '"missing"']
 
 
-def test_bind_groupby_alias(ray_session):
+def test_bind_groupby_alias(sparql_tier):
     # group docs by a computed key (first 4 chars of the lang literal)
     out = evaluate_select(
         _ds(),
@@ -1044,7 +1044,7 @@ def _star_chain_ds():
     return ray.data.from_arrow(triples_to_table(tr, with_hash=False)).materialize()
 
 
-def test_star_path_constant_subject(ray_session):
+def test_star_path_constant_subject(sparql_tier):
     out = evaluate_select(
         _star_chain_ds(),
         f"PREFIX ex: <{EX}> SELECT ?x WHERE {{ ex:a ex:p* ?x }} ORDER BY ?x",
@@ -1052,7 +1052,7 @@ def test_star_path_constant_subject(ray_session):
     assert out["x"].tolist() == [f"<{EX}a>", f"<{EX}b>", f"<{EX}c>"]
 
 
-def test_star_path_constant_object(ray_session):
+def test_star_path_constant_object(sparql_tier):
     out = evaluate_select(
         _star_chain_ds(),
         f"PREFIX ex: <{EX}> SELECT ?x WHERE {{ ?x ex:p* ex:c }} ORDER BY ?x",
@@ -1060,7 +1060,7 @@ def test_star_path_constant_object(ray_session):
     assert out["x"].tolist() == [f"<{EX}a>", f"<{EX}b>", f"<{EX}c>"]
 
 
-def test_star_path_both_vars_includes_graph_nodes(ray_session):
+def test_star_path_both_vars_includes_graph_nodes(sparql_tier):
     out = evaluate_select(
         _star_chain_ds(),
         f"PREFIX ex: <{EX}> SELECT ?x ?y WHERE {{ ?x ex:p* ?y }}",
@@ -1074,7 +1074,7 @@ def test_star_path_both_vars_includes_graph_nodes(ray_session):
     }
 
 
-def test_star_path_self_variable(ray_session):
+def test_star_path_self_variable(sparql_tier):
     out = evaluate_select(
         _star_chain_ds(),
         f"PREFIX ex: <{EX}> SELECT ?x WHERE {{ ?x ex:p* ?x }} ORDER BY ?x",
@@ -1083,7 +1083,7 @@ def test_star_path_self_variable(ray_session):
     assert out["x"].tolist() == [f"<{EX}a>", f"<{EX}b>", f"<{EX}c>", '"x"']
 
 
-def test_star_path_ask_ground(ray_session):
+def test_star_path_ask_ground(sparql_tier):
     ds = _star_chain_ds()
     assert evaluate_ask(ds, f"PREFIX ex: <{EX}> ASK {{ ex:a ex:p* ex:a }}")
     assert evaluate_ask(ds, f"PREFIX ex: <{EX}> ASK {{ ex:a ex:p* ex:c }}")
@@ -1110,7 +1110,7 @@ def _dup_vals_ds():
     return ray.data.from_arrow(triples_to_table(tr, with_hash=False)).materialize()
 
 
-def test_sum_avg_distinct(ray_session):
+def test_sum_avg_distinct(sparql_tier):
     # "10" appears twice (duplicate triples stay separate rows), so the
     # distinct-term sum per subject must count it once
     out = evaluate_select(
@@ -1125,7 +1125,7 @@ def test_sum_avg_distinct(ray_session):
     assert got[f"<{EX}g2>"] == (5.0, 5.0)
 
 
-def test_sum_distinct_mixed_with_plain(ray_session):
+def test_sum_distinct_mixed_with_plain(sparql_tier):
     out = evaluate_select(
         _dup_vals_ds(),
         f"""PREFIX ex: <{EX}>
@@ -1137,7 +1137,7 @@ def test_sum_distinct_mixed_with_plain(ray_session):
     assert got[f"<{EX}g2>"] == (5.0, 2)
 
 
-def test_min_distinct_is_noop(ray_session):
+def test_min_distinct_is_noop(sparql_tier):
     out = evaluate_select(
         _dup_vals_ds(),
         f"""PREFIX ex: <{EX}>
@@ -1146,7 +1146,7 @@ def test_min_distinct_is_noop(ray_session):
     assert out["m"].tolist() == [5.0]
 
 
-def test_sum_distinct_global(ray_session):
+def test_sum_distinct_global(sparql_tier):
     out = evaluate_select(
         _dup_vals_ds(),
         f"""PREFIX ex: <{EX}>
@@ -1181,7 +1181,7 @@ def test_parse_subselect():
         )
 
 
-def test_subquery_slice_join(ray_session):
+def test_subquery_slice_join(sparql_tier):
     # inner: first Doc by IRI order; outer: attach its lang
     out = evaluate_select(
         _ds(),
@@ -1194,7 +1194,7 @@ def test_subquery_slice_join(ray_session):
     assert out == [{"s": f"<{EX}d1>", "l": '"en"'}]
 
 
-def test_subquery_projection_hides_inner_vars(ray_session):
+def test_subquery_projection_hides_inner_vars(sparql_tier):
     # ?c is bound only inside the subquery; outer join is on ?s alone,
     # and projecting ?c at the top level must fail loudly
     out = evaluate_select(
@@ -1208,7 +1208,7 @@ def test_subquery_projection_hides_inner_vars(ray_session):
     assert out == [{"s": f"<{EX}d1>", "l": '"en"'}]
 
 
-def test_subquery_distinct(ray_session):
+def test_subquery_distinct(sparql_tier):
     import ray.data
 
     # duplicate triples: DISTINCT inside the subquery collapses them so
@@ -1229,7 +1229,7 @@ def test_subquery_distinct(ray_session):
     ]
 
 
-def test_subquery_offset_desc(ray_session):
+def test_subquery_offset_desc(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1241,7 +1241,7 @@ def test_subquery_offset_desc(ray_session):
     assert out == [{"s": f"<{EX}d1>"}, {"s": f"<{EX}d2>"}]
 
 
-def test_subquery_unbound_projection_raises(ray_session):
+def test_subquery_unbound_projection_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),
@@ -1252,7 +1252,7 @@ def test_subquery_unbound_projection_raises(ray_session):
         ).take_all()
 
 
-def test_subquery_aggregate_count_join(ray_session):
+def test_subquery_aggregate_count_join(sparql_tier):
     # inner: triples-per-subject; outer: attach lang, filter on the
     # count literal (typed xsd:integer term)
     out = evaluate_select(
@@ -1271,7 +1271,7 @@ def test_subquery_aggregate_count_join(ray_session):
     ]
 
 
-def test_subquery_aggregate_avg_double(ray_session):
+def test_subquery_aggregate_avg_double(sparql_tier):
     # AVG comes back as an xsd:double literal with a DuckDB-style
     # lexical ('100.0', not '100')
     out = evaluate_select(
@@ -1285,7 +1285,7 @@ def test_subquery_aggregate_avg_double(ray_session):
     assert out == [{"a": f'"100.0"^^<{xsd_dbl}>'}]
 
 
-def test_subquery_aggregate_having_orderby(ray_session):
+def test_subquery_aggregate_having_orderby(sparql_tier):
     # HAVING inside the subquery + ORDER BY the alias + LIMIT
     out = evaluate_select(
         _ds(),
@@ -1300,7 +1300,7 @@ def test_subquery_aggregate_having_orderby(ray_session):
     assert all(r["n"] == f'"3"^^<{xsd_int}>' for r in out)
 
 
-def test_subquery_aggregate_unbound_group_var_raises(ray_session):
+def test_subquery_aggregate_unbound_group_var_raises(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),
@@ -1328,7 +1328,7 @@ def test_group_concat_parse():
         parse_query("SELECT (GROUP_CONCAT(*) AS ?x) WHERE { ?s ?p ?o }")
 
 
-def test_group_concat_per_group(ray_session):
+def test_group_concat_per_group(sparql_tier):
     # per-subject lexical forms, ascending order, custom separator
     out = evaluate_select(
         _ds(),
@@ -1343,7 +1343,7 @@ def test_group_concat_per_group(ray_session):
     ]
 
 
-def test_group_concat_global_and_distinct(ray_session):
+def test_group_concat_global_and_distinct(sparql_tier):
     import ray.data
 
     trips = TRIPLES + [(IRI(EX + "d9"), IRI(EX + "lang"), Literal("de"))]
@@ -1365,7 +1365,7 @@ def test_group_concat_global_and_distinct(ray_session):
     assert out == [{"langs": "de,de,en"}]
 
 
-def test_group_concat_mixed_with_count(ray_session):
+def test_group_concat_mixed_with_count(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1376,7 +1376,7 @@ def test_group_concat_mixed_with_count(ray_session):
     assert out["vals"].tolist() == ["en", "de", "Guten Tag"]
 
 
-def test_group_concat_in_subquery(ray_session):
+def test_group_concat_in_subquery(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1393,7 +1393,7 @@ def test_group_concat_in_subquery(ray_session):
     ]
 
 
-def test_group_concat_having_rejected(ray_session):
+def test_group_concat_having_rejected(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),
@@ -1406,7 +1406,7 @@ def test_group_concat_having_rejected(ray_session):
 # -- p? and negated property sets ------------------------------------------
 
 
-def test_zero_or_one_path(ray_session):
+def test_zero_or_one_path(sparql_tier):
     # d1 ex:lang? ?v: zero-length (d1 itself) plus the one-hop "en"
     out = evaluate_select(
         _ds(),
@@ -1417,7 +1417,7 @@ def test_zero_or_one_path(ray_session):
     assert [r["v"] for r in out] == [f"<{EX}d1>", '"en"']
 
 
-def test_zero_or_one_path_both_vars(ray_session):
+def test_zero_or_one_path_both_vars(sparql_tier):
     import ray.data
 
     tr = [
@@ -1435,13 +1435,13 @@ def test_zero_or_one_path_both_vars(ray_session):
     a, b, c = f"<{EX}a>", f"<{EX}b>", f"<{EX}c>"
     assert sorted(pairs) == sorted([(a, a), (b, b), (c, c), (a, b)])
 
-def test_zero_or_one_path_const_ends(ray_session):
+def test_zero_or_one_path_const_ends(sparql_tier):
     assert evaluate_ask(_ds(), f"PREFIX ex: <{EX}> ASK {{ ex:d1 ex:lang? ex:d1 }}")
     assert not evaluate_ask(_ds(), f"PREFIX ex: <{EX}> ASK {{ ex:d1 ex:lang? ex:d2 }}")
     assert evaluate_ask(_ds(), f'PREFIX ex: <{EX}> ASK {{ ex:d1 ex:lang? "en" }}')
 
 
-def test_negated_property_set(ray_session):
+def test_negated_property_set(sparql_tier):
     # everything about d1 except its type: lang + chars
     out = evaluate_select(
         _ds(),
@@ -1463,13 +1463,13 @@ def test_negated_property_set(ray_session):
         f"PREFIX ex: <{EX}> SELECT ?o WHERE {{ ex:d1 !(^ex:p) ?o }}"
     )
     np_ = q.patterns[0][1]
-    assert np_.preds == [] and len(np_.rev_preds) == 1
+    assert np_.preds == () and len(np_.rev_preds) == 1
 
 
 # -- IF() expressions ------------------------------------------------------
 
 
-def test_bind_if_string_branches(ray_session):
+def test_bind_if_string_branches(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1484,7 +1484,7 @@ def test_bind_if_string_branches(ray_session):
     ]
 
 
-def test_bind_if_numeric_branches(ray_session):
+def test_bind_if_numeric_branches(sparql_tier):
     # both branches numeric → xsd:integer result; arithmetic inside
     out = evaluate_select(
         _ds(),
@@ -1500,7 +1500,7 @@ def test_bind_if_numeric_branches(ray_session):
     ]
 
 
-def test_bind_if_string_comparison(ray_session):
+def test_bind_if_string_comparison(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1512,7 +1512,7 @@ def test_bind_if_string_comparison(ray_session):
     assert [r["tag"] for r in out] == ['"english"', '"other"', '"other"']
 
 
-def test_bind_if_condition_error_unbound(ray_session):
+def test_bind_if_condition_error_unbound(sparql_tier):
     import ray.data
 
     # a non-numeric chars value errors the numeric condition → ?v
@@ -1589,7 +1589,7 @@ def test_update_modify_rejects_groups():
         )
 
 
-def test_bind_strbefore_strafter(ray_session):
+def test_bind_strbefore_strafter(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1614,7 +1614,7 @@ def test_bind_strbefore_strafter(ray_session):
     assert [r["frag"] for r in out] == ['"d1"', '"d2"']
 
 
-def test_construct_where_shorthand(ray_session):
+def test_construct_where_shorthand(sparql_tier):
     out = evaluate_construct(
         _ds(),
         f"PREFIX ex: <{EX}> CONSTRUCT WHERE {{ ?s ex:lang ?l }}",
@@ -1627,7 +1627,7 @@ def test_construct_where_shorthand(ray_session):
         )
 
 
-def test_order_by_aggregate_expr(ray_session):
+def test_order_by_aggregate_expr(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1667,7 +1667,7 @@ def _quads_ds():
     ), g1, g2
 
 
-def test_graph_constant(ray_session):
+def test_graph_constant(sparql_tier):
     ds, g1, g2 = _quads_ds()
     out = evaluate_select(
         ds,
@@ -1677,7 +1677,7 @@ def test_graph_constant(ray_session):
     assert out == [{"s": f"<{EX}a>", "o": '"1"'}]
 
 
-def test_graph_variable_binds(ray_session):
+def test_graph_variable_binds(sparql_tier):
     ds, g1, g2 = _quads_ds()
     out = evaluate_select(
         ds,
@@ -1690,7 +1690,7 @@ def test_graph_variable_binds(ray_session):
     ]
 
 
-def test_graph_variable_joins_within_graph(ray_session):
+def test_graph_variable_joins_within_graph(sparql_tier):
     # two patterns inside GRAPH ?g must match in the SAME graph:
     # only g1 holds both p and q for ?s
     ds, g1, g2 = _quads_ds()
@@ -1702,7 +1702,7 @@ def test_graph_variable_joins_within_graph(ray_session):
     assert out == [{"g": f"<{g1}>", "s": f"<{EX}a>"}]
 
 
-def test_graph_joins_with_outer_pattern(ray_session):
+def test_graph_joins_with_outer_pattern(sparql_tier):
     ds, g1, g2 = _quads_ds()
     out = evaluate_select(
         ds,
@@ -1715,7 +1715,7 @@ def test_graph_joins_with_outer_pattern(ray_session):
     assert out == [{"s": f"<{EX}a>", "o2": '"2"'}]
 
 
-def test_graph_requires_quads(ray_session):
+def test_graph_requires_quads(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
             _ds(),  # no url column
@@ -1727,7 +1727,7 @@ def test_graph_requires_quads(ray_session):
         )
 
 
-def test_langmatches(ray_session):
+def test_langmatches(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1743,7 +1743,7 @@ def test_langmatches(ray_session):
     assert sorted(r["l"] for r in out) == ['"de"', '"en"']
 
 
-def test_langmatches_prefix_range(ray_session):
+def test_langmatches_prefix_range(sparql_tier):
     import ray.data
 
     trips = TRIPLES + [(IRI(EX + "d9"), IRI(EX + "lang"), Literal("Hi", lang="de-AT"))]
@@ -1757,7 +1757,7 @@ def test_langmatches_prefix_range(ray_session):
     assert [r["l"] for r in out] == ['"Guten Tag"@de', '"Hi"@de-AT']
 
 
-def test_sameterm(ray_session):
+def test_sameterm(sparql_tier):
     import ray.data
 
     trips = [
@@ -1789,7 +1789,7 @@ def test_sameterm(ray_session):
 # -- || disjunction --------------------------------------------------------
 
 
-def test_filter_or(ray_session):
+def test_filter_or(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -1800,7 +1800,7 @@ def test_filter_or(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}d1>", f"<{EX}d2>"]
 
 
-def test_filter_or_precedence(ray_session):
+def test_filter_or_precedence(sparql_tier):
     # && binds tighter: (strlen>2 && lang=de) || l="en" → d1 (en) + d3
     out = evaluate_select(
         _ds(),
@@ -1813,7 +1813,7 @@ def test_filter_or_precedence(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}d1>", f"<{EX}d3>"]
 
 
-def test_filter_or_mixed_kinds(ray_session):
+def test_filter_or_mixed_kinds(sparql_tier):
     # disjunction across different filter types (regex / numeric)
     out = evaluate_select(
         _ds(),
@@ -1831,7 +1831,7 @@ def test_filter_or_mixed_kinds(ray_session):
 # -- term constructors -----------------------------------------------------
 
 
-def test_bind_iri_constructor(ray_session):
+def test_bind_iri_constructor(sparql_tier):
     # the classic KG-construction move: mint an entity IRI from a value
     out = evaluate_select(
         _ds(),
@@ -1846,7 +1846,7 @@ def test_bind_iri_constructor(ray_session):
     ]
 
 
-def test_bind_strdt_strlang(ray_session):
+def test_bind_strdt_strlang(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}> PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
@@ -1866,7 +1866,7 @@ def test_bind_strdt_strlang(ray_session):
         parse_query("SELECT ?x WHERE { ?s ?p ?o . BIND(STRLANG(?o, ?o) AS ?x) }")
 
 
-def test_bind_iri_joins_like_term(ray_session):
+def test_bind_iri_joins_like_term(sparql_tier):
     # a minted IRI participates in downstream joins/filters as a term
     out = evaluate_select(
         _ds(),
@@ -1883,18 +1883,17 @@ def test_bind_iri_joins_like_term(ray_session):
 # -- differential property test: engine vs naive matcher -------------------
 
 
-def test_bgp_differential_random_graphs(ray_session):
-    """The distributed co-group-join engine must agree with the naive
-    in-memory matcher (engine.py::_match_bgp_local — nested-loop, used
-    by pattern updates) on random small graphs × random BGPs, including
-    multiplicities (bag semantics)."""
+def test_bgp_differential_random_graphs(sparql_tier):
+    """The co-group-join engine must agree with the naive nested-loop
+    matcher (``test_property._ref_bgp``) on random small graphs ×
+    random BGPs, including multiplicities (bag semantics)."""
     import random
     from collections import Counter
 
     import ray.data
 
-    from argo_ray.sparql.engine import _match_bgp_local
     from argo_ray.sparql.parser import Var
+    from test_property import _ref_bgp
     from argo_ray.terms import render_term
 
     rng = random.Random(1234)
@@ -1941,12 +1940,12 @@ def test_bgp_differential_random_graphs(ray_session):
         )
         want = Counter(
             tuple(render_term(sol[v]) for v in pat_vars)
-            for sol in _match_bgp_local(triples, patterns)
+            for sol in _ref_bgp(triples, patterns)
         )
         assert got == want, (trial, q, triples)
 
 
-def test_describe_variable_form(ray_session):
+def test_describe_variable_form(sparql_tier):
     from argo_ray.sparql import evaluate_describe as ev_desc
     from argo_ray.sparql import parse_query as pq
 
@@ -1963,7 +1962,7 @@ def test_describe_variable_form(ray_session):
 # -- round-3 review regression tests ---------------------------------------
 
 
-def test_or_filter_unbound_optional_branch(ray_session):
+def test_or_filter_unbound_optional_branch(sparql_tier):
     # SPARQL 17.2: error || true = true.  An unbound OPTIONAL var in one
     # || branch must not poison a row whose other branch is true.
     out = evaluate_select(
@@ -1978,7 +1977,7 @@ def test_or_filter_unbound_optional_branch(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}d2>"]
 
 
-def test_graph_var_shared_with_triple_position(ray_session):
+def test_graph_var_shared_with_triple_position(sparql_tier):
     # GRAPH ?g { ?g ex:p ?o }: ?g bound by both the graph and the
     # subject position must be equated, not overwritten
     import ray.data
@@ -1999,7 +1998,7 @@ def test_graph_var_shared_with_triple_position(ray_session):
     assert out == [{"g": f"<{g1}>", "o": '"in-self"'}]
 
 
-def test_graph_after_triples_block(ray_session):
+def test_graph_after_triples_block(sparql_tier):
     # a GRAPH clause following a triples block in the same group parses
     # and joins on the shared variable
     ds, g1, g2 = _quads_ds()
@@ -2014,7 +2013,7 @@ def test_graph_after_triples_block(ray_session):
     assert out == [{"s": f"<{EX}a>", "g": f"<{g1}>", "o2": '"2"'}]
 
 
-def test_graph_filter_unbound_var_raises(ray_session):
+def test_graph_filter_unbound_var_raises(sparql_tier):
     ds, g1, g2 = _quads_ds()
     with pytest.raises(SparqlSyntaxError):
         evaluate_select(
@@ -2024,7 +2023,7 @@ def test_graph_filter_unbound_var_raises(ray_session):
         ).take_all()
 
 
-def test_bind_signed_number_no_space(ray_session):
+def test_bind_signed_number_no_space(sparql_tier):
     # '?c-1' tokenizes as var + number '-1'; the additive grammar treats
     # the signed literal as an implied operator (SPARQL 1.1 §19.8)
     out = evaluate_select(
@@ -2040,7 +2039,7 @@ def test_bind_signed_number_no_space(ray_session):
     ]
 
 
-def test_if_string_var_vs_var_comparison(ray_session):
+def test_if_string_var_vs_var_comparison(sparql_tier):
     # var-vs-var string equality in IF(): the numeric path yields NA for
     # every row; the row-wise string fallback must kick in
     out = evaluate_select(
@@ -2054,7 +2053,7 @@ def test_if_string_var_vs_var_comparison(ray_session):
     assert [r["x"] for r in out] == ['"same"'] * 3
 
 
-def test_numeric_builtins(ray_session):
+def test_numeric_builtins(sparql_tier):
     import ray.data
 
     XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -2082,7 +2081,7 @@ def test_numeric_builtins(ray_session):
     assert [r["f"] for r in out] == [f'"-7"{INT}', f'"2"{INT}', f'"-3"{INT}']
 
 
-def test_hash_and_accessor_builtins(ray_session):
+def test_hash_and_accessor_builtins(sparql_tier):
     import hashlib
 
     out = evaluate_select(
@@ -2102,7 +2101,7 @@ def test_hash_and_accessor_builtins(ray_session):
     assert out[2]["dt"] == "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>"
 
 
-def test_datatype_of_non_literal_unbound(ray_session):
+def test_datatype_of_non_literal_unbound(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -2113,7 +2112,7 @@ def test_datatype_of_non_literal_unbound(ray_session):
     assert [r["dt"] for r in out] == ["", ""]
 
 
-def test_if_boolean_function_condition(ray_session):
+def test_if_boolean_function_condition(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -2128,7 +2127,7 @@ def test_if_boolean_function_condition(ray_session):
     assert [r["y"] for r in out] == ['"iri"'] * 3
 
 
-def test_if_bound_condition_with_optional(ray_session):
+def test_if_bound_condition_with_optional(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -2141,7 +2140,7 @@ def test_if_bound_condition_with_optional(ray_session):
     assert [r["x"] for r in out] == ['"sized"', '"sized"', '"unsized"']
 
 
-def test_select_expression_projection(ray_session):
+def test_select_expression_projection(sparql_tier):
     # (expr AS ?alias) in the SELECT clause desugars to a trailing BIND
     out = evaluate_select(
         _ds(),
@@ -2158,7 +2157,7 @@ def test_select_expression_projection(ray_session):
     ]
 
 
-def test_select_expression_with_aggregates_rejected(ray_session):
+def test_select_expression_with_aggregates_rejected(sparql_tier):
     with pytest.raises(SparqlSyntaxError):
         parse_query(
             f"""PREFIX ex: <{EX}>
@@ -2167,7 +2166,7 @@ def test_select_expression_with_aggregates_rejected(ray_session):
         )
 
 
-def test_filter_expression_comparison(ray_session):
+def test_filter_expression_comparison(sparql_tier):
     # general expression comparisons in FILTER, both function-led and
     # arithmetic-led (backtracked var parse)
     out = evaluate_select(
@@ -2197,7 +2196,7 @@ def test_filter_expression_comparison(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}d1>", f"<{EX}d2>"]
 
 
-def test_from_dataset_clause(ray_session):
+def test_from_dataset_clause(sparql_tier):
     ds, g1, g2 = _quads_ds()
     # FROM g1: default graph = g1 only
     out = evaluate_select(
@@ -2217,7 +2216,7 @@ def test_from_dataset_clause(ray_session):
     assert [r["s"] for r in out] == [f"<{EX}a>", f"<{EX}b>"]
 
 
-def test_from_named_scopes_graph(ray_session):
+def test_from_named_scopes_graph(sparql_tier):
     ds, g1, g2 = _quads_ds()
     out = evaluate_select(
         ds,
@@ -2227,7 +2226,7 @@ def test_from_named_scopes_graph(ray_session):
     assert out == [{"g": f"<{g2}>", "s": f"<{EX}b>"}]
 
 
-def test_from_clause_errors(ray_session):
+def test_from_clause_errors(sparql_tier):
     ds, g1, g2 = _quads_ds()
     with pytest.raises(SparqlSyntaxError):
         parse_query_and_run = evaluate_select(
@@ -2245,7 +2244,7 @@ def test_from_clause_errors(ray_session):
         ).take_all()
 
 
-def test_from_on_ask_and_construct(ray_session):
+def test_from_on_ask_and_construct(sparql_tier):
     from argo_ray.sparql import evaluate_ask, evaluate_construct
 
     ds, g1, g2 = _quads_ds()
@@ -2264,7 +2263,7 @@ def test_from_on_ask_and_construct(ray_session):
     assert list(out["subj_value"]) == [EX + "a"]
 
 
-def test_describe_with_from(ray_session):
+def test_describe_with_from(sparql_tier):
     from argo_ray.sparql.engine import evaluate_describe
 
     ds, g1, g2 = _quads_ds()
@@ -2278,7 +2277,7 @@ def test_describe_with_from(ray_session):
     assert len(out) == 0
 
 
-def test_construct_template_bnodes(ray_session):
+def test_construct_template_bnodes(sparql_tier):
     """_:label in a CONSTRUCT template mints ONE fresh bnode per
     solution, shared across the template's triples (SPARQL 1.1
     §16.2.1), deterministic across runs."""
@@ -2302,7 +2301,7 @@ def test_construct_template_bnodes(ray_session):
     assert sorted(out["subj_value"]) == sorted(again["subj_value"])  # deterministic
 
 
-def test_construct_two_template_bnode_labels(ray_session):
+def test_construct_two_template_bnode_labels(sparql_tier):
     """Distinct labels mint distinct bnodes within one solution."""
     out = evaluate_construct(
         _ds(),
@@ -2315,7 +2314,7 @@ def test_construct_two_template_bnode_labels(ray_session):
     assert set(pa_["subj_value"]).isdisjoint(set(pb_["subj_value"]))
 
 
-def test_optional_with_bind(ray_session):
+def test_optional_with_bind(sparql_tier):
     """BIND inside an OPTIONAL body (r4 s4): the alias binds only on
     matched rows; unmatched required rows leave it unbound ('')."""
     out = evaluate_select(
@@ -2333,7 +2332,7 @@ def test_optional_with_bind(ray_session):
     ]
 
 
-def test_optional_bind_unmatched_rows_stay_unbound(ray_session):
+def test_optional_bind_unmatched_rows_stay_unbound(sparql_tier):
     out = evaluate_select(
         _ds(),
         f"""PREFIX ex: <{EX}>
@@ -2346,7 +2345,7 @@ def test_optional_bind_unmatched_rows_stay_unbound(ray_session):
     assert all(r["n"] == "" for r in out)
 
 
-def test_nested_optional(ray_session):
+def test_nested_optional(sparql_tier):
     """OPTIONAL inside OPTIONAL: LeftJoin(A, LeftJoin(B, C)) — the
     chars assertion only attaches where the language matched first."""
     out = evaluate_select(
@@ -2370,7 +2369,7 @@ def test_nested_optional(ray_session):
             assert l != ""
 
 
-def test_count_distinct_star(ray_session):
+def test_count_distinct_star(sparql_tier):
     """COUNT(DISTINCT *) counts distinct complete solutions (r4 s4)."""
     out = evaluate_select(
         _ds(),
@@ -2396,7 +2395,7 @@ def test_count_distinct_star(ray_session):
         )
 
 
-def test_negated_property_set_reverse_members(ray_session):
+def test_negated_property_set_reverse_members(sparql_tier):
     """!(p|^q) — SPARQL 1.1 §18.4 forward/reverse split (r4 s4)."""
     # fixture edges: d1/d2 -a-> Doc (rdf:type); no inverse ex:lang edges
     out = evaluate_select(
@@ -2424,7 +2423,7 @@ def test_negated_property_set_reverse_members(ray_session):
     assert sorted(r["x"] for r in out) == [f"<{EX}Doc>"]
 
 
-def test_service_federation(ray_session):
+def test_service_federation(sparql_tier):
     """SERVICE joins outer bindings against a registered endpoint
     dataset; SILENT + unknown endpoint = identity; non-silent unknown
     raises."""
@@ -2479,7 +2478,7 @@ def test_service_federation(ray_session):
         unregister_service("http://svc.example.org/sparql")
 
 
-def test_numeric_orderby_mixed_column(ray_session):
+def test_numeric_orderby_mixed_column(sparql_tier):
     """ORDER BY over a column mixing numeric literals, IRIs and a
     blank node: §15.1 type tiers (blank < IRI < literal) with numerics
     value-ordered within the literal tier; DESC is the exact reverse
@@ -2510,7 +2509,7 @@ def test_numeric_orderby_mixed_column(ray_session):
     assert desc == list(reversed(asc))
 
 
-def test_service_with_optional_outer(ray_session):
+def test_service_with_optional_outer(sparql_tier):
     """SERVICE joined bindings still left-join an outer OPTIONAL."""
     import ray.data as rd
 
@@ -2581,3 +2580,198 @@ def test_graph_mgmt_pname_and_prologue(tmp_path):
     )
     assert not store.head("http://graphs.example.org/pn")
     assert store.get("http://graphs.example.org/pn2").num_rows == 1
+
+
+# -- executor tiers ---------------------------------------------------------
+
+_STAR_JOIN = (
+    f"PREFIX ex: <{EX}> SELECT DISTINCT ?s ?l ?c WHERE "
+    "{ ?s a ex:Doc . ?s ex:lang ?l . ?s ex:chars ?c } ORDER BY ?s"
+)
+_STAR_ROWS = [
+    {"s": f"<{EX}d1>", "l": '"en"', "c": f'"120"^^<{XSD_INT}>'},
+    {"s": f"<{EX}d2>", "l": '"de"', "c": f'"80"^^<{XSD_INT}>'},
+]
+
+
+def test_global_aggregates_over_no_solutions(sparql_tier):
+    """Aggregates without GROUP BY over an empty solution sequence give
+    one row on both executors: COUNT / SUM 0, GROUP_CONCAT "", AVG /
+    MIN / SAMPLE unbound."""
+    q = (
+        f"PREFIX ex: <{EX}> SELECT (COUNT(*) AS ?n) (SUM(?o) AS ?s) "
+        "(AVG(?o) AS ?a) (MIN(?o) AS ?m) (SAMPLE(?o) AS ?x) "
+        "WHERE { ?d ex:nope ?o }"
+    )
+    assert evaluate_select(_ds(), q).take_all() == [
+        {"n": 0, "s": 0.0, "a": None, "m": None, "x": None}
+    ]
+    q = f"PREFIX ex: <{EX}> SELECT (GROUP_CONCAT(?o) AS ?g) WHERE {{ ?d ex:nope ?o }}"
+    assert evaluate_select(_ds(), q).take_all() == [{"g": ""}]
+
+
+def test_tier_choice_follows_store_size(ray_session, monkeypatch):
+    """A materialized store at or under the threshold runs in-process;
+    one byte over it, or a lazy Dataset, takes the distributed plan —
+    with the same result and the same result type."""
+    import ray.data
+
+    from argo_ray.sparql import engine
+    from argo_ray.sparql.frame import LocalFrame
+
+    store = _ds()
+    q = parse_query(_STAR_JOIN)
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", store.size_bytes())
+    assert isinstance(engine._executor(store, q), LocalFrame)
+    local = evaluate_select(store, q)
+    assert isinstance(local, ray.data.Dataset)
+    assert local.take_all() == _STAR_ROWS
+
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", store.size_bytes() - 1)
+    assert engine._executor(store, q) is store
+    assert evaluate_select(store, q).take_all() == _STAR_ROWS
+
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", 64 << 20)
+    lazy = store.map_batches(lambda b: b, batch_format="pyarrow")
+    assert engine._executor(lazy, q) is lazy
+
+
+def test_local_tier_starts_no_ray_data_execution(ray_session, monkeypatch):
+    """SELECT / ASK over a small materialized store run without a single
+    Ray Data operator: every Dataset transform or consumer raises while
+    the query evaluates."""
+    import ray.data
+
+    store = _ds()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Ray Data execution on the local tier")
+
+    with monkeypatch.context() as m:
+        for name in (
+            "map_batches", "union", "sort", "groupby", "aggregate", "limit",
+            "count", "materialize", "take_all", "to_pandas", "iter_batches",
+        ):
+            m.setattr(ray.data.Dataset, name, forbidden)
+        out = evaluate_select(store, _STAR_JOIN)
+        grouped = evaluate_select(
+            store,
+            f"PREFIX ex: <{EX}> SELECT ?l (COUNT(*) AS ?n) "
+            "WHERE { ?s ex:lang ?l } GROUP BY ?l",
+        )
+        assert evaluate_ask(store, f'PREFIX ex: <{EX}> ASK {{ ?s ex:lang "de" }}')
+    assert out.take_all() == _STAR_ROWS
+    assert sorted(r["n"] for r in grouped.take_all()) == [1, 1, 1]
+
+
+def test_local_tier_errors_raise_at_evaluation(ray_session):
+    """On the local tier the plan runs inside evaluate_select, so an
+    error from a batch function surfaces there, not at consumption."""
+    with pytest.raises(SparqlSyntaxError, match="non-integer constant"):
+        evaluate_select(
+            _ds(),
+            f'PREFIX ex: <{EX}> SELECT ?y WHERE {{ ?s ex:lang ?l BIND(?l + "a" AS ?y) }}',
+        )
+
+
+def test_service_datasets_share_the_query_tier(ray_session):
+    """A query runs locally only if every SERVICE dataset it reads fits
+    too; a lazy endpoint sends the whole query to the distributed plan."""
+    from argo_ray.sparql import engine
+    from argo_ray.sparql.engine import register_service, unregister_service
+    from argo_ray.sparql.frame import LocalFrame
+
+    iri = "http://tier.example.org/"
+    q = parse_query(
+        f"PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s a ex:Doc . "
+        f'SERVICE <{iri}> {{ ?s ex:lang "de" }} }}'
+    )
+    store = _ds()
+    try:
+        register_service(iri, _ds())
+        assert isinstance(engine._executor(store, q), LocalFrame)
+        assert evaluate_select(store, q).take_all() == [{"s": f"<{EX}d2>"}]
+        register_service(iri, _ds().map_batches(lambda b: b, batch_format="pyarrow"))
+        assert engine._executor(store, q) is store
+        assert evaluate_select(store, q).take_all() == [{"s": f"<{EX}d2>"}]
+    finally:
+        unregister_service(iri)
+
+
+def test_ray_tier_blocks_share_one_schema(ray_session, monkeypatch):
+    """On the distributed plan every block the engine emits carries the
+    one canonical binding schema (sorted columns, int64 kinds,
+    large_string terms): the co-group join's output and both branches
+    of a ``p|^q`` union.  No schema-drift warning names a typed schema.
+    Ray itself still emits column-less empty blocks — for empty sort
+    partitions and for maps it skips on empty input — which the check
+    recognises and allows."""
+    import logging
+    import re
+
+    import ray
+    import ray.data
+
+    from argo_ray.sparql import engine
+
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", -1)
+    docs = []
+    for i in range(40):
+        d = IRI(f"{EX}doc{i}")
+        docs += [
+            (d, IRI(RDF_TYPE), IRI(EX + "Doc")),
+            (d, IRI(EX + "lang"), Literal("en" if i % 3 else "de")),
+            (d, IRI(EX + "chars"), Literal(str(i), datatype=XSD_INT)),
+            (d, IRI(EX + "cites"), IRI(f"{EX}doc{(i * 7) % 40}")),
+        ]
+    table = triples_to_table(docs, with_hash=False)
+    store = ray.data.from_arrow(
+        [table.slice(k * 40, 40) for k in range(4)]
+    ).materialize()
+
+    drift: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            drift.append(record.getMessage())
+
+    handler = Collect()
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(handler)
+    try:
+        rows = evaluate_select(
+            store,
+            f"PREFIX ex: <{EX}> SELECT ?s ?l ?c WHERE {{ ?s a ex:Doc . "
+            "?s ex:lang ?l . ?s ex:chars ?c } ORDER BY ?s",
+        ).take_all()
+        assert len(rows) == 40
+        for patterns in (
+            parse_query(
+                f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s a ex:Doc . "
+                "?s ex:lang ?l . ?s ex:chars ?c }"
+            ).patterns,
+            parse_query(
+                f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?a ex:cites|^ex:lang ?b }}"
+            ).patterns,
+        ):
+            bindings, bound, _ = engine._bgp(store, patterns)
+            names = sorted(c for v in bound for c in engine._var_cols(v))
+            blocks = ray.get(bindings.materialize().to_arrow_refs())
+            typed = [b for b in blocks if b.num_columns]
+            assert typed
+            for b in typed:
+                assert b.column_names == names
+                for name in names:
+                    want = pa.int64() if name.endswith("__kind") else pa.large_string()
+                    assert b.schema.field(name).type == want
+    finally:
+        log.removeHandler(handler)
+
+    def columnless(msg: str) -> bool:
+        new = re.search(r"new schema: (.*)\. This may lead", msg, re.S)
+        return new is not None and new.group(1) in (
+            "", "PandasBlockSchema(names=[], types=[])"
+        )
+
+    typed_drift = [m for m in drift if "different schema" in m and not columnless(m)]
+    assert not typed_drift, typed_drift
