@@ -262,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(serializer(tbl))
 
     counts = ray.get(counters.get.remote())
+    # the job's plan closures hold the handle in reference cycles, so
+    # without an explicit kill the actor process lives until the next
+    # cyclic garbage collection — back-to-back jobs pile them up
+    ray.kill(counters)
     ms = int((time.time() - t0) * 1000)
     # stats line mirroring rdf/rdf.go:422-424
     print(

@@ -3,16 +3,19 @@ cf. ``sinks/turtle.py``; no reference counterpart, argo is
 triples-only).  One ``<graph> { ... }`` section per named graph, each
 section rendered with the Turtle subject-block rules
 (``/root/reference/turtleserializer.go:11-82`` semantics via
-``render_turtle_block``); default-graph rows (empty graph value) emit
-as bare top-level blocks, as the TriG grammar allows.
+:class:`~argo_ray.sinks.turtle.TurtleBlockRenderer`); default-graph rows
+(empty graph value) emit as bare top-level blocks, as the TriG grammar
+allows.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..terms import KIND_BLANK
-from .turtle import render_turtle_block, turtle_header
+from .turtle import TurtleBlockRenderer, run_starts, turtle_header
 
 
 def serialize_trig(
@@ -21,25 +24,36 @@ def serialize_trig(
     graph_column: str = "graph_value",
     graph_kind_column: str = "graph_kind",
 ) -> str:
-    """Whole table (12 term columns + graph columns) → one TriG doc."""
+    """Whole table (12 term columns + graph columns) → one TriG doc:
+    the default graph first, then named graphs in (kind, value) order;
+    subjects in (kind, value) order, each subject's rows in table order."""
     prefixes = prefixes or {}
-    df = table.to_pandas()
-    if graph_kind_column not in df.columns:
-        df[graph_kind_column] = 0
+    if graph_kind_column not in table.column_names:
+        table = table.append_column(
+            graph_kind_column, pa.array([0] * table.num_rows, pa.int64())
+        )
+    named = pc.not_equal(table[graph_column], "")
+    order = pc.sort_indices(
+        table.append_column("__named", named),
+        sort_keys=[
+            ("__named", "ascending"),
+            (graph_kind_column, "ascending"),
+            (graph_column, "ascending"),
+            ("subj_kind", "ascending"),
+            ("subj_value", "ascending"),
+        ],
+    )
+    table = table.take(order)
+    render = TurtleBlockRenderer(prefixes)
+    starts = np.flatnonzero(run_starts(table, [graph_kind_column, graph_column]))
     out = [turtle_header(prefixes)]
-    for (gk, gv), gdf in sorted(
-        df.groupby([graph_kind_column, graph_column], sort=True),
-        key=lambda kv: (kv[0][1] != "", kv[0]),  # default graph first
-    ):
-        blocks = [
-            render_turtle_block(g, prefixes)
-            for _, g in gdf.groupby(["subj_kind", "subj_value"], sort=True)
-        ]
+    for start, stop in zip(starts, [*starts[1:], table.num_rows]):
+        blocks = render(table.slice(start, stop - start))
+        gk = table[graph_kind_column][start].as_py()
+        gv = table[graph_column][start].as_py()
         if gv == "":
-            out.extend(blocks)
+            out.append(blocks)
         else:
             label = f"_:{gv}" if gk == KIND_BLANK else f"<{gv}>"
-            out.append(label + " {\n")
-            out.extend(blocks)
-            out.append("}\n\n")
+            out.append(label + " {\n" + blocks + "}\n\n")
     return "".join(out)

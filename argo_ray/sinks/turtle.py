@@ -11,29 +11,48 @@ per subject a block::
 
 Resources compact to qnames via ``SplitPrefix`` + the prefix map, else
 ``<uri>``; literals/bnodes render in their canonical N-Triples form
-(turtleserializer.go:18-37).  The reference groups by the *encoded*
-subject string (:39-42); here the group key is ``subject_hash`` of the
-canonical form — identical partitioning semantics.
+(turtleserializer.go:18-37).
+
+Rendering is columnar: :class:`TurtleBlockRenderer` turns a table whose
+rows are already grouped by subject into the document body with Arrow
+kernels only, opening a subject block wherever the subject term differs
+from the row before.  The distributed writer shuffles on
+``subject_hash`` (one range-partition sort) and renders each sorted
+block whole; a 64-bit hash collision cannot merge two subjects, because
+blocks split on the subject term, not its hash.
 """
 
 from __future__ import annotations
 
 import re
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.canon import split_prefix
-from ..terms import KIND_IRI, Term, render_term
+from ..stages.canon import split_prefix, split_prefix_arrays
+from ..stages.materialize import salted_subject_key
+from ..terms import KIND_IRI, POSITIONS, Term, nt_render_term_arrays, render_term
 
 # the local part must stay inside the parser's qname token grammar
 # (sources/turtle.py _TOKEN_RE) or the emitted document is invalid
 # Turtle — e.g. '%' or spaces in the local name (code-review r2)
 _QNAME_LOCAL_RE = re.compile(r"[\w./#-]*\Z")
+# The same rule for ASCII local names in RE2.  Python's Unicode ``\w``
+# has no RE2 equivalent (``[\p{L}\p{N}_]`` disagrees on thousands of
+# code points), so non-ASCII local names keep the Python regex.
+_QNAME_LOCAL_ASCII = r"^[A-Za-z0-9_./#-]*$"
+
+_MANIFEST = pa.schema([("path", pa.string()), ("rows", pa.int64())])
+
+
+def _ls(s: str) -> pa.Scalar:
+    return pa.scalar(s, pa.large_string())
 
 
 def encode_term(kind: int, value: str, lang: str, datatype: str, prefixes: dict[str, str]) -> str:
-    """turtleserializer.go:18-37 (+ qname-validity fallback to <uri>)."""
+    """turtleserializer.go:18-37 (+ qname-validity fallback to <uri>);
+    the scalar twin of :meth:`TurtleBlockRenderer.encode`."""
     if kind == KIND_IRI:
         base, local = split_prefix(value)
         prefix = prefixes.get(base)
@@ -49,81 +68,134 @@ def turtle_header(prefixes: dict[str, str]) -> str:
     )
 
 
-def render_turtle_block(group: pd.DataFrame, prefixes: dict[str, str]) -> str:
-    rows = group.to_dict("records")
-    first = rows[0]
-    subj = encode_term(
-        first["subj_kind"], first["subj_value"], first["subj_lang"],
-        first["subj_datatype"], prefixes,
-    )
-    out = [subj, "\n"]
-    for r in rows:
-        p = encode_term(r["pred_kind"], r["pred_value"], r["pred_lang"], r["pred_datatype"], prefixes)
-        o = encode_term(r["obj_kind"], r["obj_value"], r["obj_lang"], r["obj_datatype"], prefixes)
-        out.append(f"  {p} {o} ;\n")
-    out.append("  .\n\n")
-    return "".join(out)
-
-
-def serialize_turtle(table: pa.Table, prefixes: dict[str, str] | None = None) -> str:
-    """Small-graph helper: whole table → one Turtle document string."""
-    prefixes = prefixes or {}
-    df = table.to_pandas()
-    blocks = [
-        render_turtle_block(g, prefixes)
-        for _, g in df.groupby(["subj_kind", "subj_value"], sort=True)
-    ]
-    return turtle_header(prefixes) + "".join(blocks)
+def run_starts(table: pa.Table, columns: list[str]) -> np.ndarray:
+    """Mask of the rows that differ from the row before on any of
+    ``columns`` (row 0 always starts a run)."""
+    n = table.num_rows
+    start = np.ones(n, dtype=bool)
+    if n > 1:
+        differs = None
+        for c in columns:
+            col = table[c]
+            ne = pc.not_equal(col.slice(1), col.slice(0, n - 1))
+            differs = ne if differs is None else pc.or_(differs, ne)
+        start[1:] = pc.fill_null(differs, True).to_numpy(zero_copy_only=False)
+    return start
 
 
 class TurtleBlockRenderer:
-    """``map_groups`` renderer for the subject shuffle; prefix map is a
-    plain broadcast dict captured in the callable (tiny, read-only)."""
+    """The Turtle renderer: a table whose rows are grouped by subject
+    (equal subject terms adjacent), e.g. one subject-sorted block → its
+    subject blocks, no header.  ``perfbench/spans.py`` wraps
+    ``__call__`` by this class name."""
 
     def __init__(self, prefixes: dict[str, str] | None = None):
         self.prefixes = prefixes or {}
+        self._bases = pa.array(list(self.prefixes), pa.large_string())
+        self._qnames = pa.array(
+            [f"{p}:" for p in self.prefixes.values()], pa.large_string()
+        )
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"block": [render_turtle_block(group, self.prefixes)]})
+    def encode(self, table: pa.Table, pos: str) -> pa.Array:
+        """One term position → Turtle term text (qname or N-Triples)."""
+        kind, value = table[f"{pos}_kind"], table[f"{pos}_value"]
+        nt = nt_render_term_arrays(
+            kind, value,
+            pc.fill_null(table[f"{pos}_lang"], ""),
+            pc.fill_null(table[f"{pos}_datatype"], ""),
+        )
+        if not self.prefixes:
+            return nt
+        base, local = split_prefix_arrays(value)
+        idx = pc.index_in(base, value_set=self._bases)
+        candidate = pc.and_(pc.equal(kind, KIND_IRI), pc.is_valid(idx))
+        local_ok = pc.match_substring_regex(local, _QNAME_LOCAL_ASCII)
+        non_ascii = pc.and_(candidate, pc.invert(pc.string_is_ascii(local)))
+        rows = np.flatnonzero(non_ascii.to_numpy(zero_copy_only=False))
+        if len(rows):
+            ok = local_ok.to_numpy(zero_copy_only=False).copy()
+            for i in rows:
+                ok[i] = _QNAME_LOCAL_RE.match(local[int(i)].as_py()) is not None
+            local_ok = pa.array(ok)
+        qname = pc.binary_join_element_wise(pc.take(self._qnames, idx), local, _ls(""))
+        return pc.if_else(pc.and_(candidate, local_ok), qname, nt)
+
+    def __call__(self, table: pa.Table) -> str:
+        n = table.num_rows
+        if n == 0:
+            return ""
+        s, p, o = (self.encode(table, pos) for pos in POSITIONS)
+        start = run_starts(table, ["subj_kind", "subj_value"])
+        end = np.ones(n, dtype=bool)
+        end[:-1] = start[1:]
+        head = pc.if_else(start, pc.binary_join_element_wise(s, _ls("\n"), _ls("")), _ls(""))
+        foot = pc.if_else(end, _ls("  .\n\n"), _ls(""))
+        lines = pc.binary_join_element_wise(
+            head, _ls("  "), p, _ls(" "), o, _ls(" ;\n"), foot, _ls("")
+        )
+        if isinstance(lines, pa.ChunkedArray):
+            lines = lines.combine_chunks()
+        doc = pa.LargeListArray.from_arrays(pa.array([0, n], pa.int64()), lines)
+        return pc.binary_join(doc, _ls(""))[0].as_py()
+
+
+def serialize_turtle(table: pa.Table, prefixes: dict[str, str] | None = None) -> str:
+    """Small-graph helper: whole table → one Turtle document string,
+    subjects in (kind, value) order, each subject's rows in table order."""
+    prefixes = prefixes or {}
+    order = pc.sort_indices(
+        table, sort_keys=[("subj_kind", "ascending"), ("subj_value", "ascending")]
+    )
+    return turtle_header(prefixes) + TurtleBlockRenderer(prefixes)(table.take(order))
 
 
 class TurtleFileWriter:
+    """``map_batches(batch_size=None)`` writer: renders one whole
+    subject-sorted block as one ``part-<contenthash>.ttl`` document
+    (deterministic name, atomic publish).  Returns the (path, rows)
+    manifest row; an empty block writes nothing."""
+
     def __init__(self, out_dir: str, prefixes: dict[str, str] | None = None):
         import os
 
         self.out_dir = out_dir
-        self.prefixes = prefixes or {}
+        self.header = turtle_header(prefixes or {})
+        self.render = TurtleBlockRenderer(prefixes)
         os.makedirs(out_dir, exist_ok=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
         import os
 
-        if "block" not in batch.column_names or batch.num_rows == 0:
-            # zero-column/empty block from an empty sort partition
-            # (grouped renderers can't synthesize their output schema)
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        blocks = batch["block"].to_pylist()
-        payload = turtle_header(self.prefixes) + "".join(blocks)
-        name = hashlib.md5(payload.encode()).hexdigest()[:16]
+        if batch.num_rows == 0:
+            # empty (often column-less) block of an empty sort partition
+            return _MANIFEST.empty_table()
+        payload = (self.header + self.render(batch)).encode()
+        name = hashlib.md5(payload).hexdigest()[:16]
         path = os.path.join(self.out_dir, f"part-{name}.ttl")
         tmp = path + ".tmp"
-        with open(tmp, "w") as f:
+        with open(tmp, "wb") as f:
             f.write(payload)
         os.replace(tmp, path)
-        return pa.table({"path": pa.array([path]), "rows": pa.array([len(blocks)], pa.int64())})
+        return pa.table([[path], [batch.num_rows]], schema=_MANIFEST)
 
 
 def write_turtle(ds, out_dir: str, prefixes: dict[str, str] | None = None, num_salts: int = 0):
     """Triples Dataset → Turtle part files via the subject shuffle; pass
     ``num_salts`` to spread hot subjects (repeated subject blocks remain
-    valid Turtle, SURVEY.md §2.6 A1)."""
-    from ..stages.materialize import group_by_subject
-
-    blocks = group_by_subject(ds, TurtleBlockRenderer(prefixes), num_salts=num_salts)
+    valid Turtle, SURVEY.md §2.6 A1).  Returns the (path, rows) manifest,
+    ``rows`` counting triples."""
+    key = "subject_hash"
+    if num_salts:
+        ds = ds.map_batches(
+            lambda b: salted_subject_key(b, num_salts), batch_format="pyarrow"
+        )
+        key = "subject_salted"
     return (
-        blocks.map_batches(TurtleFileWriter(out_dir, prefixes), batch_format="pyarrow")
+        ds.sort(key)
+        .map_batches(
+            TurtleFileWriter(out_dir, prefixes), batch_format="pyarrow", batch_size=None
+        )
         .materialize()
         .to_pandas()
     )

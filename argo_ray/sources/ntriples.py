@@ -12,12 +12,17 @@ tags ``[a-z0-9-]+`` (ntriples.go:299), ``^^<iri>`` datatypes
 
 The parallel unit is the document (or text chunk split on newlines):
 ``parse_ntriples_batch`` is a stateless ``map_batches`` UDF mapping a
-column of N-Triples text to flattened triple rows.
+column of N-Triples text to flattened triple rows.  Documents in the
+common shape (no escapes, no ``\\r``, one triple or comment per line)
+are parsed with Arrow regex kernels; every other document goes to the
+reader, so errors and quarantine behave exactly as the reader does.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..terms import (
     KIND_BLANK,
@@ -288,6 +293,80 @@ def parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
     return NTriplesReader(text).read_all()
 
 
+# One line of the reader's grammar, for documents with no backslash and
+# no ``\r``: IRI or blank subject, IRI predicate, any object.  Other
+# shapes the reader accepts (literal or blank predicates, ``"x"@en..``)
+# are left to the reader.  Quirks kept exact: a lang tag's terminator is
+# consumed, so ``"x"@en.`` is an error and needs ``[ \t]+`` before the
+# dot; a blank-node object may touch the dot (``_:a.``).
+_IRI = r"[!#-;=?-~]+"  # 0x21-0x7E minus " < > (ntriples.go:207)
+_BNODE = r"[A-Za-z][A-Za-z0-9]*"
+_NT_LINE_RE = (
+    rf"^[ \t]*(?:<(?P<s_iri>{_IRI})>|_:(?P<s_bn>{_BNODE}))"
+    rf"[ \t]+<(?P<p>{_IRI})>[ \t]+"
+    rf"(?:<(?P<o_iri>{_IRI})>[ \t]*|_:(?P<o_bn>{_BNODE})[ \t]*"
+    rf'|(?P<o_q>")(?P<o_lit>[^"]*)"'
+    rf"(?:@(?P<o_lang>[a-z0-9-]+)[ \t]+|\^\^<(?P<o_dt>{_IRI})>[ \t]*|[ \t]*))"
+    r"\.[ \t]*$"
+)
+_COMMENT_RE = r"^[ \t]*#"
+_BLANK_RE = r"^[ \t]*$"  # the reader allows it as the last line only
+
+
+def _parse_fast(texts: pa.Array, urls: pa.Array) -> tuple[np.ndarray, pa.Table]:
+    """Arrow parse of the documents the line regex covers → (mask of
+    those documents, their rows in document order with a ``__doc``
+    column)."""
+    clean = pc.invert(
+        pc.or_(pc.match_substring(texts, "\\"), pc.match_substring(texts, "\r"))
+    )
+    fast = pc.fill_null(clean, False).to_numpy(zero_copy_only=False).copy()
+    split = pc.split_pattern(pc.fill_null(texts, ""), "\n")
+    lines = pc.list_flatten(split)
+    doc = pc.list_parent_indices(split).to_numpy()
+    last = np.zeros(len(lines), dtype=bool)
+    last[split.offsets.to_numpy()[1:] - 1] = True
+    m = pc.extract_regex(lines, _NT_LINE_RE)
+    is_triple = pc.is_valid(m)
+    ok = pc.or_(
+        pc.or_(is_triple, pc.match_substring_regex(lines, _COMMENT_RE)),
+        pc.and_(pa.array(last), pc.match_substring_regex(lines, _BLANK_RE)),
+    )
+    fast[doc[~ok.to_numpy(zero_copy_only=False)]] = False
+    keep = pc.and_(is_triple, pa.array(fast[doc]))
+    m = m.filter(keep)
+    rows_doc = pa.array(doc, pa.int64()).filter(keep)
+
+    def f(name):
+        return pc.struct_field(m, name)
+
+    empty = pa.array([""] * len(m), pa.string())
+    sep = pa.scalar("", pa.large_string())
+    literal = pc.not_equal(f("o_q"), "")
+    table = pa.table({
+        "url": pc.cast(pc.take(urls, rows_doc), pa.string()),
+        "subj_kind": pc.cast(pc.not_equal(f("s_bn"), ""), pa.uint8()),
+        "subj_value": pc.binary_join_element_wise(f("s_iri"), f("s_bn"), sep),
+        "subj_lang": empty,
+        "subj_datatype": empty,
+        "pred_kind": pa.array(np.zeros(len(m), np.uint8)),
+        "pred_value": f("p"),
+        "pred_lang": empty,
+        "pred_datatype": empty,
+        "obj_kind": pc.if_else(
+            literal, pa.scalar(KIND_LITERAL, pa.uint8()),
+            pc.cast(pc.not_equal(f("o_bn"), ""), pa.uint8()),
+        ),
+        "obj_value": pc.binary_join_element_wise(
+            f("o_iri"), f("o_bn"), f("o_lit"), sep
+        ),
+        "obj_lang": pc.cast(f("o_lang"), pa.string()),
+        "obj_datatype": pc.cast(f("o_dt"), pa.string()),
+        "__doc": rows_doc,
+    })
+    return fast, table
+
+
 def parse_ntriples_batch(
     batch: pa.Table,
     text_column: str = "text",
@@ -295,23 +374,35 @@ def parse_ntriples_batch(
     on_error: str = "raise",
 ) -> pa.Table:
     """Stateless ``map_batches`` UDF: N-Triples documents → flattened
-    triple rows.  ``on_error="skip"`` quarantines malformed documents
-    (poison-page pattern, SURVEY.md §4) instead of failing the task."""
-    texts = batch[text_column].to_pylist()
-    urls = batch[url_column].to_pylist() if url_column else [""] * len(texts)
+    triple rows, in document order.  ``on_error="skip"`` quarantines
+    malformed documents (poison-page pattern, SURVEY.md §4) instead of
+    failing the task."""
+    texts = pc.cast(batch[text_column], pa.large_string()).combine_chunks()
+    n = len(texts)
+    urls = (
+        batch[url_column].combine_chunks() if url_column
+        else pa.array([""] * n, pa.string())
+    )
+    fast, table = _parse_fast(texts, urls)
     rows: list[tuple[Term, Term, Term]] = []
     row_urls: list[str] = []
-    for text, url in zip(texts, urls):
+    row_docs: list[int] = []
+    for i in np.flatnonzero(~fast).tolist():
         try:
-            triples = parse_ntriples(text)
+            triples = parse_ntriples(texts[i].as_py())
         except NTriplesParseError:
             if on_error == "raise":
                 raise
             continue
         rows.extend(triples)
-        row_urls.extend([url] * len(triples))
-    table = triples_to_table(rows, urls=row_urls, with_hash=False)
-    return append_subject_hash(table)
+        row_urls.extend([urls[i].as_py()] * len(triples))
+        row_docs.extend([i] * len(triples))
+    if rows:
+        slow = triples_to_table(rows, urls=row_urls, with_hash=False)
+        slow = slow.append_column("__doc", pa.array(row_docs, pa.int64()))
+        table = pa.concat_tables([table, slow])
+        table = table.take(pc.sort_indices(table["__doc"]))  # stable
+    return append_subject_hash(table.drop_columns(["__doc"]))
 
 
 def read_ntriples_gz(paths, parallelism: int | None = None):

@@ -102,10 +102,12 @@ def rewrite_triples(ds, rules: list[RewriteRule], rehash: bool = True):
 
 
 def split_prefix_arrays(uris: pa.Array) -> tuple[pa.Array, pa.Array]:
-    """Vectorized (base, localname) split of a URI column."""
+    """Vectorized (base, localname) split of a URI column; agrees with
+    the scalar :func:`split_prefix` (``(?s)``: RE2's ``.`` otherwise
+    stops at ``\\n``)."""
     uris = pc.cast(uris, pa.large_string())
-    hash_split = pc.extract_regex(uris, r"^(?P<base>.*#)(?P<name>[^#]*)$")
-    slash_split = pc.extract_regex(uris, r"^(?P<base>.*/)(?P<name>[^/]*)$")
+    hash_split = pc.extract_regex(uris, r"(?s)^(?P<base>.*#)(?P<name>[^#]*)$")
+    slash_split = pc.extract_regex(uris, r"(?s)^(?P<base>.*/)(?P<name>[^/]*)$")
     has_hash = pc.is_valid(hash_split)
     has_slash = pc.is_valid(slash_split)
     base = pc.if_else(

@@ -156,24 +156,18 @@ def salted_subject_key(batch: pa.Table, num_salts: int = 16) -> pa.Table:
     return batch.append_column("subject_salted", key)
 
 
-def group_by_subject(ds, render_fn, num_salts: int = 0, batch_format: str = "pandas"):
+def group_by_subject(ds, render_fn):
     """The A1 wide operation: subject-hash range partition + per-group
     render (``grouped_map``, the fast map_groups equivalent).
 
-    ``render_fn`` receives one subject group (or one salt shard of a hot
-    subject when ``num_salts > 0``) and returns rendered rows.
+    ``render_fn`` receives one subject group as a pandas frame and
+    returns rendered rows.  Groups key on the subject term as well as
+    its hash, so a 64-bit collision cannot hand one subject's triples
+    to another.
     """
     from .grouping import grouped_map
 
-    if num_salts:
-        ds = ds.map_batches(
-            lambda b: salted_subject_key(b, num_salts), batch_format="pyarrow"
-        )
-        key = "subject_salted"
-    else:
-        key = "subject_hash"
-
-    return grouped_map(ds, key, render_fn, batch_format=batch_format)
+    return grouped_map(ds, ["subject_hash", "subj_kind", "subj_value"], render_fn)
 
 
 def graph_delta(old_ds, new_ds):

@@ -1,6 +1,8 @@
 """`rdf` CLI equivalent (SURVEY §3.1): multi-format fan-in, rewrites,
 format listing, stdout/directory sinks."""
 
+import time
+
 import pyarrow as pa
 import pytest
 
@@ -93,3 +95,25 @@ def test_cli_url_fanin(ray_session, sources, tmp_path, capsys):
     triples = parse_ntriples(doc)
     assert len(triples) == 3  # 2 from the file + 1 from the URL
     assert any(t[2].value == "Bob" for t in triples)
+
+
+def test_cli_jobs_leave_no_counters_actor(ray_session, sources, tmp_path):
+    """Each job's counters actor ends with the job: back-to-back jobs in
+    one session must not pile up live actor processes."""
+    from ray._private.state import actors
+
+    from argo_ray.rdf import main
+
+    def alive():
+        return sum(
+            1 for a in actors().values()
+            if a["ActorClassName"] == "StageCounters" and a["State"] == "ALIVE"
+        )
+
+    before = alive()
+    for i in range(3):
+        assert main([str(sources / "a.nt"), "-o", str(tmp_path / f"o{i}"), "-O", "turtle"]) == 0
+    deadline = time.monotonic() + 10  # ray.kill is asynchronous
+    while alive() > before and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert alive() == before
