@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange
+
 # ---------------------------------------------------------------------------
 # Planted-duplicate corpus derivation (deterministic, SQL-reproducible)
 # ---------------------------------------------------------------------------
@@ -99,14 +101,12 @@ def exact_dedup_docs(ds, hasher: str = "fast"):
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
-        agg = df.groupby(keys, sort=False).agg(
+        agg = df.groupby(keys, sort=False, dropna=False).agg(
             partial_min=("doc_id", "min"), partial_n=("doc_id", "size")
         ).reset_index()
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     def merge_block(df):
-        # sorted by the first key: whole fingerprint runs per block
-        # (the pinned 2.49 sort-colocation contract — grouping.py);
         # Ray's Aggregate on the same exchange measured 8.4 s vs 2.6 s
         # at 800k distinct fingerprints (see BASELINE.md r5)
         if len(df) == 0 or keys[0] not in df.columns:
@@ -115,18 +115,14 @@ def exact_dedup_docs(ds, hasher: str = "fast"):
             cols["keep_doc_id"] = pa.array([], pa.int64())
             cols["n_copies"] = pa.array([], pa.int64())
             return pa.table(cols)
-        agg = df.groupby(keys, sort=False).agg(
+        agg = df.groupby(keys, sort=False, dropna=False).agg(
             keep_doc_id=("partial_min", "min"), n_copies=("partial_n", "sum")
         ).reset_index()
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-
     ds = ds.map_batches(fp, batch_format="pyarrow")
     ds = ds.map_batches(partial, batch_format="pyarrow")
-    return ds.sort(keys[0]).map_batches(
-        merge_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(ds, keys[0], merge_block, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +334,8 @@ def bucket_pairs_sorted(bands_ds, cap: int = 200):
             }
         )
 
-    return bands_ds.sort(["band_id", "band_hash"]).map_batches(
-        block, batch_format="pyarrow", batch_size=None
+    return exchange(
+        bands_ds, ["band_id", "band_hash"], block, batch_format="pyarrow",
     )
 
 
@@ -939,16 +935,13 @@ def duplicate_spans(docs_ds, L: int = 20):
     length-L character windows, n_dup_spans = how many of them also
     appear in at least one OTHER document.
 
-    Scale shape: vectorized Rabin-Karp partials (above) → ONE sort by
-    window hash (equal hashes co-locate per block — the grouping.py
-    contract) → per-block mark windows whose (hash) group spans ≥2
+    Scale shape: vectorized Rabin-Karp partials (above) → ONE exchange
+    on the window hash → per-block mark windows whose (hash) group spans ≥2
     docs → per-doc sum.  The 64-bit hash stands in for the window text
     (collision odds ~(total windows)²/2⁶⁴); the DuckDB oracle groups by
     the literal substring, so a collision would surface as a mismatch.
     """
     from ray.data.aggregate import Sum
-
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     pairs = docs_ds.map_batches(
         lambda b, _L=L: dup_span_partials(b, _L), batch_format="pyarrow"
@@ -979,9 +972,7 @@ def duplicate_spans(docs_ds, L: int = 20):
             }
         )
 
-    dup_rows = pairs.sort("h").map_batches(
-        mark_dups, batch_format="pandas", batch_size=None
-    )
+    dup_rows = exchange(pairs, "h", mark_dups, batch_format="pandas")
 
     def span_counts(b: pa.Table) -> pa.Table:
         lens = pc.utf8_length(pc.cast(b["text"], pa.large_string()))

@@ -22,9 +22,9 @@ Scale shape (the canonical distributed power-iteration plan):
   schema-less blocks, and a downstream join's finalize rejects them
   with "No match ... FieldRef" whenever partitions outnumber keys
   (small inputs, or skewed tails at scale).  Instead value rows union
-  with the keyed edge list, ONE sort by key co-locates each key's
-  value row with its edges (the grouping.py sort-colocation contract),
-  and a vectorized in-block pandas merge emits the contributions — the
+  with the keyed edge list, ONE ``stages.grouping.exchange`` by key
+  puts each key's value row in the block of its edges, and a
+  vectorized in-block pandas merge emits the contributions — the
   same all-to-all exchange class as the hash join, none of its
   empty-partition fragility;
 - static per-edge state (out-degree weights) is computed ONCE before
@@ -47,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange, sorted_multi_agg, sorted_unique
 from ..terms import hash64
 
 _KV_SCHEMA = pa.schema(
@@ -61,11 +62,10 @@ _PART_SCHEMA = pa.schema([("node", pa.string()), ("part", pa.float64())])
 
 
 def _distinct_nodes(edges_ds):
-    """src ∪ dst, distinct — one sorted exchange (per-block distinct
-    partials, then sort + adjacent-run dedup under the colocation
-    contract); reused as the per-iteration zero-contribution floor so
-    no left-outer join is ever needed."""
-    from ..stages import grouping as _colocation_guard  # noqa: F401
+    """src ∪ dst, distinct — per-block distinct partials, then one
+    :func:`sorted_unique` exchange on the node; reused as the
+    per-iteration zero-contribution floor so no left-outer join is
+    ever needed."""
 
     def both_ends(b: pa.Table) -> pa.Table:
         t = pa.concat_tables(
@@ -76,25 +76,10 @@ def _distinct_nodes(edges_ds):
         )
         return t.group_by("node").aggregate([])  # in-block distinct
 
-    def dedup_block(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n <= 1:
-            return b
-        b = b.combine_chunks()
-        col = b.column("node").chunk(0)
-        same = pc.equal(col.slice(1), col.slice(0, n - 1)).to_numpy(
-            zero_copy_only=False
-        )
-        keep = np.ones(n, dtype=bool)
-        keep[1:] = ~same
-        return b.filter(pa.array(keep))
-
-    return (
-        edges_ds.map_batches(both_ends, batch_format="pyarrow")
-        .sort("node")
-        .map_batches(dedup_block, batch_format="pyarrow", batch_size=None)
-        .materialize()
-    )
+    return sorted_unique(
+        edges_ds.map_batches(both_ends, batch_format="pyarrow"),
+        ["node"], "node",
+    ).materialize()
 
 
 def _keyed_edges(
@@ -110,7 +95,6 @@ def _keyed_edges(
     Arrow blocks with a pinned schema so the per-iteration union with
     the value rows never mixes block types or nullability-inferred
     column types."""
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     def build(df):
         if len(df) == 0:
@@ -145,13 +129,12 @@ def _keyed_edges(
             preserve_index=False,
         )
 
-    ds = edges_ds
     if degree_weight or weight_col is not None:
         # the degree/weight-sum transform needs whole key groups per block
-        ds = ds.sort(key_col)
-    return ds.map_batches(
-        build, batch_format="pandas", batch_size=None
-    ).materialize()
+        out = exchange(edges_ds, key_col, build, batch_format="pandas")
+    else:
+        out = edges_ds.map_batches(build, batch_format="pandas", batch_size=None)
+    return out.materialize()
 
 
 def _value_rows(values_ds, val_col: str):
@@ -172,8 +155,8 @@ def _value_rows(values_ds, val_col: str):
 def _split_merge(df, val_cols):
     """Sorted-block core of EVERY scatter in this module: split the
     value rows (``out`` is null) from the edge rows, inner-merge each
-    key's values onto its edges (one sorted block = whole key groups,
-    the sort-colocation contract).  Returns the merged frame, or None
+    key's values onto its edges (one exchange block = whole key
+    groups).  Returns the merged frame, or None
     when either side is absent."""
     if len(df) == 0 or "key" not in df.columns:
         return None
@@ -216,62 +199,16 @@ def _scatter_contribs(edges_kv, values_ds, val_col: str, combine: str = "sum"):
     """(node=out, part=val(key)/w) contribution rows, pre-combined per
     block — the shared scatter: union value rows into the keyed edge
     table, ONE sort by key, vectorized in-block merge + combiner."""
-    return (
-        edges_kv.union(_value_rows(values_ds, val_col))
-        .sort("key")
-        .map_batches(
-            lambda df: _scatter_block(df, combine),
-            batch_format="pandas",
-            batch_size=None,
-        )
+    return exchange(
+        edges_kv.union(_value_rows(values_ds, val_col)), "key",
+        lambda df: _scatter_block(df, combine), batch_format="pandas",
     )
 
 
-def _sorted_group_agg(ds, key_col, val_col, how, out_key, out_val, val_type):
-    """(key, val) rows → (key, min/sum of val) via ONE sort + in-block
-    pandas agg under the pinned 2.49 sort-colocation contract
-    (grouping.py) — the finish of every propagation loop.  Ray Data's
-    ``groupby().aggregate(...)`` measured ~27× slower at
-    millions-of-groups scale (see :func:`_sum_partials`); at node-count
-    group cardinality that tax lands on EVERY iteration of the
-    pagerank/BFS/label loops."""
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-
-    schema = pa.schema([(out_key, pa.string()), (out_val, val_type)])
-    is_str = val_type == pa.string()
-
-    def block(df):
-        if len(df) == 0 or key_col not in df.columns:
-            return schema.empty_table()
-        g = df.groupby(key_col, sort=False)[val_col].agg(how).reset_index()
-        vals = (
-            pa.array(g[val_col].astype(object), pa.string())
-            if is_str
-            else pc.cast(pa.array(g[val_col].to_numpy()), val_type)
-        )
-        return pa.table(
-            {out_key: pa.array(g[key_col].astype(object), pa.string()),
-             out_val: vals}
-        )
-
-    return ds.sort(key_col).map_batches(
-        block, batch_format="pandas", batch_size=None
-    )
-
-
-def _sorted_multi_agg(ds, sort_key: str, key_cols, specs):
-    """Delegates to :func:`argo_ray.stages.grouping.sorted_multi_agg`
-    (the shared sorted-block group-aggregate — see there for the
-    contract and the Aggregate-vs-sort measurement)."""
-    from ..stages.grouping import sorted_multi_agg
-
-    return sorted_multi_agg(ds, sort_key, key_cols, specs)
-
-
-def _sorted_count(ds, key_col: str, out_key: str, out_val: str):
-    """Row count per key via map-side per-block partials + ONE sorted
-    sum exchange (:func:`_sorted_group_agg`) — the degree/count twin
-    of the propagation finish, replacing ``groupby().aggregate(Count)``
+def _sorted_count(ds, key_col: str, out_val: str):
+    """Row count per key via map-side per-block partials + ONE
+    :func:`sorted_multi_agg` sum exchange — the degree/count twin of
+    the propagation finish, replacing ``groupby().aggregate(Count)``
     at node-cardinality group counts."""
 
     def partial(b: pa.Table) -> pa.Table:
@@ -291,9 +228,9 @@ def _sorted_count(ds, key_col: str, out_key: str, out_val: str):
             }
         )
 
-    return _sorted_group_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        key_col, "part", "sum", out_key, out_val, pa.int64(),
+    return sorted_multi_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), key_col,
+        [(key_col, pa.string())], [("part", "sum", out_val, pa.int64())],
     )
 
 
@@ -306,9 +243,9 @@ def _scatter_sum(edges_kv, values_ds, val_col: str, zero_rows):
     (quadratic for the whole loop — measured 3.5 s → 33 s over 5
     iterations at sf0.001 before the fix)."""
     contribs = _scatter_contribs(edges_kv, values_ds, val_col)
-    return _sorted_group_agg(
-        contribs.union(zero_rows), "node", "part", "sum",
-        "node", "insum", pa.float64(),
+    return sorted_multi_agg(
+        contribs.union(zero_rows), "node", [("node", pa.string())],
+        [("part", "sum", "insum", pa.float64())],
     ).repartition(max(1, zero_rows.num_blocks()))
 
 
@@ -665,7 +602,7 @@ def hits(edges_ds, iters: int = 5, small_graph_edges: int = SMALL_GRAPH_EDGES):
             batch_format="pyarrow",
         )
     )
-    return _sorted_multi_agg(
+    return sorted_multi_agg(
         tagged,
         "node",
         [("node", pa.string())],
@@ -783,9 +720,9 @@ def bfs_distances(
             batch_format="pyarrow",
         )
         dists = (
-            _sorted_group_agg(
-                contribs.union(self_rows), "node", "part", "min",
-                "node", "dist", pa.float64(),
+            sorted_multi_agg(
+                contribs.union(self_rows), "node", [("node", pa.string())],
+                [("part", "min", "dist", pa.float64())],
             )
             .map_batches(
                 lambda b: pa.table(
@@ -952,12 +889,9 @@ def sssp_weighted(
             ),
             batch_format="pyarrow",
         )
-        contribs = (
-            fwd.union(_value_rows(inc, "val"))
-            .sort("key")
-            .map_batches(
-                _scatter_block_addmin, batch_format="pandas", batch_size=None
-            )
+        contribs = exchange(
+            fwd.union(_value_rows(inc, "val")), "key",
+            _scatter_block_addmin, batch_format="pandas",
         )
         self_rows = dists.map_batches(
             lambda b: pa.table(
@@ -969,9 +903,9 @@ def sssp_weighted(
             batch_format="pyarrow",
         )
         dists = (
-            _sorted_group_agg(
-                contribs.union(self_rows), "node", "part", "min",
-                "node", "dist", pa.float64(),
+            sorted_multi_agg(
+                contribs.union(self_rows), "node", [("node", pa.string())],
+                [("part", "min", "dist", pa.float64())],
             )
             .map_batches(
                 lambda b: pa.table(
@@ -1110,8 +1044,8 @@ def triangles(
     exchange that would otherwise be repeated.
 
     The classic degree-ordered wedge plan, with every join expressed as
-    the sort-colocation pattern (no ``Dataset.join`` — see the module
-    header):
+    an exchange plus in-block merge (no ``Dataset.join`` — see the
+    module header):
     - canonicalize (min,max) + distinct → ec;
     - orient every edge from its (degree, name)-smaller endpoint: total
       wedge volume is then bounded by O(|E|^1.5) regardless of hub
@@ -1211,12 +1145,9 @@ def triangles(
         # of the cluster, not the shuffle-partition count (which would
         # leave 3/4 of the CPUs idle during wedge generation)
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        corner_rows = oriented.sort("f").map_batches(
-            _BroadcastWedgeCloser,
-            fn_constructor_args=refs,
-            concurrency=max(2, cpus * 3 // 4),
-            batch_format="pandas",
-            batch_size=None,
+        corner_rows = exchange(
+            oriented, "f", _BroadcastWedgeCloser, fn_constructor_args=refs,
+            concurrency=max(2, cpus * 3 // 4), batch_format="pandas",
         )
         # barrier before the corner groupby: chaining the apex sort,
         # the closure map and the count exchange in one streaming
@@ -1250,7 +1181,7 @@ def _distributed_wedge_closure(ec, emit_edges: bool):
             ),
             batch_format="pyarrow",
         ),
-        "node", "node", "deg",
+        "node", "deg",
     ).materialize()
 
     # attach deg to each endpoint: two sort-colocated value passes
@@ -1318,9 +1249,10 @@ def _distributed_wedge_closure(ec, emit_edges: bool):
     # streaming topology thrashes ~10× (measured on the sf0.1
     # co-purchase graph — see cooccurrence_edges)
     p1 = (
-        p1_rows.union(deg_rows)
-        .sort("key")
-        .map_batches(_attach_block, batch_format="pandas", batch_size=None)
+        exchange(
+            p1_rows.union(deg_rows), "key", _attach_block,
+            batch_format="pandas",
+        )
         .materialize()
     )
     # pass 2: key = v → attach deg(v); carry = deg(u)
@@ -1336,9 +1268,10 @@ def _distributed_wedge_closure(ec, emit_edges: bool):
         batch_format="pyarrow",
     )
     p2 = (
-        p2_rows.union(deg_rows)
-        .sort("key")
-        .map_batches(_attach_block, batch_format="pandas", batch_size=None)
+        exchange(
+            p2_rows.union(deg_rows), "key", _attach_block,
+            batch_format="pandas",
+        )
         .materialize()
     )
     # p2 rows: key = v, other = u, carry = deg(u), deg_attached = deg(v)
@@ -1395,9 +1328,7 @@ def _distributed_wedge_closure(ec, emit_edges: bool):
             }
         )
 
-    wedge_rows = oriented.sort("f").map_batches(
-        wedges, batch_format="pandas", batch_size=None
-    )
+    wedge_rows = exchange(oriented, "f", wedges, batch_format="pandas")
     edge_marks = ec.map_batches(
         lambda b: pa.table(
             {
@@ -1466,9 +1397,10 @@ def _distributed_wedge_closure(ec, emit_edges: bool):
         )
 
     return (
-        wedge_rows.union(edge_marks)
-        .sort("key")
-        .map_batches(close_block, batch_format="pandas", batch_size=None)
+        exchange(
+            wedge_rows.union(edge_marks), "key", close_block,
+            batch_format="pandas",
+        )
         .materialize()  # barrier before the downstream count exchange
     )
 
@@ -1637,41 +1569,12 @@ def edge_triangle_support(
 
     oriented = ec.map_batches(orient_broadcast, batch_format="pyarrow")
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    keys = oriented.sort("f").map_batches(
-        _BroadcastWedgeEdgeCloser,
-        fn_constructor_args=refs,
-        concurrency=max(2, cpus * 3 // 4),
-        batch_format="pandas",
-        batch_size=None,
+    keys = exchange(
+        oriented, "f", _BroadcastWedgeEdgeCloser, fn_constructor_args=refs,
+        concurrency=max(2, cpus * 3 // 4), batch_format="pandas",
     )
 
     return _split_edge_support(keys)
-
-
-def _sum_partials(ds, key_col: str, out_col: str):
-    """(key, n) combined partials → (key, Σn) via ONE sort exchange +
-    in-block pandas sum — the pinned sort-colocation contract
-    (grouping.py: Ray 2.49 sort emits whole key runs per block).
-    Measured 15.0 s → 0.56 s vs ``groupby().aggregate(Sum)`` on the
-    sf0.1 truss exchange (2.9M partials / 1.19M groups)."""
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-
-    schema = pa.schema([(key_col, pa.string()), (out_col, pa.int64())])
-
-    def block_sum(df):
-        if len(df) == 0 or key_col not in df.columns:
-            return schema.empty_table()
-        g = df.groupby(key_col, sort=False)["n"].sum().reset_index()
-        return pa.table(
-            {
-                key_col: pa.array(g[key_col], pa.string()),
-                out_col: pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    return ds.sort(key_col).map_batches(
-        block_sum, batch_format="pandas", batch_size=None
-    )
 
 
 def _split_edge_support(keys):
@@ -1692,9 +1595,9 @@ def _split_edge_support(keys):
             }
         )
 
-    summed = _sum_partials(
+    summed = sorted_multi_agg(
         keys.materialize(),  # barrier before the count exchange
-        "key", "key_count",
+        "key", [("key", pa.string())], [("n", "sum", "key_count", pa.int64())],
     )
     return summed.map_batches(split, batch_format="pyarrow")
 
@@ -1703,7 +1606,10 @@ def _count_corners(corner_rows):
     """(node, n) combined corner partials → (node, n_triangles),
     shared by both closure plans (the closers pre-aggregate per
     block; this sums the partials)."""
-    return _sum_partials(corner_rows, "node", "n_triangles")
+    return sorted_multi_agg(
+        corner_rows, "node", [("node", pa.string())],
+        [("n", "sum", "n_triangles", pa.int64())],
+    )
 
 
 def _link_prediction_small(edges_ds, k: int, max_apex_degree: int | None):
@@ -1839,7 +1745,7 @@ def link_prediction_jaccard(
     eu = _distinct_pairs(
         edges_ds.map_batches(both, batch_format="pyarrow"), "a", "b"
     ).materialize()
-    deg = _sorted_count(eu, "a", "a", "degv").materialize()
+    deg = _sorted_count(eu, "a", "degv").materialize()
 
     ids = dense_rank_ids(
         deg.map_batches(
@@ -1910,9 +1816,7 @@ def link_prediction_jaccard(
             }
         )
 
-    wedge_rows = eu_ids.sort("a_id").map_batches(
-        wedge_pairs, batch_format="pandas", batch_size=None
-    )
+    wedge_rows = exchange(eu_ids, "a_id", wedge_pairs, batch_format="pandas")
 
     def mark(b: pa.Table) -> pa.Table:
         a_id = pc.cast(b["a_id"], pa.int64())
@@ -1934,7 +1838,7 @@ def link_prediction_jaccard(
     # barrier between the apex sort and the pair-count exchange
     # (chained all-to-alls thrash — see triangles); this groupby is the
     # ONE full-wedge-volume exchange of the plan (6 int64 columns)
-    counted = _sorted_multi_agg(
+    counted = sorted_multi_agg(
         wedge_rows.union(edge_marks).materialize(),
         "pa",
         [("pa", pa.int64()), ("pb", pa.int64())],
@@ -2031,7 +1935,6 @@ def cooccurrence_edges(pairs_ds, group_col: str, item_col: str):
     distinct groupby.  Edge volume is Σ C(k,2) over group sizes —
     callers must ensure group fan-out is bounded (cap or drop hub
     groups), or a single hub becomes a clique."""
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
 
@@ -2064,8 +1967,7 @@ def cooccurrence_edges(pairs_ds, group_col: str, item_col: str):
     # loop's per-iteration materialize, 10× here.  The intermediate is
     # the raw pair stream — the same volume the groupby exchanges.
     raw_pairs = (
-        pairs_ds.sort(group_col)
-        .map_batches(pairs, batch_format="pandas", batch_size=None)
+        exchange(pairs_ds, group_col, pairs, batch_format="pandas")
         .materialize()
     )
     return _distinct_pairs(raw_pairs, "src", "dst")
@@ -2075,8 +1977,7 @@ def _distinct_pairs(ds, a: str, b: str):
     """Global distinct over a two-string-column dataset via
     ``sorted_unique`` (hash-keyed sort + adjacent-row mask, exact
     collision fallback) — the Aggregate-based distinct costs ~27× more
-    at millions-of-groups scale (see ``_sum_partials``)."""
-    from ..stages.grouping import sorted_unique
+    at millions-of-groups scale (see ``sorted_multi_agg``)."""
 
     def add_key(batch: pa.Table) -> pa.Table:
         h = _mix_pair_hashes(
@@ -2208,10 +2109,9 @@ def label_propagation(
             ),
             batch_format="pyarrow",
         )
-        contribs = (
-            und.union(val_rows)
-            .sort("key")
-            .map_batches(scatter_block, batch_format="pandas", batch_size=None)
+        contribs = exchange(
+            und.union(val_rows), "key", scatter_block,
+            batch_format="pandas",
         )
         self_rows = labels.map_batches(
             lambda b: pa.table(
@@ -2223,9 +2123,9 @@ def label_propagation(
             batch_format="pyarrow",
         )
         labels = (
-            _sorted_group_agg(
-                contribs.union(self_rows), "node", "cand", "min",
-                "node", "label", pa.string(),
+            sorted_multi_agg(
+                contribs.union(self_rows), "node", [("node", pa.string())],
+                [("cand", "min", "label", pa.string())],
             )
             .repartition(n_blocks)
             .materialize()
@@ -2291,10 +2191,9 @@ def directed_min_label(edges_ds, iters: int = 5, reverse: bool = False):
             ),
             batch_format="pyarrow",
         )
-        contribs = (
-            direct.union(val_rows)
-            .sort("key")
-            .map_batches(scatter_block, batch_format="pandas", batch_size=None)
+        contribs = exchange(
+            direct.union(val_rows), "key", scatter_block,
+            batch_format="pandas",
         )
         self_rows = labels.map_batches(
             lambda b: pa.table(
@@ -2306,9 +2205,9 @@ def directed_min_label(edges_ds, iters: int = 5, reverse: bool = False):
             batch_format="pyarrow",
         )
         labels = (
-            _sorted_group_agg(
-                contribs.union(self_rows), "node", "cand", "min",
-                "node", "label", pa.string(),
+            sorted_multi_agg(
+                contribs.union(self_rows), "node", [("node", pa.string())],
+                [("cand", "min", "label", pa.string())],
             )
             .repartition(n_blocks)
             .materialize()
@@ -2345,7 +2244,7 @@ def wl_colors(edges_ds, rounds: int = 1):
     ).materialize()
 
     labels = (
-        _sorted_count(und, "u", "u", "deg")
+        _sorted_count(und, "u", "deg")
         .map_batches(
             lambda b: pa.table(
                 {
@@ -2375,7 +2274,7 @@ def wl_colors(edges_ds, rounds: int = 1):
 
     def color(g: pd.DataFrame) -> pd.DataFrame:
         own = g["own"].dropna()
-        if len(own) == 0:  # colocation contract violated / orphan rows
+        if len(own) == 0:  # orphan rows: no own label in this group
             return pd.DataFrame({"node": [], "label": []})
         ns = sorted(g["nlab"].dropna())
         h = hashlib.md5(
@@ -2404,10 +2303,9 @@ def wl_colors(edges_ds, rounds: int = 1):
             ),
             batch_format="pyarrow",
         )
-        nlabs = (
-            e_rows.union(v_rows)
-            .sort("key")
-            .map_batches(gather_block, batch_format="pandas", batch_size=None)
+        nlabs = exchange(
+            e_rows.union(v_rows), "key", gather_block,
+            batch_format="pandas",
         )
         own_rows = labels.map_batches(
             lambda b: pa.table(
@@ -2486,7 +2384,7 @@ def scc_min_label(edges_ds, iters: int = 5):
             }
         )
 
-    return _sorted_multi_agg(
+    return sorted_multi_agg(
         f_rows.union(b_rows),
         "node",
         [("node", pa.string())],
@@ -2592,9 +2490,10 @@ def kcore(
     cur = edges_ds.map_batches(normalize, batch_format="pyarrow")
     count = n_edges
     for _ in range(rounds):
-        degrees = _sorted_group_agg(
+        degrees = sorted_multi_agg(
             cur.map_batches(degree_partials, batch_format="pyarrow"),
-            "node", "part", "sum", "node", "deg", pa.int64(),
+            "node", [("node", pa.string())],
+            [("part", "sum", "deg", pa.int64())],
         )
         def marker_rows(b: pa.Table) -> pa.Table:
             keep = pc.filter(
@@ -2673,9 +2572,10 @@ def kcore(
         count = new_count
 
     return (
-        _sorted_group_agg(
+        sorted_multi_agg(
             cur.map_batches(degree_partials, batch_format="pyarrow"),
-            "node", "part", "sum", "node", "degree", pa.int64(),
+            "node", [("node", pa.string())],
+            [("part", "sum", "degree", pa.int64())],
         )
         .map_batches(
             lambda b: pa.table(
@@ -2806,7 +2706,7 @@ def khop_sample(edges_ds, seeds_ds, hops: int = 2, fanout: int = 3):
 
     from ray.data.aggregate import Min
 
-    return _sorted_multi_agg(
+    return sorted_multi_agg(
         out.map_batches(min_partial, batch_format="pyarrow"),
         "seed",
         [("seed", pa.string()), ("node", pa.string())],

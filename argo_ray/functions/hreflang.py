@@ -12,8 +12,7 @@ Pipeline shape:
   doc_id % cluster_size``) — deterministic so the DuckDB oracle
   reconstructs the expected edges relationally, but the co-grouping is
   real distributed work: ONE ``grouped_map`` on the cluster key builds
-  every member's link set from ALL members (the same sort-colocation
-  exchange every grouped stage here rides).
+  every member's link set from ALL members.
 - :func:`extract_hreflang_batch` is the real parser: vectorized
   ``split_pattern`` + anchored ``extract_regex`` over the flattened
   ``<link `` segments (same zero-per-row-Python shape as

@@ -9,7 +9,7 @@ the assignment is reproducible relationally (``ROW_NUMBER() OVER
 
 Scale shape: the dictionaries are built with one distinct exchange +
 one sort (``running_total``'s block-manifest pass moves one row per
-block through the driver); the triple mapping is three sort-colocation
+block through the driver); the triple mapping is three exchange
 lookup joins keyed on term strings — uniform keys, since dictionary
 terms are distinct by construction.  NOT ``Dataset.join``: on this Ray
 version a hash join's empty output partitions forward schema-less
@@ -24,6 +24,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange
 from ..terms import KIND_LITERAL
 from .packing import running_total
 
@@ -59,14 +60,12 @@ def dense_rank_ids(ds, col: str, out_col: str = "id"):
 
 def _lookup_join(ds, key: str, ids_ds, out_col: str):
     """Inner-join ``ds`` against the (term, id) dictionary on ``key``
-    via the sort-colocation pattern: id rows union into the stream,
-    ONE sort by key groups each key's id row with its data rows, and a
+    via an exchange: id rows union into the stream, ONE exchange by
+    key groups each key's id row with its data rows, and a
     vectorized in-block pandas merge attaches the id — the same
     exchange volume as a hash join, none of its empty-partition
     fragility."""
     import pandas as pd
-
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     schema = ds.schema()
 
@@ -118,9 +117,7 @@ def _lookup_join(ds, key: str, ids_ds, out_col: str):
         m[out_col] = m[out_col].astype("int64")
         return m
 
-    return unioned.sort(key).map_batches(
-        merge_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(unioned, key, merge_block, batch_format="pandas")
 
 
 def triples_to_id_edges(triples_ds):

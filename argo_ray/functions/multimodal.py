@@ -38,6 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange
 from .jpeg import decode_jpeg, encode_jpeg_gray
 
 MULTIMODAL_SCHEMA = pa.schema(
@@ -1114,14 +1115,12 @@ def image_ahash_dedup(sf_dir: str):
     Vectorized: one ``frombuffer`` reshape per batch (all decoded
     images are 8×8×3), mean + threshold as numpy matrix ops, bit rows
     viewed as U64 strings without a per-bit Python loop; the keep
-    decision is ONE sort by hash + an in-block groupby-min (the
-    grouping.py colocation contract).  Oracle: every pixel is
+    decision is ONE exchange on the hash + an in-block groupby-min.
+    Oracle: every pixel is
     ``md5(text)`` digest byte ``i % 16``, so DuckDB reconstructs the
     hash bit-for-bit (mean = sum/64 is exact — a power-of-two
     divisor)."""
     import numpy as np
-
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     ds = documents_as_bmp(sf_dir)
     decoded = ds.map_batches(
@@ -1165,10 +1164,9 @@ def image_ahash_dedup(sf_dir: str):
             }
         )
 
-    return (
-        decoded.map_batches(ahash, batch_format="pyarrow")
-        .sort("ahash")
-        .map_batches(mark, batch_format="pandas", batch_size=None)
+    return exchange(
+        decoded.map_batches(ahash, batch_format="pyarrow"), "ahash", mark,
+        batch_format="pandas",
     )
 
 

@@ -16,10 +16,8 @@ document, matching the usual pretraining data layout).  DuckDB oracle:
 ``SUM(...) OVER (ORDER BY ... ROWS BETWEEN UNBOUNDED PRECEDING AND 1
 PRECEDING) // budget``.
 
-The per-block offset keying relies on the same sorted co-location
-contract as ``stages/grouping.py`` (equal sort keys never straddle a
-block boundary); ``order_col`` must be unique per row — duplicate
-block minima raise rather than mis-assign.
+The per-block offset keying relies on ``order_col`` being unique per
+row — duplicate block minima raise rather than mis-assign.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..stages.grouping import exchange
 
 
 def running_total(ds, order_col: str, value_col: str, out_col: str = "running_total"):
@@ -36,7 +36,16 @@ def running_total(ds, order_col: str, value_col: str, out_col: str = "running_to
     from ..io import configure_context
 
     configure_context()
-    ds = ds.sort(order_col).materialize()  # pin block boundaries
+
+    def block_cumsum(batch: pa.Table) -> pa.Table:
+        vals = np.asarray(
+            pc.cast(batch[value_col], pa.int64()).combine_chunks(),
+            dtype=np.int64,
+        )
+        return batch.append_column(out_col, pa.array(np.cumsum(vals), pa.int64()))
+
+    # materialized: the offset pass below keys on these exact blocks
+    ds = exchange(ds, order_col, block_cumsum, batch_format="pyarrow").materialize()
 
     def block_stats(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -45,7 +54,7 @@ def running_total(ds, order_col: str, value_col: str, out_col: str = "running_to
         # native-typed min: the driver sort below must use the same
         # ordering the distributed sort used (NOT a lexical cast)
         key = pc.min(batch[order_col])
-        total = int(pc.sum(pc.cast(batch[value_col], pa.int64())).as_py() or 0)
+        total = batch[out_col][batch.num_rows - 1].as_py()
         return pa.table({"_min_order": pa.array([key.as_py()], batch[order_col].type),
                          "_sum": pa.array([total], pa.int64())})
 
@@ -64,18 +73,16 @@ def running_total(ds, order_col: str, value_col: str, out_col: str = "running_to
         offsets[r["_min_order"]] = acc
         acc += r["_sum"]
 
-    def add_cumsum(batch: pa.Table) -> pa.Table:
+    def add_offset(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return batch.append_column(out_col, pa.array([], pa.int64()))
+            return batch
         key = pc.min(batch[order_col]).as_py()
-        vals = np.asarray(
-            pc.cast(batch[value_col], pa.int64()).combine_chunks(),
-            dtype=np.int64,
+        i = batch.schema.get_field_index(out_col)
+        return batch.set_column(
+            i, out_col, pc.add(batch[out_col], pa.scalar(offsets[key], pa.int64()))
         )
-        cums = np.cumsum(vals) + offsets[key]
-        return batch.append_column(out_col, pa.array(cums, pa.int64()))
 
-    return ds.map_batches(add_cumsum, batch_format="pyarrow", batch_size=None)
+    return ds.map_batches(add_offset, batch_format="pyarrow", batch_size=None)
 
 
 def pack_sequences(

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange
+
 
 def token_count_batch(batch: pa.Table, text_column: str = "text") -> pa.Table:
     """Whitespace token count — single-space tokenisation so the DuckDB
@@ -643,14 +645,12 @@ def tfidf_topk(docs_ds, k: int = 3, text_column: str = "text"):
     local (doc, word) count never needs a shuffle); df is one
     vocabulary-sized groupby over the distinct (doc, word) pairs; the
     df join back onto the tf pairs and the per-doc top-k both use the
-    sort-colocation pattern (one sort by word, one sort by doc) instead
+    exchange pattern (one exchange by word, one by doc) instead
     of hash joins.  Scores are rounded to 4 decimals BEFORE ranking on
     both sides: DuckDB's LN and numpy's log disagree by a few ulp, and
     ranking on the rounded score makes the order (and the hash)
     immune to it."""
     from ray.data.aggregate import Count
-
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     def tf_partials(batch: pa.Table) -> pa.Table:
         # fill_null BEFORE splitting: a null text yields a null token
@@ -743,10 +743,9 @@ def tfidf_topk(docs_ds, k: int = 3, text_column: str = "text"):
             }
         )
 
-    scored = (
-        tf_tagged.union(df_rows)
-        .sort("word")
-        .map_batches(score_block, batch_format="pandas", batch_size=None)
+    scored = exchange(
+        tf_tagged.union(df_rows), "word", score_block,
+        batch_format="pandas",
     )
 
     out_schema = pa.schema(
@@ -784,9 +783,7 @@ def tfidf_topk(docs_ds, k: int = 3, text_column: str = "text"):
             }
         )
 
-    return scored.sort("doc_id").map_batches(
-        topk_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(scored, "doc_id", topk_block, batch_format="pandas")
 
 
 def blocklist_batch(

@@ -23,6 +23,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange
+
 # after splitting on "<a ", an anchor segment starts with the tag's
 # attributes: no '>' may appear before href (keeps matches inside the
 # tag), then the href value, the rest of the tag, and the anchor text
@@ -142,13 +144,10 @@ def resolve_redirects(mapping_ds, rounds: int = 2):
     deterministically (last writer wins at round cap)."""
     import pandas as pd
 
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-
     m = mapping_ds
 
     def gate(df: pd.DataFrame):
-        # whole key groups per sorted block (grouping.py contract);
-        # ONE vectorized merge per block — the per-key grouped_map
+        # ONE vectorized merge per exchange block — the per-key grouped_map
         # kernel cost minutes at 1M-chain scale (see rank_chains)
         schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
         if len(df) == 0 or "key" not in df.columns:
@@ -190,11 +189,7 @@ def resolve_redirects(mapping_ds, rounds: int = 2):
             ),
             batch_format="pyarrow",
         )
-        m = (
-            data.union(maps)
-            .sort("key")
-            .map_batches(gate, batch_format="pandas", batch_size=None)
-        )
+        m = exchange(data.union(maps), "key", gate, batch_format="pandas")
     return m
 
 
@@ -301,7 +296,6 @@ def rank_chains(next_ds, rounds: int = 2):
     exchanges."""
     import numpy as np
     import pandas as pd
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     m = next_ds.map_batches(
         lambda b: pa.table(
@@ -316,8 +310,7 @@ def rank_chains(next_ds, rounds: int = 2):
     n_blocks = max(1, m.num_blocks())
 
     def jump_block(df: pd.DataFrame):
-        # whole key groups per sorted block (grouping.py contract);
-        # ONE vectorized pandas merge per block, never a per-key
+        # ONE vectorized pandas merge per exchange block, never a per-key
         # Python dispatch — the first cut used grouped_map's per-group
         # kernel here and spent minutes on 1M-node inputs.  ``fin``
         # marks rows whose target had NO successor: they point at
@@ -391,10 +384,8 @@ def rank_chains(next_ds, rounds: int = 2):
             ),
             batch_format="pyarrow",
         )
-        jumped = (
-            data.union(maps)
-            .sort("key")
-            .map_batches(jump_block, batch_format="pandas", batch_size=None)
+        jumped = exchange(
+            data.union(maps), "key", jump_block, batch_format="pandas",
         )
         kept = m.map_batches(
             lambda b: b.filter(pc.equal(b["fin"], pa.scalar(1, pa.int8()))),
@@ -491,10 +482,7 @@ def rank_chains(next_ds, rounds: int = 2):
             }
         )
 
-    return (
-        m.sort("dst")
-        .map_batches(finish_block, batch_format="pandas", batch_size=None)
-    )
+    return exchange(m, "dst", finish_block, batch_format="pandas")
 
 
 # <link rel="canonical" href="..."> — attribute order fixed by our

@@ -34,6 +34,7 @@ from ..functions.text import (
     quality_batch,
     token_count_batch,
 )
+from ..stages.grouping import exchange
 from ..stages.windows import sessionize, sliding_window_count, tumbling_window_agg
 
 
@@ -1080,13 +1081,12 @@ def q_parts_pair_lift(sf_dir: str):
     are one part-sized groupby BROADCAST onto the pair stream twice
     (map-side join — pairs never shuffle again).  Broadcast is the
     scale path while distinct parts fit worker memory; beyond that the
-    sort-colocation attach (graph.py triangles) is the fallback."""
+    exchange attach (graph.py triangles) is the fallback."""
     import numpy as np
 
     from ray.data.aggregate import Count
 
     from ..io import read_table
-    from ..stages import grouping as _colocation_guard  # noqa: F401
     from ..stages.broadcast import broadcast_join
 
     li = (
@@ -1124,8 +1124,7 @@ def q_parts_pair_lift(sf_dir: str):
         )
 
     pairs = (
-        li.sort("l_orderkey")
-        .map_batches(pair_block, batch_format="pandas", batch_size=None)
+        exchange(li, "l_orderkey", pair_block, batch_format="pandas")
         # barrier between the two all-to-alls: chained sort + groupby in
         # one streaming topology thrash 10× (measured in
         # graph.py::cooccurrence_edges on this exact pair stream)
@@ -1227,8 +1226,7 @@ def q_parts_butterflies(sf_dir: str):
         )
 
     pairs = (
-        li.sort("l_orderkey")
-        .map_batches(pair_block, batch_format="pandas", batch_size=None)
+        exchange(li, "l_orderkey", pair_block, batch_format="pandas")
         .materialize()
         .groupby(["x", "y"])
         .aggregate(Count(alias_name="n"))
@@ -1314,8 +1312,7 @@ def q_parts_itemsets3(sf_dir: str):
         )
 
     trips = (
-        li.sort("l_orderkey")
-        .map_batches(triple_block, batch_format="pandas", batch_size=None)
+        exchange(li, "l_orderkey", triple_block, batch_format="pandas")
         .materialize()
         .groupby(["x", "y", "z"])
         .aggregate(Count(alias_name="support"))
@@ -1519,7 +1516,7 @@ def q_docs_dup_spans(sf_dir: str):
     per document, how many of its length-20 character windows also
     appear verbatim in at least one other document.  See
     :func:`argo_ray.functions.dedup.duplicate_spans` for the
-    vectorized Rabin-Karp + sort-colocation plan; the oracle groups by
+    vectorized Rabin-Karp + exchange plan; the oracle groups by
     the literal substring."""
     from ..functions.dedup import duplicate_spans
 
@@ -5758,10 +5755,8 @@ def q_orders_local_supplier_volume(sf_dir: str):
             }
         )
 
-    per_order = (
-        orders.union(lines)
-        .sort("orderkey")
-        .map_batches(join_block, batch_format="pandas", batch_size=None)
+    per_order = exchange(
+        orders.union(lines), "orderkey", join_block, batch_format="pandas",
     )
 
     def name_rows(b: pa.Table) -> pa.Table:
@@ -5792,7 +5787,6 @@ def q_orders_priority_exists(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from ..io import read_table
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     T0 = 820_454_400_000_000  # 1996-01-01 epoch micros
     T1 = 836_179_200_000_000  # 1996-07-01
@@ -5836,10 +5830,9 @@ def q_orders_priority_exists(sf_dir: str):
         sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"]
     ).map_batches(marker_rows, batch_format="pyarrow")
 
-    per_order = (
-        orders.union(marks)
-        .sort("orderkey")
-        .map_batches(_semi_block, batch_format="pandas", batch_size=None)
+    per_order = exchange(
+        orders.union(marks), "orderkey", _semi_block,
+        batch_format="pandas",
     )
     return (
         per_order.groupby("o_orderpriority")
@@ -5863,7 +5856,6 @@ def q_orders_priority_exists_bloom(sf_dir: str):
 
     from ..functions.sketch import _bloom_positions, bloom_build
     from ..io import read_table
-    from ..stages import grouping as _colocation_guard  # noqa: F401
 
     T0 = 820_454_400_000_000  # 1996-01-01 epoch micros
     T1 = 836_179_200_000_000  # 1996-07-01
@@ -5935,10 +5927,9 @@ def q_orders_priority_exists_bloom(sf_dir: str):
         fn_constructor_kwargs={"ref": bits_ref, "log2_m": LOG2_M},
     )
 
-    per_order = (
-        orders.union(marks)
-        .sort("orderkey")
-        .map_batches(_semi_block, batch_format="pandas", batch_size=None)
+    per_order = exchange(
+        orders.union(marks), "orderkey", _semi_block,
+        batch_format="pandas",
     )
     return (
         per_order.groupby("o_orderpriority")
@@ -5952,8 +5943,8 @@ _SEMI_SCHEMA = pa.schema(
 
 
 def _semi_block(df):
-    """Vectorized semi-join per sorted block (whole orderkey groups —
-    grouping.py contract): orders keep their priority iff a marker row
+    """Vectorized semi-join per exchange block (whole orderkey
+    groups): orders keep their priority iff a marker row
     shares the key.  ONE pandas merge, no per-order Python dispatch
     (the per-group grouped_map kernel costs ~30µs × |orders| at
     scale)."""
@@ -6108,9 +6099,9 @@ def q_customer_returns_topk(sf_dir: str):
         )
 
     per_cust = (
-        orders.union(lines)
-        .sort("orderkey")
-        .map_batches(join_block, batch_format="pandas", batch_size=None)
+        exchange(
+            orders.union(lines), "orderkey", join_block, batch_format="pandas",
+        )
         .groupby("custkey")
         .aggregate(Sum("part", alias_name="revenue_centicents"))
     )
@@ -6230,10 +6221,8 @@ def q_lineitem_priority_classes(sf_dir: str):
             }
         )
 
-    per_order = (
-        orders.union(lines)
-        .sort("orderkey")
-        .map_batches(join_block, batch_format="pandas", batch_size=None)
+    per_order = exchange(
+        orders.union(lines), "orderkey", join_block, batch_format="pandas",
     )
     return (
         per_order.groupby("l_linestatus")
@@ -7115,10 +7104,10 @@ def q_events_interarrival_median(sf_dir: str):
         )
 
     hist = (
-        _events(sf_dir)
-        .select_columns(["user_id", "ts", "event_type"])
-        .sort("user_id")
-        .map_batches(gaps_block, batch_format="pandas", batch_size=None)
+        exchange(
+            _events(sf_dir).select_columns(["user_id", "ts", "event_type"]),
+            "user_id", gaps_block, batch_format="pandas",
+        )
         .groupby(["event_type", "secs"])
         .aggregate(Sum("part", alias_name="n"))
         .sort(["event_type", "secs"])
@@ -7209,11 +7198,9 @@ def q_events_cep_match(sf_dir: str):
             }
         )
 
-    return (
-        _events(sf_dir)
-        .select_columns(["user_id", "ts", "event_type"])
-        .sort("user_id")
-        .map_batches(match_block, batch_format="pandas", batch_size=None)
+    return exchange(
+        _events(sf_dir).select_columns(["user_id", "ts", "event_type"]),
+        "user_id", match_block, batch_format="pandas",
     )
 
 
@@ -7452,10 +7439,10 @@ def q_events_session_paths(sf_dir: str):
         )
 
     paths = (
-        _events(sf_dir)
-        .select_columns(["user_id", "ts", "event_id", "event_type"])
-        .sort("user_id")
-        .map_batches(paths_block, batch_format="pandas", batch_size=None)
+        exchange(
+            _events(sf_dir).select_columns(["user_id", "ts", "event_id", "event_type"]),
+            "user_id", paths_block, batch_format="pandas",
+        )
         .groupby("path")
         .aggregate(Sum("n_part", alias_name="n_sessions"))
     )

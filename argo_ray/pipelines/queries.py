@@ -33,6 +33,7 @@ from ..stages.canon import (
     split_prefix_arrays,
 )
 from ..stages.filter import filter_batch
+from ..stages.grouping import exchange
 from ..stages.materialize import dedup_exact, distinct_rows
 from ..terms import IRI, TRIPLE_COLUMNS, XSD_NS, triples_to_table
 
@@ -1361,7 +1362,7 @@ def q_kg_schema_induce(sf_dir: str):
     """Schema induction (the TBox-mining step when a crawl has no
     ontology): for every non-type predicate, the MODAL rdf:type of its
     subjects — the empirical domain an engineer would declare.  Plan:
-    the (entity → type) map rides a sort-colocation join onto the
+    the (entity → type) map rides an exchange join onto the
     triple stream keyed by subject (marker-join shape, no broadcast),
     then (pred, type) counts → per-predicate argmax (count desc, type
     asc).  All integers until the final pick."""
@@ -2386,9 +2387,7 @@ def q_group_subject_count(sf_dir: str):
         out["subj_kind"] = out["subj_kind"].astype("int64")
         return out
 
-    return ds.sort("subject_hash").map_batches(
-        count_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(ds, "subject_hash", count_block, batch_format="pandas")
 
 
 def q_typed_coercion(sf_dir: str):
@@ -4156,7 +4155,7 @@ def q_kg_assortativity(sf_dir: str):
     Σdudv, Σdu², Σdv², M) accumulates as EXACT integers — per-block
     partial rows, block-count-bounded driver finish, ONE double
     division at the end rounded to 6 — so the oracle is
-    IEEE-identical.  Degree attachment is two sort-colocation lookup
+    IEEE-identical.  Degree attachment is two exchange lookup
     joins (edge-volume exchanges, no broadcast)."""
     from ray.data.aggregate import Count
 
@@ -4456,7 +4455,7 @@ def q_list_walk_grouped(sf_dir: str):
     """J2: ``Graph.Get`` point lookups during a cons-list walk
     (``graph.go:210-218,255-271``), distributed: each document's list
     cells are emitted as flat triple rows keyed by the root doc, ONE
-    sort-colocation exchange groups every root's cells, and the walk
+    exchange groups every root's cells, and the walk
     runs Get-by-Get against the transient per-group index (T4) inside
     ``map_groups`` — the reference's iterative index join, re-expressed
     as the partitioned walk that scales (the partitioning assumption:

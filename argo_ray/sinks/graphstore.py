@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sources.rdfxml import parse_rdfxml
+from ..stages.grouping import exchange
 from ..terms import TRIPLE_COLUMNS, append_subject_hash, triples_to_table
 from .rdfxml import serialize_rdfxml
 
@@ -187,18 +188,13 @@ def write_graphstore(triples_ds, root_dir: str, graph_column: str = "url"):
     """
     import numpy as np
 
-    # the correctness of one-put-per-graph rests on Ray's sort never
-    # splitting an equal-key run across blocks; importing grouping fires
-    # its pinned-version guard (warns loudly on unverified Ray versions)
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-
     os.makedirs(root_dir, exist_ok=True)
     store = FileGraphStore(root_dir)
 
     def write_block(batch: pa.Table) -> pa.Table:
-        # one sorted block = whole graphs (sort co-location contract,
-        # grouping.py); zero-copy Table.slice per graph run instead of a
-        # per-group pandas→Arrow conversion (was ~1 ms × graphs)
+        # one exchange block = whole graphs; zero-copy Table.slice per
+        # graph run instead of a per-group pandas→Arrow conversion (was
+        # ~1 ms × graphs)
         n = batch.num_rows
         if n == 0:
             return pa.table(
@@ -219,8 +215,8 @@ def write_graphstore(triples_ds, root_dir: str, graph_column: str = "url"):
             }
         )
 
-    manifest = triples_ds.sort(graph_column).map_batches(
-        write_block, batch_format="pyarrow", batch_size=None
+    manifest = exchange(
+        triples_ds, graph_column, write_block, batch_format="pyarrow",
     )
     return sorted(r["graph_uri"] for r in manifest.take_all())
 

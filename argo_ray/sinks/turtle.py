@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.canon import split_prefix, split_prefix_arrays
+from ..stages.grouping import exchange
 from ..stages.materialize import salted_subject_key
 from ..terms import KIND_IRI, POSITIONS, Term, nt_render_term_arrays, render_term
 
@@ -192,9 +193,9 @@ def write_turtle(ds, out_dir: str, prefixes: dict[str, str] | None = None, num_s
         )
         key = "subject_salted"
     return (
-        ds.sort(key)
-        .map_batches(
-            TurtleFileWriter(out_dir, prefixes), batch_format="pyarrow", batch_size=None
+        exchange(
+            ds, key, TurtleFileWriter(out_dir, prefixes),
+            batch_format="pyarrow",
         )
         .materialize()
         .to_pandas()

@@ -9,13 +9,12 @@ module IS the endpoint, re-expressed Ray-Data-first:
   ``stages/filter.py``) that projects matched positions into per-variable
   binding columns — no materialization, blocks stream with backpressure.
 - The basic graph pattern joins through ONE primitive: the co-grouped
-  sort exchange (``_cogroup_join``) — pattern binding tables union into
-  a single ``Dataset.sort`` on the anchor variable's term hash, then
-  in-block pandas merges on each pair's full shared-variable identity
+  exchange (``_cogroup_join``) — pattern binding tables union into
+  a single ``stages.grouping.exchange`` on the anchor variable's term
+  hash, then in-block pandas merges on each pair's full shared-variable identity
   (kind, value, lang, datatype).  Exchange count is O(1) per BGP, not
-  O(patterns), and the machinery is the same sort-co-location contract
-  the dedup stages pin (``Dataset.join`` itself proved flaky in Ray
-  2.49 on small multi-key inputs, so the engine avoids it entirely).
+  O(patterns) (``Dataset.join`` itself proved flaky in Ray 2.49 on
+  small multi-key inputs, so the engine avoids it entirely).
 - FILTERs are vectorized Arrow kernels applied post-join; SELECT
   renders each variable to its canonical N-Triples string (one string
   column per variable — the same rendering the serializers use, so a
@@ -51,6 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.grouping import exchange, sorted_unique
 from ..terms import (
     KIND_BLANK,
     KIND_IRI,
@@ -391,8 +391,7 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
     tag + null-pad + union → ONE sort exchange on the anchor's term hash
     → in-block pandas hash merges on each pair's full shared-variable
     columns.  Replaces a chain of per-pattern hash-shuffle joins (each a
-    fixed-cost actor-pool exchange) with a single exchange — the same
-    trick the dedup stages use (sort co-location, grouping.py).  This is
+    fixed-cost actor-pool exchange) with a single exchange.  This is
     the engine's ONLY join primitive: ``Dataset.join`` proved flaky in
     Ray 2.49 on small multi-key inputs (intermittent ArrowInvalid
     'no match or multiple matches for key FieldRef').
@@ -507,9 +506,7 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
             seen |= set(pat_vars[i])
         return typed(out)
 
-    return unioned.sort("_k").map_batches(
-        combine, batch_format="pandas", batch_size=None
-    )
+    return exchange(unioned, "_k", combine, batch_format="pandas")
 
 
 def _union_bindings(ds, block: UnionBlock):
@@ -1992,7 +1989,6 @@ def _negset_bindings(ds, pattern, witness, graph_var=None):
 def _distinct(ds, columns):
     """Global DISTINCT over rendered columns — hash-keyed sort + one
     vectorized per-block pass (same shape as triple dedup, A4)."""
-    from ..stages.grouping import sorted_unique
     from ..terms import hash64
 
     def key(batch: pa.Table) -> pa.Table:
@@ -2327,9 +2323,8 @@ def _group_concat_agg(bindings, group_vars: list[str], agg):
     (``value`` column — STR semantics) of bound values.
 
     Scale shape: render keys + lexical, optional distinct shuffle, then
-    ONE sort by the group keys (the sorted-colocation contract,
-    grouping.py, puts every group wholly in one block — sorting by
-    (group, value) instead could split a group at a block boundary)
+    ONE exchange on the group keys (exchanging on (group, value)
+    instead could split a group at a block boundary)
     and a per-block pandas groupby whose agg sorts-then-joins each
     group's values.  Groups whose values are all unbound concatenate
     to ``""``.  With no GROUP BY the output is a single row whose
@@ -2374,8 +2369,9 @@ def _group_concat_agg(bindings, group_vars: list[str], agg):
         )
         return out
 
-    return ds2.sort(group_vars if len(group_vars) > 1 else group_vars[0]).map_batches(
-        concat_block, batch_format="pandas", batch_size=None
+    return exchange(
+        ds2, group_vars if len(group_vars) > 1 else group_vars[0],
+        concat_block, batch_format="pandas",
     )
 
 
@@ -2663,10 +2659,10 @@ def _select(ds, q: SelectQuery):
         if v not in variables:
             raise SparqlSyntaxError(f"ORDER BY {v!r} not in SELECT")
     if q.distinct and q.order_by:
-        # fused: ONE sort keyed order-vars-first over all columns, then
-        # vectorized adjacent-row dedup per block (equal rows share every
-        # sort key — the derived numeric keys are functions of the
-        # rendered columns — so they co-locate, grouping.py contract);
+        # fused: ONE exchange keyed order-vars-first over all columns,
+        # then vectorized adjacent-row dedup per block (equal rows share
+        # every sort key — the derived numeric keys are functions of the
+        # rendered columns);
         # ties beyond ORDER BY are broken by the remaining columns,
         # which SPARQL leaves unspecified
         out = out.map_batches(
@@ -2674,8 +2670,9 @@ def _select(ds, q: SelectQuery):
             batch_format="pyarrow",
         )
         keys, desc = _order_sort_spec(q.order_by, tail_cols=variables)
-        out = out.sort(keys, descending=desc).map_batches(
-            _adjacent_dedup, batch_format="pyarrow", batch_size=None
+        out = exchange(
+            out, keys, _adjacent_dedup, batch_format="pyarrow",
+            descending=desc,
         )
         out = _apply_slice(out, q.limit, q.offset)
         return out.map_batches(

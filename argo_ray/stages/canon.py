@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import KIND_BLANK, KIND_IRI, KIND_LITERAL, POSITIONS
+from .grouping import exchange
 
 
 def go_template_to_re2(template: str) -> str:
@@ -226,11 +227,10 @@ class _SameAsCanon:
 
 
 def _rewrite_one_side_join(triples_ds, mapping_ds, pos: str, triple_fields):
-    """Sort-colocation join rewrite of ONE term position (no broadcast):
-    tag mapping rows (key=node, __new=label) and triple rows
+    """Exchange-join rewrite of ONE term position (no broadcast): tag
+    mapping rows (key=node, __new=label) and triple rows
     (key={pos}_value, __new=null) into one union-compatible stream, ONE
-    sort by key (equal keys co-locate per block — the same contract
-    :func:`argo_ray.stages.grouping.grouped_map` rides), then a
+    :func:`~argo_ray.stages.grouping.exchange` by key, then a
     vectorized per-block ``index_in``/``take`` against only the
     in-block mapping rows.  Shuffle volume = triples + mapping, the
     exchange class of a hash join."""
@@ -274,9 +274,7 @@ def _rewrite_one_side_join(triples_ds, mapping_ds, pos: str, triple_fields):
     tagged = triples_ds.map_batches(tag_triples, batch_format="pyarrow").union(
         mapping_ds.map_batches(tag_mapping, batch_format="pyarrow")
     )
-    return tagged.sort("key").map_batches(
-        merge_block, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(tagged, "key", merge_block, batch_format="pyarrow")
 
 
 def canonicalize_sameas(
@@ -305,7 +303,7 @@ def canonicalize_sameas(
     broadcast budget (``mode="auto"`` counts it against
     ``broadcast_threshold``; a 100 TB multi-source KG's alias set can
     itself be huge), the rewrite switches to the no-broadcast
-    sort-colocation join (:func:`_rewrite_one_side_join`), keyed once
+    exchange join (:func:`_rewrite_one_side_join`), keyed once
     by subject and once by object — two hash-join-class exchanges,
     nothing driver-side.  ``mode`` forces ``"broadcast"`` / ``"join"``
     explicitly (tests pin both paths to identical output).  Either
@@ -380,7 +378,7 @@ def blank_canonical_labels(triples_ds, iters: int = 2):
     Distributed shape: feature extraction is one vectorized pass
     (NT-rendered ground neighbours), the per-blank hash is a
     ``grouped_map`` (one sort exchange keyed by blank), and each
-    refinement round is one sort-colocation attach of neighbour colors
+    refinement round is one exchange attach of neighbour colors
     to the blank-blank edge list + one more grouped hash — all
     exchanges carry ONE ROW PER EDGE TOUCHING A BLANK, never the full
     graph.  Rounds short-circuit when the graph has no blank-blank
@@ -526,11 +524,11 @@ def blank_canonical_labels(triples_ds, iters: int = 2):
 
     for _ in range(iters):
         color = color.materialize()  # consumed by attach AND the self term
-        edge_feats = (
-            color.map_batches(tag_color, batch_format="pyarrow")
-            .union(bb.map_batches(tag_edge, batch_format="pyarrow"))
-            .sort("key")
-            .map_batches(attach_block, batch_format="pyarrow", batch_size=None)
+        edge_feats = exchange(
+            color.map_batches(tag_color, batch_format="pyarrow").union(
+                bb.map_batches(tag_edge, batch_format="pyarrow")
+            ),
+            "key", attach_block, batch_format="pyarrow",
         )
         self_feats = color.map_batches(
             lambda b: pa.table(

@@ -1,19 +1,34 @@
-"""Grouped execution without per-group task dispatch.
+"""The key exchange: every key-grouping shuffle in argo_ray goes through
+:func:`exchange`.
 
-``Dataset.groupby(k).map_groups(fn)`` re-enters Ray's batching machinery
-once per group — at ~30k groups that is tens of seconds of pure
-dispatch.  Equal sort keys always co-locate in one output block after
-``Dataset.sort`` (range partition boundaries cut with
-``np.searchsorted(..., side="left")`` — see
-``ray/data/_internal/util.py::find_partition_index`` — so a boundary
-lands *before* the first row of an equal-key run, never inside it).
-That makes this equivalent and much faster:
+``exchange(ds, keys, block_fn)`` is ``ds.sort(keys)`` followed by
+``map_batches(block_fn, batch_size=None)``, so ``block_fn`` sees one
+whole sorted block per call.  The callers rely on one property of that
+sort: **rows with equal keys always land in the same output block.**
+Ray's range partition cuts its boundaries with
+``np.searchsorted(..., side="left")``
+(``ray/data/_internal/util.py::find_partition_index``), so a boundary
+falls before the first row of an equal-key run, never inside it, and
+each reduce partition emits one merged block.  A block function can
+therefore finish every group it holds in-process (a pandas groupby, an
+adjacent-row mask, a merge of value rows onto edge rows) with no
+per-group task dispatch: ``groupby(k).map_groups(fn)`` re-enters Ray's
+batching machinery once per group, tens of seconds at ~30k groups.
 
-    sort(keys) → map_batches(batch_size=None)  # batch == whole block
-      → local pandas groupby(keys) → fn per group
+That property is internal Ray behaviour, not API.  It is verified on
+the versions in ``_VERIFIED_RAY``; the first :func:`exchange` of a
+process warns on any other version.  After an upgrade run
+``tests/test_stages.py::test_sort_colocation_pinned`` (or
+:func:`verify_sorted_colocation`), or arm the runtime canary with
+``exchange(..., verify=True)``.
 
-The shuffle cost is identical (one range-partition exchange); only the
-per-group dispatch moves from Ray tasks to an in-process pandas loop.
+Null keys form one group of their own (``dropna=False`` in every
+in-block groupby here), as in Ray's ``groupby().aggregate()``.  On Ray
+2.49 that holds for numeric keys (nulls sort last); a *string* key
+column holding nulls makes Ray's range partition raise ``TypeError``
+(it compares ``None`` with a string boundary).  Ray skips the block function on an empty block and passes a column-less
+block on, so an exchange over empty partitions can still yield empty
+blocks with no schema.
 """
 
 from __future__ import annotations
@@ -24,12 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# The sort-equals-colocation contract is an *internal* behavior of Ray's
-# sort (range partition boundaries cut with searchsorted(side="left"),
-# one merged block per reduce partition), verified against these minor
-# versions.  On any other version the contract may silently break
-# (split groups / reintroduced duplicates), so fail loudly up front.
 _VERIFIED_RAY = ("2.49",)
+_pin_checked = False
 
 
 def _check_ray_version() -> None:
@@ -47,15 +58,57 @@ def _check_ray_version() -> None:
         )
 
 
-_check_ray_version()
+def exchange(
+    ds,
+    keys,
+    block_fn,
+    *,
+    batch_format: str,
+    descending=False,
+    verify: bool = False,
+    verify_blocks: int | None = None,
+    **map_batches_kwargs,
+):
+    """Co-locate every key of ``keys`` in one block, then run
+    ``block_fn`` once per whole block: ``ds.sort(keys, descending)`` →
+    ``map_batches(block_fn, batch_format, batch_size=None, **kw)``.
+    Works on a Ray ``Dataset`` and on ``sparql.frame.LocalFrame``.
+    Block order follows the sort, so an ORDER BY that also needs whole
+    key runs (SELECT DISTINCT … ORDER BY) can use it too.
+
+    ``block_fn`` reaches ``map_batches`` unwrapped, so traces attribute
+    its work to the caller's function.  ``verify=True`` is the
+    exception: it wraps a block *function* (not a callable class) in
+    the boundary canary — each block reports its first and last key to
+    a zero-CPU registry actor and raises if another block with
+    different content already claimed one of them, i.e. if Ray's sort
+    stopped emitting whole key runs per block.  One tiny actor round
+    trip per block; ``verify_blocks=N`` samples only the first N
+    blocks.  Task retries re-register idempotently (same content
+    token); a re-execution of the whole plan could legally re-sort into
+    another layout, so the verified result is returned materialized and
+    executes exactly once."""
+    global _pin_checked
+    if not _pin_checked:
+        _pin_checked = True
+        _check_ray_version()
+    fn = block_fn
+    if verify:
+        fn = _boundary_checked(block_fn, keys, verify_blocks)
+    out = ds.sort(keys, descending=descending).map_batches(
+        fn, batch_format=batch_format, batch_size=None, **map_batches_kwargs
+    )
+    if verify:
+        out = out.materialize()
+    return out
 
 
 def verify_sorted_colocation(ds, key: str) -> None:
-    """Execute ``ds.sort(key)`` and assert no equal-key run spans a block
-    boundary (first key of block N+1 != last key of block N).  Cheap —
-    one row per block leaves the cluster.  Raises ``RuntimeError`` on
-    violation.  Used by the pinned-behavior test; call it in CI after a
-    Ray upgrade before trusting ``grouped_map`` / ``sorted_unique``."""
+    """Execute an exchange on ``key`` and assert no equal-key run spans
+    a block boundary (first key of block N+1 != last key of block N).
+    Cheap — one row per block leaves the cluster.  Raises
+    ``RuntimeError`` on violation.  Used by the pinned-behavior test;
+    call it in CI after a Ray upgrade."""
 
     def boundary_keys(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -67,22 +120,18 @@ def verify_sorted_colocation(ds, key: str) -> None:
             "last": pa.array([str(col[batch.num_rows - 1].as_py())]),
         })
 
-    rows = (
-        ds.sort(key)
-        .map_batches(boundary_keys, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    rows = exchange(ds, key, boundary_keys, batch_format="pyarrow").take_all()
     for prev, cur in zip(rows, rows[1:]):
         if prev["last"] == cur["first"]:
             raise RuntimeError(
                 f"sort co-location contract violated: key {cur['first']!r} "
                 f"spans a block boundary (Ray sort behavior changed) — "
-                f"grouped_map/sorted_unique results are NOT trustworthy"
+                f"exchange results are NOT trustworthy"
             )
 
 
 class _BoundaryRegistry:
-    """Zero-CPU actor behind ``grouped_map(verify=True)``: every block
+    """Zero-CPU actor behind ``exchange(verify=True)``: every block
     registers its boundary keys with a TOKEN identifying the block's
     content; a key surfacing from two blocks with DIFFERENT tokens
     means an equal-key run spans a block boundary — the contract is
@@ -114,47 +163,21 @@ class _BoundaryRegistry:
         return clashes
 
 
-def grouped_map(
-    ds,
-    keys,
-    fn,
-    batch_format: str = "pandas",
-    verify: bool = False,
-    verify_blocks: int | None = None,
-):
-    """Semantics of ``groupby(keys).map_groups(fn)`` (each call of ``fn``
-    sees ALL rows of one key, key columns included; returns any frame).
+def _boundary_checked(block_fn, keys, verify_blocks):
+    """``block_fn`` behind the ``exchange(verify=True)`` canary."""
+    import ray
 
-    ``batch_format`` is the format handed to ``fn`` ("pandas" or
-    "pyarrow" per-group tables).
-
-    ``verify=True`` arms the opt-in runtime colocation assertion: each
-    block reports its boundary keys to a shared zero-CPU registry actor
-    and RAISES if any boundary key was already claimed by a block with
-    different content — i.e. if Ray's sort stopped emitting whole key
-    runs per block (the contract the version pin at module import
-    warns about).  One tiny actor round-trip per block;
-    ``verify_blocks=N`` samples only the first N blocks.  Task retries
-    re-register idempotently (same content token); re-EXECUTIONS of the
-    whole plan could legitimately re-sort into a different layout, so
-    the verified result is returned MATERIALIZED — it executes exactly
-    once.  Use after a Ray upgrade / in canary jobs — the failure mode
-    it guards against is silent wrong answers.
-    """
     keys = [keys] if isinstance(keys, str) else list(keys)
+    registry = (
+        ray.remote(num_cpus=0)(_BoundaryRegistry).remote(limit=verify_blocks)
+    )
 
-    registry = None
-    if verify:
+    def check_boundaries(batch) -> None:
         import ray
 
-        registry = (
-            ray.remote(num_cpus=0)(_BoundaryRegistry)
-            .remote(limit=verify_blocks)
-        )
-
-    def check_boundaries(df: pd.DataFrame) -> None:
-        import ray
-
+        df = batch if isinstance(batch, pd.DataFrame) else batch.to_pandas()
+        if len(df) == 0:
+            return
         first = str(tuple(df.iloc[0][k] for k in keys))
         last = str(tuple(df.iloc[-1][k] for k in keys))
         # deterministic per logical block, stable across re-executions:
@@ -166,9 +189,33 @@ def grouped_map(
             raise RuntimeError(
                 f"sort co-location contract violated: boundary key(s) "
                 f"{clashes!r} appear in more than one block (Ray sort "
-                f"behavior changed) — grouped_map results are NOT "
+                f"behavior changed) — exchange results are NOT "
                 f"trustworthy on this Ray version"
             )
+
+    def checked_block(batch):
+        check_boundaries(batch)
+        return block_fn(batch)
+
+    return checked_block
+
+
+def grouped_map(
+    ds,
+    keys,
+    fn,
+    batch_format: str = "pandas",
+    verify: bool = False,
+    verify_blocks: int | None = None,
+):
+    """Semantics of ``groupby(keys).map_groups(fn)`` (each call of ``fn``
+    sees ALL rows of one key, key columns included; returns any frame)
+    as one :func:`exchange` plus an in-block pandas groupby.
+
+    ``batch_format`` is the format handed to ``fn`` ("pandas" or
+    "pyarrow" per-group tables); ``verify`` / ``verify_blocks`` arm
+    :func:`exchange`'s canary."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
 
     def apply_block(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -177,8 +224,6 @@ def grouped_map(
                 return out if isinstance(out, pd.DataFrame) else out.to_pandas()
             except Exception:
                 return pd.DataFrame()
-        if registry is not None:
-            check_boundaries(df)
         parts = []
         for _, g in df.groupby(keys, sort=False, dropna=False, observed=True):
             out = fn(g if batch_format == "pandas" else pa.Table.from_pandas(g))
@@ -190,24 +235,19 @@ def grouped_map(
             return pd.DataFrame()
         return pd.concat(parts, ignore_index=True)
 
-    out = ds.sort(keys).map_batches(
-        apply_block, batch_format="pandas", batch_size=None
+    return exchange(
+        ds, keys, apply_block, batch_format="pandas",
+        verify=verify, verify_blocks=verify_blocks,
     )
-    if verify:
-        # one execution only: a lazy result consumed twice re-sorts and
-        # may legally land a key on different block boundaries, which
-        # the registry could not tell from a violation
-        out = out.materialize()
-    return out
 
 
 def sorted_unique(ds, subset: list[str], key: str):
-    """Global drop-duplicates over ``subset``, keyed by a precomputed
-    uniform hash column ``key`` (equal rows ⇒ equal key ⇒ same block
-    after the sort), then one vectorized per-block pass.
+    """Global drop-duplicates over ``subset``, keyed by ``key`` — a
+    uniform hash of the subset, or the subset's one column (equal rows ⇒
+    equal key ⇒ same block), then one vectorized per-block pass.
 
-    Within a sorted block, identical rows sit adjacent (they share the
-    sort key), so dedup is an adjacent-row equality mask — pure Arrow
+    Within a block, identical rows sit adjacent (they share the sort
+    key), so dedup is an adjacent-row equality mask — pure Arrow
     kernels, no pandas.  A 64-bit hash collision could interleave two
     distinct rows inside one key run and break adjacency; the mask
     detects that case (adjacent same-key-different-content) and falls
@@ -238,22 +278,18 @@ def sorted_unique(ds, subset: list[str], key: str):
         keep[1:] = ~same_row
         return batch.filter(pa.array(keep))
 
-    return ds.sort(key).map_batches(
-        dedup_block, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(ds, key, dedup_block, batch_format="pyarrow")
 
 
 def sorted_multi_agg(ds, sort_key: str, key_cols, specs):
-    """General grouped aggregate as ONE sort + in-block pandas agg
-    (the sort-colocation contract above): ``key_cols`` is a list of
-    ``(name, pa_type)`` — the first shared key colocates every
-    composite group — and ``specs`` a list of ``(src_col, how,
-    out_col, pa_type)``.  Replaces ``groupby().aggregate(...)`` where
-    group cardinality is unbounded (nodes, subjects, fingerprints):
-    Ray Data's Aggregate measured ~27× slower at millions-of-groups
-    scale (BASELINE.md round 5)."""
-    import numpy as np  # noqa: F401
-
+    """General grouped aggregate as ONE :func:`exchange` + in-block
+    pandas agg: ``key_cols`` is a list of ``(name, pa_type)`` — the
+    first shared key ``sort_key`` co-locates every composite group —
+    and ``specs`` a list of ``(src_col, how, out_col, pa_type)``.
+    Replaces ``groupby().aggregate(...)`` where group cardinality is
+    unbounded (nodes, subjects, fingerprints): Ray Data's Aggregate
+    measured ~27× slower at millions-of-groups scale (15.0 s → 0.56 s
+    on a 2.9M-row / 1.19M-group count exchange, BASELINE.md round 5)."""
     schema = pa.schema(
         [(n, t) for n, t in key_cols] + [(o, t) for _, _, o, t in specs]
     )
@@ -270,7 +306,7 @@ def sorted_multi_agg(ds, sort_key: str, key_cols, specs):
             for c in str_vals:
                 df[c] = df[c].astype("string")
         g = (
-            df.groupby(names, sort=False)
+            df.groupby(names, sort=False, dropna=False)
             .agg(**{o: (s, h) for s, h, o, _ in specs})
             .reset_index()
         )
@@ -295,6 +331,4 @@ def sorted_multi_agg(ds, sort_key: str, key_cols, specs):
             )
         return pa.table(cols)
 
-    return ds.sort(sort_key).map_batches(
-        block, batch_format="pandas", batch_size=None
-    )
+    return exchange(ds, sort_key, block, batch_format="pandas")

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import KIND_IRI, KIND_LITERAL
+from .grouping import exchange, sorted_multi_agg
 
 DEFAULT_LINK_PRED = "http://example.org/ns#about"
 
@@ -38,7 +39,6 @@ def build_candidates(docs_ds, keep: str = "min"):
     entity of the smallest doc_id (deterministic, oracle-reproducible).
     """
     from ..pages import entity_iri, title_of
-    from .grouping import sorted_multi_agg
 
     def derive(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_pylist()
@@ -77,15 +77,13 @@ def build_candidates_ranked(docs_ds, triples_ds):
 
     Distributed shape: one in-degree groupby over the triple stream
     (node-keyed, uniform), popularity attached to candidates via the
-    sort-colocation LEFT-lookup (missing → 0, no broadcast, no
+    exchange LEFT-lookup (missing → 0, no broadcast, no
     ``Dataset.join``), then a per-surface-form argmax via one more sort
     exchange with in-block pandas groups.
     """
     import pandas as pd  # noqa: F401  (block fns receive pandas frames)
 
     from ..pages import entity_iri, title_of
-    from ..stages import grouping as _colocation_guard  # noqa: F401
-    from .grouping import sorted_multi_agg
 
     def derive(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_pylist()
@@ -167,9 +165,10 @@ def build_candidates_ranked(docs_ds, triples_ds):
         )
 
     weighted = (
-        cand_rows.union(pop_rows)
-        .sort("key")
-        .map_batches(attach_block, batch_format="pandas", batch_size=None)
+        exchange(
+            cand_rows.union(pop_rows), "key", attach_block,
+            batch_format="pandas",
+        )
         .materialize()  # barrier between the two consecutive sorts
     )
 
@@ -195,8 +194,8 @@ def build_candidates_ranked(docs_ds, triples_ds):
             }
         )
 
-    return weighted.sort("surface_form").map_batches(
-        best_block, batch_format="pandas", batch_size=None
+    return exchange(
+        weighted, "surface_form", best_block, batch_format="pandas",
     )
 
 

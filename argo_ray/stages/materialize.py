@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import TRIPLE_COLUMNS, hash64, nt_render_lines
+from .grouping import exchange, grouped_map, sorted_unique
 
 DEDUP_KEY = "triple_hash"
 
@@ -64,7 +65,6 @@ def dedup_exact(ds, keep_provenance: bool = False):
     range partition; equal triples always co-locate in one block) then a
     single vectorized per-block pass — no per-group dispatch.
     """
-    from .grouping import sorted_unique
 
     if not keep_provenance:
         ds = ds.map_batches(
@@ -94,15 +94,12 @@ def dedup_exact(ds, keep_provenance: bool = False):
         out = out[batch.column_names]
         return pa.Table.from_pandas(out, preserve_index=False).cast(batch.schema)
 
-    return ds.sort(DEDUP_KEY).map_batches(
-        min_url_block, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(ds, DEDUP_KEY, min_url_block, batch_format="pyarrow")
 
 
 def distinct_rows(ds, cols: list[str]):
     """Generic distinct over ``cols``: within-batch combiner, then a
     uniform hash-key sort shuffle with collision-safe per-block dedup."""
-    from .grouping import sorted_unique
 
     def combine(batch: pa.Table) -> pa.Table:
         df = batch.select(cols).to_pandas().drop_duplicates(keep="first")
@@ -165,7 +162,6 @@ def group_by_subject(ds, render_fn):
     its hash, so a 64-bit collision cannot hand one subject's triples
     to another.
     """
-    from .grouping import grouped_map
 
     return grouped_map(ds, ["subject_hash", "subj_kind", "subj_value"], render_fn)
 
@@ -221,9 +217,7 @@ def graph_delta(old_ds, new_ds):
         out = pd.concat([only_old, only_new], ignore_index=True)
         return out[cols]
 
-    return both.sort(DEDUP_KEY).map_batches(
-        diff_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(both, DEDUP_KEY, diff_block, batch_format="pandas")
 
 
 def apply_delta(base_ds, delta_ds):
@@ -283,6 +277,4 @@ def apply_delta(base_ds, delta_ds):
         keep = (g["_base"] & ~g["_del"]) | g["_add"]
         return g.loc[keep, list(TRIPLE_COLUMNS)]
 
-    return both.sort(DEDUP_KEY).map_batches(
-        resolve_block, batch_format="pandas", batch_size=None
-    )
+    return exchange(both, DEDUP_KEY, resolve_block, batch_format="pandas")

@@ -17,6 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .grouping import exchange
+
 
 def tumbling_window_agg(events_ds, every: str = "hour"):
     """count + integer-cents sum of ``value`` per (event_type, window).
@@ -87,10 +89,9 @@ def sessionize(events_ds, gap_minutes: int = 30):
             {"user_id": "int64", "n_sessions": "int64", "n_events": "int64"}
         )
 
-    return (
-        events_ds.select_columns(["user_id", "ts"])
-        .sort("user_id")
-        .map_batches(per_block, batch_format="pandas", batch_size=None)
+    return exchange(
+        events_ds.select_columns(["user_id", "ts"]), "user_id", per_block,
+        batch_format="pandas",
     )
 
 
@@ -494,10 +495,9 @@ def funnel(events_ds, steps=("view", "click", "signup")):
         out = out.reset_index()
         return out[["user_id", "steps_completed", *tcols]]
 
-    return (
-        events_ds.select_columns(["user_id", "ts", "event_type"])
-        .sort("user_id")
-        .map_batches(per_block, batch_format="pandas", batch_size=None)
+    return exchange(
+        events_ds.select_columns(["user_id", "ts", "event_type"]),
+        "user_id", per_block, batch_format="pandas",
     )
 
 
@@ -535,10 +535,9 @@ def retention_cohorts(events_ds):
         ).drop_duplicates()  # whole user in this block → locally exact
         return out
 
-    cells = (
-        events_ds.select_columns(["user_id", "ts"])
-        .sort("user_id")
-        .map_batches(per_block, batch_format="pandas", batch_size=None)
+    cells = exchange(
+        events_ds.select_columns(["user_id", "ts"]), "user_id", per_block,
+        batch_format="pandas",
     )
     return cells.groupby(["cohort_day", "day_offset"]).aggregate(
         Count(alias_name="n_users")
@@ -585,8 +584,7 @@ def late_events(events_ds, allowed_lateness_minutes: int = 10):
             }
         )
 
-    return (
-        events_ds.select_columns(["event_id", "user_id", "ts"])
-        .sort("user_id")
-        .map_batches(per_block, batch_format="pandas", batch_size=None)
+    return exchange(
+        events_ds.select_columns(["event_id", "user_id", "ts"]), "user_id",
+        per_block, batch_format="pandas",
     )

@@ -1,0 +1,245 @@
+"""The key exchange (``stages/grouping.py::exchange``): differential
+check against a whole-table pandas groupby on both executors, the Ray
+version pin on every co-location user, and a guard that keeps the
+hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
+package."""
+
+import ast
+import pathlib
+import warnings
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "argo_ray"
+
+
+def _inputs():
+    rng = np.random.default_rng(5)
+    # int64 keys: Ray 2.49's range partition cannot compare a null with
+    # a string boundary (TypeError in find_partition_index), so a null
+    # *string* key fails inside Ray's sort; null ints sort last and
+    # form their own group
+    keys = [None if rng.random() < 0.1 else int(x) for x in rng.integers(0, 200, 3000)]
+    random = pa.table({
+        "k": pa.array(keys, pa.int64()),
+        "v": pa.array(rng.integers(0, 100, 3000), pa.int64()),
+    })
+    # one hot key present in every one of 16 input blocks, plus a tail
+    hot_keys = [7 if i % 4 else int(i % 50) for i in range(4000)]
+    hot = pa.table({
+        "k": pa.array(hot_keys, pa.int64()),
+        "v": pa.array(np.arange(4000) % 13, pa.int64()),
+    })
+    empty = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    return {"random": random, "hot": hot, "empty": empty}
+
+
+def _norm_key(k):
+    return None if k is None or (isinstance(k, float) and np.isnan(k)) else int(k)
+
+
+@pytest.mark.parametrize("tier", ["ray", "local"])
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+@pytest.mark.parametrize("case", ["random", "hot", "empty"])
+def test_exchange_differential(ray_session, tier, batch_format, case):
+    """One exchange + an in-block groupby equals a whole-table groupby:
+    every key, the null key included, comes out exactly once."""
+    import ray.data as rd
+
+    from argo_ray.sparql.frame import LocalFrame
+    from argo_ray.stages.grouping import exchange
+
+    # block functions are defined here so Ray pickles them by value
+    def count_sum_arrow(b: pa.Table) -> pa.Table:
+        g = b.group_by("k").aggregate([("v", "count"), ("v", "sum")])
+        return pa.table({
+            "k": g["k"],
+            "n": pc.cast(g["v_count"], pa.int64()),
+            "s": pc.cast(g["v_sum"], pa.int64()),
+        })
+
+    def count_sum_pandas(df: pd.DataFrame) -> pd.DataFrame:
+        return (
+            df.groupby("k", sort=False, dropna=False)
+            .agg(n=("v", "size"), s=("v", "sum"))
+            .reset_index()
+        )
+
+    table = _inputs()[case]
+    if tier == "ray":
+        blocks = [table.slice(i * (table.num_rows // 16 + 1), table.num_rows // 16 + 1)
+                  for i in range(16)] if table.num_rows else [table]
+        ds = rd.from_arrow(blocks)
+        if case == "hot":
+            assert ds.num_blocks() == 16
+    else:
+        ds = LocalFrame(table)
+    fn = count_sum_arrow if batch_format == "pyarrow" else count_sum_pandas
+    got = [
+        (_norm_key(r["k"]), int(r["n"]), int(r["s"]))
+        for r in exchange(ds, "k", fn, batch_format=batch_format).take_all()
+    ]
+    ref = count_sum_pandas(table.to_pandas())
+    want = [(_norm_key(k), int(n), int(s)) for k, n, s in ref.itertuples(index=False)]
+    key = lambda r: (r[0] is None, r[0] or 0)  # noqa: E731
+    assert sorted(got, key=key) == sorted(want, key=key)
+    assert len({r[0] for r in got}) == len(got)  # no key split over blocks
+    if case == "random":
+        assert any(r[0] is None for r in got)
+
+
+def test_exchange_descending_keeps_block_order(ray_session):
+    """``descending`` reaches the sort, and block order follows it."""
+    import ray.data as rd
+
+    from argo_ray.stages.grouping import exchange
+
+    t = pa.table({"k": pa.array(np.arange(2000) % 97, pa.int64())})
+    ds = rd.from_arrow([t.slice(i * 125, 125) for i in range(16)])
+    keys = [r["k"] for r in exchange(
+        ds, "k", lambda b: b, batch_format="pyarrow", descending=True
+    ).take_all()]
+    assert keys == sorted(keys, reverse=True)
+
+
+def test_exchange_pin_check_covers_every_user(ray_session, monkeypatch, tmp_path):
+    """On an unverified Ray version the first exchange of the process
+    warns, whichever module reaches it first: the Turtle writer and the
+    SPARQL engine's Ray-tier co-group join included."""
+    import ray
+    import ray.data as rd
+
+    from argo_ray.sinks.turtle import write_turtle
+    from argo_ray.sparql import engine
+    from argo_ray.stages import grouping
+    from argo_ray.terms import IRI, Literal, triples_to_table
+
+    monkeypatch.setattr(ray, "__version__", "9.99.0")
+    ex = "http://example.org/"
+    triples = triples_to_table(
+        [(IRI(f"{ex}d{i}"), IRI(ex + "p"), Literal(str(i))) for i in range(20)]
+        + [(IRI(f"{ex}d{i}"), IRI(ex + "q"), IRI(f"{ex}d{i + 1}")) for i in range(20)]
+    )
+    store = rd.from_arrow(triples).materialize()
+
+    monkeypatch.setattr(grouping, "_pin_checked", False)
+    with pytest.warns(RuntimeWarning, match="verified on Ray"):
+        write_turtle(store, str(tmp_path / "ttl"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        write_turtle(store, str(tmp_path / "ttl2"))  # once per process
+
+    calls = []
+    orig = engine._cogroup_join
+
+    def spy(*a, **k):
+        calls.append(grouping._pin_checked)
+        return orig(*a, **k)
+
+    monkeypatch.setattr(engine, "_cogroup_join", spy)
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", -1)
+    monkeypatch.setattr(grouping, "_pin_checked", False)
+    q = f"SELECT ?s ?o WHERE {{ ?s <{ex}p> ?l . ?s <{ex}q> ?o }}"
+    with pytest.warns(RuntimeWarning, match="verified on Ray"):
+        rows = engine.evaluate_select(store, q).take_all()
+    assert calls and calls[0] is False  # the join reached the first exchange
+    assert len(rows) == 20
+
+
+def _sort_flows(node, tainted, sources) -> bool:
+    """Does this expression's value come out of a ``.sort(...)``?  Walks
+    the receiver chain (``a.sort(k).materialize()`` counts), local names
+    assigned from such chains, and module functions returning one."""
+    while True:
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute):
+                if f.attr == "sort":
+                    return True
+                node = f.value
+                continue
+            return isinstance(f, ast.Name) and f.id in sources
+        if isinstance(node, ast.Attribute):
+            node = node.value
+            continue
+        return isinstance(node, ast.Name) and node.id in tainted
+
+
+def _scope_nodes(scope):
+    """Nodes of one function (nested functions excluded), in source order."""
+    out, stack = [], list(ast.iter_child_nodes(scope))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        out.append(n)
+        stack.extend(ast.iter_child_nodes(n))
+    return sorted(out, key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)))
+
+
+def _whole_block_map_after_sort(path: pathlib.Path) -> list[int]:
+    tree = ast.parse(path.read_text())
+    scopes = [tree] + [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    sources: set[str] = set()  # functions that return a sorted dataset
+    lines: set[int] = set()
+    for _ in range(3):  # reach a fixpoint over helper-returns-sorted chains
+        lines.clear()
+        for scope in scopes:
+            tainted: set[str] = set()
+            for n in _scope_nodes(scope):
+                if isinstance(n, ast.Assign):
+                    flows = _sort_flows(n.value, tainted, sources)
+                    for t in n.targets:
+                        if isinstance(t, ast.Name):
+                            (tainted.add if flows else tainted.discard)(t.id)
+                elif (isinstance(n, ast.Return) and n.value is not None
+                      and scope is not tree and _sort_flows(n.value, tainted, sources)):
+                    sources.add(scope.name)
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "map_batches"
+                        and any(k.arg == "batch_size" and isinstance(k.value, ast.Constant)
+                                and k.value.value is None for k in n.keywords)
+                        and _sort_flows(n.func.value, tainted, sources)):
+                    lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_no_hand_written_exchange_outside_grouping():
+    """Every key-grouping sort goes through ``stages.grouping.exchange``:
+    no ``.sort(...)`` result may flow into ``map_batches(...,
+    batch_size=None)`` anywhere else in the package."""
+    offenders = [
+        f"{p.relative_to(PKG.parent)}:{line}"
+        for p in sorted(PKG.rglob("*.py"))
+        if p.relative_to(PKG).as_posix() != "stages/grouping.py"
+        for line in _whole_block_map_after_sort(p)
+    ]
+    assert not offenders, "use stages.grouping.exchange at:\n" + "\n".join(offenders)
+
+
+def test_guard_sees_the_idiom(tmp_path):
+    """The guard flags the direct chain, a split form through a local
+    name, and a helper that returns a sorted dataset."""
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def a(ds, f):\n"
+        "    return ds.sort('k').map_batches(f, batch_size=None)\n"
+        "def b(ds, f):\n"
+        "    s = ds.sort('k').materialize()\n"
+        "    return s.map_batches(f, batch_format='pandas', batch_size=None)\n"
+        "def c(ds):\n"
+        "    return ds.sort('k')\n"
+        "def d(ds, f):\n"
+        "    return c(ds).map_batches(f, batch_size=None)\n"
+        "def ok(ds, f):\n"
+        "    s = ds.sort('k')\n"
+        "    s = f(s)\n"
+        "    return s.map_batches(f, batch_size=None), ds.sort('k').limit(3)\n"
+    )
+    assert _whole_block_map_after_sort(src) == [2, 5, 9]

@@ -554,7 +554,8 @@ def test_blank_canonical_labels_differential(ray_session):
 def test_sorted_multi_agg_contract(ray_session):
     """The shared sorted-block group-aggregate (grouping.py): composite
     keys colocated by the first key, mixed min/sum specs, NA-skipping
-    string min with all-null groups -> Arrow null, many input blocks."""
+    string min with all-null groups -> Arrow null, many input blocks,
+    and rows with a null key forming their own group."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
@@ -564,7 +565,8 @@ def test_sorted_multi_agg_contract(ray_session):
     rng = np.random.RandomState(0)
     n = 5000
     ks = [f"k{int(i):03d}" for i in rng.randint(0, 300, n)]
-    sub = rng.randint(0, 3, n)
+    # every 40th row has a null second key
+    sub = [None if i % 40 == 0 else int(x) for i, x in enumerate(rng.randint(0, 3, n))]
     vals = rng.randint(0, 1000, n)
     labels = [None if i % 4 == 0 else f"s{v:04d}" for i, v in enumerate(vals)]
     tbl = pa.table(
@@ -591,12 +593,12 @@ def test_sorted_multi_agg_contract(ray_session):
     df = tbl.to_pandas()
     df["lab"] = df["lab"].astype("string")
     ref = (
-        df.groupby(["k", "sub"], sort=False)
+        df.groupby(["k", "sub"], sort=False, dropna=False)
         .agg(v_sum=("v", "sum"), v_min=("v", "min"), lab_min=("lab", "min"))
         .reset_index()
     )
     ref_rows = {
-        (r.k, int(r.sub)): (int(r.v_sum), int(r.v_min),
+        (r.k, None if pd.isna(r.sub) else int(r.sub)): (int(r.v_sum), int(r.v_min),
                             None if pd.isna(r.lab_min) else r.lab_min)
         for r in ref.itertuples()
     }
@@ -605,5 +607,6 @@ def test_sorted_multi_agg_contract(ray_session):
         for r in out
     }
     assert got_rows == ref_rows
+    assert any(sub is None for _, sub in got_rows)
     # every composite group appears exactly once (no split groups)
     assert len(out) == len(ref_rows)
