@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.grouping import exchange
+from ..terms import hash64, hash64_stable
 
 
 def token_count_batch(batch: pa.Table, text_column: str = "text") -> pa.Table:
@@ -171,14 +172,10 @@ def fingerprint_batch(
     """
     lowered = pc.utf8_lower(pc.cast(batch[text_column], pa.large_string()))
     if hasher == "fast":
-        from ..terms import hash64
-
         return batch.append_column(
             "fingerprint", hash64(lowered, seed=0)
         ).append_column("fingerprint2", hash64(lowered, seed=1))
     if hasher == "stable":
-        from ..terms import hash64_stable
-
         return batch.append_column(
             "fingerprint", hash64_stable(lowered)
         ).append_column("fingerprint2", hash64_stable(lowered, seed=1))

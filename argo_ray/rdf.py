@@ -20,7 +20,9 @@ Mapping from the reference:
 - ``-o`` directory written via the chosen format's distributed writer;
   no ``-o`` → serialize to stdout (driver-side, small outputs);
 - ``-F`` lists formats; end-of-run stats line mirrors
-  ``rdf/rdf.go:422-424`` (triples processed, rewritten terms, ms).
+  ``rdf/rdf.go:422-424`` (triples processed, rewritten terms, ms) and
+  adds the quarantined ``-u`` URLs; every count is read off the
+  materialized triples, so a retried task cannot count twice.
 - ``-u/--url`` is OPT-IN (reference rdf.go's -u): fetches happen inside
   distributed tasks via :func:`argo_ray.sources.url.read_urls`;
   ``file://`` works everywhere, ``http(s)://`` needs cluster egress —
@@ -88,39 +90,56 @@ def read_rdf_files(patterns: list[str], input_format: str | None = None) -> list
     return parts
 
 
+def _rewrite_rules(args) -> list:
+    """The CLI's rewrite flags, global rules first (rdf/rdf.go:272-284)."""
+    from .stages.canon import RewriteRule, go_template_to_re2
+
+    rules = [RewriteRule(f, go_template_to_re2(r)) for f, r in args.rewrite]
+    for pos, pairs in (
+        ("subj", args.rewrite_subject),
+        ("pred", args.rewrite_predicate),
+        ("obj", args.rewrite_object),
+    ):
+        rules += [RewriteRule(f, go_template_to_re2(r), (pos,)) for f, r in pairs]
+    return rules
+
+
 def build_pipeline(args) -> tuple:
-    """→ (triples_ds, counters) — the read→parse→rewrite plan."""
+    """→ (triples_ds, quarantined) — the read→parse→rewrite plan, and
+    the number of ``-u`` URLs whose fetch or parse was quarantined.
+
+    With rewrite rules, each row carries a ``rewritten`` column: how
+    many of its subj/pred/obj values the rules changed."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
 
     from .io import configure_context
     from .sources.registry import FORMATS
-    from .stages.canon import RewriteRule, go_template_to_re2, rewrite_batch
-    from .state.checkpoint import StageCounters, _counting
+    from .stages.canon import rewrite_batch
+    from .terms import append_subject_hash
 
     configure_context()
-    counters = StageCounters.remote()
-
-    import pyarrow.compute as pc
 
     parts = []
+    quarantined = 0
     if args.files:
         parts.extend(read_rdf_files(args.files, args.input_format))
     if getattr(args, "url", None):
         # opt-in URL fan-in (reference ParseURL, graph.go:313-335):
-        # quarantined fetch failures are dropped from the triple stream
-        # here (the CLI is a converter; use read_urls directly for the
-        # crawl error report)
+        # quarantined fetch failures are counted, then dropped from the
+        # triple stream (use read_urls directly for the crawl error report)
         from .sources.url import read_urls
 
-        urls = read_urls(list(args.url), format=args.input_format)
-        urls = urls.map_batches(
+        fetched = read_urls(list(args.url), format=args.input_format).materialize()
+        ok = fetched.map_batches(
             lambda b: b.filter(pc.is_null(b["source_error"])).drop_columns(
                 ["source_error"]
             ),
             batch_format="pyarrow",
-        )
-        parts.append(urls)
+        ).materialize()
+        quarantined = fetched.count() - ok.count()
+        parts.append(ok)
     if not parts:  # stdin (driver-local by nature)
         fmt = FORMATS[args.stdin_format]
         text = sys.stdin.read()
@@ -130,36 +149,23 @@ def build_pipeline(args) -> tuple:
     triples = parts[0]
     for p in parts[1:]:
         triples = triples.union(p)
-    triples = triples.map_batches(_counting(counters, "triples"), batch_format="pyarrow")
 
-    rules = []
-    for find, replace in args.rewrite:
-        rules.append(RewriteRule(find, go_template_to_re2(replace)))
-    for pos, pairs in (
-        ("subj", args.rewrite_subject),
-        ("pred", args.rewrite_predicate),
-        ("obj", args.rewrite_object),
-    ):
-        for find, replace in pairs:
-            rules.append(RewriteRule(find, go_template_to_re2(replace), (pos,)))
+    rules = _rewrite_rules(args)
     if rules:
-        import pyarrow.compute as pc
+        rehash = any("subj" in r.positions for r in rules)
 
-        def rewrite_and_count(b: pa.Table) -> pa.Table:
+        def rewrite(b: pa.Table) -> pa.Table:
             out = rewrite_batch(b, rules)
-            changed = 0
-            for pos in ("subj", "pred", "obj"):
-                col = f"{pos}_value"
-                changed += pc.sum(
-                    pc.cast(pc.not_equal(b[col], out[col]), pa.int64())
-                ).as_py() or 0
-            import ray as _ray
+            if rehash and "subject_hash" in out.column_names:
+                out = append_subject_hash(out)
+            s, p, o = (
+                pc.cast(pc.fill_null(pc.not_equal(b[c], out[c]), False), pa.int64())
+                for c in ("subj_value", "pred_value", "obj_value")
+            )
+            return out.append_column("rewritten", pc.add(pc.add(s, p), o))
 
-            _ray.get(counters.add.remote("rewritten", changed))
-            return out
-
-        triples = triples.map_batches(rewrite_and_count, batch_format="pyarrow")
-    return triples, counters
+        triples = triples.map_batches(rewrite, batch_format="pyarrow")
+    return triples, quarantined
 
 
 def _w(fmt_id: str, ds, out_dir: str, prefixes=None):
@@ -217,6 +223,15 @@ def main(argv: list[str] | None = None) -> int:
                   f"{f.preferred_extension}")
         return 0
 
+    out_fmt = args.output_format
+    if out_fmt is None and args.output:
+        inferred = format_from_filename(args.output)
+        out_fmt = inferred.id if inferred else "rdfxml"
+    out_fmt = out_fmt or "rdfxml"
+    if FORMATS[out_fmt].serializer is None:  # e.g. rdfa inferred from dir name
+        print(f"error: format {out_fmt!r} has no serializer", file=sys.stderr)
+        return 2
+
     import ray
 
     started_here = not ray.is_initialized()
@@ -227,23 +242,21 @@ def main(argv: list[str] | None = None) -> int:
         ray.init(address="local", **kwargs)
 
     t0 = time.time()
-    triples, counters = build_pipeline(args)
-
-    out_fmt = args.output_format
-    if out_fmt is None and args.output:
-        inferred = format_from_filename(args.output)
-        out_fmt = inferred.id if inferred else "rdfxml"
-    out_fmt = out_fmt or "rdfxml"
-    if FORMATS[out_fmt].serializer is None:  # e.g. rdfa inferred from dir name
-        print(f"error: format {out_fmt!r} has no serializer", file=sys.stderr)
-        return 2
+    triples, quarantined = build_pipeline(args)
+    # counts come from the committed blocks, so a retried task cannot
+    # count twice; the row count is block metadata
+    triples = triples.materialize()
+    processed = triples.count()
+    rewritten = 0
+    if _rewrite_rules(args):
+        rewritten = triples.sum("rewritten") or 0
+        triples = triples.drop_columns(["rewritten"])
 
     if args.output:
         _w(out_fmt, triples, args.output)
     else:
         import pyarrow as pa
 
-        from .sources.registry import FORMATS as _F
         from .terms import TRIPLE_COLUMNS
 
         # stdout mode is inherently driver-side; stream batches in and
@@ -258,21 +271,16 @@ def main(argv: list[str] | None = None) -> int:
             if batches
             else pa.table({c: [] for c in TRIPLE_COLUMNS})
         )
-        serializer = _F[out_fmt].serializer
-        sys.stdout.write(serializer(tbl))
+        sys.stdout.write(FORMATS[out_fmt].serializer(tbl))
 
-    counts = ray.get(counters.get.remote())
-    # the job's plan closures hold the handle in reference cycles, so
-    # without an explicit kill the actor process lives until the next
-    # cyclic garbage collection — back-to-back jobs pile them up
-    ray.kill(counters)
     ms = int((time.time() - t0) * 1000)
     # stats line mirroring rdf/rdf.go:422-424
     print(
         json.dumps(
             {
-                "triples_processed": counts.get("triples", 0),
-                "rewritten": counts.get("rewritten", 0),
+                "triples_processed": processed,
+                "rewritten": rewritten,
+                "quarantined": quarantined,
                 "ms": ms,
             }
         ),

@@ -130,6 +130,7 @@ def write_squirtle(ds, out_dir: str, prefixes: dict[str, str] | None = None):
     per-document parse/extract path does exactly that.  Triples that
     split across files still parse back to the identical set (set
     semantics; nesting is presentation only)."""
+    ds = ds.materialize()  # the block count is known only once executed
     return (
         ds.repartition(max(1, ds.num_blocks()))
         .map_batches(SquirtleFileWriter(out_dir, prefixes), batch_format="pyarrow")

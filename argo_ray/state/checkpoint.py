@@ -16,7 +16,10 @@ re-running a half-finished partition idempotent.
 Lineage per record (reference precedent: the CLI's counters
 ``TriplesProcessed``/``Rewritten`` + wall-clock report,
 ``/root/reference/rdf/rdf.go:42-43,408,422-424``): input fragments,
-stage versions, row counts in/out, output files, wall seconds.
+stage versions, row counts in/out, output files, wall seconds.  Each
+count is read off committed data — the block metadata of a
+materialized stage, or the written parquet footers — so a retried task
+cannot count twice.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -147,108 +151,45 @@ def plan_partitions(sf_dir: str, num_partitions: int) -> list[dict]:
     ]
 
 
-import ray
+def _read_partition(spec: dict, columns: list[str] | None = None):
+    """One partition's documents: its input fragments, narrowed to its
+    ``doc_id`` hash class when the plan splits a single file."""
+    import ray.data as rd
 
+    ds = rd.read_parquet(spec["input_fragments"], columns=columns)
+    pred = spec.get("predicate")
+    if pred is None:
+        return ds
 
-@ray.remote(num_cpus=0)
-class StageCounters:
-    """Pipeline counters (operator A3 — the reference's
-    ``TriplesProcessed``/``Rewritten`` CLI counters,
-    ``rdf/rdf.go:42-43,408``): a zero-CPU actor the stages increment
-    per batch, so the lineage record gets per-stage row counts from the
-    SAME single pass that writes the output (previously each count was
-    its own full pipeline execution).
+    def part_filter(b: pa.Table) -> pa.Table:
+        vals = b[pred["column"]].to_numpy(zero_copy_only=False).astype(np.int64)
+        return b.filter(pa.array(vals % pred["mod"] == pred["rem"]))
 
-    Increments carry an optional idempotency ``token``: a retried task
-    (OOM/preemption) re-runs its batches and would otherwise
-    double-count; the token (task id + batch ordinal) makes the retry a
-    no-op, keeping lineage counts exact under fault recovery."""
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-        self._seen: set = set()
-
-    def add(self, key: str, n: int, token=None) -> None:
-        if token is not None:
-            if (key, token) in self._seen:
-                return
-            self._seen.add((key, token))
-        self.counts[key] = self.counts.get(key, 0) + n
-
-    def get(self) -> dict[str, int]:
-        return dict(self.counts)
-
-
-# per-worker batch ordinal per (task, stage): a retried task replays the
-# same ordinals, so its tokens dedupe in the actor.  Residual window: a
-# retry scheduled onto the SAME worker process continues the old
-# ordinal sequence (new tokens → counted again); retries normally land
-# on a fresh worker, and the alternative (content-hash tokens) would
-# UNDER-count legitimately identical batches, which is worse.
-_batch_ordinals: dict = {}
-_current_task: list = [None]
-
-
-def _counting(counters, key: str):
-    """Wrap a passthrough count around a stage boundary.  The per-batch
-    ``ray.get`` makes the increment synchronous, so when the pipeline's
-    last task finishes every count has landed (fire-and-forget would
-    race the final read); the round-trip is microseconds against
-    seconds of per-batch extraction work."""
-
-    def fn(b: pa.Table) -> pa.Table:
-        try:
-            task_id = ray.get_runtime_context().get_task_id()
-        except Exception:
-            task_id = None
-        if task_id != _current_task[0]:  # new task on this worker —
-            _batch_ordinals.clear()      # drop finished tasks' entries
-            _current_task[0] = task_id
-        ord_key = (task_id, key)
-        ordinal = _batch_ordinals.get(ord_key, 0)
-        _batch_ordinals[ord_key] = ordinal + 1
-        token = (task_id, ordinal) if task_id is not None else None
-        ray.get(counters.add.remote(key, b.num_rows, token))
-        return b
-
-    return fn
+    return ds.map_batches(part_filter, batch_format="pyarrow")
 
 
 def run_partition(spec: dict, out_dir: str, salt: str = "") -> dict:
     """Run the flagship pipeline for one partition and atomically commit
-    its parquet shard — ONE streaming pass: row counts come from the
-    counter actor, the deduped count from the written parquet metadata.
-    Returns the lineage record (not yet committed)."""
-    import ray.data as rd
-
+    its parquet shard.  The document and raw triple counts are the row
+    counts of the materialized stages, the deduped count comes from the
+    written parquet metadata.  Returns the lineage record (not yet
+    committed)."""
     from ..pages import synth_pages_batch
     from ..sources.rdfa import extract_rdfa_batch
     from ..stages.materialize import dedup_exact
 
     pid = spec["partition_id"]
-    pred = spec.get("predicate")
     t0 = time.time()
-    counters = StageCounters.remote()
 
-    ds = rd.read_parquet(spec["input_fragments"])
-    if pred is not None:
-        import numpy as np
-
-        def part_filter(b: pa.Table) -> pa.Table:
-            vals = b[pred["column"]].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.filter(pa.array(vals % pred["mod"] == pred["rem"]))
-
-        ds = ds.map_batches(part_filter, batch_format="pyarrow")
-    ds = ds.map_batches(_counting(counters, "documents"), batch_format="pyarrow")
-    pages = ds.map_batches(synth_pages_batch, batch_format="pyarrow")
+    docs = _read_partition(spec).materialize()
+    pages = docs.map_batches(synth_pages_batch, batch_format="pyarrow")
     triples = pages.map_batches(
         lambda b: extract_rdfa_batch(b, salt=salt), batch_format="pyarrow"
-    ).map_batches(_counting(counters, "triples_raw"), batch_format="pyarrow")
+    ).materialize()
     deduped = dedup_exact(triples)
 
     n_deduped, output_files = _commit_shard(deduped, out_dir, pid)
 
-    counts = ray.get(counters.get.remote())
     return {
         "partition_id": pid,
         "pipeline": "kg",
@@ -257,8 +198,8 @@ def run_partition(spec: dict, out_dir: str, salt: str = "") -> dict:
         "salt": salt,
         "stage_versions": STAGE_VERSIONS,
         "row_counts": {
-            "documents": counts.get("documents", 0),
-            "triples_raw": counts.get("triples_raw", 0),
+            "documents": docs.count(),
+            "triples_raw": triples.count(),
             "triples_deduped": n_deduped,
         },
         "output_files": output_files,
@@ -272,9 +213,9 @@ def run_partition_multisyntax(spec: dict, out_dir: str, salt: str = "") -> dict:
     synthesizes its RDFa, microdata and embedded-JSON-LD page families,
     each streams through its own extractor, the three triple streams
     union under one pinned schema, and the skew-proof dedup commits one
-    parquet shard — the run-resumable form of kg_multisyntax_build."""
-    import ray.data as rd
-
+    parquet shard — the run-resumable form of kg_multisyntax_build.
+    Each branch is materialized before the union, so its row count is
+    the per-syntax raw triple count."""
     from ..pages import synth_jsonld_batch, synth_microdata_batch, synth_pages_batch
     from ..sources.jsonld_html import extract_jsonld_batch
     from ..sources.microdata import extract_microdata_batch
@@ -283,24 +224,11 @@ def run_partition_multisyntax(spec: dict, out_dir: str, salt: str = "") -> dict:
     from ..terms import cast_triple_schema as norm
 
     pid = spec["partition_id"]
-    pred = spec.get("predicate")
     t0 = time.time()
-    counters = StageCounters.remote()
 
-    ds = rd.read_parquet(spec["input_fragments"])
-    if pred is not None:
-        import numpy as np
+    docs = _read_partition(spec).materialize()  # consumed by three branches
 
-        def part_filter(b: pa.Table) -> pa.Table:
-            vals = b[pred["column"]].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.filter(pa.array(vals % pred["mod"] == pred["rem"]))
-
-        ds = ds.map_batches(part_filter, batch_format="pyarrow")
-    ds = ds.map_batches(
-        _counting(counters, "documents"), batch_format="pyarrow"
-    ).materialize()  # consumed by three branches
-
-    branches = []
+    branches = {}
     for synth, extract, cname in (
         (synth_pages_batch, lambda b: extract_rdfa_batch(b, salt=salt), "rdfa"),
         (
@@ -310,18 +238,17 @@ def run_partition_multisyntax(spec: dict, out_dir: str, salt: str = "") -> dict:
         ),
         (synth_jsonld_batch, extract_jsonld_batch, "jsonld"),
     ):
-        branches.append(
-            ds.map_batches(synth, batch_format="pyarrow")
+        branches[cname] = (
+            docs.map_batches(synth, batch_format="pyarrow")
             .map_batches(extract, batch_format="pyarrow")
-            .map_batches(_counting(counters, f"triples_{cname}"), batch_format="pyarrow")
             .map_batches(norm, batch_format="pyarrow")
+            .materialize()
         )
-    unioned = branches[0].union(branches[1]).union(branches[2])
-    deduped = dedup_exact(unioned)
+    rdfa, microdata, jsonld = branches.values()
+    deduped = dedup_exact(rdfa.union(microdata).union(jsonld))
 
     n_deduped, output_files = _commit_shard(deduped, out_dir, pid)
 
-    counts = ray.get(counters.get.remote())
     return {
         "partition_id": pid,
         "pipeline": "multisyntax",
@@ -330,10 +257,8 @@ def run_partition_multisyntax(spec: dict, out_dir: str, salt: str = "") -> dict:
         "salt": salt,
         "stage_versions": MULTI_STAGE_VERSIONS,
         "row_counts": {
-            "documents": counts.get("documents", 0),
-            "triples_rdfa": counts.get("triples_rdfa", 0),
-            "triples_microdata": counts.get("triples_microdata", 0),
-            "triples_jsonld": counts.get("triples_jsonld", 0),
+            "documents": docs.count(),
+            **{f"triples_{c}": ds.count() for c, ds in branches.items()},
             "triples_deduped": n_deduped,
         },
         "output_files": output_files,
@@ -349,26 +274,13 @@ def run_partition_clean(spec: dict, out_dir: str) -> dict:
     text normalization → content fingerprint.  Output columns:
     (doc_id, clean, fingerprint).  Same lineage/commit discipline as
     the KG partition runner."""
-    import ray.data as rd
-
     from ..functions.privacy import redact_pii_batch
     from ..functions.text import fingerprint_batch, normalize_batch, quality_batch
 
     pid = spec["partition_id"]
-    pred = spec.get("predicate")
     t0 = time.time()
-    counters = StageCounters.remote()
 
-    ds = rd.read_parquet(spec["input_fragments"], columns=["doc_id", "text"])
-    if pred is not None:
-        import numpy as np
-
-        def part_filter(b: pa.Table) -> pa.Table:
-            vals = b[pred["column"]].to_numpy(zero_copy_only=False).astype(np.int64)
-            return b.filter(pa.array(vals % pred["mod"] == pred["rem"]))
-
-        ds = ds.map_batches(part_filter, batch_format="pyarrow")
-    ds = ds.map_batches(_counting(counters, "documents"), batch_format="pyarrow")
+    docs = _read_partition(spec, columns=["doc_id", "text"]).materialize()
 
     def clean(b: pa.Table) -> pa.Table:
         q = quality_batch(b)
@@ -394,14 +306,11 @@ def run_partition_clean(spec: dict, out_dir: str) -> dict:
             }
         )
 
-    # no docs_kept counting stage: the kept count comes free from the
-    # committed parquet metadata — a per-batch counter round-trip on the
-    # write path would be paid for a number the record never reads
-    out = ds.map_batches(clean, batch_format="pyarrow")
+    # the kept count comes from the committed parquet metadata
+    out = docs.map_batches(clean, batch_format="pyarrow")
 
     n_kept, output_files = _commit_shard(out, out_dir, pid)
 
-    counts = ray.get(counters.get.remote())
     return {
         "partition_id": pid,
         "pipeline": "clean",
@@ -410,7 +319,7 @@ def run_partition_clean(spec: dict, out_dir: str) -> dict:
         "salt": "",
         "stage_versions": CLEAN_STAGE_VERSIONS,
         "row_counts": {
-            "documents": counts.get("documents", 0),
+            "documents": docs.count(),
             "docs_kept": n_kept,
         },
         "output_files": output_files,

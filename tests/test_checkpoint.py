@@ -43,6 +43,17 @@ def test_run_and_resume(ray_session, out_dir):
     assert rec["row_counts"]["documents"] == 125
     assert rec["output_files"]
 
+    # the raw triple counts equal the extractor run in-process over
+    # every document
+    import pyarrow.parquet as pq
+
+    from argo_ray.pages import synth_pages_batch
+    from argo_ray.sources.rdfa import extract_rdfa_batch
+
+    docs = pq.read_table(f"{SF_DIR}/documents.parquet")
+    raw = extract_rdfa_batch(synth_pages_batch(docs)).num_rows
+    assert sum(r["row_counts"]["triples_raw"] for r in recs.values()) == raw
+
     # resume: everything skipped, nothing recomputed, same total
     second = run_checkpointed(SF_DIR, out_dir, num_partitions=4)
     assert second["completed"] == []

@@ -1,7 +1,7 @@
 """`rdf` CLI equivalent (SURVEY §3.1): multi-format fan-in, rewrites,
 format listing, stdout/directory sinks."""
 
-import time
+import json
 
 import pyarrow as pa
 import pytest
@@ -19,6 +19,11 @@ def sources(tmp_path):
         "<http://old.example.org/s2>\n  <http://p/name> \"Bob\"@en ;\n.\n"
     )
     return tmp_path
+
+
+def _stats(err: str) -> dict:
+    """The end-of-run stats line (the last JSON line on stderr)."""
+    return json.loads([ln for ln in err.splitlines() if ln.startswith("{")][-1])
 
 
 def test_cli_mixed_format_fanin_with_rewrite(ray_session, sources, tmp_path, capsys):
@@ -91,29 +96,91 @@ def test_cli_url_fanin(ray_session, sources, tmp_path, capsys):
         "-O", "ntriples",
     ])
     assert rc == 0
-    doc = capsys.readouterr().out
-    triples = parse_ntriples(doc)
+    captured = capsys.readouterr()
+    triples = parse_ntriples(captured.out)
     assert len(triples) == 3  # 2 from the file + 1 from the URL
     assert any(t[2].value == "Bob" for t in triples)
+    assert _stats(captured.err)["quarantined"] == 1
 
 
-def test_cli_jobs_leave_no_counters_actor(ray_session, sources, tmp_path):
-    """Each job's counters actor ends with the job: back-to-back jobs in
-    one session must not pile up live actor processes."""
+@pytest.mark.parametrize(
+    "out_fmt", ["ntriples", "turtle", "rdfxml", "json", "squirtle", None]
+)
+def test_cli_stats_line_counts(ray_session, sources, tmp_path, capsys, out_fmt):
+    """The stats line counts every parsed triple once and every term
+    position a rule changed: the global rule rewrites both subjects, the
+    predicate rule both ``name`` predicates; the blank node and the
+    literals stay."""
+    from argo_ray.rdf import main
+
+    argv = [
+        str(sources / "a.nt"), str(sources / "b.ttl"),
+        "-r", r"^http://old\.example\.org/(.*)$", "http://new.example.org/$1",
+        "--rewrite-predicate", r"^http://p/name$", "http://p/label",
+    ]
+    if out_fmt is not None:
+        argv += ["-o", str(tmp_path / "out"), "-O", out_fmt]
+    else:
+        argv += ["-O", "ntriples"]  # stdout
+    assert main(argv) == 0
+    stats = _stats(capsys.readouterr().err)
+    assert stats["triples_processed"] == 3
+    assert stats["rewritten"] == 4
+
+
+@pytest.mark.parametrize("out_fmt", ["json", "rdfxml", "turtle"])
+def test_cli_subject_rewrite_merges_subjects(ray_session, tmp_path, out_fmt):
+    """A subject rewrite that maps two subjects onto one must regroup
+    them: every grouping sink renders the merged subject once, and the
+    output parses back to both triples."""
+    from argo_ray.rdf import main
+    from argo_ray.sources.registry import FORMATS
+
+    src = tmp_path / "in.nt"
+    src.write_text(
+        '<http://a/1> <http://p/name> "one" .\n'
+        '<http://a/2> <http://p/name> "two" .\n'
+    )
+    out = tmp_path / "out"
+    assert main([
+        str(src), "-r", r"^http://a/.*$", "http://b/x", "-O", out_fmt, "-o", str(out),
+    ]) == 0
+    text = "".join(p.read_text() for p in sorted(out.glob("part-*")))
+    assert text.count("http://b/x") == 1
+    triples = FORMATS[out_fmt].parser(text)
+    assert sorted(t[2].value for t in triples) == ["one", "two"]
+    assert {t[0].value for t in triples} == {"http://b/x"}
+
+
+def test_cli_unserializable_output_exits_before_planning(tmp_path, monkeypatch):
+    """An output format without a serializer (``.html`` infers RDFa) is
+    rejected before Ray starts or a plan is built."""
+    from argo_ray import rdf
+
+    def no_plan(args):
+        raise AssertionError("planned a job whose output cannot be written")
+
+    monkeypatch.setattr(rdf, "build_pipeline", no_plan)
+    src = tmp_path / "a.nt"
+    src.write_text("<http://a/1> <http://p/q> <http://a/2> .\n")
+    assert rdf.main([str(src), "-o", str(tmp_path / "x.html")]) == 2
+
+
+def test_jobs_start_no_actor(ray_session, sources, tmp_path):
+    """Neither the convert job nor the checkpointed build job starts an
+    actor: back-to-back jobs leave the set of live actors as it was."""
+    import ray
     from ray._private.state import actors
 
     from argo_ray.rdf import main
+    from argo_ray.state.checkpoint import run_checkpointed
 
     def alive():
-        return sum(
-            1 for a in actors().values()
-            if a["ActorClassName"] == "StageCounters" and a["State"] == "ALIVE"
-        )
+        return sum(1 for a in actors().values() if a["State"] == "ALIVE")
 
+    ray.data.range(1).materialize()  # Ray Data's own per-cluster actors
     before = alive()
     for i in range(3):
         assert main([str(sources / "a.nt"), "-o", str(tmp_path / f"o{i}"), "-O", "turtle"]) == 0
-    deadline = time.monotonic() + 10  # ray.kill is asynchronous
-    while alive() > before and time.monotonic() < deadline:
-        time.sleep(0.1)
+    run_checkpointed(SF_DIR, str(tmp_path / "ckpt"), num_partitions=2)
     assert alive() == before
