@@ -12,6 +12,9 @@ read into ``~2 × cluster CPUs`` blocks so the stateless stages fan out.
 
 from __future__ import annotations
 
+import os
+import uuid
+
 import pyarrow.parquet as pq
 
 _CONFIGURED = False
@@ -45,6 +48,25 @@ def configure_context() -> None:
         _CONFIGURED = True
     except Exception:  # pragma: no cover
         pass
+
+
+def publish(path: str, data: bytes) -> None:
+    """Atomically put ``data`` at ``path``: write a temp file unique to
+    this call in the same directory, then ``os.replace`` it onto
+    ``path``.  Readers see the old file or the whole new one; concurrent
+    writers of one path each rename a whole file and the last one wins
+    (a fixed temp name would let one rename another's file away)."""
+    tmp = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}"
+    )
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def target_blocks(default: int = 16) -> int:
@@ -92,8 +114,6 @@ def read_table(
     production 100 TB layout; shards already give one block per
     fragment, so no override is applied there).
     """
-    import os
-
     import ray.data as rd
 
     configure_context()

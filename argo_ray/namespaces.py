@@ -8,6 +8,8 @@ pre-resolved broadcast dictionary; unknown prefixes resolve to ``""``
 exactly like the reference's failed lookup (``squirtleparser.y:318-331``).
 """
 
+from .io import publish
+
 BUILTIN_NAMESPACES: dict[str, str] = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
     "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
@@ -107,17 +109,13 @@ class PrefixCache:
 
     def save(self, path: str | None = None) -> None:
         import json
-        import os
 
         target = path or self._path
         if target is None:
             raise ValueError(
                 "no cache file: construct with cache_file= or pass path"
             )
-        tmp = target + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(self._cache, f, sort_keys=True)
-        os.replace(tmp, target)
+        publish(target, json.dumps(self._cache, sort_keys=True).encode("utf-8"))
 
     def as_dict(self) -> dict[str, str]:
         """Merged broadcast view (builtins + cached lookups) for

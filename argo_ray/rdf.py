@@ -17,7 +17,8 @@ Mapping from the reference:
   :class:`~argo_ray.stages.canon.RewriteRule` (Go ``$1`` templates
   translated to RE2 ``\\1``); ``_:``-prefixed results re-sniff to blank
   nodes exactly as ``sniffTerm`` (rdf/rdf.go:255-267);
-- ``-o`` directory written via the chosen format's distributed writer;
+- ``-o`` directory written by the chosen format's registry writer
+  (``Format.write``, one part file per block);
   no ``-o`` → serialize to stdout (driver-side, small outputs);
 - ``-F`` lists formats; end-of-run stats line mirrors
   ``rdf/rdf.go:422-424`` (triples processed, rewritten terms, ms) and
@@ -168,28 +169,6 @@ def build_pipeline(args) -> tuple:
     return triples, quarantined
 
 
-def _w(fmt_id: str, ds, out_dir: str, prefixes=None):
-    if fmt_id == "ntriples":
-        from .sinks.ntriples import write_ntriples
-
-        return write_ntriples(ds, out_dir)
-    if fmt_id == "turtle":
-        from .sinks.turtle import write_turtle
-
-        return write_turtle(ds, out_dir, prefixes or {})
-    if fmt_id == "rdfxml":
-        from .sinks.rdfxml import write_rdfxml
-
-        return write_rdfxml(ds, out_dir, prefixes or {})
-    if fmt_id == "squirtle":
-        from .sinks.squirtle import write_squirtle
-
-        return write_squirtle(ds, out_dir, prefixes or {})
-    from .sinks.rdfjson import write_rdfjson
-
-    return write_rdfjson(ds, out_dir)
-
-
 def main(argv: list[str] | None = None) -> int:
     from .sources.registry import FORMATS, format_from_filename
 
@@ -203,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="URL to fetch and parse (opt-in; file:// always "
                     "works, http(s):// needs cluster egress)")
     ap.add_argument("-i", "--stdin-format", default="rdfxml", choices=sorted(FORMATS))
-    serializable = sorted(f.id for f in FORMATS.values() if f.serializer)
-    ap.add_argument("-O", "--output-format", choices=serializable)
+    writable = sorted(f.id for f in FORMATS.values() if f.write)
+    ap.add_argument("-O", "--output-format", choices=writable)
     ap.add_argument("-F", "--formats", action="store_true", help="list formats")
     ap.add_argument("-r", "--rewrite", nargs=2, action="append", default=[],
                     metavar=("FIND", "REPLACE"))
@@ -228,8 +207,8 @@ def main(argv: list[str] | None = None) -> int:
         inferred = format_from_filename(args.output)
         out_fmt = inferred.id if inferred else "rdfxml"
     out_fmt = out_fmt or "rdfxml"
-    if FORMATS[out_fmt].serializer is None:  # e.g. rdfa inferred from dir name
-        print(f"error: format {out_fmt!r} has no serializer", file=sys.stderr)
+    if out_fmt not in writable:  # e.g. rdfa inferred from dir name
+        print(f"error: format {out_fmt!r} has no writer", file=sys.stderr)
         return 2
 
     import ray
@@ -253,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         triples = triples.drop_columns(["rewritten"])
 
     if args.output:
-        _w(out_fmt, triples, args.output)
+        FORMATS[out_fmt].write(triples, args.output)
     else:
         import pyarrow as pa
 

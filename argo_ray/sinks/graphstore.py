@@ -34,6 +34,7 @@ from urllib.parse import quote, unquote
 import pandas as pd
 import pyarrow as pa
 
+from ..io import publish
 from ..sources.rdfxml import parse_rdfxml
 from ..stages.grouping import exchange
 from ..terms import TRIPLE_COLUMNS, append_subject_hash, triples_to_table
@@ -57,11 +58,8 @@ class FileGraphStore:
 
     def put(self, graph_uri: str, triples: pa.Table) -> None:
         body = serialize_rdfxml(triples.select(TRIPLE_COLUMNS))
-        path = self._path(graph_uri)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(body)
-        os.replace(tmp, path)  # atomic, same guarantee HTTP PUT gives
+        # atomic, same guarantee HTTP PUT gives
+        publish(self._path(graph_uri), body.encode("utf-8"))
 
     def post(self, graph_uri: str, triples: pa.Table) -> None:
         new = triples.select(TRIPLE_COLUMNS)

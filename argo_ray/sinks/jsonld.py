@@ -46,6 +46,7 @@ from ..terms import (
     append_subject_hash,
     triples_to_table,
 )
+from .parts import PartWriter, write_parts
 
 
 def _node_id(kind: int, value: str) -> str:
@@ -97,13 +98,6 @@ def serialize_jsonld(table: pa.Table, prefixes=None) -> str:
         for _, g in df.groupby(["subj_kind", "subj_value"], sort=True)
     ]
     return "[" + ",".join(nodes) + "]"
-
-
-class JsonLdNodeRenderer:
-    """Grouped-shuffle renderer (same contract as JSONBlockRenderer)."""
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"block": [render_jsonld_node(group)]})
 
 
 def _expand(curie: str, context: dict[str, str]) -> str:
@@ -229,44 +223,17 @@ def parse_jsonld_batch(
     return append_subject_hash(triples_to_table(rows, urls=row_urls, with_hash=False))
 
 
+class JSONLDWriter(PartWriter):
+    """One subject-sorted block → one ``part-<contenthash>.jsonld``
+    document (one node object per subject)."""
+
+    ext = ".jsonld"
+
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_jsonld(block).encode()
+
+
 def write_jsonld(ds, out_dir: str):
     """Triples Dataset → expanded-form JSON-LD part files via the
-    subject shuffle (one node object per subject, one array per part)."""
-    from ..stages.materialize import group_by_subject
-
-    class _Writer:
-        def __init__(self, out_dir: str):
-            import os
-
-            self.out_dir = out_dir
-            os.makedirs(out_dir, exist_ok=True)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import hashlib
-            import os
-
-            if "block" not in batch.column_names or batch.num_rows == 0:
-                return pa.table(
-                    {
-                        "path": pa.array([], pa.string()),
-                        "rows": pa.array([], pa.int64()),
-                    }
-                )
-            blocks = batch["block"].to_pylist()
-            payload = "[" + ",".join(blocks) + "]"
-            name = hashlib.md5(payload.encode()).hexdigest()[:16]
-            path = os.path.join(self.out_dir, f"part-{name}.jsonld")
-            tmp = path + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-            return pa.table(
-                {"path": pa.array([path]), "rows": pa.array([len(blocks)], pa.int64())}
-            )
-
-    blocks = group_by_subject(ds, JsonLdNodeRenderer())
-    return (
-        blocks.map_batches(_Writer(out_dir), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    subject shuffle.  Returns the (path, rows) manifest."""
+    return write_parts(ds, JSONLDWriter(out_dir), "subject_hash")

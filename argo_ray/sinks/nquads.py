@@ -6,8 +6,9 @@ carry the provenance graph the SPARQL ``GRAPH`` evaluator and the
 graph store already use.
 
 Fully vectorized: pyarrow kernels only.  A row whose ``graph_value``
-is empty serializes as a plain triple line (default graph), matching
-the N-Quads grammar where the graph label is optional.
+is empty, or a table with no graph column at all, serializes as plain
+triple lines (default graph), matching the N-Quads grammar where the
+graph label is optional.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import KIND_BLANK, nt_render_position
+from .parts import PartWriter, write_parts
 
 
 def _ls(s: str):
@@ -30,11 +32,14 @@ def to_nq_lines_batch(
     """``map_batches`` UDF: flattened quads → one ``line`` per quad.
 
     The graph term renders as an IRI unless ``graph_kind`` says blank
-    node; rows with an empty graph value render as triples."""
+    node; rows with an empty or missing graph value render as triples."""
     s = nt_render_position(batch, "subj")
     p = nt_render_position(batch, "pred")
     o = nt_render_position(batch, "obj")
-    gv = pc.cast(batch[graph_column], pa.large_string())
+    if graph_column in batch.column_names:
+        gv = pc.cast(batch[graph_column], pa.large_string())
+    else:
+        gv = pa.repeat(_ls(""), batch.num_rows)
     if graph_kind_column in batch.column_names:
         is_blank = pc.equal(
             pc.cast(batch[graph_kind_column], pa.int64()),
@@ -61,3 +66,18 @@ def serialize_nquads(table: pa.Table) -> str:
     return "".join(
         line + "\n" for line in to_nq_lines_batch(table)["line"].to_pylist()
     )
+
+
+class NQuadsWriter(PartWriter):
+    """``part-<contenthash>.nq`` files, one N-Quads line per row."""
+
+    ext = ".nq"
+
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_nquads(block).encode()
+
+
+def write_nquads(ds, out_dir: str):
+    """Dataset of flattened triples or quads → directory of ``.nq``
+    part files.  Returns the manifest (path, rows)."""
+    return write_parts(ds, NQuadsWriter(out_dir))

@@ -8,9 +8,12 @@ compute kernels only (no Python row loop).
 
 from __future__ import annotations
 
+import gzip
+
 import pyarrow as pa
 
 from ..terms import nt_render_lines
+from .parts import PartWriter, write_parts
 
 
 def to_nt_lines_batch(batch: pa.Table, keep_url: bool = False) -> pa.Table:
@@ -28,76 +31,33 @@ def serialize_ntriples(table: pa.Table) -> str:
     return "".join(line + "\n" for line in nt_render_lines(table).to_pylist())
 
 
-class _NTFileWriter:
-    """Per-batch text-file writer (Ray Data has no write_text sink).
+class NTriplesWriter(PartWriter):
+    """``part-<contenthash>.nt`` files, one N-Triples line per triple."""
 
-    Each task writes its own ``part-<contenthash>.nt`` — deterministic
-    names, so a rerun overwrites identical files instead of duplicating
-    (resumable-output pattern).  Returns one manifest row per file.
-    """
+    ext = ".nt"
 
-    def __init__(self, out_dir: str):
-        import os
-
-        self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-        import os
-
-        lines = nt_render_lines(batch).to_pylist()
-        payload = "".join(line + "\n" for line in lines)
-        name = hashlib.md5(payload.encode()).hexdigest()[:16]
-        path = os.path.join(self.out_dir, f"part-{name}.nt")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)  # atomic publish
-        return pa.table(
-            {"path": pa.array([path]), "rows": pa.array([len(lines)], pa.int64())}
-        )
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_ntriples(block).encode()
 
 
 def write_ntriples(ds, out_dir: str):
     """Dataset of flattened triples → directory of ``.nt`` part files,
     one N-Triples line per triple.  Returns the manifest (path, rows)."""
-    return (
-        ds.map_batches(_NTFileWriter(out_dir), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    return write_parts(ds, NTriplesWriter(out_dir))
 
 
-class _NTGzFileWriter(_NTFileWriter):
+class NTriplesGzWriter(NTriplesWriter):
     """Gzipped twin of the ``.nt`` part writer — Common-Crawl-style
     dumps ship ``.nt.gz``; ``mtime=0`` keeps the bytes (and the
     md5-derived part name) deterministic."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import gzip
-        import hashlib
-        import os
+    ext = ".nt.gz"
 
-        lines = nt_render_lines(batch).to_pylist()
-        payload = "".join(line + "\n" for line in lines).encode()
-        name = hashlib.md5(payload).hexdigest()[:16]
-        path = os.path.join(self.out_dir, f"part-{name}.nt.gz")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            with gzip.GzipFile(fileobj=f, mode="wb", mtime=0) as gz:
-                gz.write(payload)
-        os.replace(tmp, path)
-        return pa.table(
-            {"path": pa.array([path]), "rows": pa.array([len(lines)], pa.int64())}
-        )
+    def render(self, block: pa.Table) -> bytes:
+        return gzip.compress(super().render(block), mtime=0)
 
 
 def write_ntriples_gz(ds, out_dir: str):
     """Dataset of flattened triples → directory of ``.nt.gz`` part
     files.  Returns the manifest (path, rows)."""
-    return (
-        ds.map_batches(_NTGzFileWriter(out_dir), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    return write_parts(ds, NTriplesGzWriter(out_dir))

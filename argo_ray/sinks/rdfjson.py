@@ -26,6 +26,7 @@ from ..terms import (
     append_subject_hash,
     triples_to_table,
 )
+from .parts import PartWriter, write_parts
 
 
 def _key(kind: int, value: str) -> str:
@@ -65,11 +66,6 @@ def serialize_rdfjson(table: pa.Table) -> str:
         render_json_block(g) for _, g in df.groupby(["subj_kind", "subj_value"], sort=True)
     ]
     return "{" + ",".join(blocks) + "}"
-
-
-class JSONBlockRenderer:
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"block": [render_json_block(group)]})
 
 
 def _term_from_key(key: str) -> Term:
@@ -122,41 +118,18 @@ def parse_rdfjson_batch(
     return append_subject_hash(triples_to_table(rows, urls=row_urls, with_hash=False))
 
 
+class RDFJSONWriter(PartWriter):
+    """One subject-sorted block → one ``part-<contenthash>.json``
+    document."""
+
+    ext = ".json"
+
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_rdfjson(block).encode()
+
+
 def write_rdfjson(ds, out_dir: str):
-    """Triples Dataset → JSON part files via the subject shuffle."""
-    from ..stages.materialize import group_by_subject
-
-    class _Writer:
-        def __init__(self, out_dir: str):
-            import os
-
-            self.out_dir = out_dir
-            os.makedirs(out_dir, exist_ok=True)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import hashlib
-            import os
-
-            if "block" not in batch.column_names or batch.num_rows == 0:
-                # zero-column/empty block from an empty sort partition
-                # (grouped renderers can't synthesize their output schema)
-                return pa.table({"path": pa.array([], pa.string()),
-                                 "rows": pa.array([], pa.int64())})
-            blocks = batch["block"].to_pylist()
-            payload = "{" + ",".join(blocks) + "}"
-            name = hashlib.md5(payload.encode()).hexdigest()[:16]
-            path = os.path.join(self.out_dir, f"part-{name}.json")
-            tmp = path + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-            return pa.table(
-                {"path": pa.array([path]), "rows": pa.array([len(blocks)], pa.int64())}
-            )
-
-    blocks = group_by_subject(ds, JSONBlockRenderer())
-    return (
-        blocks.map_batches(_Writer(out_dir), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    """Triples Dataset → JSON part files via the subject shuffle (a
+    subject's entry is never split across documents).  Returns the
+    (path, rows) manifest."""
+    return write_parts(ds, RDFJSONWriter(out_dir), "subject_hash")

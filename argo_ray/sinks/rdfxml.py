@@ -9,11 +9,9 @@ back to an inline ``xmlns=`` (:236-246, :258-266); objects render as
 ``rdf:nodeID`` (:273-304).
 
 Ray Data shape: the reference buffers the entire graph in one map —
-here the group-by-subject is the ``groupby(subject_hash)`` shuffle and
-each rendered block is one group (``map_groups``), so residency is one
-subject, not the whole graph.  Each output part file is a complete,
-valid ``<rdf:RDF>`` document (cross-file subject splits are allowed by
-set semantics).
+here the group-by-subject is one exchange on ``subject_hash``, so every
+subject's triples land in one block, and each block renders whole into
+one complete, valid ``<rdf:RDF>`` part document.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import pyarrow as pa
 
 from ..stages.canon import split_prefix
 from ..terms import KIND_BLANK, KIND_IRI, KIND_LITERAL, RDF_TYPE
+from .parts import PartWriter, write_parts
 
 
 def escape_xml(s: str) -> str:
@@ -173,56 +172,17 @@ def serialize_rdfxml(table: pa.Table, prefixes: dict[str, str] | None = None) ->
     return document_header(prefixes) + "".join(blocks) + DOCUMENT_FOOTER
 
 
-class RDFXMLBlockRenderer:
-    """``map_groups`` renderer: one subject group → one ``block`` row.
-    Use with ``group_by_subject(ds, RDFXMLBlockRenderer(prefixes))``."""
+class RDFXMLWriter(PartWriter):
+    """One subject-sorted block → one complete ``part-<contenthash>.rdf``
+    document."""
 
-    def __init__(self, prefixes: dict[str, str] | None = None):
-        self.prefixes = prefixes or {}
+    ext = ".rdf"
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"block": [render_subject_block(group, self.prefixes)]})
-
-
-class RDFXMLFileWriter:
-    """Per-batch writer of complete RDF/XML documents (one per block
-    batch), atomic rename, deterministic content-hash names."""
-
-    def __init__(self, out_dir: str, prefixes: dict[str, str] | None = None):
-        import os
-
-        self.out_dir = out_dir
-        self.prefixes = prefixes or {}
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-        import os
-
-        if "block" not in batch.column_names or batch.num_rows == 0:
-            # zero-column/empty block from an empty sort partition
-            # (grouped renderers can't synthesize their output schema)
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        blocks = batch["block"].to_pylist()
-        payload = document_header(self.prefixes) + "".join(blocks) + DOCUMENT_FOOTER
-        name = hashlib.md5(payload.encode()).hexdigest()[:16]
-        path = os.path.join(self.out_dir, f"part-{name}.rdf")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-        return pa.table({"path": pa.array([path]), "rows": pa.array([len(blocks)], pa.int64())})
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_rdfxml(block, self.prefixes).encode()
 
 
 def write_rdfxml(ds, out_dir: str, prefixes: dict[str, str] | None = None):
     """Triples Dataset → directory of RDF/XML part documents via the one
     subject shuffle.  Returns the (path, rows) manifest."""
-    from ..stages.materialize import group_by_subject
-
-    blocks = group_by_subject(ds, RDFXMLBlockRenderer(prefixes))
-    return (
-        blocks.map_batches(RDFXMLFileWriter(out_dir, prefixes), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    return write_parts(ds, RDFXMLWriter(out_dir, prefixes), "subject_hash")

@@ -9,7 +9,7 @@ parent-child self-join / tree fold (SURVEY.md §2.5 J1).
 
 The inlining is a cross-subject dependency, so it cannot be reproduced
 exactly under arbitrary partitioning; the distributed writer performs
-the fold per partition after the subject-hash shuffle, which reproduces
+the fold per block, as the blocks come, which reproduces
 the reference output for within-document blank-node trees (SURVEY.md
 §2.2 K5) — cross-partition subjects simply render as separate top-level
 blocks, which parses back to the same triple set.
@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..terms import KIND_LITERAL
+from .parts import PartWriter, write_parts
 from .turtle import encode_term
 
 
@@ -88,52 +89,26 @@ def serialize_squirtle(table: pa.Table, prefixes: dict[str, str] | None = None) 
     return squirtle_header(prefixes) + render_squirtle_blocks(table.to_pandas(), prefixes)
 
 
-class SquirtleFileWriter:
-    """Per-batch writer: each shuffled partition batch renders with
-    within-partition inlining into its own complete document."""
+class SquirtleWriter(PartWriter):
+    """One block → one ``part-<contenthash>.sqtl`` document, rendered
+    with within-block inlining."""
 
-    def __init__(self, out_dir: str, prefixes: dict[str, str] | None = None):
-        import os
+    ext = ".sqtl"
 
-        self.out_dir = out_dir
-        self.prefixes = prefixes or {}
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-        import os
-
-        payload = squirtle_header(self.prefixes) + render_squirtle_blocks(
-            batch.to_pandas(), self.prefixes
-        )
-        name = hashlib.md5(payload.encode()).hexdigest()[:16]
-        path = os.path.join(self.out_dir, f"part-{name}.sqtl")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-        return pa.table(
-            {"path": pa.array([path]), "rows": pa.array([batch.num_rows], pa.int64())}
-        )
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_squirtle(block, self.prefixes).encode()
 
 
 def write_squirtle(ds, out_dir: str, prefixes: dict[str, str] | None = None):
     """Triples Dataset → Squirtle part files.
 
-    Inlining scope is PER PART FILE: each partition renders its own
-    triples with delete-on-inline nesting, so a bnode tree inlines only
-    when parent and child land in the same partition.  `repartition`
-    here is a row-count rebalance, NOT a key co-location (parent and
-    child have different subjects, so no single-key shuffle can
-    guarantee co-location anyway); within-document bnode trees stay
-    together whenever upstream blocks preserve document batches — the
-    per-document parse/extract path does exactly that.  Triples that
-    split across files still parse back to the identical set (set
-    semantics; nesting is presentation only)."""
-    ds = ds.materialize()  # the block count is known only once executed
-    return (
-        ds.repartition(max(1, ds.num_blocks()))
-        .map_batches(SquirtleFileWriter(out_dir, prefixes), batch_format="pyarrow")
-        .materialize()
-        .to_pandas()
-    )
+    Inlining scope is PER PART FILE: each block renders its own triples
+    with delete-on-inline nesting, so a bnode tree inlines only when
+    parent and child land in the same block.  Parent and child have
+    different subjects, so no single-key shuffle could guarantee that;
+    within-document bnode trees stay together whenever upstream blocks
+    preserve document batches — the per-document parse/extract path
+    does exactly that.  Triples that split across files still parse
+    back to the identical set (set semantics; nesting is presentation
+    only).  Returns the (path, rows) manifest."""
+    return write_parts(ds, SquirtleWriter(out_dir, prefixes))

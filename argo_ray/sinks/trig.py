@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import KIND_BLANK
+from .parts import PartWriter, write_parts
 from .turtle import TurtleBlockRenderer, run_starts, turtle_header
 
 
@@ -26,12 +27,15 @@ def serialize_trig(
 ) -> str:
     """Whole table (12 term columns + graph columns) → one TriG doc:
     the default graph first, then named graphs in (kind, value) order;
-    subjects in (kind, value) order, each subject's rows in table order."""
+    subjects in (kind, value) order, each subject's rows in table order.
+    Missing graph columns mean the default graph."""
     prefixes = prefixes or {}
-    if graph_kind_column not in table.column_names:
-        table = table.append_column(
-            graph_kind_column, pa.array([0] * table.num_rows, pa.int64())
-        )
+    for column, default in (
+        (graph_kind_column, pa.scalar(0, pa.int64())),
+        (graph_column, pa.scalar("", pa.large_string())),
+    ):
+        if column not in table.column_names:
+            table = table.append_column(column, pa.repeat(default, table.num_rows))
     named = pc.not_equal(table[graph_column], "")
     order = pc.sort_indices(
         table.append_column("__named", named),
@@ -57,3 +61,19 @@ def serialize_trig(
             label = f"_:{gv}" if gk == KIND_BLANK else f"<{gv}>"
             out.append(label + " {\n" + blocks + "}\n\n")
     return "".join(out)
+
+
+class TriGWriter(PartWriter):
+    """One subject-sorted block → one ``part-<contenthash>.trig``
+    document."""
+
+    ext = ".trig"
+
+    def render(self, block: pa.Table) -> bytes:
+        return serialize_trig(block, self.prefixes).encode()
+
+
+def write_trig(ds, out_dir: str, prefixes: dict[str, str] | None = None):
+    """Dataset of flattened triples or quads → TriG part files via the
+    subject shuffle.  Returns the (path, rows) manifest."""
+    return write_parts(ds, TriGWriter(out_dir, prefixes), "subject_hash")

@@ -31,9 +31,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.canon import split_prefix, split_prefix_arrays
-from ..stages.grouping import exchange
 from ..stages.materialize import salted_subject_key
 from ..terms import KIND_IRI, POSITIONS, Term, nt_render_term_arrays, render_term
+from .parts import PartWriter, write_parts
 
 # the local part must stay inside the parser's qname token grammar
 # (sources/turtle.py _TOKEN_RE) or the emitted document is invalid
@@ -43,9 +43,6 @@ _QNAME_LOCAL_RE = re.compile(r"[\w./#-]*\Z")
 # has no RE2 equivalent (``[\p{L}\p{N}_]`` disagrees on thousands of
 # code points), so non-ASCII local names keep the Python regex.
 _QNAME_LOCAL_ASCII = r"^[A-Za-z0-9_./#-]*$"
-
-_MANIFEST = pa.schema([("path", pa.string()), ("rows", pa.int64())])
-
 
 def _ls(s: str) -> pa.Scalar:
     return pa.scalar(s, pa.large_string())
@@ -150,35 +147,19 @@ def serialize_turtle(table: pa.Table, prefixes: dict[str, str] | None = None) ->
     return turtle_header(prefixes) + TurtleBlockRenderer(prefixes)(table.take(order))
 
 
-class TurtleFileWriter:
-    """``map_batches(batch_size=None)`` writer: renders one whole
-    subject-sorted block as one ``part-<contenthash>.ttl`` document
-    (deterministic name, atomic publish).  Returns the (path, rows)
-    manifest row; an empty block writes nothing."""
+class TurtleWriter(PartWriter):
+    """One subject-sorted block → one ``part-<contenthash>.ttl``
+    document: the prefix header, then the block rendered whole."""
+
+    ext = ".ttl"
 
     def __init__(self, out_dir: str, prefixes: dict[str, str] | None = None):
-        import os
+        super().__init__(out_dir, prefixes)
+        self.header = turtle_header(self.prefixes)
+        self.render_block = TurtleBlockRenderer(self.prefixes)
 
-        self.out_dir = out_dir
-        self.header = turtle_header(prefixes or {})
-        self.render = TurtleBlockRenderer(prefixes)
-        os.makedirs(out_dir, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-        import os
-
-        if batch.num_rows == 0:
-            # empty (often column-less) block of an empty sort partition
-            return _MANIFEST.empty_table()
-        payload = (self.header + self.render(batch)).encode()
-        name = hashlib.md5(payload).hexdigest()[:16]
-        path = os.path.join(self.out_dir, f"part-{name}.ttl")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-        return pa.table([[path], [batch.num_rows]], schema=_MANIFEST)
+    def render(self, block: pa.Table) -> bytes:
+        return (self.header + self.render_block(block)).encode()
 
 
 def write_turtle(ds, out_dir: str, prefixes: dict[str, str] | None = None, num_salts: int = 0):
@@ -192,11 +173,4 @@ def write_turtle(ds, out_dir: str, prefixes: dict[str, str] | None = None, num_s
             lambda b: salted_subject_key(b, num_salts), batch_format="pyarrow"
         )
         key = "subject_salted"
-    return (
-        exchange(
-            ds, key, TurtleFileWriter(out_dir, prefixes),
-            batch_format="pyarrow",
-        )
-        .materialize()
-        .to_pandas()
-    )
+    return write_parts(ds, TurtleWriter(out_dir, prefixes), key)

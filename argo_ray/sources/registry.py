@@ -28,17 +28,24 @@ class Format:
     serializer: Callable | None = None
     # map_batches UDF: (batch, ...) -> flattened triples table
     batch_parser: Callable | None = None
+    # write(ds, out_dir, prefixes=None) -> (path, rows) manifest frame,
+    # one part file per block
+    write: Callable | None = None
 
 
 def _default_formats() -> dict[str, Format]:
-    from ..sinks.jsonld import parse_jsonld, parse_jsonld_batch, serialize_jsonld
-    from ..sinks.ntriples import serialize_ntriples
-    from ..sinks.rdfjson import parse_rdfjson, parse_rdfjson_batch, serialize_rdfjson
-    from ..sinks.rdfxml import serialize_rdfxml
-    from ..sinks.squirtle import serialize_squirtle
-    from ..sinks.turtle import serialize_turtle
-    from ..sinks.nquads import serialize_nquads
-    from ..sinks.trig import serialize_trig
+    from ..sinks.jsonld import (
+        parse_jsonld, parse_jsonld_batch, serialize_jsonld, write_jsonld,
+    )
+    from ..sinks.ntriples import serialize_ntriples, write_ntriples
+    from ..sinks.rdfjson import (
+        parse_rdfjson, parse_rdfjson_batch, serialize_rdfjson, write_rdfjson,
+    )
+    from ..sinks.rdfxml import serialize_rdfxml, write_rdfxml
+    from ..sinks.squirtle import serialize_squirtle, write_squirtle
+    from ..sinks.turtle import serialize_turtle, write_turtle
+    from ..sinks.nquads import serialize_nquads, write_nquads
+    from ..sinks.trig import serialize_trig, write_trig
     from ..sources.trig import parse_trig, parse_trig_batch
     from ..sources.nquads import parse_nquads, parse_nquads_batch
     from ..sources.ntriples import parse_ntriples, parse_ntriples_batch
@@ -54,6 +61,7 @@ def _default_formats() -> dict[str, Format]:
             parser=lambda text, uri="", salt="": parse_ntriples(text),
             serializer=lambda table, prefixes=None: serialize_ntriples(table),
             batch_parser=parse_ntriples_batch,
+            write=lambda ds, out_dir, prefixes=None: write_ntriples(ds, out_dir),
         ),
         Format(
             "rdfxml", "RDF/XML", "application/rdf+xml", ".rdf",
@@ -62,6 +70,7 @@ def _default_formats() -> dict[str, Format]:
             parser=lambda text, uri="", salt="": parse_rdfxml(text, uri, salt),
             serializer=serialize_rdfxml,
             batch_parser=parse_rdfxml_batch,
+            write=write_rdfxml,
         ),
         Format(
             "turtle", "Turtle", "text/turtle", ".ttl",
@@ -69,36 +78,42 @@ def _default_formats() -> dict[str, Format]:
             parser=lambda text, uri="", salt="": parse_turtle(text),
             serializer=serialize_turtle,
             batch_parser=parse_turtle_batch,
+            write=write_turtle,
         ),
         Format(
             "squirtle", "Squirtle", "text/x-squirtle", ".sqtl",
             parser=lambda text, uri="", salt="": parse_squirtle(text, uri, salt),
             serializer=serialize_squirtle,
             batch_parser=parse_squirtle_batch,
+            write=write_squirtle,
         ),
         Format(
             "json", "RDF/JSON", "application/json", ".json",
             parser=lambda text, uri="", salt="": parse_rdfjson(text),
             serializer=lambda table, prefixes=None: serialize_rdfjson(table),
             batch_parser=parse_rdfjson_batch,
+            write=lambda ds, out_dir, prefixes=None: write_rdfjson(ds, out_dir),
         ),
         Format(
             "jsonld", "JSON-LD", "application/ld+json", ".jsonld",
             parser=lambda text, uri="", salt="": parse_jsonld(text),
             serializer=serialize_jsonld,
             batch_parser=parse_jsonld_batch,
+            write=lambda ds, out_dir, prefixes=None: write_jsonld(ds, out_dir),
         ),
         Format(
             "nquads", "NQuads", "application/n-quads", ".nq",
             parser=lambda text, uri="", salt="": parse_nquads(text),
             serializer=lambda table, prefixes=None: serialize_nquads(table),
             batch_parser=parse_nquads_batch,
+            write=lambda ds, out_dir, prefixes=None: write_nquads(ds, out_dir),
         ),
         Format(
             "trig", "TriG", "application/trig", ".trig",
             parser=lambda text, uri="", salt="": parse_trig(text),
             serializer=serialize_trig,
             batch_parser=parse_trig_batch,
+            write=write_trig,
         ),
         Format(
             "rdfa", "RDFA", "text/html", ".html",

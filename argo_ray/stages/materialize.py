@@ -1,4 +1,4 @@
-"""Materialization stages: exact dedup, subject grouping, salted keys
+"""Materialization stages: exact dedup, salted subject keys
 (SURVEY.md §2.6 A1/A4, §4 skew design).
 
 Shuffle strategy
@@ -9,8 +9,9 @@ Shuffle strategy
   subject (the hub entity) appears in every page — hot **subjects** do
   not produce hot **triples**.
 - **Subject grouping** (needed only by the grouping serializers: Turtle
-  K4, RDF/XML K2, RDF/JSON K3) keys on ``subject_hash`` with optional
-  salting: ``salted = subject_hash * S + url_hash % S``.  Repeated
+  K4, RDF/XML K2, RDF/JSON K3, JSON-LD, TriG; ``sinks/parts.py``) keys
+  on ``subject_hash``, for Turtle with optional salting:
+  ``salted = subject_hash * S + url_hash % S``.  Repeated
   subject blocks are valid Turtle/NT output (set semantics, SURVEY.md
   §2.6 A1), so per-salt rendering needs no second-pass merge.
 - N-Triples output (K1) needs **no** grouping at all — it stays a
@@ -26,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..terms import TRIPLE_COLUMNS, hash64, nt_render_lines
-from .grouping import exchange, grouped_map, sorted_unique
+from .grouping import exchange, sorted_unique
 
 DEDUP_KEY = "triple_hash"
 
@@ -151,19 +152,6 @@ def salted_subject_key(batch: pa.Table, num_salts: int = 16) -> pa.Table:
         pc.multiply(batch["subject_hash"], pa.scalar(num_salts, pa.uint64())), salt
     )
     return batch.append_column("subject_salted", key)
-
-
-def group_by_subject(ds, render_fn):
-    """The A1 wide operation: subject-hash range partition + per-group
-    render (``grouped_map``, the fast map_groups equivalent).
-
-    ``render_fn`` receives one subject group as a pandas frame and
-    returns rendered rows.  Groups key on the subject term as well as
-    its hash, so a 64-bit collision cannot hand one subject's triples
-    to another.
-    """
-
-    return grouped_map(ds, ["subject_hash", "subj_kind", "subj_value"], render_fn)
 
 
 def graph_delta(old_ds, new_ds):

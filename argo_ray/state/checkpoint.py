@@ -8,8 +8,8 @@ Layout::
       manifest/part-<pid>.json         # one lineage record per partition
 
 A partition commits by renaming its temp output directory into place and
-then writing its manifest record (write-temp + ``os.replace`` — atomic
-on POSIX).  ``resume`` = skip every partition that already has a
+then publishing its manifest record (:func:`argo_ray.io.publish` —
+atomic on POSIX).  ``resume`` = skip every partition that already has a
 manifest record; deterministic skolemization (SURVEY.md §1.4) makes
 re-running a half-finished partition idempotent.
 
@@ -31,6 +31,8 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..io import publish
 
 # Bump when a stage's semantics change — manifests carry the versions so
 # a resume can detect stale partitions (driver policy decides whether to
@@ -108,10 +110,7 @@ class CheckpointManifest:
     def commit(self, record: dict) -> None:
         pid = record["partition_id"]
         path = os.path.join(self.manifest_dir, f"part-{pid}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(record, f, sort_keys=True)
-        os.replace(tmp, path)
+        publish(path, json.dumps(record, sort_keys=True).encode())
 
 
 def plan_partitions(sf_dir: str, num_partitions: int) -> list[dict]:

@@ -339,10 +339,13 @@ def _read_parts(out_dir, pattern):
 def test_subject_hash_collision_keeps_subjects_apart(ray_session, tmp_path):
     import ray.data
 
+    from argo_ray.sinks.jsonld import parse_jsonld_batch, write_jsonld
     from argo_ray.sinks.rdfjson import parse_rdfjson_batch, write_rdfjson
     from argo_ray.sinks.rdfxml import write_rdfxml
+    from argo_ray.sinks.trig import write_trig
     from argo_ray.sinks.turtle import write_turtle
     from argo_ray.sources.rdfxml import parse_rdfxml_batch
+    from argo_ray.sources.trig import parse_trig_batch
     from argo_ray.sources.turtle import parse_turtle_batch
 
     triples = []
@@ -362,24 +365,36 @@ def test_subject_hash_collision_keeps_subjects_apart(ray_session, tmp_path):
         (write_turtle, "*.ttl", parse_turtle_batch),
         (write_rdfxml, "*.rdf", parse_rdfxml_batch),
         (write_rdfjson, "*.json", parse_rdfjson_batch),
+        (write_jsonld, "*.jsonld", parse_jsonld_batch),
+        (write_trig, "*.trig", parse_trig_batch),
     ):
         out = str(tmp_path / pattern[2:])
         write(ray.data.from_arrow(table).repartition(3), out)
         assert _triple_set(parse(_read_parts(out, pattern))) == expected, pattern
 
 
-def test_turtle_writer_skips_empty_partitions(ray_session, tmp_path):
-    """A one-subject dataset over 16 blocks sorts into one full block and
-    empty ones: exactly one part file, a typed manifest."""
+@pytest.mark.parametrize("sink, write", [
+    ("ntriples", "write_ntriples"), ("ntriples", "write_ntriples_gz"),
+    ("nquads", "write_nquads"), ("squirtle", "write_squirtle"),
+    ("turtle", "write_turtle"), ("rdfxml", "write_rdfxml"),
+    ("rdfjson", "write_rdfjson"), ("jsonld", "write_jsonld"), ("trig", "write_trig"),
+])
+def test_turtle_writer_skips_empty_partitions(ray_session, tmp_path, sink, write):
+    """One subject in one full block and 15 empty ones: a grouping
+    writer's sort keeps one full block and empty partitions, a
+    streaming writer sees the empty blocks as they come.  Every
+    directory writer writes exactly one part file and a typed manifest
+    whose ``rows`` counts triples."""
+    import importlib
+
     import ray.data
 
-    from argo_ray.sinks.turtle import write_turtle
-
+    write = getattr(importlib.import_module(f"argo_ray.sinks.{sink}"), write)
     triples = [(IRI("http://e/s"), IRI("http://e/p"), Literal(str(i))) for i in range(64)]
     table = triples_to_table(triples, with_hash=True)
-    out = str(tmp_path / "ttl")
-    manifest = write_turtle(ray.data.from_arrow(table).repartition(16), out)
-    assert len(glob.glob(os.path.join(out, "*.ttl"))) == 1
+    out = str(tmp_path / "out")
+    manifest = write(ray.data.from_arrow([table] + [table.slice(0, 0)] * 15), out)
+    assert os.listdir(out) == [os.path.basename(p) for p in manifest["path"]]
     assert list(manifest.columns) == ["path", "rows"]
     assert manifest["rows"].dtype == "int64"
     assert manifest["rows"].tolist() == [64]

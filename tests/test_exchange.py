@@ -1,8 +1,8 @@
 """The key exchange (``stages/grouping.py::exchange``): differential
 check against a whole-table pandas groupby on both executors, the Ray
-version pin on every co-location user, and a guard that keeps the
+version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
-package."""
+package, and one that keeps every file publish in ``io.publish``."""
 
 import ast
 import pathlib
@@ -221,6 +221,37 @@ def test_no_hand_written_exchange_outside_grouping():
         for line in _whole_block_map_after_sort(p)
     ]
     assert not offenders, "use stages.grouping.exchange at:\n" + "\n".join(offenders)
+
+
+def _rename_sites(path: pathlib.Path) -> list[str]:
+    """The enclosing function of every ``os.replace``/``os.rename`` call."""
+    sites: list[str] = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("replace", "rename")
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "os"):
+                sites.append(name)
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_files_publish_only_through_io_publish():
+    """Every file publish goes through ``io.publish`` (a temp file unique
+    to the call); the only other rename is the checkpoint's directory
+    commit."""
+    sites = sorted(
+        f"{p.relative_to(PKG).as_posix()}::{fn}"
+        for p in sorted(PKG.rglob("*.py"))
+        for fn in _rename_sites(p)
+    )
+    assert sites == ["io.py::publish", "state/checkpoint.py::_commit_shard"]
 
 
 def test_guard_sees_the_idiom(tmp_path):

@@ -200,3 +200,26 @@ def test_nt_gz_roundtrip_files(tmp_path, ray_session):
     back = read_ntriples_gz(out).to_pandas()
     assert len(back) == 2
     assert set(back["pred_value"]) == {"http://e/p", "http://e/q"}
+
+
+def test_identical_blocks_publish_one_part(tmp_path, ray_session):
+    """64 identical blocks render to one part name, so concurrent tasks
+    publish the same path: each must go through its own temp file and
+    leave the one part file and no temp file behind."""
+    import os
+
+    import ray.data as rd
+
+    from argo_ray.sinks.ntriples import write_ntriples
+    from argo_ray.terms import IRI, Literal, triples_to_table
+
+    t = triples_to_table(
+        [(IRI(f"http://e/s{i}"), IRI("http://e/p"), Literal(str(i))) for i in range(600)],
+        with_hash=False,
+    )
+    out = str(tmp_path / "nt")
+    manifest = write_ntriples(rd.from_arrow([t] * 64), out)
+    assert manifest["rows"].tolist() == [600] * 64
+    assert set(manifest["path"]) == {os.path.join(out, n) for n in os.listdir(out)}
+    assert len(os.listdir(out)) == 1
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]

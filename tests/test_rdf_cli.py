@@ -8,6 +8,8 @@ import pytest
 
 from conftest import SF_DIR  # noqa: F401  (ray_session fixture import path)
 
+from argo_ray.sources.registry import FORMATS
+
 
 @pytest.fixture
 def sources(tmp_path):
@@ -46,14 +48,18 @@ def test_cli_mixed_format_fanin_with_rewrite(ray_session, sources, tmp_path, cap
     assert len(triples) == 3  # both files fanned in
 
 
-def test_cli_stdout_roundtrip(ray_session, sources, capsys):
+@pytest.mark.parametrize(
+    "out_fmt", sorted(f.id for f in FORMATS.values() if f.serializer)
+)
+def test_cli_stdout_roundtrip(ray_session, sources, capsys, out_fmt):
+    """Every format with a serializer writes stdout that its own parser
+    reads back; triples from a file carry no graph columns."""
     from argo_ray.rdf import main
-    from argo_ray.sources.ntriples import parse_ntriples
 
-    rc = main([str(sources / "a.nt"), "-O", "ntriples"])
+    rc = main([str(sources / "a.nt"), "-O", out_fmt])
     assert rc == 0
     doc = capsys.readouterr().out
-    assert len(parse_ntriples(doc)) == 2
+    assert len(FORMATS[out_fmt].parser(doc)) == 2
 
 
 def test_cli_formats_listing(capsys):
@@ -104,13 +110,15 @@ def test_cli_url_fanin(ray_session, sources, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "out_fmt", ["ntriples", "turtle", "rdfxml", "json", "squirtle", None]
+    "out_fmt",
+    ["ntriples", "turtle", "rdfxml", "json", "squirtle", "jsonld", "nquads", "trig", None],
 )
 def test_cli_stats_line_counts(ray_session, sources, tmp_path, capsys, out_fmt):
     """The stats line counts every parsed triple once and every term
     position a rule changed: the global rule rewrites both subjects, the
     predicate rule both ``name`` predicates; the blank node and the
-    literals stay."""
+    literals stay.  The output directory holds only the format's part
+    files, and they parse back to the rewritten triples."""
     from argo_ray.rdf import main
 
     argv = [
@@ -123,18 +131,35 @@ def test_cli_stats_line_counts(ray_session, sources, tmp_path, capsys, out_fmt):
     else:
         argv += ["-O", "ntriples"]  # stdout
     assert main(argv) == 0
-    stats = _stats(capsys.readouterr().err)
+    captured = capsys.readouterr()
+    stats = _stats(captured.err)
     assert stats["triples_processed"] == 3
     assert stats["rewritten"] == 4
 
+    if out_fmt is None:
+        out_fmt, docs = "ntriples", [captured.out]
+    else:
+        out = tmp_path / "out"
+        parts = sorted(out.glob("part-*" + FORMATS[out_fmt].preferred_extension))
+        assert len(parts) == len(list(out.iterdir()))
+        docs = [p.read_text() for p in parts]
+    back = FORMATS[out_fmt].batch_parser(
+        pa.table({"url": [""] * len(docs), "text": docs})
+    )
+    assert sorted(zip(*(back[c].to_pylist() for c in (
+        "subj_kind", "subj_value", "pred_value", "obj_value")))) == [
+        (0, "http://new.example.org/s1", "http://p/label", "Alice"),
+        (0, "http://new.example.org/s2", "http://p/label", "Bob"),
+        (1, "b1", "http://p/age", "30"),
+    ]
 
-@pytest.mark.parametrize("out_fmt", ["json", "rdfxml", "turtle"])
+
+@pytest.mark.parametrize("out_fmt", ["json", "rdfxml", "turtle", "jsonld", "trig"])
 def test_cli_subject_rewrite_merges_subjects(ray_session, tmp_path, out_fmt):
     """A subject rewrite that maps two subjects onto one must regroup
     them: every grouping sink renders the merged subject once, and the
     output parses back to both triples."""
     from argo_ray.rdf import main
-    from argo_ray.sources.registry import FORMATS
 
     src = tmp_path / "in.nt"
     src.write_text(
