@@ -234,7 +234,7 @@ def read_graphstore(root_dir: str):
         parts = []
         for path, body in zip(batch["path"].to_pylist(), batch["bytes"].to_pylist()):
             if not path.endswith(".rdf"):
-                continue  # stray .tmp from a crashed writer — uncommitted
+                continue  # hidden io.publish temp file of a crashed put — uncommitted
             uri = unquote(os.path.basename(path)[: -len(".rdf")])
             triples = parse_rdfxml(body.decode("utf-8"), document_uri=uri)
             t = triples_to_table(triples, urls=[uri] * len(triples), with_hash=False)

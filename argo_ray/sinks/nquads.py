@@ -62,7 +62,8 @@ def to_nq_lines_batch(
 
 
 def serialize_nquads(table: pa.Table) -> str:
-    """Small-result helper: whole table → one N-Quads document string."""
+    """Flattened triple table → one N-Quads document string.
+    ``NQuadsWriter`` renders each block with it on a worker."""
     return "".join(
         line + "\n" for line in to_nq_lines_batch(table)["line"].to_pylist()
     )

@@ -26,8 +26,9 @@ def to_nt_lines_batch(batch: pa.Table, keep_url: bool = False) -> pa.Table:
 
 
 def serialize_ntriples(table: pa.Table) -> str:
-    """Small-result helper: whole table → one N-Triples document string
-    (driver-side; tests and tiny outputs only)."""
+    """Flattened triple table → one N-Triples document string, one line
+    per triple.  ``NTriplesWriter`` renders each block with it on a
+    worker."""
     return "".join(line + "\n" for line in nt_render_lines(table).to_pylist())
 
 

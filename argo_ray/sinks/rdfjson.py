@@ -60,7 +60,9 @@ def render_json_block(group: pd.DataFrame) -> str:
 
 
 def serialize_rdfjson(table: pa.Table) -> str:
-    """Small-graph helper: whole table → one RDF/JSON document."""
+    """Flattened triple table → one RDF/JSON document, one entry per
+    subject.  ``RDFJSONWriter`` renders each subject-sorted block with
+    it on a worker."""
     df = table.to_pandas()
     blocks = [
         render_json_block(g) for _, g in df.groupby(["subj_kind", "subj_value"], sort=True)

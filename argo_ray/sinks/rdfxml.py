@@ -161,8 +161,9 @@ DOCUMENT_FOOTER = "</rdf:RDF>\n"
 
 
 def serialize_rdfxml(table: pa.Table, prefixes: dict[str, str] | None = None) -> str:
-    """Small-graph helper: whole flattened triple table → one RDF/XML
-    document string (driver-side; tests and tiny outputs)."""
+    """Flattened triple table → one RDF/XML document string, one
+    description per subject.  ``RDFXMLWriter`` renders each
+    subject-sorted block with it on a worker."""
     prefixes = prefixes or {}
     df = table.to_pandas()
     blocks = [

@@ -84,7 +84,8 @@ def render_squirtle_blocks(df: pd.DataFrame, prefixes: dict[str, str]) -> str:
 
 
 def serialize_squirtle(table: pa.Table, prefixes: dict[str, str] | None = None) -> str:
-    """Small-graph helper: whole table → one Squirtle document."""
+    """Flattened triple table → one Squirtle document.
+    ``SquirtleWriter`` renders each block with it on a worker."""
     prefixes = prefixes or {}
     return squirtle_header(prefixes) + render_squirtle_blocks(table.to_pandas(), prefixes)
 

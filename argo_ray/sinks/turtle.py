@@ -138,8 +138,9 @@ class TurtleBlockRenderer:
 
 
 def serialize_turtle(table: pa.Table, prefixes: dict[str, str] | None = None) -> str:
-    """Small-graph helper: whole table → one Turtle document string,
-    subjects in (kind, value) order, each subject's rows in table order."""
+    """Whole table → one Turtle document string, subjects in (kind,
+    value) order, each subject's rows in table order.  ``TurtleWriter``
+    skips the sort: its blocks arrive subject-sorted."""
     prefixes = prefixes or {}
     order = pc.sort_indices(
         table, sort_keys=[("subj_kind", "ascending"), ("subj_value", "ascending")]

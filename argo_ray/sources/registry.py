@@ -28,8 +28,8 @@ class Format:
     serializer: Callable | None = None
     # map_batches UDF: (batch, ...) -> flattened triples table
     batch_parser: Callable | None = None
-    # write(ds, out_dir, prefixes=None) -> (path, rows) manifest frame,
-    # one part file per block
+    # write(ds, out_dir) -> (path, rows) manifest frame, one part file
+    # per block
     write: Callable | None = None
 
 
@@ -61,7 +61,7 @@ def _default_formats() -> dict[str, Format]:
             parser=lambda text, uri="", salt="": parse_ntriples(text),
             serializer=lambda table, prefixes=None: serialize_ntriples(table),
             batch_parser=parse_ntriples_batch,
-            write=lambda ds, out_dir, prefixes=None: write_ntriples(ds, out_dir),
+            write=write_ntriples,
         ),
         Format(
             "rdfxml", "RDF/XML", "application/rdf+xml", ".rdf",
@@ -92,21 +92,21 @@ def _default_formats() -> dict[str, Format]:
             parser=lambda text, uri="", salt="": parse_rdfjson(text),
             serializer=lambda table, prefixes=None: serialize_rdfjson(table),
             batch_parser=parse_rdfjson_batch,
-            write=lambda ds, out_dir, prefixes=None: write_rdfjson(ds, out_dir),
+            write=write_rdfjson,
         ),
         Format(
             "jsonld", "JSON-LD", "application/ld+json", ".jsonld",
             parser=lambda text, uri="", salt="": parse_jsonld(text),
             serializer=serialize_jsonld,
             batch_parser=parse_jsonld_batch,
-            write=lambda ds, out_dir, prefixes=None: write_jsonld(ds, out_dir),
+            write=write_jsonld,
         ),
         Format(
             "nquads", "NQuads", "application/n-quads", ".nq",
             parser=lambda text, uri="", salt="": parse_nquads(text),
             serializer=lambda table, prefixes=None: serialize_nquads(table),
             batch_parser=parse_nquads_batch,
-            write=lambda ds, out_dir, prefixes=None: write_nquads(ds, out_dir),
+            write=write_nquads,
         ),
         Format(
             "trig", "TriG", "application/trig", ".trig",

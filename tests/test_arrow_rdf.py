@@ -380,11 +380,11 @@ def test_subject_hash_collision_keeps_subjects_apart(ray_session, tmp_path):
     ("rdfjson", "write_rdfjson"), ("jsonld", "write_jsonld"), ("trig", "write_trig"),
 ])
 def test_turtle_writer_skips_empty_partitions(ray_session, tmp_path, sink, write):
-    """One subject in one full block and 15 empty ones: a grouping
-    writer's sort keeps one full block and empty partitions, a
-    streaming writer sees the empty blocks as they come.  Every
-    directory writer writes exactly one part file and a typed manifest
-    whose ``rows`` counts triples."""
+    """A subject-keyed writer gets one subject spread over 16 blocks:
+    its exchange gathers the subject into one full block and empty
+    partitions.  A streaming writer gets one full block and 15 empty
+    ones as they come.  Every directory writer writes exactly one part
+    file and a typed manifest whose ``rows`` counts triples."""
     import importlib
 
     import ray.data
@@ -393,7 +393,11 @@ def test_turtle_writer_skips_empty_partitions(ray_session, tmp_path, sink, write
     triples = [(IRI("http://e/s"), IRI("http://e/p"), Literal(str(i))) for i in range(64)]
     table = triples_to_table(triples, with_hash=True)
     out = str(tmp_path / "out")
-    manifest = write(ray.data.from_arrow([table] + [table.slice(0, 0)] * 15), out)
+    if sink in ("turtle", "rdfxml", "rdfjson", "jsonld", "trig"):
+        ds = ray.data.from_arrow(table).repartition(16)
+    else:
+        ds = ray.data.from_arrow([table] + [table.slice(0, 0)] * 15)
+    manifest = write(ds, out)
     assert os.listdir(out) == [os.path.basename(p) for p in manifest["path"]]
     assert list(manifest.columns) == ["path", "rows"]
     assert manifest["rows"].dtype == "int64"

@@ -222,4 +222,4 @@ def test_identical_blocks_publish_one_part(tmp_path, ray_session):
     assert manifest["rows"].tolist() == [600] * 64
     assert set(manifest["path"]) == {os.path.join(out, n) for n in os.listdir(out)}
     assert len(os.listdir(out)) == 1
-    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+    assert not [n for n in os.listdir(out) if n.startswith(".")]
