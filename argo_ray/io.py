@@ -1,13 +1,15 @@
 """Shared table readers with scale-aware block splitting.
 
-At production scale (many files / many row groups) ``read_parquet``
-already yields one block per fragment and we leave its native splits
-alone — overriding the global block count there would be harmful.
-The driver's testdata, however, is a single one-row-group file per
-table, which reads as ONE block and serialises every downstream
-``map_batches`` chain.  When (and only when) the input has fewer row
-groups than the per-node parallelism target we ask Ray to split the
-read into ``~2 × cluster CPUs`` blocks so the stateless stages fan out.
+A directory of Parquet shards (the production layout) reads as Ray's
+``read_parquet`` splits it, one read task per fragment; we leave that
+alone.  A single local file — the driver's testdata is one row group
+per table — is sized here instead: when it has fewer row groups than
+:func:`target_blocks` (2 blocks per cluster CPU, no floor), the read is
+split into that many blocks, but never into blocks of fewer than 256
+rows, so a file of under 512 rows reads as one block.  More blocks than
+the cluster can run at once only add map tasks, sort-grid cells and
+writer tasks; Ray's own default would split even a 64-row file into at
+least 2 × CPUs blocks.
 """
 
 from __future__ import annotations
@@ -69,17 +71,16 @@ def publish(path: str, data: bytes) -> None:
         raise
 
 
-def target_blocks(default: int = 16) -> int:
-    """2 blocks per cluster CPU (streaming executor keeps all cores busy
-    without oversizing task overhead)."""
-    try:
-        import ray
+def target_blocks() -> int:
+    """2 blocks per cluster CPU: enough for the streaming executor to
+    keep every core busy, no more (each extra block is a map task, a
+    row and a column of the sort grid, and a writer task).  Before
+    ``ray.init`` the count is this process's CPU affinity: what a
+    default ``ray.init()`` detects on a host without a CPU quota."""
+    import ray
 
-        if ray.is_initialized():
-            return max(default, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    except Exception:
-        pass
-    return default
+    cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    return 2 * (cpus or len(os.sched_getaffinity(0)))
 
 
 def shuffle_partitions() -> int:
@@ -129,11 +130,10 @@ def read_table(
         tgt = target_blocks()
         try:
             meta = pq.ParquetFile(path).metadata
-            # floor of ~256 rows/block: splitting finer than that trades
-            # useful parallelism for per-task dispatch overhead
-            tgt = min(tgt, max(1, meta.num_rows // 256))
             if meta.num_row_groups < tgt:
-                kwargs["override_num_blocks"] = tgt
+                # floor of ~256 rows/block: splitting finer than that
+                # trades useful parallelism for per-task dispatch overhead
+                kwargs["override_num_blocks"] = min(tgt, max(1, meta.num_rows // 256))
         except Exception:
             pass  # non-local path (s3://...) — trust native fragment splits
     return rd.read_parquet(path, **kwargs)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import gzip
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..terms import nt_render_lines
 from .parts import PartWriter, write_parts
@@ -25,11 +27,33 @@ def to_nt_lines_batch(batch: pa.Table, keep_url: bool = False) -> pa.Table:
     return pa.table(cols)
 
 
+def ntriples_bytes(table: pa.Table) -> bytes:
+    """Flattened triple table → one utf-8 N-Triples document, one line
+    per triple.  Each line gets its ``"\\n"`` in Arrow; the lines then
+    sit back to back in the array's data buffer, so the document is one
+    slice of it, from the first row's offset to the last row's end."""
+    lines = nt_render_lines(table)
+    if isinstance(lines, pa.ChunkedArray):
+        lines = lines.combine_chunks()
+    if lines.null_count:
+        raise ValueError(f"{lines.null_count} triples render to no N-Triples line")
+    n = len(lines)
+    if n == 0:
+        return b""
+    lines = pc.binary_join_element_wise(
+        lines, pa.scalar("\n", pa.large_string()), pa.scalar("", pa.large_string())
+    )
+    _, offsets, data = lines.buffers()
+    # large_string offsets are int64; a sliced array starts at row .offset
+    offsets = np.frombuffer(offsets, np.int64, count=lines.offset + n + 1)
+    lo, hi = int(offsets[lines.offset]), int(offsets[-1])
+    return data.slice(lo, hi - lo).to_pybytes()
+
+
 def serialize_ntriples(table: pa.Table) -> str:
     """Flattened triple table → one N-Triples document string, one line
-    per triple.  ``NTriplesWriter`` renders each block with it on a
-    worker."""
-    return "".join(line + "\n" for line in nt_render_lines(table).to_pylist())
+    per triple (:func:`ntriples_bytes`, decoded)."""
+    return ntriples_bytes(table).decode()
 
 
 class NTriplesWriter(PartWriter):
@@ -38,7 +62,7 @@ class NTriplesWriter(PartWriter):
     ext = ".nt"
 
     def render(self, block: pa.Table) -> bytes:
-        return serialize_ntriples(block).encode()
+        return ntriples_bytes(block)
 
 
 def write_ntriples(ds, out_dir: str):

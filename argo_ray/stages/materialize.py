@@ -3,11 +3,11 @@
 
 Shuffle strategy
 ----------------
-- **Exact dedup** keys on ``triple_hash`` = hash64 of the full canonical
-  N-Triples line.  Identical triples always collide; distinct triples
-  spread uniformly, so the dedup shuffle is *skew-proof* even when one
-  subject (the hub entity) appears in every page — hot **subjects** do
-  not produce hot **triples**.
+- **Exact dedup** keys on ``triple_hash`` = one row hash of the 12
+  term columns (:func:`append_triple_hash`).  Identical triples always
+  collide; distinct triples spread uniformly, so the dedup shuffle is
+  *skew-proof* even when one subject (the hub entity) appears in every
+  page — hot **subjects** do not produce hot **triples**.
 - **Subject grouping** (needed only by the grouping serializers: Turtle
   K4, RDF/XML K2, RDF/JSON K3, JSON-LD, TriG; ``sinks/parts.py``) keys
   on ``subject_hash``, for Turtle with optional salting:
@@ -26,14 +26,24 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..terms import TRIPLE_COLUMNS, hash64, nt_render_lines
+from ..terms import TRIPLE_COLUMNS, cast_triple_schema, hash64
 from .grouping import exchange, sorted_unique
 
 DEDUP_KEY = "triple_hash"
 
 
 def append_triple_hash(batch: pa.Table) -> pa.Table:
-    h = hash64(nt_render_lines(batch))
+    """Append ``triple_hash``: polars' row hash of the 12 term columns,
+    a transient key with :func:`~argo_ray.terms.hash64`'s contract
+    (stable within one environment; never persisted).  The columns are
+    pinned to one schema first, so equal rows get equal keys whatever
+    block they arrive in; a collision only costs ``sorted_unique`` its
+    exact fallback.  There is no non-polars fallback: one on some
+    workers only would give equal rows different keys.  No line is
+    rendered here — the N-Triples writer renders each line once."""
+    import polars as pl
+
+    h = pl.from_arrow(cast_triple_schema(batch)).hash_rows().to_arrow()
     if DEDUP_KEY in batch.column_names:
         batch = batch.drop_columns([DEDUP_KEY])
     return batch.append_column(DEDUP_KEY, h)
