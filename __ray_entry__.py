@@ -81,13 +81,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     returns a Dataset / pandas DataFrame / pyarrow Table. Name every
     computed/aggregate column so names match ``oracle_sql``.
     """
-    from argo_ray.pipelines.data_queries import DATA_QUERIES
     from argo_ray.pipelines.queries import KG_QUERIES
 
-    out: dict[str, Callable[[str], Any]] = {}
-    out.update(KG_QUERIES)
-    out.update(DATA_QUERIES)
-    return _rotated(out)
+    return _rotated(KG_QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:
@@ -97,9 +93,6 @@ def oracle_sql() -> dict[str, str]:
     embeddings). Omit for non-SQL-expressible ops → driver records a
     weaker rows-only check.
     """
-    from argo_ray.pipelines.data_queries import DATA_ORACLES
     from argo_ray.pipelines.oracles import ORACLES
 
-    out = dict(ORACLES)
-    out.update(DATA_ORACLES)
-    return out
+    return dict(ORACLES)

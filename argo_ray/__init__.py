@@ -2,9 +2,7 @@
 
 From-scratch reimplementation of the capabilities of kierdavis/argo
 (RDF data model, parsers, serializers, store/filter query surface) as
-idiomatic Ray Data pipelines, plus the large-scale training-data
-operators (dedup, similarity search, text analysis) the north rule
-requires.  See SURVEY.md for the blueprint.
+idiomatic Ray Data pipelines.  See SURVEY.md for the blueprint.
 """
 
 import sys as _sys

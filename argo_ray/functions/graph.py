@@ -745,9 +745,6 @@ def bfs_distances(
     return dists
 
 
-_SEP = "\x1f"  # key separator for wedge-closure keys (not in IRIs)
-
-
 def _sssp_small(edges_ds, iters: int, seed_list: list[str] | None):
     """Single-task weighted-SSSP fast path — same fixed-round
     Bellman-Ford relaxation and sentinel as the distributed loop, with
@@ -933,682 +930,10 @@ def sssp_weighted(
     )
 
 
-# Below this many distinct canonical edges, the triangle closure test
-# broadcasts the edge set (a sorted 64-bit pair-hash array for the
-# vectorized filter + the exact pair set for hit verification) into a
-# per-actor membership check INSIDE the wedge generator — no wedge row
-# ever leaves its block, removing the O(#wedges) sort exchange that
-# dominates dense co-occurrence graphs.  Above it, the all-distributed
-# union+sort closure below runs unchanged.
-BROADCAST_EDGE_LIMIT = 2_000_000
-
-
 def _mix_pair_hashes(hu: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    """Order-asymmetric 64-bit combine of two per-node hash arrays —
-    candidates verify exactly against the pair set, so collisions only
-    cost a set probe, never a wrong triangle."""
+    """Order-asymmetric 64-bit combine of two per-node hash arrays."""
     return (hu * np.uint64(0x9E3779B97F4A7C15)) ^ (
         (hv << np.uint64(1)) | (hv >> np.uint64(63))
-    )
-
-
-class _BroadcastWedgeCloser:
-    """Actor-pool wedge generator + closure: the broadcast edge-set
-    filter resolves ONCE per actor in ``__init__`` — two parallel
-    uint64 arrays (independent hash families mixed per edge, sorted by
-    the first), ZERO-COPY out of the object store, so actor startup
-    costs nothing regardless of pool size.  Membership = both 64-bit
-    mixes match → effectively a 128-bit key; two distinct edges
-    colliding on both families is ~n/2^128 — the same exactness trade
-    the exact-dedup fast path documents."""
-
-    def __init__(self, h1_ref, h2_ref):
-        import ray
-
-        self.sh1 = ray.get(h1_ref)  # sorted
-        self.sh2 = ray.get(h2_ref)  # aligned to sh1's order
-
-    def _member(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        lo = np.searchsorted(self.sh1, w1, "left")
-        hi = np.searchsorted(self.sh1, w1, "right")
-        match = np.zeros(len(w1), dtype=bool)
-        simple = (hi - lo) == 1
-        if simple.any():
-            match[simple] = self.sh2[lo[simple]] == w2[simple]
-        for idx in np.nonzero(hi - lo > 1)[0]:  # first-family dup runs: rare
-            match[idx] = bool(
-                (self.sh2[lo[idx] : hi[idx]] == w2[idx]).any()
-            )
-        return match
-
-    def __call__(self, df):
-        # hash64 is a module global: worker-side code must not execute
-        # relative imports (workers receive this module by value and
-        # have no importable argo_ray on sys.path)
-        tri_schema = pa.schema([("node", pa.string()), ("n", pa.int64())])
-        if len(df) == 0 or "f" not in df.columns:
-            return tri_schema.empty_table()
-        out = []
-        # ONE vectorized hash pass per family per block (thousands of
-        # apex groups), carried alongside the neighbor column
-        t_arr = pa.array(df["t"].to_numpy(dtype=object).astype(str))
-        df = df.assign(
-            _h1=hash64(t_arr, seed=0).to_numpy(zero_copy_only=False),
-            _h2=hash64(t_arr, seed=1).to_numpy(zero_copy_only=False),
-        )
-        for apex, g in df.groupby("f", sort=False):
-            ts = g["t"].to_numpy(dtype=object)
-            k = len(ts)
-            if k < 2:
-                continue
-            order = np.argsort(ts)
-            ts = ts[order]
-            h1 = g["_h1"].to_numpy()[order]
-            h2 = g["_h2"].to_numpy()[order]
-            i, j = np.triu_indices(k, 1)
-            keep = self._member(
-                _mix_pair_hashes(h1[i], h1[j]), _mix_pair_hashes(h2[i], h2[j])
-            )
-            if not keep.any():
-                continue
-            ci, cj = i[keep], j[keep]
-            out.append(
-                np.concatenate(
-                    [np.full(len(ci), apex, dtype=object), ts[ci], ts[cj]]
-                )
-            )
-        if not out:
-            return tri_schema.empty_table()
-        # map-side combiner: collapse per-block corner repeats before
-        # the count exchange (a node corners MANY triangles per block)
-        nodes, counts = np.unique(np.concatenate(out), return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(nodes, pa.string()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-
-def triangles(
-    edges_ds,
-    assume_canonical: bool = False,
-    broadcast_edge_limit: int = BROADCAST_EDGE_LIMIT,
-):
-    """Per-node triangle counts over the UNDIRECTED simple graph of the
-    given edges (self-loops dropped, direction and multiplicity
-    ignored) → ``(node, n_triangles)`` for every node in ≥1 triangle.
-    Pass ``assume_canonical=True`` when the input is already distinct
-    with ``src < dst`` and no self-loops (e.g. the output of
-    :func:`cooccurrence_edges`) — it skips a full-edge-set distinct
-    exchange that would otherwise be repeated.
-
-    The classic degree-ordered wedge plan, with every join expressed as
-    an exchange plus in-block merge (no ``Dataset.join`` — see the
-    module header):
-    - canonicalize (min,max) + distinct → ec;
-    - orient every edge from its (degree, name)-smaller endpoint: total
-      wedge volume is then bounded by O(|E|^1.5) regardless of hub
-      skew (a hub of degree d only fans out to neighbors of rank ≥ d);
-    - wedges: sort by apex, per block emit each out-neighbor pair
-      (name-ordered) — numpy ``triu_indices`` per group, no per-pair
-      Python;
-    - closure: wedge keys union edge-marker keys, ONE sort, in-block
-      membership test;
-    - each triangle is found exactly once (at its unique minimal apex)
-      and credits all three corners via a final groupby-count.
-    """
-    edges_ds = edges_ds.materialize()
-
-    def canon(b: pa.Table) -> pa.Table:
-        s = pc.cast(b["src"], pa.large_string())
-        d = pc.cast(b["dst"], pa.large_string())
-        keep = pc.not_equal(s, d)
-        return pa.table(
-            {
-                "u": pc.cast(pc.min_element_wise(s, d), pa.string()),
-                "v": pc.cast(pc.max_element_wise(s, d), pa.string()),
-            }
-        ).filter(keep)
-
-    if assume_canonical:
-        ec = edges_ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "u": pc.cast(b["src"], pa.string()),
-                    "v": pc.cast(b["dst"], pa.string()),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-    else:
-        ec = _distinct_pairs(
-            edges_ds.map_batches(canon, batch_format="pyarrow"), "u", "v"
-        ).materialize()
-
-    if ec.count() <= broadcast_edge_limit:
-        # broadcast plan: ONE driver pass over the (gate-bounded)
-        # canonical edge set builds BOTH the closure filter (two mixed
-        # hash families, sorted by the first) AND the degree lookup
-        # (np.unique over the seed-0 node hashes).  Degrees keyed by
-        # hash stay globally consistent even across a 64-bit node
-        # collision, so the (degree, name) orientation remains a total
-        # order and every triangle is still found at exactly one apex.
-        # This replaces the distributed plan's two degree-attach sort
-        # exchanges with a zero-shuffle orient map — measured 118 s →
-        # the cost of one apex sort on the sf0.1 co-purchase graph.
-        import ray
-
-        h0u_parts, h0v_parts, h1_parts, h2_parts = [], [], [], []
-        for b in ec.iter_batches(batch_format="pyarrow"):
-            u = pc.cast(b["u"], pa.string())
-            v = pc.cast(b["v"], pa.string())
-            hu0 = hash64(u, seed=0).to_numpy(zero_copy_only=False)
-            hv0 = hash64(v, seed=0).to_numpy(zero_copy_only=False)
-            h0u_parts.append(hu0)
-            h0v_parts.append(hv0)
-            h1_parts.append(_mix_pair_hashes(hu0, hv0))
-            h2_parts.append(
-                _mix_pair_hashes(
-                    hash64(u, seed=1).to_numpy(zero_copy_only=False),
-                    hash64(v, seed=1).to_numpy(zero_copy_only=False),
-                )
-            )
-        h1 = np.concatenate(h1_parts)
-        h2 = np.concatenate(h2_parts)
-        order = np.argsort(h1, kind="stable")
-        refs = (ray.put(h1[order]), ray.put(h2[order]))
-        node_h, node_deg = np.unique(
-            np.concatenate(h0u_parts + h0v_parts), return_counts=True
-        )
-        deg_refs = (ray.put(node_h), ray.put(node_deg.astype(np.int64)))
-
-        def orient_broadcast(b: pa.Table) -> pa.Table:
-            u = pc.cast(b["u"], pa.string())
-            v = pc.cast(b["v"], pa.string())
-            nh = ray.get(deg_refs[0])  # zero-copy plasma read per task
-            nd = ray.get(deg_refs[1])
-            du = nd[np.searchsorted(nh, hash64(u, seed=0).to_numpy(zero_copy_only=False))]
-            dv = nd[np.searchsorted(nh, hash64(v, seed=0).to_numpy(zero_copy_only=False))]
-            un = u.to_numpy(zero_copy_only=False)
-            vn = v.to_numpy(zero_copy_only=False)
-            u_first = (du < dv) | ((du == dv) & (un < vn))
-            return pa.table(
-                {
-                    "f": pa.array(np.where(u_first, un, vn), pa.string()),
-                    "t": pa.array(np.where(u_first, vn, un), pa.string()),
-                }
-            )
-
-        oriented = ec.map_batches(orient_broadcast, batch_format="pyarrow")
-        # the closure IS the compute-bound stage — size the pool to most
-        # of the cluster, not the shuffle-partition count (which would
-        # leave 3/4 of the CPUs idle during wedge generation)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        corner_rows = exchange(
-            oriented, "f", _BroadcastWedgeCloser, fn_constructor_args=refs,
-            concurrency=max(2, cpus * 3 // 4), batch_format="pandas",
-        )
-        # barrier before the corner groupby: chaining the apex sort,
-        # the closure map and the count exchange in one streaming
-        # topology thrashes ~10x (see cooccurrence_edges)
-        return _count_corners(corner_rows.materialize())
-
-    return _count_corners(_distributed_wedge_closure(ec, emit_edges=False))
-
-
-def _distributed_wedge_closure(ec, emit_edges: bool):
-    """The all-distributed degree-ordered wedge-closure plan shared by
-    :func:`triangles` and :func:`edge_triangle_support` beyond the
-    broadcast gate.  ``ec`` is the materialized canonical edge set
-    (``u < v``, distinct, no self-loops).  Two sort-colocated
-    degree-attach passes orient every edge from its (degree,
-    name)-smaller endpoint, one apex sort emits the name-ordered
-    out-neighbor pairs, and one key sort colocates each wedge with its
-    closing edge marker.  With ``emit_edges=False`` each found
-    triangle credits its three CORNER nodes (``(node)`` rows →
-    :func:`_count_corners`); with ``emit_edges=True`` it emits its
-    three canonical EDGE keys ``min|max`` (``(key)`` rows → a key
-    count is the per-edge triangle support).  Nothing here collects on
-    the driver, so the plan survives edge sets far beyond the
-    broadcast gate."""
-    from ray.data.aggregate import Count
-
-    deg = _sorted_count(
-        ec.map_batches(
-            lambda b: pa.concat_tables(
-                [pa.table({"node": b["u"]}), pa.table({"node": b["v"]})]
-            ),
-            batch_format="pyarrow",
-        ),
-        "node", "deg",
-    ).materialize()
-
-    # attach deg to each endpoint: two sort-colocated value passes
-    attach_schema = pa.schema(
-        [
-            ("key", pa.string()),
-            ("other", pa.string()),
-            ("carry", pa.int64()),  # deg already attached (pass 2)
-            ("degv", pa.int64()),   # the value row's payload
-        ]
-    )
-
-    # the same degree value-row dataset serves both attach passes
-    deg_rows = deg.map_batches(
-        lambda b: pa.table(
-            {
-                "key": pc.cast(b["node"], pa.string()),
-                "other": pa.array([None] * b.num_rows, pa.string()),
-                "carry": pa.array([None] * b.num_rows, pa.int64()),
-                "degv": pc.cast(b["deg"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def _attach_block(df):
-        if len(df) == 0 or "key" not in df.columns:
-            return pa.schema(
-                [("key", pa.string()), ("other", pa.string()),
-                 ("carry", pa.int64()), ("deg_attached", pa.int64())]
-            ).empty_table()
-        is_val = df["other"].isna()
-        vals = df.loc[is_val, ["key", "degv"]]
-        rows = df.loc[~is_val, ["key", "other", "carry"]]
-        m = rows.merge(vals, on="key", how="inner")
-        return pa.table(
-            {
-                "key": pa.array(m["key"], pa.string()),
-                "other": pa.array(m["other"], pa.string()),
-                "carry": pa.array(
-                    m["carry"].to_numpy(dtype="float64"), pa.float64()
-                ).cast(pa.int64(), safe=False)
-                if m["carry"].notna().any()
-                else pa.array([None] * len(m), pa.int64()),
-                "deg_attached": pa.array(
-                    m["degv"].to_numpy(dtype=np.int64), pa.int64()
-                ),
-            }
-        )
-
-    # pass 1: key = u → attach deg(u) (lands in deg_attached, carry null)
-    p1_rows = ec.map_batches(
-        lambda b: pa.table(
-            {
-                "key": pc.cast(b["u"], pa.string()),
-                "other": pc.cast(b["v"], pa.string()),
-                "carry": pa.array([None] * b.num_rows, pa.int64()),
-                "degv": pa.array([None] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    # barriers between every consecutive pair of all-to-alls below
-    # (attach-1 sort, attach-2 sort, apex sort): chaining them in one
-    # streaming topology thrashes ~10× (measured on the sf0.1
-    # co-purchase graph — see cooccurrence_edges)
-    p1 = (
-        exchange(
-            p1_rows.union(deg_rows), "key", _attach_block,
-            batch_format="pandas",
-        )
-        .materialize()
-    )
-    # pass 2: key = v → attach deg(v); carry = deg(u)
-    p2_rows = p1.map_batches(
-        lambda b: pa.table(
-            {
-                "key": pc.cast(b["other"], pa.string()),
-                "other": pc.cast(b["key"], pa.string()),
-                "carry": pc.cast(b["deg_attached"], pa.int64()),
-                "degv": pa.array([None] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    p2 = (
-        exchange(
-            p2_rows.union(deg_rows), "key", _attach_block,
-            batch_format="pandas",
-        )
-        .materialize()
-    )
-    # p2 rows: key = v, other = u, carry = deg(u), deg_attached = deg(v)
-
-    oriented_schema = pa.schema([("f", pa.string()), ("t", pa.string())])
-
-    def orient(df):
-        if len(df) == 0 or "key" not in df.columns:
-            return oriented_schema.empty_table()
-        v = df["key"].to_numpy(dtype=object)
-        u = df["other"].to_numpy(dtype=object)
-        dv = df["deg_attached"].to_numpy(dtype=np.int64)
-        du = df["carry"].to_numpy(dtype=np.int64)
-        u_first = (du < dv) | ((du == dv) & (u < v))
-        return pa.table(
-            {
-                "f": pa.array(np.where(u_first, u, v), pa.string()),
-                "t": pa.array(np.where(u_first, v, u), pa.string()),
-            }
-        )
-
-    oriented = p2.map_batches(
-        orient, batch_format="pandas", batch_size=None
-    ).materialize()
-
-    wedge_schema = pa.schema(
-        [("key", pa.string()), ("apex", pa.string())]
-    )
-
-    def wedges(df):
-        # sorted by f: whole out-neighbor lists per block
-        if len(df) == 0 or "f" not in df.columns:
-            return wedge_schema.empty_table()
-        keys, apexes = [], []
-        for apex, g in df.groupby("f", sort=False):
-            ts = np.sort(g["t"].to_numpy(dtype=object))
-            k = len(ts)
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, 1)
-            # ts sorted by name → ts[i] < ts[j] elementwise
-            keys.append(
-                np.char.add(
-                    np.char.add(ts[i].astype(str), _SEP), ts[j].astype(str)
-                )
-            )
-            apexes.append(np.full(len(i), apex, dtype=object))
-        if not keys:
-            return wedge_schema.empty_table()
-        return pa.table(
-            {
-                "key": pa.array(np.concatenate(keys), pa.string()),
-                "apex": pa.array(np.concatenate(apexes), pa.string()),
-            }
-        )
-
-    wedge_rows = exchange(oriented, "f", wedges, batch_format="pandas")
-    edge_marks = ec.map_batches(
-        lambda b: pa.table(
-            {
-                # cast back to string: the wedge rows emit string keys,
-                # and mixed string/large_string schemas across unioned
-                # blocks trip the executor's schema-consistency warning
-                "key": pc.cast(
-                    pc.binary_join_element_wise(
-                        pc.cast(b["u"], pa.large_string()),
-                        pc.cast(b["v"], pa.large_string()),
-                        pa.scalar(_SEP, pa.large_string()),
-                    ),
-                    pa.string(),
-                ),
-                "apex": pa.array([None] * b.num_rows, pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    out_col = "key" if emit_edges else "node"
-    tri_schema = pa.schema([(out_col, pa.string()), ("n", pa.int64())])
-
-    def close_block(df):
-        # sorted by key: wedge rows + at most one edge-marker per key
-        if len(df) == 0 or "key" not in df.columns:
-            return tri_schema.empty_table()
-        is_mark = df["apex"].isna()
-        marked = set(df.loc[is_mark, "key"])
-        if not marked:
-            return tri_schema.empty_table()
-        w = df.loc[~is_mark]
-        hit = w.loc[w["key"].isin(marked)]
-        if len(hit) == 0:
-            return tri_schema.empty_table()
-        parts = hit["key"].str.split(_SEP, n=1, expand=True)
-        a = hit["apex"].to_numpy(dtype=object)
-        b = parts[0].to_numpy(dtype=object)
-        c = parts[1].to_numpy(dtype=object)
-        if emit_edges:
-            # b < c already (name-ordered wedge key); canonicalize the
-            # two apex pairs — object dtype so np.minimum dispatches to
-            # Python string comparison (see _BroadcastWedgeEdgeCloser)
-            emitted = np.concatenate(
-                [
-                    np.char.add(
-                        np.char.add(lo.astype(str), _SEP), hi.astype(str)
-                    )
-                    for lo, hi in (
-                        (np.minimum(a, b), np.maximum(a, b)),
-                        (np.minimum(a, c), np.maximum(a, c)),
-                        (b, c),
-                    )
-                ]
-            )
-        else:
-            emitted = np.concatenate([a, b, c])
-        # map-side combiner before the count exchange (same rationale
-        # as _BroadcastWedgeEdgeCloser)
-        uniq, counts = np.unique(emitted, return_counts=True)
-        return pa.table(
-            {
-                out_col: pa.array(uniq, pa.string()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        exchange(
-            wedge_rows.union(edge_marks), "key", close_block,
-            batch_format="pandas",
-        )
-        .materialize()  # barrier before the downstream count exchange
-    )
-
-
-class _BroadcastWedgeEdgeCloser(_BroadcastWedgeCloser):
-    """:class:`_BroadcastWedgeCloser` variant for EDGE support: every
-    surviving triangle (apex a, name-ordered corners b < c) emits its
-    THREE canonical edge keys ``min|max`` instead of its corner nodes
-    — one key per (triangle, edge), so a downstream key count is the
-    per-edge triangle support."""
-
-    def __call__(self, df):
-        key_schema = pa.schema([("key", pa.string()), ("n", pa.int64())])
-        if len(df) == 0 or "f" not in df.columns:
-            return key_schema.empty_table()
-        out = []
-        t_arr = pa.array(df["t"].to_numpy(dtype=object).astype(str))
-        df = df.assign(
-            _h1=hash64(t_arr, seed=0).to_numpy(zero_copy_only=False),
-            _h2=hash64(t_arr, seed=1).to_numpy(zero_copy_only=False),
-        )
-        for apex, g in df.groupby("f", sort=False):
-            ts = g["t"].to_numpy(dtype=object)
-            k = len(ts)
-            if k < 2:
-                continue
-            order = np.argsort(ts)
-            ts = ts[order]
-            h1 = g["_h1"].to_numpy()[order]
-            h2 = g["_h2"].to_numpy()[order]
-            i, j = np.triu_indices(k, 1)
-            keep = self._member(
-                _mix_pair_hashes(h1[i], h1[j]), _mix_pair_hashes(h2[i], h2[j])
-            )
-            if not keep.any():
-                continue
-            # object dtype throughout: np.minimum/maximum dispatch to
-            # Python string comparison (unicode dtype has no min loop)
-            b, c = ts[i[keep]], ts[j[keep]]
-            a = np.full(len(b), apex, dtype=object)
-            # b < c already (name-sorted); canonicalize the apex pairs
-            ab_lo, ab_hi = np.minimum(a, b), np.maximum(a, b)
-            ac_lo, ac_hi = np.minimum(a, c), np.maximum(a, c)
-            for lo, hi in ((ab_lo, ab_hi), (ac_lo, ac_hi), (b, c)):
-                out.append(
-                    np.char.add(
-                        np.char.add(lo.astype(str), _SEP), hi.astype(str)
-                    )
-                )
-        if not out:
-            return key_schema.empty_table()
-        # map-side combiner: an edge is closed once per triangle it is
-        # in, and one sorted block holds MANY apex groups — collapsing
-        # duplicates here shrinks the count exchange by the average
-        # per-block support (measured 44 s → see BASELINE.md r5)
-        keys, counts = np.unique(np.concatenate(out), return_counts=True)
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.string()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-
-def edge_triangle_support(
-    edges_ds,
-    broadcast_edge_limit: int = BROADCAST_EDGE_LIMIT,
-    assume_canonical: bool = False,
-):
-    """Per-EDGE triangle support |N(u) ∩ N(v)| over the undirected
-    simple graph — the k-truss building block (an edge is in a k-truss
-    iff its support ≥ k−2).  Same degree-ordered oriented wedge plan
-    as :func:`triangles` (wedge volume bounded by \\|E\\|^1.5
-    regardless of hub skew — the first unoriented cut of this operator
-    ran 163 s vs 9 s on the sf0.1 co-purchase graph), with the closure
-    emitting each found triangle's THREE canonical edges; ONE key
-    groupby then counts per-edge support.  Gate-bounded broadcast
-    closure filter like ``triangles``; beyond the gate it switches to
-    the shared all-distributed degree-attach plan
-    (:func:`_distributed_wedge_closure` with ``emit_edges=True``) —
-    both plans are differential-tested equal.  Pass
-    ``assume_canonical=True`` when the input is already distinct with
-    ``src < dst`` and no self-loops (e.g. :func:`cooccurrence_edges`
-    output) to skip a redundant full-edge-set distinct exchange
-    (measured 5.2 s of the sf0.1 truss pipeline).  Returns
-    ``(u, v, n_triangles)`` for edges in ≥1 triangle (u < v
-    lexicographically)."""
-    import ray
-
-    def canon(b: pa.Table) -> pa.Table:
-        s = pc.cast(b["src"], pa.large_string())
-        d = pc.cast(b["dst"], pa.large_string())
-        keep = pc.not_equal(s, d)
-        return pa.table(
-            {
-                "u": pc.cast(pc.min_element_wise(s, d), pa.string()),
-                "v": pc.cast(pc.max_element_wise(s, d), pa.string()),
-            }
-        ).filter(keep)
-
-    if assume_canonical:
-        ec = edges_ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "u": pc.cast(b["src"], pa.string()),
-                    "v": pc.cast(b["dst"], pa.string()),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-    else:
-        ec = _distinct_pairs(
-            edges_ds.map_batches(canon, batch_format="pyarrow"), "u", "v"
-        ).materialize()
-    if ec.count() > broadcast_edge_limit:
-        # beyond the gate: the all-distributed degree-attach plan with
-        # the 3-canonical-edge emission — nothing collects on the
-        # driver, so a 100-TB co-occurrence graph runs the same shape
-        # as triangles()'s distributed branch (differential-tested
-        # equal to the broadcast plan on the same input)
-        keys = _distributed_wedge_closure(ec, emit_edges=True)
-        return _split_edge_support(keys)
-
-    # broadcast closure filter + degree lookup (one driver pass — the
-    # same gate-bounded preamble as triangles())
-    h0u_parts, h0v_parts, h1_parts, h2_parts = [], [], [], []
-    for b in ec.iter_batches(batch_format="pyarrow"):
-        u = pc.cast(b["u"], pa.string())
-        v = pc.cast(b["v"], pa.string())
-        hu0 = hash64(u, seed=0).to_numpy(zero_copy_only=False)
-        hv0 = hash64(v, seed=0).to_numpy(zero_copy_only=False)
-        h0u_parts.append(hu0)
-        h0v_parts.append(hv0)
-        h1_parts.append(_mix_pair_hashes(hu0, hv0))
-        h2_parts.append(
-            _mix_pair_hashes(
-                hash64(u, seed=1).to_numpy(zero_copy_only=False),
-                hash64(v, seed=1).to_numpy(zero_copy_only=False),
-            )
-        )
-    h1 = np.concatenate(h1_parts)
-    h2 = np.concatenate(h2_parts)
-    order = np.argsort(h1, kind="stable")
-    refs = (ray.put(h1[order]), ray.put(h2[order]))
-    node_h, node_deg = np.unique(
-        np.concatenate(h0u_parts + h0v_parts), return_counts=True
-    )
-    deg_refs = (ray.put(node_h), ray.put(node_deg.astype(np.int64)))
-
-    def orient_broadcast(b: pa.Table) -> pa.Table:
-        u = pc.cast(b["u"], pa.string())
-        v = pc.cast(b["v"], pa.string())
-        nh = ray.get(deg_refs[0])
-        nd = ray.get(deg_refs[1])
-        du = nd[np.searchsorted(nh, hash64(u, seed=0).to_numpy(zero_copy_only=False))]
-        dv = nd[np.searchsorted(nh, hash64(v, seed=0).to_numpy(zero_copy_only=False))]
-        un = u.to_numpy(zero_copy_only=False)
-        vn = v.to_numpy(zero_copy_only=False)
-        u_first = (du < dv) | ((du == dv) & (un < vn))
-        return pa.table(
-            {
-                "f": pa.array(np.where(u_first, un, vn), pa.string()),
-                "t": pa.array(np.where(u_first, vn, un), pa.string()),
-            }
-        )
-
-    oriented = ec.map_batches(orient_broadcast, batch_format="pyarrow")
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    keys = exchange(
-        oriented, "f", _BroadcastWedgeEdgeCloser, fn_constructor_args=refs,
-        concurrency=max(2, cpus * 3 // 4), batch_format="pandas",
-    )
-
-    return _split_edge_support(keys)
-
-
-def _split_edge_support(keys):
-    """(key, n) combined triangle-edge partials → ``(u, v,
-    n_triangles)``, shared by both :func:`edge_triangle_support`
-    plans (the closers pre-aggregate per block; this sums the
-    partials)."""
-
-    def split(b: pa.Table) -> pa.Table:
-        parts = pc.split_pattern(
-            pc.cast(b["key"], pa.large_string()), pattern=_SEP
-        )
-        return pa.table(
-            {
-                "u": pc.cast(pc.list_element(parts, 0), pa.string()),
-                "v": pc.cast(pc.list_element(parts, 1), pa.string()),
-                "n_triangles": pc.cast(b["key_count"], pa.int64()),
-            }
-        )
-
-    summed = sorted_multi_agg(
-        keys.materialize(),  # barrier before the count exchange
-        "key", [("key", pa.string())], [("n", "sum", "key_count", pa.int64())],
-    )
-    return summed.map_batches(split, batch_format="pyarrow")
-
-
-def _count_corners(corner_rows):
-    """(node, n) combined corner partials → (node, n_triangles),
-    shared by both closure plans (the closers pre-aggregate per
-    block; this sums the partials)."""
-    return sorted_multi_agg(
-        corner_rows, "node", [("node", pa.string())],
-        [("n", "sum", "n_triangles", pa.int64())],
     )
 
 
@@ -1704,8 +1029,8 @@ def link_prediction_jaccard(
     that sums ``common``, drops adjacent pairs, and keeps the degrees
     via Min -> per-block partial top-k -> tiny global sort -> winner
     ids resolved back to names with one bounded filter.  Wedge volume
-    is sum_z deg(z)^2 — unlike :func:`triangles` no degree orientation
-    can bound it (common-neighbor counts need every wedge), so a web
+    is sum_z deg(z)^2 — no degree orientation can bound it
+    (common-neighbor counts need every wedge), so a web
     link graph's hub (a page cited by every crawl page: degree ~= page
     count) alone makes the wedge set quadratic in the corpus.
     ``max_apex_degree`` is the standard hub-capping bound: an apex
@@ -1836,7 +1161,7 @@ def link_prediction_jaccard(
     edge_marks = eu_ids.map_batches(mark, batch_format="pyarrow")
 
     # barrier between the apex sort and the pair-count exchange
-    # (chained all-to-alls thrash — see triangles); this groupby is the
+    # (chained all-to-alls thrash); this groupby is the
     # ONE full-wedge-volume exchange of the plan (6 int64 columns)
     counted = sorted_multi_agg(
         wedge_rows.union(edge_marks).materialize(),
@@ -1926,51 +1251,6 @@ def link_prediction_jaccard(
             }
         )
     )
-
-
-def cooccurrence_edges(pairs_ds, group_col: str, item_col: str):
-    """Distinct co-occurrence edges: two items connected when they share
-    a group → (src, dst) with src < dst.  Sort by group (whole groups
-    per block), numpy ``triu_indices`` pair generation per group, one
-    distinct groupby.  Edge volume is Σ C(k,2) over group sizes —
-    callers must ensure group fan-out is bounded (cap or drop hub
-    groups), or a single hub becomes a clique."""
-
-    schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
-
-    def pairs(df):
-        if len(df) == 0 or group_col not in df.columns:
-            return schema.empty_table()
-        us, vs = [], []
-        for _, g in df.groupby(group_col, sort=False):
-            items = np.sort(g[item_col].astype(str).unique().astype(object))
-            k = len(items)
-            if k < 2:
-                continue
-            i, j = np.triu_indices(k, 1)
-            us.append(items[i])
-            vs.append(items[j])
-        if not us:
-            return schema.empty_table()
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate(us), pa.string()),
-                "dst": pa.array(np.concatenate(vs), pa.string()),
-            }
-        )
-
-    # MATERIALIZE between the two all-to-alls: chaining the group sort
-    # and the distinct groupby in one streaming topology runs them
-    # concurrently and the executor thrashes — measured 145 s chained
-    # vs 15 s with the barrier on the sf0.1 co-purchase graph (600k
-    # pairs → 1.2M edges, 32 CPUs); same effect class as the pagerank
-    # loop's per-iteration materialize, 10× here.  The intermediate is
-    # the raw pair stream — the same volume the groupby exchanges.
-    raw_pairs = (
-        exchange(pairs_ds, group_col, pairs, batch_format="pandas")
-        .materialize()
-    )
-    return _distinct_pairs(raw_pairs, "src", "dst")
 
 
 def _distinct_pairs(ds, a: str, b: str):

@@ -1,4 +1,4 @@
-"""Distributed prefix sum and LLM sequence packing.
+"""Distributed prefix sum.
 
 ``running_total`` is a two-pass distributed cumulative sum — the
 primitive behind concat-and-chunk sample packing, global row numbering
@@ -7,14 +7,6 @@ per-block partial-sum pass whose manifest (one row per block) is the
 only thing the driver sees; block offsets broadcast back into a final
 vectorized pass.  No step moves more than (blocks) rows through the
 driver, so the operator is as scalable as the sort itself.
-
-``pack_sequences`` derives the standard LLM-pretraining concatenate-
-then-chunk packing from it: documents are laid end-to-end in a
-deterministic order and each document is assigned the fixed-size token
-window its start offset falls in (boundaries do NOT reset per
-document, matching the usual pretraining data layout).  DuckDB oracle:
-``SUM(...) OVER (ORDER BY ... ROWS BETWEEN UNBOUNDED PRECEDING AND 1
-PRECEDING) // budget``.
 
 The per-block offset keying relies on ``order_col`` being unique per
 row — duplicate block minima raise rather than mis-assign.
@@ -85,33 +77,3 @@ def running_total(ds, order_col: str, value_col: str, out_col: str = "running_to
     return ds.map_batches(add_offset, batch_format="pyarrow", batch_size=None)
 
 
-def pack_sequences(
-    ds,
-    order_col: str,
-    token_col: str,
-    budget: int,
-    out_col: str = "seq_id",
-):
-    """Concat-and-chunk packing: documents laid end-to-end in
-    ``order_col`` order; each document gets the id of the
-    ``budget``-token window its start offset falls in.  One sort + two
-    vectorized passes (see module docstring)."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    out = running_total(ds, order_col, token_col, out_col="_cum")
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cum = np.asarray(
-            pc.cast(batch["_cum"], pa.int64()).combine_chunks(), dtype=np.int64
-        )
-        vals = np.asarray(
-            pc.cast(batch[token_col], pa.int64()).combine_chunks(),
-            dtype=np.int64,
-        )
-        start = cum - vals
-        seq = start // budget
-        return batch.drop_columns(["_cum"]).append_column(
-            out_col, pa.array(seq, pa.int64())
-        )
-
-    return out.map_batches(assign, batch_format="pyarrow")

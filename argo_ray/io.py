@@ -100,15 +100,10 @@ def shuffle_partitions() -> int:
     return max(2, min(32, cpus // 4))
 
 
-def read_table(
-    sf_dir: str, name: str, columns: list[str] | None = None, filter_expr=None
-):
+def read_table(sf_dir: str, name: str, columns: list[str] | None = None):
     """``read_parquet`` of one table, split into enough blocks to
     parallelize (see module docstring).  ``columns`` prunes at the read
-    so only needed columns leave storage; ``filter_expr`` (a
-    ``pyarrow.dataset`` expression) pushes row filtering into the scan
-    so row groups whose statistics exclude the predicate never leave
-    storage at all.
+    so only needed columns leave storage.
 
     Layouts: ``{sf_dir}/{name}.parquet`` (single file — the driver's
     testdata) or ``{sf_dir}/{name}/`` (directory of shards — the
@@ -124,8 +119,6 @@ def read_table(
     kwargs: dict = {}
     if columns is not None:
         kwargs["columns"] = list(columns)
-    if filter_expr is not None:
-        kwargs["filter"] = filter_expr
     if not os.path.isdir(path):
         tgt = target_blocks()
         try:

@@ -129,132 +129,6 @@ def synth_pages_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-SOFT404_TEXT = "Page not found error 404"
-
-
-def synth_head_pages_batch(batch: pa.Table) -> pa.Table:
-    """documents rows → pages exercising the crawl-hygiene head
-    metadata (deterministic, oracle-reconstructable):
-
-    - ``doc_id % 6 in (1, 2)``: ``<link rel="canonical">`` pointing at
-      ``https://kg.example.org/page/{doc_id - doc_id%6}`` — clusters of
-      up to 3 pages share one canonical target.
-    - ``doc_id % 5 == 2``: ``<meta name="robots" content="noindex,
-      nofollow">``; ``% 5 == 3``: ``nofollow`` only; ``% 5 == 4``: the
-      explicit ``index, follow`` no-op (parser must not trip on it).
-    - ``doc_id % 9 == 4``: the body/text is the soft-404 signature
-      (:data:`SOFT404_TEXT`) — an HTTP-200 error page.
-    """
-    ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    sources = batch["source"].to_pylist()
-    urls, htmls, out_texts = [], [], []
-    for did, text, source in zip(ids, texts, sources):
-        url = page_url(source, did)
-        title = title_of(text)
-        head = ["<title>" + title + "</title>"]
-        if did % 6 in (1, 2):
-            head.append(
-                f'<link rel="canonical" href="https://kg.example.org/page/{did - did % 6}"/>'
-            )
-        if did % 5 == 2:
-            head.append('<meta name="robots" content="noindex, nofollow"/>')
-        elif did % 5 == 3:
-            head.append('<meta name="robots" content="nofollow"/>')
-        elif did % 5 == 4:
-            head.append('<meta name="robots" content="index, follow"/>')
-        if did % 10 == 6:  # client-side redirect (meta refresh)
-            head.append(
-                f'<meta http-equiv="refresh" content="{did % 3}; url={url}?fresh=1"/>'
-            )
-        body_text = SOFT404_TEXT if did % 9 == 4 else f"{title} {title} site hub"
-        html = (
-            "<html><head>"
-            + "".join(head)
-            + "</head><body>"
-            + body_text
-            + "</body></html>"
-        )
-        urls.append(url)
-        htmls.append(html.encode("utf-8"))
-        out_texts.append(body_text)
-    return pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "html": pa.array(htmls, pa.binary()),
-            "text": pa.array(out_texts, pa.string()),
-        }
-    )
-
-
-def synth_pagination_batch(batch: pa.Table) -> pa.Table:
-    """documents rows → paginated-series pages (deterministic):
-    ``doc_id // 4`` is the series, members ordered by doc_id, each
-    page at ``https://series.example.org/p/{doc_id}`` carrying
-    ``<link rel="next">`` to its successor (``doc_id % 4 < 3``) and
-    ``<link rel="prev">`` back (``doc_id % 4 > 0``) — the rel-next
-    chain fixture for distributed list ranking.  Contract: the
-    documents table's doc_ids are contiguous from 0 in multiples of 4
-    (all shipped sfs are), so every emitted next-target exists."""
-    ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    urls, htmls, out_texts = [], [], []
-    for did, text in zip(ids, texts):
-        url = f"https://series.example.org/p/{did}"
-        title = title_of(text)
-        head = ["<title>" + title + "</title>"]
-        if did % 4 < 3:
-            head.append(
-                f'<link rel="next" href="https://series.example.org/p/{did + 1}"/>'
-            )
-        if did % 4 > 0:
-            head.append(
-                f'<link rel="prev" href="https://series.example.org/p/{did - 1}"/>'
-            )
-        html = (
-            "<html><head>" + "".join(head) + "</head><body>"
-            + title + "</body></html>"
-        )
-        urls.append(url)
-        htmls.append(html.encode("utf-8"))
-        out_texts.append(title)
-    return pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "html": pa.array(htmls, pa.binary()),
-            "text": pa.array(out_texts, pa.string()),
-        }
-    )
-
-
-def synth_table_pages_batch(batch: pa.Table) -> pa.Table:
-    """documents rows → pages embedding an HTML ``<table>`` grid
-    (deterministic): ``2 + doc_id % 3`` rows × ``2 + doc_id % 2``
-    columns, cell (r, c) = ``v{doc_id}-{r}-{c}`` — the web-table
-    corpus fixture (TURL/WikiTables-style extraction)."""
-    ids = batch["doc_id"].to_pylist()
-    sources = batch["source"].to_pylist()
-    urls, htmls = [], []
-    for did, source in zip(ids, sources):
-        nr, nc = 2 + did % 3, 2 + did % 2
-        body = "".join(
-            "<tr>"
-            + "".join(f"<td>v{did}-{r}-{c}</td>" for c in range(nc))
-            + "</tr>"
-            for r in range(nr)
-        )
-        urls.append(page_url(source, did))
-        htmls.append(
-            ("<html><body><table>" + body + "</table></body></html>").encode()
-        )
-    return pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "html": pa.array(htmls, pa.binary()),
-        }
-    )
-
-
 SCHEMA_ORG = "https://schema.org/"
 
 

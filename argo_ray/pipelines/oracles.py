@@ -1827,3 +1827,134 @@ ORACLES["sparql_orderby_eval"] = """SELECT
   '"' || n_chars || '"^^<http://www.w3.org/2001/XMLSchema#integer>' AS c
 FROM documents
 ORDER BY n_chars DESC, doc ASC LIMIT 10"""
+
+
+ORACLES["loop_eval"] = "SELECT doc_id, CAST(n_chars + doc_id AS BIGINT) AS loop_result FROM documents"
+
+ORACLES["sparql_results_parse"] = """SELECT doc_id, var, kind, value, lang, datatype FROM (
+  SELECT doc_id, 'id' AS var, CAST(2 AS BIGINT) AS kind,
+         CAST(doc_id AS VARCHAR) AS value, '' AS lang,
+         'http://www.w3.org/2001/XMLSchema#integer' AS datatype
+  FROM documents
+  UNION ALL
+  SELECT doc_id, 'label', 2, 'doc ' || CAST(doc_id AS VARCHAR), lang, ''
+  FROM documents
+  UNION ALL
+  SELECT doc_id, 'doc', 0, 'http://res.example.org/' || CAST(doc_id AS VARCHAR), '', ''
+  FROM documents
+)"""
+
+ORACLES["format_infer"] = """SELECT doc_id,
+       CASE doc_id % 6 WHEN 0 THEN 'ntriples' WHEN 1 THEN 'rdfxml'
+            WHEN 2 THEN 'turtle' WHEN 3 THEN 'squirtle'
+            WHEN 4 THEN 'json' ELSE 'rdfa' END AS format_id,
+       CASE doc_id % 6 WHEN 0 THEN 'text/plain' WHEN 1 THEN 'application/rdf+xml'
+            WHEN 2 THEN 'text/turtle' WHEN 3 THEN 'text/x-squirtle'
+            WHEN 4 THEN 'application/json' ELSE 'text/html' END AS mime
+FROM documents"""
+
+
+ORACLES["kg_namespace_stats"] = (
+    EXP_CTE
+    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
+pn AS (
+  SELECT CASE WHEN pred_value LIKE '%#%'
+              THEN regexp_extract(pred_value, '^(.*#)[^#]*$', 1)
+              WHEN pred_value LIKE '%/%'
+              THEN regexp_extract(pred_value, '^(.*/)[^/]*$', 1)
+              ELSE '' END AS namespace,
+         pred_value
+  FROM d
+)
+SELECT namespace,
+       CAST(COUNT(DISTINCT pred_value) AS BIGINT) AS n_preds,
+       CAST(COUNT(*) AS BIGINT) AS n_triples
+FROM pn GROUP BY namespace"""
+)
+
+
+ORACLES["og_extract"] = """WITH d AS (
+  SELECT 'https://docs.example.org/' || source || '/' || doc_id AS url,
+         array_to_string(string_split(text, ' ')[1:5], ' ') AS title,
+         lang
+  FROM documents
+)
+SELECT url AS src_url, 'og:title' AS property, title AS content FROM d
+UNION ALL SELECT url, 'og:type', 'article' FROM d
+UNION ALL SELECT url, 'og:url', url FROM d
+UNION ALL SELECT url, 'og:locale', lang FROM d"""
+
+
+# Fellegi–Sunter mirror: u per field = exact SUM/COUNT over the blocked
+# pairs (single double division on both sides), m=0.9 fixed, weights
+# summed lang+site+chars then ROUND 6 before the >0 decision.
+ORACLES["kg_er_fs_score"] = """WITH l AS (
+  SELECT doc_id,
+         array_to_string(string_split(text, ' ')[1:5], ' ') AS title,
+         lang, doc_id % 5 AS site, n_chars // 100 AS chars
+  FROM documents
+),
+r AS (
+  SELECT doc_id, title,
+         CASE WHEN doc_id % 5 = 0 THEN 'xx' ELSE lang END AS lang,
+         CASE WHEN doc_id % 3 = 0 THEN (site + 1) % 5 ELSE site END AS site,
+         CASE WHEN doc_id % 2 = 0 THEN chars + 1 ELSE chars END AS chars
+  FROM l
+),
+pairs AS (
+  SELECT 'https://kg.example.org/doc/' || a.doc_id AS src,
+         'https://kb.example.org/entity/' || b.doc_id AS dst,
+         CAST(a.lang = b.lang AS BIGINT) AS agree_lang,
+         CAST(a.site = b.site AS BIGINT) AS agree_site,
+         CAST(a.chars = b.chars AS BIGINT) AS agree_chars
+  FROM l a JOIN r b USING (title)
+),
+u AS (
+  SELECT CAST(SUM(agree_lang) AS DOUBLE) / COUNT(*) AS ul,
+         CAST(SUM(agree_site) AS DOUBLE) / COUNT(*) AS us,
+         CAST(SUM(agree_chars) AS DOUBLE) / COUNT(*) AS uc
+  FROM pairs
+)
+SELECT src, dst, agree_lang, agree_site, agree_chars,
+       ROUND(
+         (CASE WHEN agree_lang = 1 THEN ln(0.9 / ul)
+               ELSE ln(0.1 / (1 - ul)) END)
+       + (CASE WHEN agree_site = 1 THEN ln(0.9 / us)
+               ELSE ln(0.1 / (1 - us)) END)
+       + (CASE WHEN agree_chars = 1 THEN ln(0.9 / uc)
+               ELSE ln(0.1 / (1 - uc)) END), 6) AS score,
+       ROUND(
+         (CASE WHEN agree_lang = 1 THEN ln(0.9 / ul)
+               ELSE ln(0.1 / (1 - ul)) END)
+       + (CASE WHEN agree_site = 1 THEN ln(0.9 / us)
+               ELSE ln(0.1 / (1 - us)) END)
+       + (CASE WHEN agree_chars = 1 THEN ln(0.9 / uc)
+               ELSE ln(0.1 / (1 - uc)) END), 6) > 0 AS is_match
+FROM pairs, u"""
+
+
+ORACLES["kg_fuse_majority"] = """SELECT entity, value, support FROM (
+  SELECT entity, value, support,
+         ROW_NUMBER() OVER (
+           PARTITION BY entity ORDER BY support DESC, value) AS rn
+  FROM (
+    SELECT CAST(doc_id % 40 AS BIGINT) AS entity, lang AS value,
+           CAST(COUNT(*) AS BIGINT) AS support
+    FROM documents GROUP BY doc_id % 40, lang
+  )
+) WHERE rn = 1"""
+
+
+ORACLES["docs_svo_triples"] = """WITH toks AS (
+  SELECT doc_id,
+         unnest(string_split(text, ' ')) AS w,
+         generate_subscripts(string_split(text, ' '), 1) AS pos
+  FROM documents
+)
+SELECT a.w AS subj, b.w AS rel, c.w AS obj, CAST(COUNT(*) AS BIGINT) AS n
+FROM toks a
+JOIN toks b ON a.doc_id = b.doc_id AND b.pos = a.pos + 1
+JOIN toks c ON a.doc_id = c.doc_id AND c.pos = a.pos + 2
+WHERE b.w IN ('join', 'merge', 'sort')
+GROUP BY a.w, b.w, c.w
+HAVING COUNT(*) >= 3"""

@@ -5089,6 +5089,471 @@ def q_kg_incremental_update(sf_dir: str):
     return _finalize(merged)
 
 
+def _docs(sf_dir: str, columns=("doc_id", "text", "lang", "source", "n_chars")):
+    from ..io import read_table
+
+    return read_table(sf_dir, "documents", columns=list(columns))
+
+
+def q_sparql_results_parse(sf_dir: str):
+    """S6 driver-checked: a deterministic SELECT-results XML document is
+    synthesized per doc (three binding kinds: typed literal, lang
+    literal, uri), parsed by the streaming result parser, and every
+    flattened binding is oracle-checked."""
+    from ..sources.sparql_results import parse_select_batch
+
+    def synth_and_parse(b: pa.Table) -> pa.Table:
+        docs = []
+        for doc_id, lang in zip(b["doc_id"].to_pylist(), b["lang"].to_pylist()):
+            docs.append(
+                '<?xml version="1.0"?>'
+                '<sparql xmlns="http://www.w3.org/2005/sparql-results#">'
+                "<head><variable name=\"id\"/><variable name=\"label\"/>"
+                "<variable name=\"doc\"/></head><results><result>"
+                f'<binding name="id"><literal datatype='
+                f'"http://www.w3.org/2001/XMLSchema#integer">{doc_id}'
+                "</literal></binding>"
+                f'<binding name="label"><literal xml:lang="{lang}">doc '
+                f"{doc_id}</literal></binding>"
+                f'<binding name="doc"><uri>http://res.example.org/{doc_id}'
+                "</uri></binding>"
+                "</result></results></sparql>"
+            )
+        tbl = pa.table(
+            {
+                "doc_id": pc.cast(b["doc_id"], pa.int64()),
+                "text": pa.array(docs, pa.string()),
+            }
+        )
+        out = parse_select_batch(tbl)
+        return pa.table(
+            {
+                "doc_id": pc.cast(out["doc_id"], pa.int64()),
+                "var": out["var"],
+                "kind": pc.cast(out["kind"], pa.int64()),
+                "value": pc.cast(out["value"], pa.string()),
+                "lang": out["lang"],
+                "datatype": out["datatype"],
+            }
+        )
+
+    return _docs(sf_dir, ("doc_id", "lang")).map_batches(
+        synth_and_parse, batch_format="pyarrow"
+    )
+
+
+_FMT_EXTS = [".nt", ".rdf", ".ttl", ".sqtl", ".json", ".html"]
+
+
+def q_format_infer(sf_dir: str):
+    """S8 driver-checked: per doc, a filename ``doc<N><ext>`` with ext
+    cycling through every registered format; the registry's extension
+    inference must return the expected format id and preferred MIME."""
+    from ..sources.registry import format_from_filename
+
+    def infer(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"].to_pylist()
+        names, mimes = [], []
+        for d in ids:
+            fmt = format_from_filename(f"doc{d}{_FMT_EXTS[d % 6]}")
+            names.append(fmt.id if fmt else "")
+            mimes.append(fmt.preferred_mime_type if fmt else "")
+        return pa.table(
+            {
+                "doc_id": pc.cast(b["doc_id"], pa.int64()),
+                "format_id": pa.array(names, pa.string()),
+                "mime": pa.array(mimes, pa.string()),
+            }
+        )
+
+    return _docs(sf_dir, ("doc_id",)).map_batches(infer, batch_format="pyarrow")
+
+
+_LOOP_SRC = """
+name <http://ex.org/loop/> as ex
+func ex/F (a integer "left operand", b integer "right operand") {
+    rdfs:label "per-document adder"
+    loop:Add(loop:a a, loop:b b)
+}
+"""
+
+
+def q_loop_eval(sf_dir: str):
+    """loop DSL (T6) end-to-end, distributed: the program compiles once
+    per batch (per-call parser state, the T5 pattern), then every doc
+    becomes a call node ``F(a=n_chars, b=doc_id)`` evaluated by the
+    interpreter — results oracle-checked against plain SQL addition."""
+    from ..loop import LoopGraph, compile_loop, evaluate
+    from ..terms import RDF_NS, XSD_NS, Blank, IRI, Literal
+
+    def run(b: pa.Table) -> pa.Table:
+        triples, funcs, prefixes = compile_loop(_LOOP_SRC)
+        f_uri = funcs[0]
+        a_p, b_p = IRI(f_uri + "/arg/a"), IRI(f_uri + "/arg/b")
+        rdf_type, f_term = IRI(RDF_NS + "type"), IRI(f_uri)
+        xint = XSD_NS + "integer"
+        g = LoopGraph(triples, prefixes)
+        ids = b["doc_id"].to_pylist()
+        ncs = b["n_chars"].to_pylist()
+        out = []
+        for d, nc in zip(ids, ncs):
+            call = Blank(f"call{d}")
+            g.add_all(
+                [
+                    (call, rdf_type, f_term),
+                    (call, a_p, Literal(str(nc), datatype=xint)),
+                    (call, b_p, Literal(str(d), datatype=xint)),
+                ]
+            )
+            out.append(int(evaluate(g, call)))
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "loop_result": pa.array(out, pa.int64()),
+            }
+        )
+
+    return _docs(sf_dir, ("doc_id", "n_chars")).map_batches(
+        run, batch_format="pyarrow"
+    )
+
+
+def q_kg_namespace_stats(sf_dir: str):
+    """VoID-style vocabulary usage report: per predicate NAMESPACE
+    (prefix split at the last #/ boundary) — distinct predicates and
+    triple count.  Vectorized prefix split + per-batch partials + ONE
+    tiny namespace groupby (namespaces are schema-bounded)."""
+    from ray.data.aggregate import Sum
+
+    from ..stages.canon import split_prefix_arrays
+
+    def partial(b: pa.Table) -> pa.Table:
+        base, _ = split_prefix_arrays(b["pred_value"])
+        t = pa.table(
+            {
+                "namespace": pc.cast(base, pa.string()),
+                "pred": pc.cast(b["pred_value"], pa.string()),
+            }
+        )
+        g = t.group_by(["namespace", "pred"]).aggregate([("pred", "count")])
+        return pa.table(
+            {
+                "namespace": pc.cast(g["namespace"], pa.string()),
+                "pred": pc.cast(g["pred"], pa.string()),
+                "n_part": pc.cast(g["pred_count"], pa.int64()),
+            }
+        )
+
+    per_pred = (
+        _deduped(sf_dir)
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(["namespace", "pred"])
+        .aggregate(Sum("n_part", alias_name="n_triples"))
+    )
+
+    def roll(b: pa.Table) -> pa.Table:
+        g = (
+            pa.table(
+                {
+                    "namespace": b["namespace"],
+                    "one": pa.array([1] * b.num_rows, pa.int64()),
+                    "n_triples": b["n_triples"],
+                }
+            )
+            .group_by("namespace")
+            .aggregate([("one", "sum"), ("n_triples", "sum")])
+        )
+        return pa.table(
+            {
+                "namespace": pc.cast(g["namespace"], pa.string()),
+                "np_part": pc.cast(g["one_sum"], pa.int64()),
+                "nt_part": pc.cast(g["n_triples_sum"], pa.int64()),
+            }
+        )
+
+    return (
+        per_pred.map_batches(roll, batch_format="pyarrow")
+        .groupby("namespace")
+        .aggregate(
+            Sum("np_part", alias_name="n_preds"),
+            Sum("nt_part", alias_name="n_triples"),
+        )
+    )
+
+
+def q_og_extract(sf_dir: str):
+    """Open Graph self-description mining (ogp.me): synthesize OG head
+    fixtures per page (plus a decoy non-OG meta the extractor must
+    skip), parse back with the vectorized ``<meta property=og:*>``
+    extractor → ``(src_url, property, content)``.  Completes the HTML
+    metadata family (RDFa / microdata / JSON-LD / OG); zero-shuffle
+    streaming maps (:mod:`argo_ray.sources.opengraph`)."""
+    from ..sources.opengraph import extract_og_batch, synth_og_batch
+
+    return (
+        _docs(sf_dir, ("doc_id", "text", "lang", "source"))
+        .map_batches(synth_og_batch, batch_format="pyarrow")
+        .map_batches(extract_og_batch, batch_format="pyarrow")
+    )
+
+
+def q_kg_er_fs_score(sf_dir: str):
+    """Fellegi–Sunter probabilistic record linkage (the public 1969
+    model) over title-blocked candidate pairs: two record sources (the
+    KG side and a deterministically-noised KB side — lang corrupted on
+    doc_id%5, site on %3, the chars bucket on %2), agreement vector
+    per pair on (lang, site, chars), per-field u-probabilities
+    estimated EXACTLY from the candidate population (integer agree
+    counts, ONE double division — bit-identical to the oracle's
+    SUM/COUNT), fixed m=0.9, and the standard log-likelihood match
+    weight ``agree ? ln(m/u) : ln((1-m)/(1-u))`` summed in fixed field
+    order and rounded to 6 decimals before the >0 match decision.
+
+    Distributed shape: blocking is ONE sort exchange on the title key
+    (per-block cross of the two sides, fields carried through so no
+    second join); the u-estimate is one Sum/Count aggregate over the
+    materialized pair table; scoring is a zero-shuffle vectorized map
+    with the three u floats captured in the closure (broadcast by
+    value — 24 bytes)."""
+    import pandas as pd
+
+    from ..stages.grouping import grouped_map
+
+    def records(b: pa.Table) -> pa.Table:
+        ids = pc.cast(b["doc_id"], pa.int64())
+        toks = pc.split_pattern(pc.cast(b["text"], pa.large_string()), " ")
+        title = pc.binary_join(
+            pc.list_slice(toks, 0, 5), pa.scalar(" ", pa.large_string())
+        )
+        return pa.table(
+            {
+                "doc_id": ids,
+                "title": pc.cast(title, pa.string()),
+                "lang": pc.cast(b["lang"], pa.string()),
+                "site": pc.subtract(
+                    ids, pc.multiply(pc.divide(ids, 5), pa.scalar(5, pa.int64()))
+                ),
+                "chars": pc.divide(pc.cast(b["n_chars"], pa.int64()), 100),
+            }
+        )
+
+    left = _docs(sf_dir, ("doc_id", "text", "lang", "n_chars")).map_batches(
+        records, batch_format="pyarrow"
+    )
+
+    def noise(b: pa.Table) -> pa.Table:
+        ids = b["doc_id"]
+        mod = lambda k: pc.subtract(  # noqa: E731
+            ids, pc.multiply(pc.divide(ids, k), pa.scalar(k, pa.int64()))
+        )
+        z = pa.scalar(0, pa.int64())
+        lang = pc.if_else(
+            pc.equal(mod(5), z), pa.scalar("xx", pa.string()), b["lang"]
+        )
+        site1 = pc.add(b["site"], pa.scalar(1, pa.int64()))
+        site1 = pc.subtract(
+            site1, pc.multiply(pc.divide(site1, 5), pa.scalar(5, pa.int64()))
+        )
+        site = pc.if_else(pc.equal(mod(3), z), site1, b["site"])
+        chars = pc.if_else(
+            pc.equal(mod(2), z),
+            pc.add(b["chars"], pa.scalar(1, pa.int64())),
+            b["chars"],
+        )
+        return pa.table(
+            {
+                "doc_id": ids,
+                "title": b["title"],
+                "lang": lang,
+                "site": site,
+                "chars": chars,
+            }
+        )
+
+    right = left.map_batches(noise, batch_format="pyarrow")
+
+    def tag(ds, side: int):
+        return ds.map_batches(
+            lambda b, s=side: b.append_column(
+                "side", pa.array([s] * b.num_rows, pa.int64())
+            ),
+            batch_format="pyarrow",
+        )
+
+    both = tag(left, 0).union(tag(right, 1))
+
+    def block_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        a = g[g["side"] == 0]
+        b = g[g["side"] == 1]
+        if a.empty or b.empty:
+            return pd.DataFrame(
+                {
+                    "src": pd.Series([], dtype=str),
+                    "dst": pd.Series([], dtype=str),
+                    "agree_lang": pd.Series([], dtype="int64"),
+                    "agree_site": pd.Series([], dtype="int64"),
+                    "agree_chars": pd.Series([], dtype="int64"),
+                }
+            )
+        m = a.merge(b, how="cross", suffixes=("_a", "_b"))
+        return pd.DataFrame(
+            {
+                "src": "https://kg.example.org/doc/" + m["doc_id_a"].astype(str),
+                "dst": "https://kb.example.org/entity/"
+                + m["doc_id_b"].astype(str),
+                "agree_lang": (m["lang_a"] == m["lang_b"]).astype("int64"),
+                "agree_site": (m["site_a"] == m["site_b"]).astype("int64"),
+                "agree_chars": (m["chars_a"] == m["chars_b"]).astype("int64"),
+            }
+        )
+
+    pairs = grouped_map(both, "title", block_pairs).materialize()
+    n = pairs.count()
+    agg = pairs.sum(["agree_lang", "agree_site", "agree_chars"])
+    us = {
+        f: agg[f"sum({f})"] / n
+        for f in ("agree_lang", "agree_site", "agree_chars")
+    }
+    M = 0.9
+
+    def score(b: pa.Table) -> pa.Table:
+        import numpy as np
+
+        total = np.zeros(b.num_rows, dtype=np.float64)
+        for f in ("agree_lang", "agree_site", "agree_chars"):
+            agree = b[f].to_numpy(zero_copy_only=False).astype(bool)
+            u = us[f]
+            total = total + np.where(
+                agree, np.log(M / u), np.log((1.0 - M) / (1.0 - u))
+            )
+        rounded = np.round(total, 6)
+        out = b.append_column("score", pa.array(rounded, pa.float64()))
+        return out.append_column(
+            "is_match", pa.array(rounded > 0.0, pa.bool_())
+        )
+
+    return pairs.map_batches(score, batch_format="pyarrow")
+
+
+def q_kg_fuse_majority(sf_dir: str):
+    """Truth discovery / multi-source KG fusion: every document claims
+    a value (its ``lang``) for its topic entity (``doc_id % 40``);
+    conflicting claims resolve by majority vote — the value with the
+    most supporting documents wins, ties to the smallest value.
+    Combiner shape: per-batch (entity, value) partial counts → ONE
+    groupby exchange → per-entity argmax in a sort-colocated block —
+    claim volume never reaches the driver."""
+    import pandas as pd
+
+    from ray.data.aggregate import Sum
+
+    from ..stages.grouping import grouped_map
+
+    def partial(b: pa.Table) -> pa.Table:
+        ids = pc.cast(b["doc_id"], pa.int64())
+        t = pa.table(
+            {
+                "entity": pc.cast(
+                    pc.subtract(ids, pc.multiply(pc.divide(ids, 40), 40)),
+                    pa.int64(),
+                ),
+                "value": pc.cast(b["lang"], pa.string()),
+            }
+        )
+        g = t.group_by(["entity", "value"]).aggregate([("entity", "count")])
+        return pa.table(
+            {
+                "entity": pc.cast(g["entity"], pa.int64()),
+                "value": pc.cast(g["value"], pa.string()),
+                "n_part": pc.cast(g["entity_count"], pa.int64()),
+            }
+        )
+
+    counts = (
+        _docs(sf_dir, ("doc_id", "lang"))
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(["entity", "value"])
+        .aggregate(Sum("n_part", alias_name="support"))
+    )
+
+    def winner(df: pd.DataFrame) -> pd.DataFrame:
+        # grouped_map hands ONE entity per call: argmax = sort + head
+        df = df.sort_values(
+            ["support", "value"], ascending=[False, True], kind="mergesort"
+        )
+        return df.head(1)[["entity", "value", "support"]]
+
+    return grouped_map(counts, "entity", winner)
+
+
+_SVO_RELS = ("join", "merge", "sort")
+
+
+def q_docs_svo_triples(sf_dir: str):
+    """Open relation extraction (pattern-based open IE): every
+    ``w[i-1] REL w[i+1]`` token window with REL in a fixed verb set
+    becomes a candidate (subj, rel, obj) triple; aggregated counts
+    with min support 3 are the extracted relation table.  The window
+    scan is pure numpy over the flattened token array (parent-index
+    masks keep windows inside one document) — zero Python per row; the
+    ONE groupby exchange moves (subj, rel, obj) partials."""
+    import numpy as np
+
+    from ray.data.aggregate import Sum
+
+    rels = np.array(_SVO_RELS, dtype=object)
+
+    def partial(b: pa.Table) -> pa.Table:
+        toks = pc.split_pattern(pc.cast(b["text"], pa.large_string()), " ")
+        flat = pc.list_flatten(toks)
+        par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
+        f = pc.cast(flat, pa.string()).to_numpy(zero_copy_only=False)
+        if len(f) < 3:
+            return pa.table(
+                {
+                    "subj": pa.array([], pa.string()),
+                    "rel": pa.array([], pa.string()),
+                    "obj": pa.array([], pa.string()),
+                    "n_part": pa.array([], pa.int64()),
+                }
+            )
+        mid = f[1:-1]
+        mask = (
+            np.isin(mid, rels)
+            & (par[1:-1] == par[:-2])
+            & (par[1:-1] == par[2:])
+        )
+        t = pa.table(
+            {
+                "subj": pa.array(f[:-2][mask], pa.string()),
+                "rel": pa.array(mid[mask], pa.string()),
+                "obj": pa.array(f[2:][mask], pa.string()),
+            }
+        )
+        g = t.group_by(["subj", "rel", "obj"]).aggregate([("subj", "count")])
+        return pa.table(
+            {
+                "subj": pc.cast(g["subj"], pa.string()),
+                "rel": pc.cast(g["rel"], pa.string()),
+                "obj": pc.cast(g["obj"], pa.string()),
+                "n_part": pc.cast(g["subj_count"], pa.int64()),
+            }
+        )
+
+    return (
+        _docs(sf_dir, ("doc_id", "text"))
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(["subj", "rel", "obj"])
+        .aggregate(Sum("n_part", alias_name="n"))
+        .map_batches(
+            lambda b: b.filter(
+                pc.greater_equal(pc.cast(b["n"], pa.int64()), 3)
+            ),
+            batch_format="pyarrow",
+        )
+    )
+
+
 KG_QUERIES = {
     "rdfa_extract": q_rdfa_extract,
     "dedup_exact": q_dedup_exact,
@@ -5244,4 +5709,12 @@ KG_QUERIES = {
     "url_source_fanin": q_url_source_fanin,
     "prefix_cache_expand": q_prefix_cache_expand,
     "repl_prefix_trim": q_repl_prefix_trim,
+    "kg_er_fs_score": q_kg_er_fs_score,
+    "kg_namespace_stats": q_kg_namespace_stats,
+    "og_extract": q_og_extract,
+    "kg_fuse_majority": q_kg_fuse_majority,
+    "docs_svo_triples": q_docs_svo_triples,
+    "loop_eval": q_loop_eval,
+    "sparql_results_parse": q_sparql_results_parse,
+    "format_infer": q_format_infer,
 }

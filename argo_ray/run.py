@@ -24,11 +24,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--partitions", type=int, default=16)
     ap.add_argument("--salt", default="", help="skolemization salt")
     ap.add_argument(
-        "--pipeline", choices=("kg", "clean", "multisyntax"), default="kg",
-        help="kg: pages -> triples -> dedup (flagship); clean: quality "
-        "gate -> PII redact -> normalize -> fingerprint (corpus "
-        "cleaning); multisyntax: RDFa + microdata + JSON-LD fan-in -> "
-        "one deduped KG",
+        "--pipeline", choices=("kg", "multisyntax"), default="kg",
+        help="kg: pages -> triples -> dedup (flagship); multisyntax: "
+        "RDFa + microdata + JSON-LD fan-in -> one deduped KG",
     )
     ap.add_argument(
         "--on-mismatch", choices=("error", "invalidate"), default="error",
@@ -43,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    started_here = not ray.is_initialized()
+    if started_here:
         kwargs = dict(include_dashboard=False, ignore_reinit_error=True)
         if args.num_cpus:
             kwargs["num_cpus"] = args.num_cpus
@@ -56,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         on_mismatch=args.on_mismatch, pipeline=args.pipeline,
     )
     print(json.dumps(summary))
-    ray.shutdown()
+    if started_here:  # a host session (tests, driver) owns its lifecycle
+        ray.shutdown()
     return 0
 
 

@@ -30,7 +30,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..io import publish
 
@@ -51,19 +50,6 @@ MULTI_STAGE_VERSIONS = {
     "jsonld_extract": 1,
     "dedup_exact": 1,
 }
-
-# the corpus-cleaning job (--pipeline clean) versions independently
-CLEAN_STAGE_VERSIONS = {
-    "quality_gate": 1,
-    "pii_redact": 1,
-    "normalize": 1,
-    # v2: environment-independent FNV-1a 128-bit fingerprint pair
-    # (hasher="stable") — v1 persisted polars-version-dependent hash64
-    # keys, which a resume under a different polars build would not
-    # reproduce (shards would mix two hash families)
-    "fingerprint": 2,
-}
-
 
 def _commit_shard(ds, out_dir: str, pid: int) -> tuple[int, list[str]]:
     """Atomic per-partition commit shared by both pipeline runners:
@@ -150,12 +136,12 @@ def plan_partitions(sf_dir: str, num_partitions: int) -> list[dict]:
     ]
 
 
-def _read_partition(spec: dict, columns: list[str] | None = None):
+def _read_partition(spec: dict):
     """One partition's documents: its input fragments, narrowed to its
     ``doc_id`` hash class when the plan splits a single file."""
     import ray.data as rd
 
-    ds = rd.read_parquet(spec["input_fragments"], columns=columns)
+    ds = rd.read_parquet(spec["input_fragments"])
     pred = spec.get("predicate")
     if pred is None:
         return ds
@@ -266,67 +252,6 @@ def run_partition_multisyntax(spec: dict, out_dir: str, salt: str = "") -> dict:
     }
 
 
-def run_partition_clean(spec: dict, out_dir: str) -> dict:
-    """Run the corpus-cleaning pipeline for one partition and commit its
-    shard atomically: quality gate (word count >= 20 AND >= 1 en
-    stopword, the docs_clean_pipeline thresholds) → PII redaction →
-    text normalization → content fingerprint.  Output columns:
-    (doc_id, clean, fingerprint).  Same lineage/commit discipline as
-    the KG partition runner."""
-    from ..functions.privacy import redact_pii_batch
-    from ..functions.text import fingerprint_batch, normalize_batch, quality_batch
-
-    pid = spec["partition_id"]
-    t0 = time.time()
-
-    docs = _read_partition(spec, columns=["doc_id", "text"]).materialize()
-
-    def clean(b: pa.Table) -> pa.Table:
-        q = quality_batch(b)
-        keep = pc.and_(
-            pc.greater_equal(q["n_words"], pa.scalar(20, pa.int64())),
-            pc.greater_equal(q["n_stopwords"], pa.scalar(1, pa.int64())),
-        )
-        kept = b.filter(keep)
-        redacted = redact_pii_batch(kept)
-        normed = normalize_batch(
-            redacted.select(["doc_id"]).append_column("text", redacted["clean"])
-        )
-        # "stable" hasher (FNV-1a pair): these fingerprints are PERSISTED
-        # into resumable shards, so they must reproduce across polars
-        # versions — the "fast" polars family is for within-run keys only
-        fp = fingerprint_batch(normed, text_column="norm_text", hasher="stable")
-        return pa.table(
-            {
-                "doc_id": pc.cast(fp["doc_id"], pa.int64()),
-                "clean": pc.cast(fp["norm_text"], pa.string()),
-                "fingerprint": fp["fingerprint"],
-                "fingerprint2": fp["fingerprint2"],
-            }
-        )
-
-    # the kept count comes from the committed parquet metadata
-    out = docs.map_batches(clean, batch_format="pyarrow")
-
-    n_kept, output_files = _commit_shard(out, out_dir, pid)
-
-    return {
-        "partition_id": pid,
-        "pipeline": "clean",
-        "input_fragments": spec["input_fragments"],
-        "predicate": spec.get("predicate"),
-        "salt": "",
-        "stage_versions": CLEAN_STAGE_VERSIONS,
-        "row_counts": {
-            "documents": docs.count(),
-            "docs_kept": n_kept,
-        },
-        "output_files": output_files,
-        "wall_sec": round(time.time() - t0, 3),
-        "committed_at_unix": int(time.time()),
-    }
-
-
 class CheckpointMismatch(RuntimeError):
     """A committed partition's plan no longer matches the current plan
     (different --partitions value, changed input layout, or bumped stage
@@ -344,18 +269,11 @@ def _spec_mismatch(
         out.append("input_fragments")
     if rec.get("predicate") != spec.get("predicate"):
         out.append("predicate")
-    if pipeline in ("kg", "multisyntax") and rec.get("salt", "") != salt:
+    if rec.get("salt", "") != salt:
         # a different skolemization salt would mix two anon-id
-        # namespaces over the same pages — incompatible outputs.
-        # The clean pipeline has no skolemization (records carry
-        # salt=""), so comparing against the CLI --salt there would
-        # make every salted re-invocation unresumable.
+        # namespaces over the same pages — incompatible outputs
         out.append("salt")
-    expected = {
-        "kg": STAGE_VERSIONS,
-        "multisyntax": MULTI_STAGE_VERSIONS,
-        "clean": CLEAN_STAGE_VERSIONS,
-    }[pipeline]
+    expected = {"kg": STAGE_VERSIONS, "multisyntax": MULTI_STAGE_VERSIONS}[pipeline]
     if rec.get("stage_versions") != expected:
         out.append("stage_versions")
     return out
@@ -423,28 +341,22 @@ def run_checkpointed(
             stale = os.path.join(manifest.partitions_dir, f"part={pid}")
             if os.path.exists(stale):
                 shutil.rmtree(stale)
-        if pipeline == "clean":
-            record = run_partition_clean(spec, out_dir)
-        elif pipeline == "multisyntax":
+        if pipeline == "multisyntax":
             record = run_partition_multisyntax(spec, out_dir, salt)
         else:
             record = run_partition(spec, out_dir, salt)
         manifest.commit(record)
         completed.append(pid)
-    count_key = "docs_kept" if pipeline == "clean" else "triples_deduped"
     total = sum(
-        rec["row_counts"][count_key] for rec in manifest.completed().values()
+        rec["row_counts"]["triples_deduped"] for rec in manifest.completed().values()
     )
-    summary = {
+    return {
         "completed": completed,
         "skipped": skipped,
         "pipeline": pipeline,
         "out_dir": out_dir,
+        "total_triples_deduped": total,
     }
-    summary["total_docs_kept" if pipeline == "clean" else "total_triples_deduped"] = (
-        total
-    )
-    return summary
 
 
 PROV_NS = "http://www.w3.org/ns/prov#"

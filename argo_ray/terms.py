@@ -369,17 +369,11 @@ def _fnv1a_64(s: str) -> int:
     return h
 
 
-def hash64_stable(strings: pa.Array | list[str], seed: int = 0) -> pa.Array:
+def hash64_stable(strings: pa.Array | list[str]) -> pa.Array:
     """Environment-independent 64-bit hash (FNV-1a over utf-8 bytes) of
     a string column — for PERSISTED ids (parquet_store term ids), where
     stores written under different polars versions must stay mergeable.
     :func:`hash64` (polars) is for transient shuffle keys only.
-
-    ``seed`` selects an independent family by folding a ``"{seed}\\x1f"``
-    prefix into the FNV state before the string bytes — equivalent to
-    hashing the prefixed string.  Pair seed 0 + seed 1 for a persistable
-    128-bit composite key (checkpoint fingerprints).  seed=0 is the bare
-    hash, bit-identical to the historical single-argument form.
 
     Vectorized column-wise over byte positions: one uint64 xor/multiply
     across all still-active rows per position — ~mean-length passes per
@@ -411,9 +405,7 @@ def hash64_stable(strings: pa.Array | list[str], seed: int = 0) -> pa.Array:
     )
     starts = offsets[:-1]
     lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    prefix = f"{seed}\x1f" if seed else ""
-    basis = np.uint64(_fnv1a_64(prefix)) if prefix else _FNV_OFFSET
-    h = np.full(n, basis, dtype=np.uint64)
+    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
     short = lengths <= 256
     maxlen = int(lengths[short].max()) if short.any() else 0
     with np.errstate(over="ignore"):
@@ -426,9 +418,7 @@ def hash64_stable(strings: pa.Array | list[str], seed: int = 0) -> pa.Array:
     if not short.all():
         vals = arr.to_pylist()
         for i in np.nonzero(~short)[0]:
-            h[i] = _fnv1a_64(
-                prefix + vals[i].decode("utf-8", errors="surrogateescape")
-            )
+            h[i] = _fnv1a_64(vals[i].decode("utf-8", errors="surrogateescape"))
     return pa.array(h, pa.uint64())
 
 

@@ -181,72 +181,14 @@ def test_resume_rejects_changed_salt(ray_session, out_dir):
     assert sorted(again["skipped"]) == [0, 1]
 
 
-def test_clean_pipeline_run_and_resume(ray_session, out_dir):
-    """--pipeline clean: quality gate -> PII redact -> normalize ->
-    fingerprint, committed per partition; resume skips everything."""
-    import duckdb
-
-    first = run_checkpointed(SF_DIR, out_dir, num_partitions=4, pipeline="clean")
-    assert first["completed"] == [0, 1, 2, 3]
-    kept = first["total_docs_kept"]
-    assert 0 < kept < 500  # the gate drops short/stopword-free docs
-    second = run_checkpointed(SF_DIR, out_dir, num_partitions=4, pipeline="clean")
-    assert second["completed"] == []
-    assert second["skipped"] == [0, 1, 2, 3]
-    assert second["total_docs_kept"] == kept
-    df = duckdb.sql(
-        f"SELECT COUNT(*) AS n, COUNT(DISTINCT doc_id) AS d, "
-        f"COUNT(DISTINCT fingerprint) AS f "
-        f"FROM read_parquet('{out_dir}/partitions/*/*.parquet')"
-    ).df()
-    assert int(df.n[0]) == kept == int(df.d[0])
-    # normalized text is lowercase alnum+space only
-    sample = duckdb.sql(
-        f"SELECT clean FROM read_parquet('{out_dir}/partitions/*/*.parquet') LIMIT 50"
-    ).df()
-    assert all(
-        c.islower() or c.isdigit() or c == " " for t in sample.clean for c in t
-    )
-
-
-def test_resume_rejects_pipeline_switch(ray_session, out_dir):
-    """A clean checkpoint must not resume as a kg run (or vice versa)."""
+@pytest.mark.parametrize("first,second", [("kg", "multisyntax"), ("multisyntax", "kg")])
+def test_resume_rejects_pipeline_switch(ray_session, out_dir, first, second):
+    """A checkpoint of one pipeline must not resume as the other."""
     from argo_ray.state.checkpoint import CheckpointMismatch
 
-    run_checkpointed(SF_DIR, out_dir, num_partitions=2, pipeline="clean")
-    with pytest.raises(CheckpointMismatch):
-        run_checkpointed(SF_DIR, out_dir, num_partitions=2, pipeline="kg")
-
-
-def test_clean_salted_resume_and_stable_fingerprints(ray_session, out_dir):
-    """Two review findings: (a) a salted clean invocation must RESUME —
-    salt is meaningless to the clean pipeline, and comparing the CLI
-    --salt against the record's "" made every salted re-run
-    unresumable; (b) the persisted fingerprints must be the
-    environment-independent FNV-1a pair (hash64_stable seeds 0/1), not
-    polars-version-dependent hash64 keys — a resume under a different
-    polars build must extend the shards with the SAME hash family."""
-    import duckdb
-
-    from argo_ray.terms import hash64_stable
-
-    run_checkpointed(SF_DIR, out_dir, num_partitions=2, pipeline="clean", salt="s1")
-    second = run_checkpointed(
-        SF_DIR, out_dir, num_partitions=2, pipeline="clean", salt="s2"
-    )
-    assert second["completed"] == []
-    assert sorted(second["skipped"]) == [0, 1]
-
-    df = duckdb.sql(
-        f"SELECT clean, fingerprint, fingerprint2 "
-        f"FROM read_parquet('{out_dir}/partitions/*/*.parquet') "
-        f"ORDER BY doc_id LIMIT 20"
-    ).df()
-    texts = [t.lower() for t in df.clean]
-    assert [int(v) for v in df.fingerprint] == hash64_stable(texts).to_pylist()
-    assert [int(v) for v in df.fingerprint2] == hash64_stable(
-        texts, seed=1
-    ).to_pylist()
+    run_checkpointed(SF_DIR, out_dir, num_partitions=2, pipeline=first)
+    with pytest.raises(CheckpointMismatch, match="'pipeline'"):
+        run_checkpointed(SF_DIR, out_dir, num_partitions=2, pipeline=second)
 
 
 def test_multisyntax_pipeline_run_and_resume(ray_session, out_dir):
@@ -277,6 +219,19 @@ def test_multisyntax_pipeline_run_and_resume(ray_session, out_dir):
     assert rc["triples_rdfa"] > 0
     assert rc["triples_microdata"] == rc["documents"] * 6
     assert rc["triples_jsonld"] == rc["documents"] * 3
+
+
+def test_run_cli_keeps_host_session(ray_session, out_dir, capsys):
+    """``argo_ray.run`` inside a session it did not start: the job runs,
+    prints its summary JSON, and leaves the host's Ray session up."""
+    import ray
+
+    from argo_ray import run
+
+    assert run.main(["--input", SF_DIR, "--out", out_dir, "--partitions", "2"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["completed"] == [0, 1]
+    assert ray.is_initialized()
 
 
 def test_prov_triples_batch():

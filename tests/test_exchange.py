@@ -2,7 +2,8 @@
 check against a whole-table pandas groupby on both executors, the Ray
 version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
-package, and one that keeps every file publish in ``io.publish``."""
+package, one that keeps every file publish in ``io.publish``, and one
+that finds modules no entry point imports."""
 
 import ast
 import pathlib
@@ -274,3 +275,76 @@ def test_guard_sees_the_idiom(tmp_path):
         "    return s.map_batches(f, batch_size=None), ds.sort('k').limit(3)\n"
     )
     assert _whole_block_map_after_sort(src) == [2, 5, 9]
+
+
+# the driver contract, the three jobs and the package faces they use;
+# ``sparql.client`` is the ``python -m`` SPARQL REPL
+ENTRY_POINTS = (
+    "__ray_entry__", "argo_ray.run", "argo_ray.rdf", "argo_ray.pipelines.flagship",
+    "argo_ray.sparql", "argo_ray.sparql.client", "argo_ray.fuseki", "argo_ray.sinks",
+)
+
+
+def _module_file(root: pathlib.Path, mod: str) -> pathlib.Path | None:
+    base = root.joinpath(*mod.split("."))
+    for p in (base / "__init__.py", base.with_suffix(".py")):
+        if p.is_file():
+            return p
+    return None
+
+
+def _imports(root: pathlib.Path, mod: str) -> set[str]:
+    """Every module of ``root`` that ``mod`` imports, at any depth of
+    its code (function-level imports included)."""
+    path = _module_file(root, mod)
+    pkg = mod if path.name == "__init__.py" else mod.rpartition(".")[0]
+    names: set[str] = set()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Import):
+            names.update(a.name for a in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            base = n.module or ""
+            if n.level:
+                parts = pkg.split(".")[: len(pkg.split(".")) - n.level + 1]
+                base = ".".join(parts + ([n.module] if n.module else []))
+            names.add(base)
+            names.update(f"{base}.{a.name}" for a in n.names)  # submodule imports
+    return {name for name in names if _module_file(root, name)}
+
+
+def _orphan_modules(root: pathlib.Path, entry_points=ENTRY_POINTS) -> list[str]:
+    seen: set[str] = set()
+    todo = list(entry_points)
+    while todo:
+        mod = todo.pop()
+        if mod not in seen:
+            seen.add(mod)
+            parts = mod.split(".")
+            todo.extend(".".join(parts[:i]) for i in range(1, len(parts)))  # its packages
+            todo.extend(_imports(root, mod))
+    modules = {
+        ".".join(p.relative_to(root).with_suffix("").parts).removesuffix(".__init__")
+        for p in (root / "argo_ray").rglob("*.py")
+    }
+    return sorted(modules - seen)
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    """A module that no entry point imports is dead code: delete it, or
+    wire it to the job that needs it."""
+    orphans = _orphan_modules(PKG.parent)
+    assert not orphans, "modules no entry point imports:\n" + "\n".join(orphans)
+
+
+def test_orphan_guard_sees_an_unimported_module(tmp_path):
+    """Function-level and relative imports count; a module nothing
+    imports is reported."""
+    pkg = tmp_path / "argo_ray"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "sub" / "__init__.py").write_text("")
+    (pkg / "run.py").write_text("def main():\n    from .sub import used\n")
+    (pkg / "sub" / "used.py").write_text("from . import helper\n")
+    (pkg / "sub" / "helper.py").write_text("")
+    (pkg / "sub" / "dead.py").write_text("import argo_ray.sub.helper\n")
+    assert _orphan_modules(tmp_path, ("argo_ray.run",)) == ["argo_ray.sub.dead"]

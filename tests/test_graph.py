@@ -113,40 +113,6 @@ def test_bfs_distances_chain_and_sentinel(ray_session):
     assert out_x["x"] == 0 and out_x["y"] == 1 and out_x["a"] == BFS_UNREACHED
 
 
-def test_triangles_canonicalization_and_counts(ray_session):
-    from argo_ray.functions.graph import triangles
-
-    # two triangles sharing edge b-c; pendant d-e; a reversed duplicate
-    # edge and a self-loop that canonicalization must absorb
-    E = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"), ("c", "d"),
-         ("d", "e"), ("b", "a"), ("e", "e")]
-    ds = rd.from_arrow(
-        pa.table({"src": [s for s, _ in E], "dst": [t for _, t in E]})
-    )
-    out = sorted((r["node"], r["n_triangles"]) for r in triangles(ds).take_all())
-    assert out == [("a", 1), ("b", 2), ("c", 2), ("d", 1)]
-
-
-def test_cooccurrence_edges_groups(ray_session):
-    from argo_ray.functions.graph import cooccurrence_edges
-
-    pairs = rd.from_arrow(
-        pa.table(
-            {
-                "g": [1, 1, 1, 2, 2, 3],
-                "item": [10, 20, 30, 20, 30, 40],
-            }
-        )
-    )
-    edges = sorted(
-        (r["src"], r["dst"])
-        for r in cooccurrence_edges(pairs, "g", "item").take_all()
-    )
-    # group 1 → 3 pairs, group 2 → 1 pair (dedup with group 1's 20-30),
-    # group 3 singleton → none
-    assert edges == [("10", "20"), ("10", "30"), ("20", "30")]
-
-
 def test_label_propagation_components(ray_session):
     from argo_ray.functions.graph import label_propagation
 
@@ -168,12 +134,10 @@ def test_label_propagation_components(ray_session):
 
 
 def test_graph_ops_match_bruteforce_on_random_graphs(ray_session):
-    """Differential check on seeded random graphs: triangles vs
-    itertools brute force, label propagation vs union-find components,
-    pagerank vs the dense numpy power iteration."""
-    import itertools
-
-    from argo_ray.functions.graph import label_propagation, pagerank, triangles
+    """Differential check on seeded random graphs: label propagation vs
+    union-find components, pagerank vs the dense numpy power
+    iteration."""
+    from argo_ray.functions.graph import label_propagation, pagerank
 
     for seed in (0, 1, 2):
         rng = np.random.RandomState(seed)
@@ -191,26 +155,8 @@ def test_graph_ops_match_bruteforce_on_random_graphs(ray_session):
             )
         )
 
-        # triangles: brute force over the undirected simple graph
         und = {frozenset(e) for e in edges}
         nodes = sorted({x for e in und for x in e})
-        tri_count = {v: 0 for v in nodes}
-        for a, b, c in itertools.combinations(nodes, 3):
-            if (
-                frozenset((a, b)) in und
-                and frozenset((b, c)) in und
-                and frozenset((a, c)) in und
-            ):
-                for v in (a, b, c):
-                    tri_count[v] += 1
-        expect = {v: c for v, c in tri_count.items() if c}
-        got = {r["node"]: r["n_triangles"] for r in triangles(ds).take_all()}
-        assert got == expect, f"triangles seed={seed}"
-        got_dist = {
-            r["node"]: r["n_triangles"]
-            for r in triangles(ds, broadcast_edge_limit=0).take_all()
-        }
-        assert got_dist == expect, f"triangles-dist seed={seed}"
 
         # components: enough fixed rounds (n) to converge any graph of n nodes
         parent = {v: v for v in nodes}
@@ -910,79 +856,3 @@ def test_wl_colors_distinguishes_structure(ray_session):
     assert got["x"] == got["y"] == got["z"]
     assert got["x"] == hashlib.md5(b"2|2,2").hexdigest()
     assert got["b"] != got["x"]
-
-
-def test_edge_triangle_support_gate(ray_session):
-    """Beyond the broadcast gate the operator switches to the shared
-    all-distributed degree-attach plan — differential-pinned equal to
-    the broadcast plan on the same input (two triangles sharing edge
-    b-c, plus a dangling edge in no triangle)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.functions.graph import edge_triangle_support
-
-    edges = pa.table(
-        {
-            "src": ["a", "b", "c", "b", "d", "c", "x"],
-            "dst": ["b", "c", "a", "d", "c", "b", "y"],  # b-c twice
-        }
-    )
-
-    def rows(limit):
-        return sorted(
-            (r["u"], r["v"], r["n_triangles"])
-            for r in edge_triangle_support(
-                rd.from_arrow(edges), broadcast_edge_limit=limit
-            ).take_all()
-        )
-
-    broadcast = rows(2_000_000)
-    distributed = rows(0)  # force the beyond-gate plan
-    assert broadcast == distributed
-    assert broadcast == [
-        ("a", "b", 1),
-        ("a", "c", 1),
-        ("b", "c", 2),  # shared edge: support 2
-        ("b", "d", 1),
-        ("c", "d", 1),
-    ]
-
-
-def test_edge_triangle_support_copurchase_differential(ray_session):
-    """Broadcast ≡ distributed on the REAL sf0.001 co-purchase graph
-    (the parts_truss_support input): every edge's support identical
-    across the two plans, so crossing the gate at scale cannot change
-    results."""
-    from ray.data.aggregate import Count
-
-    from argo_ray.functions.graph import (
-        cooccurrence_edges,
-        edge_triangle_support,
-    )
-    from argo_ray.io import read_table
-
-    from conftest import SF_DIR
-
-    li = read_table(SF_DIR, "lineitem", columns=["l_orderkey", "l_partkey"])
-    pairs = (
-        li.groupby(["l_orderkey", "l_partkey"])
-        .aggregate(Count(alias_name="_n"))
-        .select_columns(["l_orderkey", "l_partkey"])
-    )
-    edges = cooccurrence_edges(
-        pairs, "l_orderkey", "l_partkey"
-    ).materialize()
-
-    def rows(limit):
-        return sorted(
-            (r["u"], r["v"], r["n_triangles"])
-            for r in edge_triangle_support(
-                edges, broadcast_edge_limit=limit
-            ).take_all()
-        )
-
-    broadcast = rows(2_000_000)
-    distributed = rows(0)
-    assert len(broadcast) > 100
-    assert broadcast == distributed

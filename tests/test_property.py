@@ -518,162 +518,3 @@ def test_sparql_optional_filter_differential(
         for r in evaluate_select(ds, q).take_all()
     )
     assert got == want
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    chains=st.lists(
-        st.integers(min_value=1, max_value=5), min_size=1, max_size=4
-    )
-)
-def test_rank_chains_property(ray_session, chains):
-    """Random disjoint chains of length 1..5: rank_chains recovers
-    root/pos/len for every member (rounds=3 covers 2^3=8 >= 4 hops)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.functions.weblinks import rank_chains
-
-    src, dst, want = [], [], {}
-    node = 0
-    for ln in chains:
-        members = [f"n{node + i:03d}" for i in range(ln + 1)]  # ln edges
-        node += ln + 1
-        for a, b in zip(members, members[1:]):
-            src.append(a)
-            dst.append(b)
-        for pos, m in enumerate(members):
-            want[m] = (members[0], pos, len(members))
-    got = {
-        r["url"]: (r["chain_root"], r["pos"], r["chain_len"])
-        for r in rank_chains(
-            rd.from_arrow(pa.table({"src": src, "dst": dst})), rounds=3
-        ).take_all()
-    }
-    assert got == want
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    edges=st.sets(
-        st.tuples(
-            st.integers(min_value=0, max_value=7),
-            st.integers(min_value=0, max_value=7),
-        ),
-        min_size=1,
-        max_size=16,
-    )
-)
-def test_edge_triangle_support_property(ray_session, edges):
-    """Random small graphs: per-edge support equals the brute-force
-    common-neighborhood size."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.functions.graph import edge_triangle_support
-
-    simple = {(min(a, b), max(a, b)) for a, b in edges if a != b}
-    if not simple:
-        return
-    adj: dict[int, set] = {}
-    for u, v in simple:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    want = {}
-    for u, v in simple:
-        n = len(adj[u] & adj[v])
-        if n:
-            want[(str(min(u, v)), str(max(u, v)))] = n
-    # graph core orders endpoints lexicographically; single digits OK
-    got = {
-        (r["u"], r["v"]): r["n_triangles"]
-        for r in edge_triangle_support(
-            rd.from_arrow(
-                pa.table(
-                    {
-                        "src": [str(a) for a, _ in simple],
-                        "dst": [str(b) for _, b in simple],
-                    }
-                )
-            )
-        ).take_all()
-    }
-    assert got == want
-
-
-@settings(max_examples=30, deadline=None)
-@given(text=st.text(alphabet="ab c", max_size=60))
-def test_span_corruption_reconstructs(text):
-    """inputs+targets together carry every original token exactly
-    once: replacing each <extra_id_k> in inputs with its target span
-    reproduces the source text."""
-    import pyarrow as pa
-
-    from argo_ray.functions.text import span_corruption_batch
-
-    out = span_corruption_batch(
-        pa.table({"doc_id": [0], "text": [text]})
-    ).to_pylist()[0]
-    toks = (text or "").split(" ")
-    spans: dict[str, list[str]] = {}
-    cur = None
-    for t in (out["targets"] or "").split(" "):
-        if t.startswith("<extra_id_"):
-            cur = t
-            spans[cur] = []
-        elif cur is not None:
-            spans[cur].append(t)
-    rebuilt: list[str] = []
-    for t in out["inputs"].split(" "):
-        if t.startswith("<extra_id_") and t in spans:
-            rebuilt.extend(spans[t])
-        else:
-            rebuilt.append(t)
-    assert rebuilt == toks
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.integers(1, 12),
-    st.sampled_from([1, 2, 3, 4]),
-    st.integers(0, 4),
-    st.integers(0, 2**31 - 1),
-)
-def test_png_roundtrip_property(h, w, channels, filter_type, seed):
-    """Any 8-bit image round-trips bit-exactly through the PNG codec
-    under every scanline filter type."""
-    import numpy as np
-
-    from argo_ray.functions.multimodal import decode_png, encode_png
-
-    rng = np.random.RandomState(seed)
-    px = rng.randint(0, 256, size=h * w * channels, dtype=np.uint8).tobytes()
-    assert decode_png(encode_png(h, w, px, channels, filter_type)) == (
-        h, w, channels, px,
-    )
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(1, 30),
-    st.integers(1, 30),
-    st.integers(0, 5),
-    st.integers(0, 2**31 - 1),
-)
-def test_jpeg_gray_roundtrip_property(h, w, restart, seed):
-    """Any grayscale image round-trips through the baseline JPEG
-    codec within the near-lossless table's quantization error (≤2),
-    at any restart interval."""
-    import numpy as np
-
-    from argo_ray.functions.jpeg import decode_jpeg, encode_jpeg_gray
-
-    rng = np.random.RandomState(seed)
-    img = rng.randint(0, 256, size=(h, w), dtype=np.uint8)
-    hh, ww, c, out = decode_jpeg(
-        encode_jpeg_gray(h, w, img.tobytes(), restart_interval=restart)
-    )
-    assert (hh, ww, c) == (h, w, 1)
-    got = np.frombuffer(out, np.uint8).astype(int).reshape(h, w)
-    assert np.abs(got - img.astype(int)).max() <= 2

@@ -192,146 +192,6 @@ def test_sort_colocation_pinned(ray_session):
     verify_sorted_colocation(ds, "k")
 
 
-def test_distinct_users_partition_independent(ray_session):
-    """Exact distinct counting survives users split across batches."""
-    import ray.data as rd
-
-    from argo_ray.stages.windows import distinct_users_per_type
-
-    t = pa.table(
-        {
-            "event_type": ["a"] * 6 + ["b"] * 2,
-            "user_id": pa.array([1, 1, 2, 2, 3, 3, 1, 9], pa.int64()),
-        }
-    )
-    out = (
-        distinct_users_per_type(rd.from_arrow(t).repartition(4))
-        .to_pandas()
-        .set_index("event_type")
-    )
-    assert out.loc["a", "n_users"] == 3
-    assert out.loc["b", "n_users"] == 2
-
-
-def test_value_quantiles_match_quantile_disc(ray_session):
-    import duckdb
-    import pandas as pd
-    import ray.data as rd
-
-    from argo_ray.stages.windows import value_quantiles_cents
-
-    vals = [0.01 * i for i in range(1, 101)]  # 1..100 cents
-    t = pa.table({"value": pa.array(vals, pa.float64())})
-    got = value_quantiles_cents(rd.from_arrow(t).repartition(3)).to_pandas()
-    con = duckdb.connect()
-    con.register("events", t)
-    want = con.execute(
-        """SELECT '0.5' AS q, quantile_disc(CAST(FLOOR(value*100) AS BIGINT), 0.5) AS cents FROM events
-UNION ALL SELECT '0.9', quantile_disc(CAST(FLOOR(value*100) AS BIGINT), 0.9) FROM events
-UNION ALL SELECT '0.99', quantile_disc(CAST(FLOOR(value*100) AS BIGINT), 0.99) FROM events"""
-    ).df()
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
-
-
-def test_funnel_strict_ordering(ray_session):
-    """Funnel steps must complete strictly in order: user 1 converts
-    fully, user 2's signup PRECEDES the click so it must not count,
-    user 3 has only a click (step 1 missing -> 0 steps)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.stages.windows import funnel
-
-    def t(minute):
-        return pd.Timestamp(2024, 1, 1, 10, minute)
-
-    rows = [
-        (1, t(0), "view"), (1, t(1), "click"), (1, t(2), "signup"),
-        (2, t(0), "view"), (2, t(1), "signup"), (2, t(2), "click"),
-        (3, t(0), "click"),
-    ]
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "user_id": [r[0] for r in rows],
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "event_type": [r[2] for r in rows],
-            }
-        )
-    )
-    out = {r["user_id"]: r for r in funnel(ds).take_all()}
-    assert out[1]["steps_completed"] == 3
-    assert out[2]["steps_completed"] == 2  # view, click — signup too early
-    assert pd.isna(out[2]["t3"])
-    assert out[3]["steps_completed"] == 0
-    assert pd.isna(out[3]["t1"])
-
-
-def test_retention_cohorts_hand_case(ray_session):
-    """Two cohorts: users 1,2 start day 0 (user 1 returns day 2),
-    user 3 starts day 1 (returns day 1 again — dedup to one cell)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.stages.windows import retention_cohorts
-
-    def d(day, hour=9):
-        return pd.Timestamp(2024, 1, 1 + day, hour)
-
-    rows = [(1, d(0)), (1, d(2)), (2, d(0)), (3, d(1)), (3, d(1, 18))]
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "user_id": [r[0] for r in rows],
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            }
-        )
-    )
-    out = {
-        (str(r["cohort_day"])[:10], r["day_offset"]): r["n_users"]
-        for r in retention_cohorts(ds).take_all()
-    }
-    assert out == {
-        ("2024-01-01", 0): 2,  # users 1 and 2 on their first day
-        ("2024-01-01", 2): 1,  # user 1 returned
-        ("2024-01-02", 0): 1,  # user 3's cohort, same-day dedup
-    }
-
-
-def test_late_events_watermark(ray_session):
-    """Watermark semantics: an event is late only when an EARLIER
-    arrival (by event_id) already carried a timestamp more than the
-    allowed lateness ahead of it."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from argo_ray.stages.windows import late_events
-
-    def t(minute):
-        return pd.Timestamp(2024, 1, 1, 10, minute)
-
-    # arrival order 1..4: t=0, t=30, t=5 (25 min behind wm=30 → late),
-    # t=25 (5 min behind wm → within lateness, NOT late)
-    rows = [(1, 7, t(0)), (2, 7, t(30)), (3, 7, t(5)), (4, 7, t(25)),
-            (5, 9, t(0))]  # other user: single event, never late
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "event_id": [r[0] for r in rows],
-                "user_id": [r[1] for r in rows],
-                "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
-            }
-        )
-    )
-    out = late_events(ds, allowed_lateness_minutes=10).take_all()
-    assert [(r["event_id"], str(r["watermark_ts"])) for r in out] == [
-        (3, "2024-01-01 10:30:00")
-    ]
-
-
 def test_graph_delta_hand_case(ray_session):
     import ray.data as rd
 

@@ -76,25 +76,6 @@ def test_warc_skips_non_response_records():
     assert back.num_rows == 1
 
 
-def test_sitemap_parse_and_poison():
-    from argo_ray.sources.sitemap import parse_sitemap_batch
-
-    xml = (
-        '<?xml version="1.0"?><urlset>'
-        "<url> <loc>https://a.org/1</loc> <lastmod>2024-03-01</lastmod> "
-        "<priority>0.8</priority> </url>"
-        "<url> <loc>https://a.org/2</loc> <lastmod>2024-03-02</lastmod> "
-        "<priority>0.5</priority> </url>"
-        "<url> malformed entry without fields </url>"
-        "</urlset>"
-    )
-    b = pa.table({"xml": [xml, "not xml at all"]})
-    out = parse_sitemap_batch(b)
-    assert out["loc"].to_pylist() == ["https://a.org/1", "https://a.org/2"]
-    assert out["lastmod"].to_pylist() == ["2024-03-01", "2024-03-02"]
-    assert out["priority"].to_pylist() == [0.8, 0.5]
-
-
 def test_og_extract_skips_non_og_meta_and_poison():
     from argo_ray.sources.opengraph import extract_og_batch
 

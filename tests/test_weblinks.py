@@ -199,152 +199,3 @@ def test_resolve_redirects_random_forests(ray_session):
                 for r in resolve_redirects(ds, rounds=rounds).take_all()
             }
             assert got == ref, (seed, rounds)
-
-
-def test_extract_hreflang_basic_and_poison():
-    from argo_ray.functions.hreflang import extract_hreflang_batch
-
-    head = (
-        '<head><link rel="alternate" hreflang="en" href="https://x/en"/>'
-        '<link rel="alternate" hreflang="de" href="https://x/de"/>'
-        '<link rel="stylesheet" href="https://x/css"/></head>'
-    )
-    b = pa.table(
-        {
-            "url": ["https://x/en", "https://y/", "https://z/"],
-            "html": [head.encode(), b"no links here", b"\xff\xfe garbage <link "],
-        }
-    )
-    out = extract_hreflang_batch(b)
-    assert out["src_url"].to_pylist() == ["https://x/en", "https://x/en"]
-    assert out["hreflang"].to_pylist() == ["en", "de"]
-    assert out["href"].to_pylist() == ["https://x/en", "https://x/de"]
-
-
-def test_hreflang_cluster_stats(ray_session):
-    """Two clusters of 2 and 1 pages; stats come out exact."""
-    import ray.data as rd
-
-    from argo_ray.functions.hreflang import cluster_stats
-
-    edges = pa.table(
-        {
-            "src_url": ["a", "a", "b", "b", "c"],
-            "hreflang": ["en", "de", "en", "de", "fr"],
-            "href": ["a", "b", "a", "b", "c"],
-        }
-    )
-    got = {
-        r["cluster_url"]: (r["n_pages"], r["n_langs"])
-        for r in cluster_stats(rd.from_arrow(edges)).take_all()
-    }
-    assert got == {"a": (2, 2), "c": (1, 1)}
-
-
-def test_rank_chains_mixed_lengths(ray_session):
-    """Chains of length 4, 2 and a lone pair; positions and roots
-    exact after 2 doubling rounds (2^2 >= 3 hops)."""
-    import ray.data as rd
-
-    from argo_ray.functions.weblinks import rank_chains
-
-    edges = pa.table(
-        {
-            "src": ["a0", "a1", "a2", "b0", "c0"],
-            "dst": ["a1", "a2", "a3", "b1", "c1"],
-        }
-    )
-    rows = {
-        r["url"]: (r["chain_root"], r["pos"], r["chain_len"])
-        for r in rank_chains(rd.from_arrow(edges), rounds=2).take_all()
-    }
-    assert rows == {
-        "a0": ("a0", 0, 4),
-        "a1": ("a0", 1, 4),
-        "a2": ("a0", 2, 4),
-        "a3": ("a0", 3, 4),
-        "b0": ("b0", 0, 2),
-        "b1": ("b0", 1, 2),
-        "c0": ("c0", 0, 2),
-        "c1": ("c0", 1, 2),
-    }
-
-
-def test_extract_next_links():
-    from argo_ray.functions.weblinks import extract_next_links_batch
-
-    b = pa.table(
-        {
-            "url": ["https://s/p/0", "https://s/p/3", "https://z/"],
-            "html": [
-                b'<head><link rel="next" href="https://s/p/1"/></head>',
-                b"<head>no next</head>",
-                b"\xff\xfe garbage",
-            ],
-        }
-    )
-    out = extract_next_links_batch(b)
-    assert out["src"].to_pylist() == ["https://s/p/0"]
-    assert out["dst"].to_pylist() == ["https://s/p/1"]
-
-
-def test_extract_table_cells_poison_and_grid():
-    from argo_ray.functions.weblinks import extract_table_cells_batch
-    from argo_ray.pages import synth_table_pages_batch
-
-    pages = synth_table_pages_batch(
-        pa.table({"doc_id": [0, 1], "source": ["web", "web"]})
-    )
-    out = extract_table_cells_batch(pages)
-    assert out.num_rows == 2 * 2 + 3 * 3  # doc0 2x2, doc1 3x3
-    assert out.to_pylist()[0] == {
-        "url": "https://docs.example.org/web/0",
-        "row": 0, "col": 0, "cell": "v0-0-0",
-    }
-    pois = pa.table(
-        {"url": ["x", "y"], "html": [b"\xff\xfe<td> junk", b"no table"]}
-    )
-    assert extract_table_cells_batch(pois).num_rows == 0
-
-
-def test_rank_chains_cycle_bounded(ray_session):
-    """A pure cycle has no tail: the fixed round cap bounds the loop
-    deterministically (documented contract) — no hang, deterministic
-    output, every node reported once."""
-    import ray.data as rd
-
-    from argo_ray.functions.weblinks import rank_chains
-
-    edges = pa.table(
-        {"src": ["a", "b", "c"], "dst": ["b", "c", "a"]}
-    )
-    out1 = sorted(
-        map(tuple, (
-            (r["url"], r["chain_root"], r["pos"], r["chain_len"])
-            for r in rank_chains(rd.from_arrow(edges), rounds=3).take_all()
-        ))
-    )
-    out2 = sorted(
-        map(tuple, (
-            (r["url"], r["chain_root"], r["pos"], r["chain_len"])
-            for r in rank_chains(rd.from_arrow(edges), rounds=3).take_all()
-        ))
-    )
-    assert out1 == out2
-    assert len({u for u, *_ in out1}) >= 3  # every cycle member reported
-
-
-def test_rank_chains_merging_chains_refused(ray_session):
-    """Two chains merging into a shared tail (in-degree 2 at c) would
-    make per-chain root/pos ambiguous — the finish pass detects the
-    collision and raises instead of emitting a silently-wrong root
-    (documented disjoint-chain contract)."""
-    import pytest
-    import ray.data as rd
-
-    from argo_ray.functions.weblinks import rank_chains
-
-    # a→c←b: both a and b are at distance 1 from tail c
-    edges = pa.table({"src": ["a", "b"], "dst": ["c", "c"]})
-    with pytest.raises(Exception, match="merging chains"):
-        rank_chains(rd.from_arrow(edges), rounds=2).take_all()
