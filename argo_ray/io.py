@@ -100,6 +100,22 @@ def shuffle_partitions() -> int:
     return max(2, min(32, cpus // 4))
 
 
+def actor_pool_size(cap: int = 2) -> int:
+    """Actor count for a broadcast-lookup pool (one copy of a shipped
+    table per actor): ~CPUs/4, floor 1, at most ``cap``.  Each actor
+    holds a CPU for the whole stage, so a fixed size starves the
+    upstream read tasks on small sessions (one ``concurrency=2`` pool
+    on 2 CPUs, or two chained on 4, never yields a CPU to the read —
+    see :func:`configure_context`)."""
+    try:
+        import ray
+
+        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    except Exception:
+        cpus = 8
+    return max(1, min(cap, cpus // 4))
+
+
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None):
     """``read_parquet`` of one table, split into enough blocks to
     parallelize (see module docstring).  ``columns`` prunes at the read

@@ -103,6 +103,8 @@ def decode_store(out_dir: str):
     import ray
     import ray.data as rd
 
+    from ..io import actor_pool_size
+
     terms = rd.read_parquet(f"{out_dir}/terms").take_all()
     lookup = {
         r["term_id"]: (r["kind"], r["value"], r["lang"], r["datatype"])
@@ -133,6 +135,6 @@ def decode_store(out_dir: str):
     return rd.read_parquet(f"{out_dir}/facts").map_batches(
         Decoder,
         batch_format="pyarrow",
-        concurrency=2,
+        concurrency=actor_pool_size(),
         fn_constructor_kwargs={"lookup_ref": ref},
     )

@@ -312,6 +312,7 @@ def canonicalize_sameas(
     import ray
 
     from ..functions.graph import label_propagation
+    from ..io import actor_pool_size
     from .materialize import dedup_exact
 
     if mode not in ("auto", "broadcast", "join"):
@@ -338,7 +339,7 @@ def canonicalize_sameas(
         rewritten = triples_ds.map_batches(
             _SameAsCanon,
             batch_format="pyarrow",
-            concurrency=2,
+            concurrency=actor_pool_size(),
             fn_constructor_kwargs={"mapping_ref": ref},
         )
     else:

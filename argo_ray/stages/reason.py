@@ -663,6 +663,7 @@ def rdfs_infer(triples_ds, schema: pa.Table):
     triples, exact-deduped.  Kind columns come back as int64."""
     import ray
 
+    from ..io import actor_pool_size
     from .materialize import dedup_exact
 
     tables = schema_tables(schema)
@@ -670,7 +671,7 @@ def rdfs_infer(triples_ds, schema: pa.Table):
     entailed = triples_ds.map_batches(
         _RdfsEntailer,
         batch_format="pandas",
-        concurrency=2,
+        concurrency=actor_pool_size(),
         fn_constructor_kwargs={"tables_ref": ref},
     )
     return dedup_exact(entailed)

@@ -42,8 +42,51 @@ def normalize(df):
     return df
 
 
-def main() -> int:
+def connect(sf_dir):
+    """DuckDB connection with one view per fixture table present in ``sf_dir``."""
     import duckdb
+
+    con = duckdb.connect()
+    for t in TABLES:
+        path = f"{sf_dir}/{t}.parquet"
+        if os.path.exists(path):
+            con.execute(f"create view {t} as select * from '{path}'")
+    return con
+
+
+def check(fn, sql, con, sf_dir):
+    """Run one query and its oracle SQL on ``sf_dir``; return None when
+    they agree (column names, row count, sorted values), else a one-line
+    reason followed by up to three differing row pairs."""
+    try:
+        ours = normalize(to_pandas(fn(sf_dir)))
+    except Exception as exc:  # noqa: BLE001
+        return f"query raised {type(exc).__name__}: {exc}"
+    try:
+        theirs = normalize(con.execute(sql).fetchdf())
+    except Exception as exc:  # noqa: BLE001
+        return f"oracle raised {type(exc).__name__}: {exc}"
+    if list(ours.columns) != list(theirs.columns):
+        return f"columns {list(ours.columns)} vs {list(theirs.columns)}"
+    if len(ours) != len(theirs):
+        return f"rows {len(ours)} vs {len(theirs)}"
+    if ours.equals(theirs):
+        return None
+    # tolerate dtype mismatches by value compare
+    try:
+        diff = (ours.astype(str).values != theirs.astype(str).values).any(axis=1)
+    except Exception as exc:  # noqa: BLE001
+        return f"value compare raised {type(exc).__name__}: {exc}"
+    if not diff.any():
+        return None
+    lines = ["value mismatch; first diffs:"]
+    for i in diff.nonzero()[0][:3]:
+        lines.append(f"  ours  : {ours.iloc[i].to_dict()}")
+        lines.append(f"  oracle: {theirs.iloc[i].to_dict()}")
+    return "\n".join(lines)
+
+
+def main() -> int:
     import ray
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
@@ -59,56 +102,21 @@ def main() -> int:
 
     qs = entry_mod.queries()
     sqls = entry_mod.oracle_sql()
-
-    con = duckdb.connect()
-    for t in TABLES:
-        path = f"{sf_dir}/{t}.parquet"
-        if os.path.exists(path):
-            con.execute(f"create view {t} as select * from '{path}'")
+    con = connect(sf_dir)
 
     failures = []
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        try:
-            ours = normalize(to_pandas(fn(sf_dir)))
-        except Exception as exc:  # noqa: BLE001
-            print(f"FAIL  {name}: query raised {type(exc).__name__}: {exc}")
-            failures.append(name)
-            continue
         if name not in sqls:
-            print(f"ROWS  {name}: {len(ours)} rows (no oracle — rows-only check)")
+            rows = len(to_pandas(fn(sf_dir)))
+            print(f"ROWS  {name}: {rows} rows (no oracle — rows-only check)")
             continue
-        try:
-            theirs = normalize(con.execute(sqls[name]).fetchdf())
-        except Exception as exc:  # noqa: BLE001
-            print(f"FAIL  {name}: oracle raised {type(exc).__name__}: {exc}")
-            failures.append(name)
-            continue
-        if list(ours.columns) != list(theirs.columns):
-            print(f"FAIL  {name}: columns {list(ours.columns)} vs {list(theirs.columns)}")
-            failures.append(name)
-            continue
-        if len(ours) != len(theirs):
-            print(f"FAIL  {name}: rows {len(ours)} vs {len(theirs)}")
-            failures.append(name)
-            continue
-        eq = ours.equals(theirs)
-        if not eq:
-            # tolerate dtype mismatches by value compare
-            try:
-                eq = (ours.astype(str).values == theirs.astype(str).values).all()
-            except Exception:
-                eq = False
-        if eq:
-            print(f"OK    {name}: {len(ours)} rows")
+        reason = check(fn, sqls[name], con, sf_dir)
+        if reason is None:
+            print(f"OK    {name}")
         else:
-            diff = (ours.astype(str).values != theirs.astype(str).values).any(axis=1)
-            idx = diff.nonzero()[0][:3] if hasattr(diff, "nonzero") else []
-            print(f"FAIL  {name}: value mismatch; first diffs:")
-            for i in idx:
-                print("  ours  :", ours.iloc[i].to_dict())
-                print("  oracle:", theirs.iloc[i].to_dict())
+            print(f"FAIL  {name}: {reason}")
             failures.append(name)
 
     print(f"\n{len(failures)} failures" + (f": {failures}" if failures else ""))
