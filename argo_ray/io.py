@@ -34,11 +34,13 @@ def configure_context() -> None:
     (~50 MB), and the object store spills, so the starvation scenario
     the reservation guards against does not apply.
 
-    Flip side: with reservation off, CHAINED actor pools must be sized
-    so pools + upstream tasks fit the session CPU count (two
-    concurrency=2 pools on a 4-CPU session deadlock the read stage) —
-    keep one pool per pipeline, or size pools at concurrency ≤
-    cpus/2 - 1.
+    Flip side: with reservation off, an actor pool that reserves CPUs
+    can hold every CPU the upstream read needs, and the read never runs
+    (two chained ``concurrency=2`` pools on a 4-CPU session, one on 2
+    CPUs).  Broadcast-lookup pools (store decode, sameAs rewrite, RDFS
+    entailment, entity linking, prefix expansion) therefore reserve no
+    CPU (``num_cpus=0``): they are lookups against a shipped table, not
+    a share of the cluster.
     """
     global _CONFIGURED
     if _CONFIGURED:
@@ -71,16 +73,21 @@ def publish(path: str, data: bytes) -> None:
         raise
 
 
-def target_blocks() -> int:
-    """2 blocks per cluster CPU: enough for the streaming executor to
-    keep every core busy, no more (each extra block is a map task, a
-    row and a column of the sort grid, and a writer task).  Before
-    ``ray.init`` the count is this process's CPU affinity: what a
-    default ``ray.init()`` detects on a host without a CPU quota."""
+def _cluster_cpus() -> int:
+    """CPU count of the live Ray cluster; before ``ray.init``, this
+    process's CPU affinity: what a default ``ray.init()`` detects on a
+    host without a CPU quota."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    return 2 * (cpus or len(os.sched_getaffinity(0)))
+    return cpus or len(os.sched_getaffinity(0))
+
+
+def target_blocks() -> int:
+    """2 blocks per cluster CPU: enough for the streaming executor to
+    keep every core busy, no more (each extra block is a map task, a
+    row and a column of the sort grid, and a writer task)."""
+    return 2 * _cluster_cpus()
 
 
 def shuffle_partitions() -> int:
@@ -91,29 +98,7 @@ def shuffle_partitions() -> int:
     :func:`configure_context`), floor 2, cap 32 per node-equivalent.  On
     a real multi-node cluster the CPU count scales with nodes, so this
     grows with the cluster automatically."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return max(2, min(32, cpus // 4))
-
-
-def actor_pool_size(cap: int = 2) -> int:
-    """Actor count for a broadcast-lookup pool (one copy of a shipped
-    table per actor): ~CPUs/4, floor 1, at most ``cap``.  Each actor
-    holds a CPU for the whole stage, so a fixed size starves the
-    upstream read tasks on small sessions (one ``concurrency=2`` pool
-    on 2 CPUs, or two chained on 4, never yields a CPU to the read —
-    see :func:`configure_context`)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return max(1, min(cap, cpus // 4))
+    return max(2, min(32, _cluster_cpus() // 4))
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None):

@@ -4615,6 +4615,7 @@ def q_prefix_cache_expand(sf_dir: str):
         _PrefixExpand,
         fn_constructor_args=(cache_ref,),
         concurrency=1,
+        num_cpus=0,  # a lookup pool: see io.configure_context
         batch_format="pyarrow",
     )
 
@@ -5089,17 +5090,13 @@ def q_kg_incremental_update(sf_dir: str):
     return _finalize(merged)
 
 
-def _docs(sf_dir: str, columns=("doc_id", "text", "lang", "source", "n_chars")):
-    from ..io import read_table
-
-    return read_table(sf_dir, "documents", columns=list(columns))
-
 
 def q_sparql_results_parse(sf_dir: str):
     """S6 driver-checked: a deterministic SELECT-results XML document is
     synthesized per doc (three binding kinds: typed literal, lang
     literal, uri), parsed by the streaming result parser, and every
     flattened binding is oracle-checked."""
+    from ..io import read_table
     from ..sources.sparql_results import parse_select_batch
 
     def synth_and_parse(b: pa.Table) -> pa.Table:
@@ -5137,7 +5134,7 @@ def q_sparql_results_parse(sf_dir: str):
             }
         )
 
-    return _docs(sf_dir, ("doc_id", "lang")).map_batches(
+    return read_table(sf_dir, "documents", columns=["doc_id", "lang"]).map_batches(
         synth_and_parse, batch_format="pyarrow"
     )
 
@@ -5149,6 +5146,7 @@ def q_format_infer(sf_dir: str):
     """S8 driver-checked: per doc, a filename ``doc<N><ext>`` with ext
     cycling through every registered format; the registry's extension
     inference must return the expected format id and preferred MIME."""
+    from ..io import read_table
     from ..sources.registry import format_from_filename
 
     def infer(b: pa.Table) -> pa.Table:
@@ -5166,7 +5164,9 @@ def q_format_infer(sf_dir: str):
             }
         )
 
-    return _docs(sf_dir, ("doc_id",)).map_batches(infer, batch_format="pyarrow")
+    return read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
+        infer, batch_format="pyarrow"
+    )
 
 
 _LOOP_SRC = """
@@ -5183,6 +5183,7 @@ def q_loop_eval(sf_dir: str):
     per batch (per-call parser state, the T5 pattern), then every doc
     becomes a call node ``F(a=n_chars, b=doc_id)`` evaluated by the
     interpreter — results oracle-checked against plain SQL addition."""
+    from ..io import read_table
     from ..loop import LoopGraph, compile_loop, evaluate
     from ..terms import RDF_NS, XSD_NS, Blank, IRI, Literal
 
@@ -5213,7 +5214,7 @@ def q_loop_eval(sf_dir: str):
             }
         )
 
-    return _docs(sf_dir, ("doc_id", "n_chars")).map_batches(
+    return read_table(sf_dir, "documents", columns=["doc_id", "n_chars"]).map_batches(
         run, batch_format="pyarrow"
     )
 
@@ -5288,10 +5289,11 @@ def q_og_extract(sf_dir: str):
     extractor → ``(src_url, property, content)``.  Completes the HTML
     metadata family (RDFa / microdata / JSON-LD / OG); zero-shuffle
     streaming maps (:mod:`argo_ray.sources.opengraph`)."""
+    from ..io import read_table
     from ..sources.opengraph import extract_og_batch, synth_og_batch
 
     return (
-        _docs(sf_dir, ("doc_id", "text", "lang", "source"))
+        read_table(sf_dir, "documents", columns=["doc_id", "text", "lang", "source"])
         .map_batches(synth_og_batch, batch_format="pyarrow")
         .map_batches(extract_og_batch, batch_format="pyarrow")
     )
@@ -5317,6 +5319,7 @@ def q_kg_er_fs_score(sf_dir: str):
     value — 24 bytes)."""
     import pandas as pd
 
+    from ..io import read_table
     from ..stages.grouping import grouped_map
 
     def records(b: pa.Table) -> pa.Table:
@@ -5337,9 +5340,9 @@ def q_kg_er_fs_score(sf_dir: str):
             }
         )
 
-    left = _docs(sf_dir, ("doc_id", "text", "lang", "n_chars")).map_batches(
-        records, batch_format="pyarrow"
-    )
+    left = read_table(
+        sf_dir, "documents", columns=["doc_id", "text", "lang", "n_chars"]
+    ).map_batches(records, batch_format="pyarrow")
 
     def noise(b: pa.Table) -> pa.Table:
         ids = b["doc_id"]
@@ -5447,6 +5450,7 @@ def q_kg_fuse_majority(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
+    from ..io import read_table
     from ..stages.grouping import grouped_map
 
     def partial(b: pa.Table) -> pa.Table:
@@ -5470,7 +5474,7 @@ def q_kg_fuse_majority(sf_dir: str):
         )
 
     counts = (
-        _docs(sf_dir, ("doc_id", "lang"))
+        read_table(sf_dir, "documents", columns=["doc_id", "lang"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["entity", "value"])
         .aggregate(Sum("n_part", alias_name="support"))
@@ -5500,6 +5504,8 @@ def q_docs_svo_triples(sf_dir: str):
     import numpy as np
 
     from ray.data.aggregate import Sum
+
+    from ..io import read_table
 
     rels = np.array(_SVO_RELS, dtype=object)
 
@@ -5541,7 +5547,7 @@ def q_docs_svo_triples(sf_dir: str):
         )
 
     return (
-        _docs(sf_dir, ("doc_id", "text"))
+        read_table(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["subj", "rel", "obj"])
         .aggregate(Sum("n_part", alias_name="n"))

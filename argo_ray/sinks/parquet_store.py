@@ -103,8 +103,6 @@ def decode_store(out_dir: str):
     import ray
     import ray.data as rd
 
-    from ..io import actor_pool_size
-
     terms = rd.read_parquet(f"{out_dir}/terms").take_all()
     lookup = {
         r["term_id"]: (r["kind"], r["value"], r["lang"], r["datatype"])
@@ -135,6 +133,7 @@ def decode_store(out_dir: str):
     return rd.read_parquet(f"{out_dir}/facts").map_batches(
         Decoder,
         batch_format="pyarrow",
-        concurrency=actor_pool_size(),
+        concurrency=2,
+        num_cpus=0,  # a lookup pool: see io.configure_context
         fn_constructor_kwargs={"lookup_ref": ref},
     )

@@ -312,7 +312,6 @@ def canonicalize_sameas(
     import ray
 
     from ..functions.graph import label_propagation
-    from ..io import actor_pool_size
     from .materialize import dedup_exact
 
     if mode not in ("auto", "broadcast", "join"):
@@ -339,7 +338,8 @@ def canonicalize_sameas(
         rewritten = triples_ds.map_batches(
             _SameAsCanon,
             batch_format="pyarrow",
-            concurrency=actor_pool_size(),
+            concurrency=2,
+            num_cpus=0,  # a lookup pool: see io.configure_context
             fn_constructor_kwargs={"mapping_ref": ref},
         )
     else:

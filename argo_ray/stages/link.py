@@ -279,6 +279,7 @@ def link_entities(
         EntityLinker,
         batch_format="pyarrow",
         concurrency=concurrency,
+        num_cpus=0,  # a lookup pool: see io.configure_context
         fn_constructor_kwargs={
             "candidates_ref": ref,
             "mention_pred": mention_pred,

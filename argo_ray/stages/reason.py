@@ -663,7 +663,6 @@ def rdfs_infer(triples_ds, schema: pa.Table):
     triples, exact-deduped.  Kind columns come back as int64."""
     import ray
 
-    from ..io import actor_pool_size
     from .materialize import dedup_exact
 
     tables = schema_tables(schema)
@@ -671,7 +670,8 @@ def rdfs_infer(triples_ds, schema: pa.Table):
     entailed = triples_ds.map_batches(
         _RdfsEntailer,
         batch_format="pandas",
-        concurrency=actor_pool_size(),
+        concurrency=2,
+        num_cpus=0,  # a lookup pool: see io.configure_context
         fn_constructor_kwargs={"tables_ref": ref},
     )
     return dedup_exact(entailed)

@@ -5,7 +5,9 @@ compares them: column names, row count and sorted values.
 """
 
 import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -13,7 +15,8 @@ import __ray_entry__ as entry
 
 from conftest import SF_DIR
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "tools"))
 
 import check_oracles  # noqa: E402
 
@@ -28,5 +31,54 @@ def con():
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_query_matches_oracle(ray_session, con, name):
-    reason = check_oracles.check(QUERIES[name], ORACLES[name], con, SF_DIR)
+    reason, _ = check_oracles.check(QUERIES[name], ORACLES[name], con, SF_DIR)
     assert reason is None, f"{name}: {reason}"
+
+
+# One entry per broadcast-lookup actor pool: decode_store (twice, chained,
+# in kg_delta_apply), rdfs_infer, canonicalize_sameas, link_entities and
+# the prefix-cache expansion.
+LOOKUP_POOL_ENTRIES = [
+    "kg_delta_apply",
+    "kg_rdfs_infer",
+    "kg_sameas_canon",
+    "entity_link",
+    "prefix_cache_expand",
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lookup_pools_finish_on_small_sessions(tmp_path, cpus):
+    """A lookup pool that reserved CPUs could hold every CPU of a small
+    session and starve the read feeding it, hanging the query.  Each
+    entry runs in a fresh Ray session of ``cpus`` CPUs, driven from a
+    cwd outside the repo, and must match its oracle."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path[:0] = [{REPO!r}, {os.path.join(REPO, "tools")!r}]
+        import ray
+        ray.init(address="local", num_cpus={cpus}, include_dashboard=False,
+                 logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        import __ray_entry__ as entry
+        import check_oracles
+        qs, sqls = entry.queries(), entry.oracle_sql()
+        con = check_oracles.connect({SF_DIR!r})
+        for name in {LOOKUP_POOL_ENTRIES!r}:
+            print(name, check_oracles.check(qs[name], sqls[name], con, {SF_DIR!r})[0])
+        ray.shutdown()
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    verdicts = [
+        line for line in proc.stdout.splitlines() if line.split(" ")[0] in LOOKUP_POOL_ENTRIES
+    ]
+    assert verdicts == [f"{name} None" for name in LOOKUP_POOL_ENTRIES], proc.stdout

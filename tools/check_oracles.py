@@ -55,35 +55,38 @@ def connect(sf_dir):
 
 
 def check(fn, sql, con, sf_dir):
-    """Run one query and its oracle SQL on ``sf_dir``; return None when
-    they agree (column names, row count, sorted values), else a one-line
-    reason followed by up to three differing row pairs."""
+    """Run one query and its oracle SQL on ``sf_dir``.  Return
+    ``(reason, rows)``: ``reason`` is None when they agree (column names,
+    row count, sorted values), else a one-line reason followed by up to
+    three differing row pairs; ``rows`` is the query's row count, None
+    when it raised."""
     try:
         ours = normalize(to_pandas(fn(sf_dir)))
     except Exception as exc:  # noqa: BLE001
-        return f"query raised {type(exc).__name__}: {exc}"
+        return f"query raised {type(exc).__name__}: {exc}", None
+    rows = len(ours)
     try:
         theirs = normalize(con.execute(sql).fetchdf())
     except Exception as exc:  # noqa: BLE001
-        return f"oracle raised {type(exc).__name__}: {exc}"
+        return f"oracle raised {type(exc).__name__}: {exc}", rows
     if list(ours.columns) != list(theirs.columns):
-        return f"columns {list(ours.columns)} vs {list(theirs.columns)}"
-    if len(ours) != len(theirs):
-        return f"rows {len(ours)} vs {len(theirs)}"
+        return f"columns {list(ours.columns)} vs {list(theirs.columns)}", rows
+    if rows != len(theirs):
+        return f"rows {rows} vs {len(theirs)}", rows
     if ours.equals(theirs):
-        return None
+        return None, rows
     # tolerate dtype mismatches by value compare
     try:
         diff = (ours.astype(str).values != theirs.astype(str).values).any(axis=1)
     except Exception as exc:  # noqa: BLE001
-        return f"value compare raised {type(exc).__name__}: {exc}"
+        return f"value compare raised {type(exc).__name__}: {exc}", rows
     if not diff.any():
-        return None
+        return None, rows
     lines = ["value mismatch; first diffs:"]
     for i in diff.nonzero()[0][:3]:
         lines.append(f"  ours  : {ours.iloc[i].to_dict()}")
         lines.append(f"  oracle: {theirs.iloc[i].to_dict()}")
-    return "\n".join(lines)
+    return "\n".join(lines), rows
 
 
 def main() -> int:
@@ -108,13 +111,9 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
-        if name not in sqls:
-            rows = len(to_pandas(fn(sf_dir)))
-            print(f"ROWS  {name}: {rows} rows (no oracle — rows-only check)")
-            continue
-        reason = check(fn, sqls[name], con, sf_dir)
+        reason, rows = check(fn, sqls[name], con, sf_dir)
         if reason is None:
-            print(f"OK    {name}")
+            print(f"OK    {name}: {rows} rows")
         else:
             print(f"FAIL  {name}: {reason}")
             failures.append(name)
