@@ -15,6 +15,7 @@ functions use, or inside the callables.
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -83,7 +84,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
     """
     from argo_ray.pipelines.queries import KG_QUERIES
 
-    return _rotated(KG_QUERIES)
+    return {name: _driver_result(fn) for name, fn in _rotated(KG_QUERIES).items()}
+
+
+def _driver_result(fn: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``fn`` with a local-tier SPARQL result (``LocalFrame``) handed
+    over as its ``pa.Table``: the one type outside the driver's three."""
+    from argo_ray.sparql.frame import LocalFrame
+
+    @functools.wraps(fn)
+    def run(sf_dir: str) -> Any:
+        out = fn(sf_dir)
+        return out.table if isinstance(out, LocalFrame) else out
+
+    return run
 
 
 def oracle_sql() -> dict[str, str]:

@@ -1914,6 +1914,7 @@ def khop_sample(edges_ds, seeds_ds, hops: int = 2, fanout: int = 3):
             join_type="inner",
             on=("node",),
             num_partitions=num_partitions,
+            aggregator_ray_remote_args={"num_cpus": 0},  # see io.configure_context
         )
 
         def keyed(b: pa.Table) -> pa.Table:
@@ -2057,6 +2058,7 @@ def random_walks(edges_ds, seeds_ds, walk_len: int = 3, walks_per_seed: int = 2)
             join_type="inner",
             on=("node",),
             num_partitions=num_partitions,
+            aggregator_ray_remote_args={"num_cpus": 0},  # see io.configure_context
         )
 
         def keyed(b: pa.Table, s=step) -> pa.Table:

@@ -40,7 +40,9 @@ def configure_context() -> None:
     CPUs).  Broadcast-lookup pools (store decode, sameAs rewrite, RDFS
     entailment, entity linking, prefix expansion) therefore reserve no
     CPU (``num_cpus=0``): they are lookups against a shipped table, not
-    a share of the cluster.
+    a share of the cluster.  So do the hash-shuffle aggregators of every
+    ``Dataset.join`` (``aggregator_ray_remote_args``): while idle they
+    held both CPUs of a 2-CPU session and the join's inputs never ran.
     """
     global _CONFIGURED
     if _CONFIGURED:

@@ -65,7 +65,7 @@ def serialize_select_results(
 
 
 def select_dataset_to_xml(ds, variables: list[str]) -> str:
-    """``evaluate_select`` output Dataset (one canonical-rendering
+    """``evaluate_select`` result, either tier (one canonical-rendering
     string column per variable, '' = unbound) → results XML document.
     Term decomposition is the vectorized inverse renderer per batch;
     only the final string join happens on the driver."""
@@ -192,7 +192,7 @@ def serialize_select_results_tsv(variables: list[str], rows) -> str:
 
 
 def select_dataset_to_tsv(ds, variables: list[str]) -> str:
-    """``evaluate_select`` output Dataset → SPARQL 1.1 TSV results
+    """``evaluate_select`` result, either tier → SPARQL 1.1 TSV results
     document (text/tab-separated-values).  The engine's canonical
     rendering IS the TSV term syntax, so each row is ONE vectorized
     tab-join per batch; unbound ('') stays an empty cell per spec."""

@@ -4,10 +4,16 @@ File-backed twin of the reference's ``SparqlService``
 (``/root/reference/sparql/sparqlservice.go:1-95``): the reference POSTs
 query strings to an HTTP endpoint and parses the response; a distributed
 pipeline must not do per-task HTTP, so here the "endpoint" is the
-engine's own triple data — SELECT/ASK/CONSTRUCT evaluate as Ray Data
-pipelines over a triples Dataset, and SPARQL-Update (INSERT DATA /
-DELETE DATA) applies to stored graphs (the piece ``FileGraphStore.patch``
-forwards, mirroring ``graphstoreservice.go:162-181``).
+engine's own triple data — SELECT/ASK/CONSTRUCT/DESCRIBE evaluate over
+a triples Dataset, in-process for a small materialized store and as Ray
+Data pipelines otherwise, and SPARQL-Update (INSERT DATA / DELETE DATA)
+applies to stored graphs (the piece ``FileGraphStore.patch`` forwards,
+mirroring ``graphstoreservice.go:162-181``).
+
+SELECT/CONSTRUCT/DESCRIBE return a ``frame.LocalFrame`` from the
+in-process tier and a ``ray.data.Dataset`` from the Ray tier; both
+answer ``take_all``, ``to_pandas``, ``iter_batches``, ``schema`` and
+``count``.  ASK returns a ``bool``.
 
 Supported surface (documented subset — unsupported syntax raises):
 

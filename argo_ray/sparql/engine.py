@@ -32,8 +32,12 @@ per dataset) and the query runs in-process on a ``LocalFrame``
 as the Ray Data plan described above.  ``_executor`` makes the choice
 once per query; every operator is written against the shared slice of
 the ``Dataset`` API and builds new frames through ``_table_like``, so
-it stays on the tier of its input.  Either way SELECT / CONSTRUCT /
-DESCRIBE return a ``ray.data.Dataset``.
+it stays on the tier of its input.  SELECT / CONSTRUCT / DESCRIBE
+return the frame their tier produced: a ``LocalFrame`` on the local
+tier, a ``ray.data.Dataset`` on the Ray tier.  Both answer the same
+reads (``take_all``, ``to_pandas``, ``iter_batches``, ``schema``,
+``count``), and a ``LocalFrame`` result handed back as a store or a
+``SERVICE`` dataset stays local.
 
 Caller contract: each triple pattern scans ``ds`` once.  Hand the
 evaluator a *stored* dataset (``decode_store`` /
@@ -136,7 +140,7 @@ _PULL_LOCK = threading.Lock()
 def _fits_locally(ds) -> bool:
     from ray.data.dataset import MaterializedDataset
 
-    return (
+    return isinstance(ds, LocalFrame) or (
         isinstance(ds, MaterializedDataset)
         and ds.num_blocks() > 0
         and ds.size_bytes() <= _LOCAL_MAX_BYTES
@@ -145,6 +149,8 @@ def _fits_locally(ds) -> bool:
 
 def _pull(ds) -> LocalFrame:
     """The store's blocks as one in-process table, fetched once."""
+    if isinstance(ds, LocalFrame):
+        return ds
     with _PULL_LOCK:
         frame = _PULLED.get(ds)
         if frame is None:
@@ -179,6 +185,10 @@ def _executor(ds, q):
     ]
     if all(_fits_locally(d) for d in (ds, *services)):
         return _pull(ds)
+    if isinstance(ds, LocalFrame):  # a local store meets a lazy SERVICE
+        import ray.data
+
+        return ray.data.from_arrow(ds.table)
     return ds
 
 
@@ -190,15 +200,6 @@ def _table_like(like, table: pa.Table):
     import ray.data
 
     return ray.data.from_arrow(table)
-
-
-def _to_dataset(out):
-    """A query result as a ``ray.data.Dataset`` whichever tier ran it."""
-    if isinstance(out, LocalFrame):
-        import ray.data
-
-        return ray.data.from_arrow(out.table)
-    return out
 
 
 def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
@@ -1057,6 +1058,8 @@ def _service_bindings(ds, block):
         return _table_like(ds, pa.table({"_svc": pa.array([1], pa.int64())})), set()
     if isinstance(ds, LocalFrame):
         target = _pull(target)
+    elif isinstance(target, LocalFrame):
+        target = _table_like(ds, target.table)
     bindings, bound, leftover = _bgp(target, block.patterns, block.filters)
     if leftover:
         _check_filter_vars(leftover, bound)
@@ -2621,13 +2624,13 @@ def _apply_dataset_clause(ds, q):
 
 
 def evaluate_select(ds, query: str | SelectQuery):
-    """SELECT over a triples Dataset → Dataset with one canonical
+    """SELECT over a triples Dataset → a frame of its tier with one canonical
     N-Triples-rendered string column per selected variable (the same
     term rendering the result parser S6 round-trips)."""
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, SelectQuery):
         raise SparqlSyntaxError("not a SELECT query")
-    return _to_dataset(_select(_executor(ds, q), q))
+    return _select(_executor(ds, q), q)
 
 
 def _select(ds, q: SelectQuery):
@@ -2710,9 +2713,10 @@ def evaluate_ask(ds, query: str | AskQuery) -> bool:
 
 
 def evaluate_construct(ds, query: str | ConstructQuery):
-    """CONSTRUCT → Dataset of flattened distinct triples (the graph the
+    """CONSTRUCT → a frame of flattened distinct triples (the graph the
     reference's ``SparqlService.Graph`` parses from the response body,
-    sparqlservice.go:70-83) — feed it to any serializer sink."""
+    sparqlservice.go:70-83) — serialize a ``LocalFrame``'s ``.table``
+    in memory, or write a Dataset with any serializer sink."""
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, ConstructQuery):
         raise SparqlSyntaxError("not a CONSTRUCT query")
@@ -2817,13 +2821,11 @@ def evaluate_construct(ds, query: str | ConstructQuery):
 
     out = bindings.map_batches(instantiate, batch_format="pyarrow")
     out = dedup_exact(out)
-    return _to_dataset(
-        out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
-    )
+    return out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
 
 
 def evaluate_describe(ds, query: str | DescribeQuery):
-    """DESCRIBE → Dataset of the described subjects' distinct triples
+    """DESCRIBE → a frame of the described subjects' distinct triples
     (streaming filter — the same M1 predicate the pattern scans use)."""
     from ..stages.filter import term_predicate
     from ..stages.materialize import dedup_exact
@@ -2855,8 +2857,8 @@ def evaluate_describe(ds, query: str | DescribeQuery):
             ).select(TRIPLE_COLUMNS)
 
         out = dedup_exact(ds.map_batches(fvar, batch_format="pyarrow"))
-        return _to_dataset(
-            out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
+        return out.map_batches(
+            lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow"
         )
     terms = q.terms
 
@@ -2868,9 +2870,7 @@ def evaluate_describe(ds, query: str | DescribeQuery):
         return batch.filter(mask).select(TRIPLE_COLUMNS)
 
     out = dedup_exact(ds.map_batches(f, batch_format="pyarrow"))
-    return _to_dataset(
-        out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
-    )
+    return out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
 
 
 def _where_solutions(triples, patterns) -> list[dict]:

@@ -18,7 +18,10 @@ and runs on whichever executor fits the data:
   not at consumption.
 
 Which queries run here is decided by the engine (``engine._executor``);
-this module only executes.
+this module only executes.  A local-tier SELECT / CONSTRUCT / DESCRIBE
+returns its ``LocalFrame`` as the result, so the frame also carries
+the reads result consumers call: ``take_all``, ``to_pandas``,
+``count``, ``schema`` and ``iter_batches`` (one pyarrow batch).
 """
 
 from __future__ import annotations
@@ -102,6 +105,14 @@ class LocalFrame:
 
     def columns(self) -> list[str]:
         return self.table.column_names
+
+    def schema(self) -> pa.Schema:
+        return self.table.schema
+
+    def iter_batches(self, *, batch_format: str):
+        if batch_format != "pyarrow":
+            raise ValueError(f"unsupported batch_format {batch_format!r}")
+        yield self.table
 
     def aggregate(self, *aggs) -> dict:
         kernels = {"sum": pc.sum, "min": pc.min, "max": pc.max}

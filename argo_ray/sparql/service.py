@@ -4,13 +4,18 @@ client surface, ``sparql/sparqlservice.go:1-95``, minus the network).
 The reference's methods and their equivalents here:
 
 - ``Select(query) → *ResultParser``  → :meth:`FileSparqlService.select`
-  returns the bindings Dataset directly (one rendered string column per
+  returns the bindings frame directly (one rendered string column per
   variable — what the S6 result parser would have produced from the
   endpoint's XML).
 - ``Ask(query) → bool``              → :meth:`FileSparqlService.ask`.
 - ``Graph(query) → *argo.Graph``     → :meth:`FileSparqlService.graph`
-  returns the CONSTRUCTed flattened triples Dataset (serialize with any
+  returns the CONSTRUCTed flattened triples frame (serialize with any
   sink to mirror the RDF/XML body parse).
+
+A frame is the engine's result on the tier that ran the query: a
+``LocalFrame`` for a store that fits in-process, else a
+``ray.data.Dataset``; both answer ``take_all``, ``to_pandas``,
+``iter_batches``, ``schema`` and ``count``.
 - ``Update(query)``                  → :meth:`FileSparqlService.update`,
   available when the service wraps a :class:`FileGraphStore` named
   graph (the reference posts the string to the endpoint; the file-backed
@@ -98,7 +103,7 @@ class FileSparqlService:
         return evaluate_ask(self._ds(), query)
 
     def graph(self, query: str):
-        """CONSTRUCT or DESCRIBE → triples Dataset (the reference's
+        """CONSTRUCT or DESCRIBE → triples frame (the reference's
         ``Graph()`` serves both verbs, sparqlservice.go:70-83)."""
         q = parse_query(query)
         if isinstance(q, DescribeQuery):

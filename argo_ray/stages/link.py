@@ -325,6 +325,7 @@ def link_entities_join(
         join_type="inner",
         on=("surface_form",),
         num_partitions=num_partitions,
+        aggregator_ray_remote_args={"num_cpus": 0},  # see io.configure_context
     )
 
     def emit(b: pa.Table) -> pa.Table:

@@ -463,6 +463,7 @@ def _closure_distributed(edges_ds, max_rounds: int):
             join_type="inner",
             on=("pred_value", "mid"),
             num_partitions=num_partitions,
+            aggregator_ray_remote_args={"num_cpus": 0},  # see io.configure_context
         )
         step = step.map_batches(
             lambda b: pa.table(
@@ -597,6 +598,7 @@ def owl_infer(
                 join_type="inner",
                 on=("mid",),
                 num_partitions=num_partitions,
+                aggregator_ray_remote_args={"num_cpus": 0},  # see io.configure_context
             )
 
             def chain_rows(df: pd.DataFrame, prop=prop) -> pd.DataFrame:

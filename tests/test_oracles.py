@@ -31,7 +31,15 @@ def con():
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_query_matches_oracle(ray_session, con, name):
-    reason, _ = check_oracles.check(QUERIES[name], ORACLES[name], con, SF_DIR)
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    result = QUERIES[name](SF_DIR)
+    # the driver contract's three result types; a local-tier SPARQL
+    # frame must not leak past __ray_entry__.queries()
+    assert isinstance(result, (ray.data.Dataset, pd.DataFrame, pa.Table)), type(result)
+    reason, _ = check_oracles.check(lambda _: result, ORACLES[name], con, SF_DIR)
     assert reason is None, f"{name}: {reason}"
 
 
@@ -46,13 +54,21 @@ LOOKUP_POOL_ENTRIES = [
     "prefix_cache_expand",
 ]
 
+# Entries that run a ``Dataset.join``: the random-walk and k-hop
+# frontier joins, the entity-link join and the OWL chain join.
+JOIN_ENTRIES = [
+    "kg_random_walks",
+    "kg_walk_pairs",
+    "kg_khop_sample",
+    "entity_link_join",
+    "kg_owl_infer",
+]
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_lookup_pools_finish_on_small_sessions(tmp_path, cpus):
-    """A lookup pool that reserved CPUs could hold every CPU of a small
-    session and starve the read feeding it, hanging the query.  Each
-    entry runs in a fresh Ray session of ``cpus`` CPUs, driven from a
-    cwd outside the repo, and must match its oracle."""
+
+def _check_in_fresh_session(tmp_path, cpus: int, names: list[str]) -> None:
+    """Run each entry of ``names`` in a fresh Ray session of ``cpus``
+    CPUs, driven from a cwd outside the repo; each must match its
+    oracle."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -65,7 +81,7 @@ def test_lookup_pools_finish_on_small_sessions(tmp_path, cpus):
         import check_oracles
         qs, sqls = entry.queries(), entry.oracle_sql()
         con = check_oracles.connect({SF_DIR!r})
-        for name in {LOOKUP_POOL_ENTRIES!r}:
+        for name in {names!r}:
             print(name, check_oracles.check(qs[name], sqls[name], con, {SF_DIR!r})[0])
         ray.shutdown()
         """
@@ -78,7 +94,20 @@ def test_lookup_pools_finish_on_small_sessions(tmp_path, cpus):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    verdicts = [
-        line for line in proc.stdout.splitlines() if line.split(" ")[0] in LOOKUP_POOL_ENTRIES
-    ]
-    assert verdicts == [f"{name} None" for name in LOOKUP_POOL_ENTRIES], proc.stdout
+    verdicts = [line for line in proc.stdout.splitlines() if line.split(" ")[0] in names]
+    assert verdicts == [f"{name} None" for name in names], proc.stdout
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lookup_pools_finish_on_small_sessions(tmp_path, cpus):
+    """A lookup pool that reserved CPUs could hold every CPU of a small
+    session and starve the read feeding it, hanging the query."""
+    _check_in_fresh_session(tmp_path, cpus, LOOKUP_POOL_ENTRIES)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_joins_finish_on_small_sessions(tmp_path, cpus):
+    """A join whose hash-shuffle aggregators reserved CPUs could hold
+    every CPU of a small session while idle and starve the tasks
+    feeding them, hanging the query."""
+    _check_in_fresh_session(tmp_path, cpus, JOIN_ENTRIES)

@@ -2613,7 +2613,8 @@ def test_global_aggregates_over_no_solutions(sparql_tier):
 def test_tier_choice_follows_store_size(ray_session, monkeypatch):
     """A materialized store at or under the threshold runs in-process;
     one byte over it, or a lazy Dataset, takes the distributed plan —
-    with the same result and the same result type."""
+    with the same rows.  Each tier returns its own frame: a
+    ``LocalFrame`` on the local tier, a ``ray.data.Dataset`` on Ray."""
     import ray.data
 
     from argo_ray.sparql import engine
@@ -2624,12 +2625,14 @@ def test_tier_choice_follows_store_size(ray_session, monkeypatch):
     monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", store.size_bytes())
     assert isinstance(engine._executor(store, q), LocalFrame)
     local = evaluate_select(store, q)
-    assert isinstance(local, ray.data.Dataset)
+    assert isinstance(local, LocalFrame)
     assert local.take_all() == _STAR_ROWS
 
     monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", store.size_bytes() - 1)
     assert engine._executor(store, q) is store
-    assert evaluate_select(store, q).take_all() == _STAR_ROWS
+    remote = evaluate_select(store, q)
+    assert isinstance(remote, ray.data.Dataset)
+    assert remote.take_all() == _STAR_ROWS
 
     monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", 64 << 20)
     lazy = store.map_batches(lambda b: b, batch_format="pyarrow")
@@ -2637,15 +2640,20 @@ def test_tier_choice_follows_store_size(ray_session, monkeypatch):
 
 
 def test_local_tier_starts_no_ray_data_execution(ray_session, monkeypatch):
-    """SELECT / ASK over a small materialized store run without a single
-    Ray Data operator: every Dataset transform or consumer raises while
-    the query evaluates."""
+    """SELECT (a lookup and a GROUP BY join), ASK, CONSTRUCT and DESCRIBE
+    over a small materialized store, and every read of their results,
+    run without Ray work: every Dataset transform or consumer, building
+    a Dataset from Arrow and ``ray.put`` raise from evaluation through
+    consumption."""
+    import ray
     import ray.data
+
+    from argo_ray.sparql import evaluate_describe
 
     store = _ds()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Ray Data execution on the local tier")
+        raise AssertionError("Ray work on the local tier")
 
     with monkeypatch.context() as m:
         for name in (
@@ -2653,15 +2661,86 @@ def test_local_tier_starts_no_ray_data_execution(ray_session, monkeypatch):
             "count", "materialize", "take_all", "to_pandas", "iter_batches",
         ):
             m.setattr(ray.data.Dataset, name, forbidden)
-        out = evaluate_select(store, _STAR_JOIN)
+        m.setattr(ray.data, "from_arrow", forbidden)
+        m.setattr(ray.data, "from_arrow_refs", forbidden)
+        m.setattr(ray, "put", forbidden)
+        lookup = evaluate_select(
+            store, f"PREFIX ex: <{EX}> SELECT ?p ?o WHERE {{ ex:d2 ?p ?o }}"
+        )
+        assert sorted(lookup.to_pandas()["o"]) == [
+            '"80"^^<http://www.w3.org/2001/XMLSchema#integer>', '"de"', f"<{EX}Doc>",
+        ]
+        assert lookup.schema().names == ["p", "o"]
+        assert evaluate_select(store, _STAR_JOIN).take_all() == _STAR_ROWS
         grouped = evaluate_select(
             store,
             f"PREFIX ex: <{EX}> SELECT ?l (COUNT(*) AS ?n) "
-            "WHERE { ?s ex:lang ?l } GROUP BY ?l",
+            "WHERE { ?s ex:lang ?l . ?s a ex:Doc } GROUP BY ?l",
         )
+        assert sorted((r["l"], r["n"]) for r in grouped.take_all()) == [
+            ('"de"', 1), ('"en"', 1)
+        ]
         assert evaluate_ask(store, f'PREFIX ex: <{EX}> ASK {{ ?s ex:lang "de" }}')
-    assert out.take_all() == _STAR_ROWS
-    assert sorted(r["n"] for r in grouped.take_all()) == [1, 1, 1]
+        built = evaluate_construct(
+            store,
+            f"PREFIX ex: <{EX}> CONSTRUCT {{ ?l ex:spokenIn ?s }} "
+            "WHERE { ?s ex:lang ?l . ?s a ex:Doc }",
+        )
+        assert sum(b.num_rows for b in built.iter_batches(batch_format="pyarrow")) == 2
+        described = evaluate_describe(store, f"DESCRIBE <{EX}d1> <{EX}d3>")
+        assert {r["subj_value"] for r in described.take_all()} == {EX + "d1", EX + "d3"}
+        assert described.count() == 4
+
+
+def test_local_results_stay_local_as_stores(ray_session, monkeypatch):
+    """A local-tier CONSTRUCT result queried as a store, or registered
+    as a SERVICE dataset, keeps the query on the local tier even where
+    a Dataset store would take the Ray plan.  Mixed with a Dataset
+    that takes the Ray plan, it joins that plan."""
+    import ray.data
+
+    from argo_ray.sparql import engine
+    from argo_ray.sparql.engine import register_service, unregister_service
+    from argo_ray.sparql.frame import LocalFrame
+
+    built = evaluate_construct(
+        _ds(),
+        f"PREFIX ex: <{EX}> CONSTRUCT {{ ?s a ex:Doc . ?s ex:speaks ?l }} "
+        "WHERE { ?s ex:lang ?l . ?s a ex:Doc }",
+    )
+    assert isinstance(built, LocalFrame)
+    monkeypatch.setattr(engine, "_LOCAL_MAX_BYTES", -1)
+    q = parse_query(f'PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s ex:speaks "de" }}')
+    assert engine._executor(built, q) is built
+    out = evaluate_select(built, q)
+    assert isinstance(out, LocalFrame)
+    assert out.take_all() == [{"s": f"<{EX}d2>"}]
+
+    iri = "http://local-result.example.org/"
+    q = parse_query(
+        f"PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s a ex:Doc . "
+        f'SERVICE <{iri}> {{ ?s ex:speaks "en" }} }}'
+    )
+    try:
+        register_service(iri, built)
+        assert engine._executor(built, q) is built
+        out = evaluate_select(built, q)
+        assert isinstance(out, LocalFrame)
+        assert out.take_all() == [{"s": f"<{EX}d1>"}]
+        store = _ds()
+        assert engine._executor(store, q) is store
+        assert evaluate_select(store, q).take_all() == [{"s": f"<{EX}d1>"}]
+
+        register_service(iri, _ds().map_batches(lambda b: b, batch_format="pyarrow"))
+        q = parse_query(
+            f'PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s ex:speaks "de" . '
+            f'SERVICE <{iri}> {{ ?s ex:lang "de" }} }}'
+        )
+        out = evaluate_select(built, q)
+        assert isinstance(out, ray.data.Dataset)
+        assert out.take_all() == [{"s": f"<{EX}d2>"}]
+    finally:
+        unregister_service(iri)
 
 
 def test_local_tier_errors_raise_at_evaluation(ray_session):
