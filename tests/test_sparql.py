@@ -2668,7 +2668,7 @@ def test_local_tier_starts_no_ray_data_execution(ray_session, monkeypatch):
             store, f"PREFIX ex: <{EX}> SELECT ?p ?o WHERE {{ ex:d2 ?p ?o }}"
         )
         assert sorted(lookup.to_pandas()["o"]) == [
-            '"80"^^<http://www.w3.org/2001/XMLSchema#integer>', '"de"', f"<{EX}Doc>",
+            f'"80"^^<{XSD_INT}>', '"de"', f"<{EX}Doc>"
         ]
         assert lookup.schema().names == ["p", "o"]
         assert evaluate_select(store, _STAR_JOIN).take_all() == _STAR_ROWS
