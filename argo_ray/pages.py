@@ -277,7 +277,3 @@ def pages_dataset(
 
     ds = ds.map_batches(inflate, batch_format="pyarrow")
     return ds.map_batches(synth_pages_batch, batch_format="pyarrow")
-
-
-def write_pages(sf_dir: str, out_dir: str) -> None:
-    pages_dataset(sf_dir).write_parquet(out_dir)

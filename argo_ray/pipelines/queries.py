@@ -3133,9 +3133,8 @@ def q_sparql_functions_eval(sf_dir: str):
 
 
 def q_sparql_count_distinct_eval(sf_dir: str):
-    """COUNT(DISTINCT ?v) alongside a plain aggregate: distinct-pair
-    shuffle (group, value) for the distinct count, partial-agg combiner
-    for the row count, merged per group."""
+    """COUNT(DISTINCT ?v) alongside a plain aggregate: one exchange on
+    the group key, and both counts from one Arrow group_by per block."""
     from ..sparql import evaluate_select
 
     q = f"""
@@ -3493,9 +3492,9 @@ def q_sparql_group_concat_eval(sf_dir: str):
 
 def q_sparql_sum_distinct_eval(sf_dir: str):
     """SUM/AVG(DISTINCT ?v) alongside a plain COUNT: distinctness over
-    RDF terms per group via the distinct-pair shuffle, numeric
-    aggregation of the surviving terms, merged with the plain
-    partial-agg path per group."""
+    RDF terms per group, kept inside the exchange's block function, and
+    the numeric aggregates of the surviving terms joined with the COUNT
+    on the group key."""
     from ..sparql import evaluate_select
 
     q = f"""

@@ -19,6 +19,11 @@ module IS the endpoint, re-expressed Ray-Data-first:
   renders each variable to its canonical N-Triples string (one string
   column per variable — the same rendering the serializers use, so a
   DuckDB oracle can reproduce results bit-for-bit).
+- GROUP BY and every aggregate run through ONE operator
+  (``_aggregate_query``): a per-batch Arrow prep (and partial, when
+  every aggregate is decomposable), one ``exchange`` keyed on the
+  rendered group keys, and one Arrow ``group_by`` block function.
+  Without GROUP BY the same block function finishes on the driver.
 
 At 100 TB the per-pattern scans dominate; bound-subject patterns can
 push down to Parquet row groups via ``subject_hash`` the same way
@@ -50,6 +55,7 @@ from __future__ import annotations
 import threading
 import weakref
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -154,15 +160,20 @@ def _pull(ds) -> LocalFrame:
     with _PULL_LOCK:
         frame = _PULLED.get(ds)
         if frame is None:
-            import ray
-
             frame = LocalFrame(
-                pa.concat_tables(
-                    ray.get(ds.to_arrow_refs()), promote_options="permissive"
-                )
+                pa.concat_tables(_blocks(ds), promote_options="permissive")
             )
             _PULLED[ds] = frame
         return frame
+
+
+def _blocks(ds) -> list[pa.Table]:
+    """A frame's blocks as tables in this process."""
+    if isinstance(ds, LocalFrame):
+        return [ds.table]
+    import ray
+
+    return ray.get(ds.to_arrow_refs())
 
 
 def _service_iris(node):
@@ -930,8 +941,8 @@ _XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
 
 def _subselect_aggregate(bindings, q, bound: set):
     """Aggregate subquery ``{ SELECT ?g (COUNT(*) AS ?n) … GROUP BY ?g }``
-    → (bindings, vars).  The group runs through the normal partial-agg
-    machinery, then the (one-row-per-group, small-by-design) output is
+    → (bindings, vars).  The group runs through ``_aggregate_query``,
+    then the (one-row-per-group, small-by-design) output is
     lifted back into term-binding columns so it joins like any group
     element: group keys re-parse their canonical renderings
     (``nt_parse_term_arrays``), COUNT becomes an xsd:integer literal,
@@ -1699,6 +1710,14 @@ def _operand(batch: pa.Table, x):
     return pa.scalar(x.value, pa.large_string()), numeric
 
 
+# what ``_to_float_coerce`` reads as a double (after trimming
+# whitespace): decimal and exponent forms, inf, infinity and nan
+_FLOAT_RE = (
+    r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$"
+    r"|^[+-]?(?i:inf|infinity|nan)$"
+)
+
+
 def _to_float_coerce(col_or_scalar):
     """Lexical form → float64 with SPARQL type-error semantics: an
     unparseable value becomes NaN (the comparison then yields false and
@@ -1706,10 +1725,10 @@ def _to_float_coerce(col_or_scalar):
     literal."""
     if isinstance(col_or_scalar, pa.Scalar):
         return pa.scalar(float(col_or_scalar.as_py()), pa.float64())
-    coerced = pd.to_numeric(
-        pd.Series(col_or_scalar.to_pylist(), dtype="object"), errors="coerce"
-    )
-    return pa.array(coerced.astype("float64"), pa.float64())
+    text = pc.utf8_trim_whitespace(pc.cast(col_or_scalar, pa.large_string()))
+    ok = pc.fill_null(pc.match_substring_regex(text, _FLOAT_RE), False)
+    num = pc.cast(pc.if_else(ok, text, pa.scalar("0", pa.large_string())), pa.float64())
+    return pc.if_else(ok, num, pa.scalar(float("nan"), pa.float64()))
 
 
 def _term_identity_mask(batch: pa.Table, flt):
@@ -2108,276 +2127,6 @@ def _apply_slice(out, limit: int | None, offset: int):
     return out
 
 
-def _aggregate_bindings(bindings, group_vars: list[str], aggs, project=None):
-    """GROUP BY + aggregates over a bindings Dataset, the partial-
-    aggregation shape every other wide aggregate in this engine uses:
-    per-batch pandas partials → one small ``groupby().aggregate()``
-    shuffle whose volume is distinct groups, not rows.
-
-    Group keys are the variables' canonical N-Triples renderings (the
-    same string columns SELECT outputs); COUNT counts bound values
-    (COUNT(*) counts rows), SUM/MIN/MAX/AVG coerce the lexical form to
-    float64 with non-numeric values becoming NaN and EXCLUDED from the
-    aggregate (pandas skipna — the SPARQL error-ignoring behaviour most
-    endpoints exhibit; COUNT still counts such rows).  ``project``
-    limits the output columns to the SELECT clause (group keys not
-    projected are used for grouping, then dropped).  Output: one float64
-    column per aggregate (COUNT: int64), named by its alias."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for gv in group_vars:
-            cols[gv] = pc.fill_null(
-                nt_render_term_arrays(
-                    batch[f"{gv}__kind"], batch[f"{gv}__value"],
-                    batch[f"{gv}__lang"], batch[f"{gv}__datatype"],
-                ),
-                "",
-            )
-        for i, a in enumerate(aggs):
-            if a.func == "count":
-                if a.var is None:
-                    cols[f"_a{i}"] = pa.array([1] * batch.num_rows, pa.int64())
-                else:
-                    cols[f"_a{i}"] = pc.cast(
-                        pc.is_valid(batch[f"{a.var}__kind"]), pa.int64()
-                    )
-            elif a.func == "sample":
-                # deterministic SAMPLE: the minimum rendered term (the
-                # spec allows any value; min makes the oracle exact)
-                cols[f"_a{i}"] = nt_render_term_arrays(
-                    batch[f"{a.var}__kind"], batch[f"{a.var}__value"],
-                    batch[f"{a.var}__lang"], batch[f"{a.var}__datatype"],
-                )
-            else:
-                cols[f"_a{i}"] = _to_float_coerce(
-                    pc.cast(batch[f"{a.var}__value"], pa.large_string())
-                )
-        return pa.table(cols)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        spec = {}
-        for i, a in enumerate(aggs):
-            if a.func in ("count", "sum"):
-                spec[f"_p{i}"] = (f"_a{i}", "sum")
-            elif a.func == "avg":
-                spec[f"_p{i}"] = (f"_a{i}", "sum")
-                spec[f"_n{i}"] = (f"_a{i}", "count")
-            else:  # min / max / sample (sample = min of rendered term)
-                spec[f"_p{i}"] = (f"_a{i}", "min" if a.func == "sample" else a.func)
-        if not group_vars:
-            _PD_FUNC = {"count": "sum", "sum": "sum", "avg": "sum", "sample": "min"}
-            out = df.agg(
-                {f"_a{i}": _PD_FUNC.get(aggs[i].func, aggs[i].func)
-                 for i in range(len(aggs))}
-            )
-            row = {f"_p{i}": [out[f"_a{i}"]] for i in range(len(aggs))}
-            for i, a in enumerate(aggs):
-                if a.func == "avg":
-                    row[f"_n{i}"] = [df[f"_a{i}"].count()]
-            return pd.DataFrame(row)
-        return df.groupby(group_vars, sort=False).agg(**spec).reset_index()
-
-    ds2 = bindings.map_batches(prep, batch_format="pyarrow")
-    ds2 = ds2.map_batches(partial, batch_format="pandas")
-    combiners = []
-    for i, a in enumerate(aggs):
-        if a.func in ("count", "sum", "avg"):
-            combiners.append(Sum(f"_p{i}", alias_name=f"_g{i}"))
-            if a.func == "avg":
-                combiners.append(Sum(f"_n{i}", alias_name=f"_gn{i}"))
-        elif a.func in ("min", "sample"):
-            combiners.append(Min(f"_p{i}", alias_name=f"_g{i}"))
-        else:
-            combiners.append(Max(f"_p{i}", alias_name=f"_g{i}"))
-    if group_vars:
-        out = ds2.groupby(group_vars if len(group_vars) > 1 else group_vars[0]).aggregate(
-            *combiners
-        )
-    else:
-        res = ds2.aggregate(*combiners)
-        out = _table_like(ds2, pa.table({k: [v] for k, v in res.items()}))
-
-    keep = project if project is not None else (
-        list(group_vars) + [a.alias for a in aggs]
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {gv: batch[gv] for gv in group_vars}
-        for i, a in enumerate(aggs):
-            col = batch[f"_g{i}"]
-            # COUNT / SUM of no values is 0 and AVG of none is unbound
-            # (null) — also when no partial row exists at all, which is
-            # how an empty input reaches here on the Ray tier
-            if a.func == "count":
-                col = pc.fill_null(pc.cast(col, pa.int64()), 0)
-            elif a.func == "sum":
-                col = pc.fill_null(pc.cast(col, pa.float64()), 0.0)
-            elif a.func == "avg":
-                n = pc.fill_null(pc.cast(batch[f"_gn{i}"], pa.float64()), 0.0)
-                col = pc.if_else(
-                    pc.equal(n, 0.0),
-                    pa.scalar(None, pa.float64()),
-                    pc.divide(pc.cast(col, pa.float64()), n),
-                )
-            elif a.func == "sample":
-                col = pc.cast(col, pa.large_string())
-            else:
-                col = pc.cast(col, pa.float64())
-            cols[a.alias] = col
-        # only the SELECT clause's columns leave (group keys used for
-        # grouping but not projected are dropped here)
-        return pa.table({c: cols[c] for c in keep})
-
-    return out.map_batches(finalize, batch_format="pyarrow")
-
-
-def _distinct_count_agg(bindings, group_vars: list[str], agg):
-    """``COUNT/SUM/AVG(DISTINCT ?v)`` per group, fully distributed:
-    render the group keys + the variable's full term, drop unbound
-    values, global distinct (the same hash-keyed sort dedup as SELECT
-    DISTINCT — distinctness is over RDF terms), then a per-group count
-    / float sum / mean — shuffle volume = distinct (group, term)
-    pairs, never raw rows.  SUM/AVG additionally drop non-numeric
-    terms (the same error-ignoring rule as the plain aggregate path)."""
-    from ray.data.aggregate import Sum
-
-    var = agg.var
-    numeric = agg.func in ("sum", "avg")
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for gv in group_vars:
-            cols[gv] = pc.fill_null(
-                nt_render_term_arrays(
-                    batch[f"{gv}__kind"], batch[f"{gv}__value"],
-                    batch[f"{gv}__lang"], batch[f"{gv}__datatype"],
-                ),
-                "",
-            )
-        rendered = nt_render_term_arrays(
-            batch[f"{var}__kind"], batch[f"{var}__value"],
-            batch[f"{var}__lang"], batch[f"{var}__datatype"],
-        )
-        cols["_v"] = rendered
-        if numeric:
-            cols["_num"] = _to_float_coerce(
-                pc.cast(batch[f"{var}__value"], pa.large_string())
-            )
-        out = pa.table(cols).filter(pc.is_valid(rendered))
-        if numeric:  # non-numeric distinct terms don't contribute
-            out = out.filter(pc.invert(pc.is_nan(out["_num"])))
-        return out
-
-    ds2 = bindings.map_batches(prep, batch_format="pyarrow")
-    ds2 = _distinct(ds2, list(group_vars) + ["_v"])
-
-    def ones(batch: pa.Table) -> pa.Table:
-        cols = {gv: batch[gv] for gv in group_vars}
-        cols["_one"] = pa.array([1] * batch.num_rows, pa.int64())
-        if numeric:
-            cols["_num"] = batch["_num"]
-        return pa.table(cols)
-
-    ds2 = ds2.map_batches(ones, batch_format="pyarrow")
-    combiners = [Sum("_one", alias_name="_n")]
-    if numeric:
-        combiners.append(Sum("_num", alias_name="_s"))
-
-    if not group_vars:
-        res = ds2.aggregate(*combiners)
-        n = int(res.get("_n") or 0)
-        if agg.func == "count":
-            val = pa.array([n], pa.int64())
-        elif agg.func == "sum":
-            val = pa.array([float(res.get("_s") or 0.0)], pa.float64())
-        else:  # avg of zero values is a SPARQL error → render null
-            val = pa.array(
-                [float(res["_s"]) / n if n else None], pa.float64()
-            )
-        return _table_like(ds2, pa.table({agg.alias: val}))
-
-    out = ds2.groupby(
-        group_vars if len(group_vars) > 1 else group_vars[0]
-    ).aggregate(*combiners)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        cols = {gv: batch[gv] for gv in group_vars}
-        if agg.func == "count":
-            cols[agg.alias] = pc.cast(batch["_n"], pa.int64())
-        elif agg.func == "sum":
-            cols[agg.alias] = pc.cast(batch["_s"], pa.float64())
-        else:
-            cols[agg.alias] = pc.divide(
-                pc.cast(batch["_s"], pa.float64()),
-                pc.cast(batch["_n"], pa.float64()),
-            )
-        return pa.table(cols)
-
-    return out.map_batches(finalize, batch_format="pyarrow")
-
-
-def _group_concat_agg(bindings, group_vars: list[str], agg):
-    """``GROUP_CONCAT([DISTINCT] ?v; SEPARATOR=s)`` per group.  SPARQL
-    leaves concatenation order unspecified; this engine defines it as
-    ascending lexical-form order (deterministic, and exactly DuckDB's
-    ``string_agg(v, s ORDER BY v)``), concatenating the lexical form
-    (``value`` column — STR semantics) of bound values.
-
-    Scale shape: render keys + lexical, optional distinct shuffle, then
-    ONE exchange on the group keys (exchanging on (group, value)
-    instead could split a group at a block boundary)
-    and a per-block pandas groupby whose agg sorts-then-joins each
-    group's values.  Groups whose values are all unbound concatenate
-    to ``""``.  With no GROUP BY the output is a single row whose
-    length is the whole column — inherently driver-sized; the
-    per-group form is the scale path."""
-    var = agg.var
-    sep = agg.separator
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for gv in group_vars:
-            cols[gv] = pc.fill_null(
-                nt_render_term_arrays(
-                    batch[f"{gv}__kind"], batch[f"{gv}__value"],
-                    batch[f"{gv}__lang"], batch[f"{gv}__datatype"],
-                ),
-                "",
-            )
-        cols["_v"] = pc.cast(batch[f"{var}__value"], pa.large_string())
-        return pa.table(cols)
-
-    ds2 = bindings.map_batches(prep, batch_format="pyarrow")
-    if agg.distinct:
-        ds2 = _distinct(ds2, list(group_vars) + ["_v"])
-    if not group_vars:
-        # take_all, not to_pandas()["_v"]: an empty Ray Dataset has no
-        # columns at all
-        vals = [r["_v"] for r in ds2.sort("_v").take_all() if r["_v"] is not None]
-        return _table_like(
-            ds2,
-            pa.table({agg.alias: pa.array([sep.join(vals)], pa.large_string())}),
-        )
-
-    def concat_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({gv: [] for gv in group_vars} | {agg.alias: []})
-        out = (
-            df.groupby(group_vars, sort=False, dropna=False, observed=True)["_v"]
-            .agg(lambda s: sep.join(s.dropna().sort_values()))
-            .reset_index()
-            .rename(columns={"_v": agg.alias})
-        )
-        return out
-
-    return exchange(
-        ds2, group_vars if len(group_vars) > 1 else group_vars[0],
-        concat_block, batch_format="pandas",
-    )
-
-
 def _resolve_order(order_by, aggregates, cols):
     """ORDER BY keys over an aggregate output: a projected column name
     passes through; ``func(var)`` / ``func(*)`` (from ORDER BY
@@ -2442,144 +2191,197 @@ def _apply_having(out, q: SelectQuery):
     return out.map_batches(having_filter, batch_format="pyarrow")
 
 
-def _count_distinct_star(bindings, group_vars: list[str], agg, cols):
-    """``COUNT(DISTINCT *)``: distinct complete solutions per group.
-    Renders every variable into its canonical N-Triples string, runs
-    the hash-keyed sort distinct (the SELECT DISTINCT plan), then ONE
-    partial-count groupby — fully distributed, group-bounded output."""
-    from ray.data.aggregate import Sum
+# kernel that combines an aggregate's input column with itself, so one
+# block function serves as the per-batch partial and as the final step
+_AGG_KERNELS = {
+    "count": "sum", "sum": "sum", "avg": "sum",
+    "min": "min", "max": "max", "sample": "min",
+}
 
-    names = sorted(
-        c[: -len("__kind")]
-        for c in (bindings.columns() or [])
-        if c.endswith("__kind")
-        and "$" not in c
-        and not c.startswith("_match")
-    )
-    if not names:
-        raise SparqlSyntaxError("COUNT(DISTINCT *) over no variables")
 
-    def render_all(batch: pa.Table) -> pa.Table:
-        out = {}
-        for v in names:
-            out[v] = pc.fill_null(
-                nt_render_term_arrays(
-                    batch[f"{v}__kind"], batch[f"{v}__value"],
-                    batch[f"{v}__lang"], batch[f"{v}__datatype"],
-                ),
-                "",
-            )
-        return pa.table(out)
-
-    deduped = _distinct(
-        bindings.map_batches(render_all, batch_format="pyarrow"), names
+def _group(table: pa.Table, keys: list[str], specs) -> pa.Table:
+    """``table.group_by(keys).aggregate(specs)``, single-threaded (so
+    list aggregates keep input order), each output named after its
+    input column."""
+    out = table.group_by(keys, use_threads=False).aggregate(specs)
+    return out.select(keys + [f"{c}_{f}" for c, f in specs]).rename_columns(
+        keys + [c for c, _ in specs]
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if group_vars:
-            return (
-                df.groupby(group_vars, sort=False)
-                .size()
-                .rename("_p")
-                .reset_index()
-            )
-        return pd.DataFrame({"_p": [len(df)]})
 
-    parts = deduped.map_batches(partial, batch_format="pandas")
-    if group_vars:
-        out = parts.groupby(
-            group_vars if len(group_vars) > 1 else group_vars[0]
-        ).aggregate(Sum("_p", alias_name=agg.alias))
-    else:
-        res = parts.aggregate(Sum("_p", alias_name=agg.alias))
-        out = _table_like(
-            parts, pa.table({agg.alias: [int(res[agg.alias] or 0)]})
-        )
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                c: pc.cast(b[c], pa.int64()) if c == agg.alias else b[c]
-                for c in cols
-            }
-        ),
-        batch_format="pyarrow",
-    )
+def _agg_combine(table: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """The aggregate block function (see ``_aggregate_query``): rows of
+    ``_a<i>`` / ``_n<i>`` inputs → one row per group, sorted by the keys.
+    A decomposable aggregate's output has the same columns as its
+    input, so this also runs as the per-batch partial."""
+    if not table.num_columns:  # a column-less empty block (Ray emits these)
+        return table
+    specs, pieces = [], []
+    for i, a in enumerate(aggs):
+        col = f"_a{i}"
+        counts = [f"_n{i}"] if a.func == "avg" else []
+        if a.func == "group_concat":
+            vals = table.select(keys + [col]).filter(pc.is_valid(table[col]))
+            g = _group(vals.sort_by(col), keys, [(col, "distinct" if a.distinct else "list")])
+            sep = pa.scalar(a.separator, pa.large_string())
+            pieces.append(g.set_column(len(keys), col, pc.binary_join(g[col], sep)))
+        elif a.distinct and a.func != "count":  # SUM/AVG(DISTINCT): one row per term first
+            terms = _group(table, keys + [f"_t{i}"], [(c, "max") for c in [col] + counts])
+            pieces.append(_group(terms, keys, [(c, "sum") for c in [col] + counts]))
+        elif a.distinct:  # COUNT(DISTINCT ?v) and COUNT(DISTINCT *)
+            specs.append((col, "count_distinct"))
+        else:
+            specs += [(col, _AGG_KERNELS[a.func])] + [(c, "sum") for c in counts]
+    out = _group(table, keys, specs)
+    for piece in pieces:
+        out = out.join(piece, keys, join_type="left outer")
+    return out.sort_by([(k, "ascending") for k in keys])
 
 
 def _aggregate_query(bindings, q: SelectQuery, cols: list[str]):
-    """Dispatch the aggregate clause: the plain partial-agg path, the
-    distributed COUNT(DISTINCT) path, or (for a mix) both — merged on
-    the group keys driver-side, which is safe because aggregate OUTPUT
-    is one row per group (the small end of the pipeline by design)."""
+    """GROUP BY and aggregates: one operator for every aggregate class,
+    on both tiers.
+
+    1. **Prep** (per batch): each group key becomes its canonical
+       N-Triples rendering (``""`` when unbound; without GROUP BY a
+       constant ``_g`` key stands in) and each aggregate gets one input
+       column ``_a<i>``:
+       - COUNT: 1 per bound value (COUNT(*): per row); COUNT(DISTINCT
+         ?v) the rendered term; COUNT(DISTINCT *) every variable's
+         rendering, joined;
+       - SUM/AVG/MIN/MAX: the lexical form read as a double, null when
+         it does not parse, so it is left out (the SPARQL
+         error-ignoring behaviour most endpoints have; COUNT still
+         counts such rows).  AVG also gets ``_n<i>``, 1 per number, and
+         SUM/AVG(DISTINCT) the rendered term ``_t<i>``;
+       - SAMPLE: the rendered term, of which the least is kept (the
+         spec allows any; the least makes it deterministic);
+       - GROUP_CONCAT: the lexical form (STR semantics).
+    2. **Partial**: when every aggregate is decomposable (COUNT / SUM /
+       MIN / MAX / AVG / SAMPLE without DISTINCT), ``_agg_combine``
+       first runs on each batch.
+    3. **Exchange**: one ``exchange`` keyed on the rendered key columns
+       themselves, so the output is key-sorted on both tiers.
+    4. **Block function** ``_agg_combine``: one Arrow ``group_by`` for
+       the sums, minima, maxima and distinct counts.  SUM/AVG(DISTINCT)
+       first keep one row per (group, term).  GROUP_CONCAT joins each
+       group's bound lexical forms in ascending order (DISTINCT:
+       distinct forms) — SPARQL leaves the order open; this one is
+       DuckDB's ``string_agg(v, s ORDER BY v)``.  The pieces meet on
+       the keys in a ``pa.Table.join``.
+
+    Without GROUP BY the prepped rows (one per batch when the partial
+    ran) come to this process and the same block function finishes
+    them, which also gives the one row no solutions need.  So a
+    COUNT/SUM/AVG(DISTINCT), GROUP_CONCAT or COUNT(DISTINCT *) without
+    GROUP BY brings its solutions to the driver.
+
+    Output columns, keys first: COUNT int64, SUM float64 (0 when no
+    value is a number), AVG/MIN/MAX float64 (unbound when none is),
+    SAMPLE and GROUP_CONCAT strings (GROUP_CONCAT ``""`` when no value
+    is bound)."""
     group_vars = list(q.group_by)
-    star_distinct = [
-        a for a in q.aggregates if a.distinct and a.var is None
-    ]
-    if star_distinct:
-        # COUNT(DISTINCT *): count distinct complete solutions per
-        # group — render every variable column, global distinct (the
-        # SELECT DISTINCT machinery), then a per-group row count.
-        # Mixing with other aggregates would need a second pass over
-        # the pre-dedup bindings; rejected explicitly.
-        if len(q.aggregates) != 1:
+    aggs = q.aggregates
+    keys = group_vars or ["_g"]
+    names = []
+    if any(a.distinct and a.var is None for a in aggs):
+        # COUNT(DISTINCT *): distinct complete solutions per group.
+        # Mixing it with other aggregates is rejected explicitly.
+        if len(aggs) != 1:
             raise SparqlSyntaxError(
                 "COUNT(DISTINCT *) cannot combine with other aggregates"
             )
-        return _count_distinct_star(
-            bindings, group_vars, star_distinct[0], cols
+        names = sorted(
+            c[: -len("__kind")]
+            for c in (bindings.columns() or [])
+            if c.endswith("__kind") and "$" not in c and not c.startswith("_match")
         )
-    concat = [a for a in q.aggregates if a.func == "group_concat"]
-    plain = [
-        a for a in q.aggregates
-        if not a.distinct and a.func != "group_concat"
-    ]
-    distinct_aggs = [
-        a for a in q.aggregates if a.distinct and a.func != "group_concat"
-    ]
-    if not distinct_aggs and not concat:
-        return _aggregate_bindings(bindings, group_vars, plain, project=cols)
-    if not plain and not concat and len(distinct_aggs) == 1:
-        out = _distinct_count_agg(bindings, group_vars, distinct_aggs[0])
-        return out.map_batches(
-            lambda b: b.select(cols), batch_format="pyarrow"
-        )
-    if not plain and not distinct_aggs and len(concat) == 1:
-        out = _group_concat_agg(bindings, group_vars, concat[0])
-        return out.map_batches(
-            lambda b: b.select(cols), batch_format="pyarrow"
-        )
-    # mixed aggregate classes: merge the (small) per-group outputs
-    # driver-side
-    #
-    # each piece below consumes `bindings`; without this, every piece
-    # re-executes the whole lazy BGP join pipeline from the scan
-    bindings = bindings.materialize()
-    pieces = []
-    if plain:
-        pieces.append(
-            _aggregate_bindings(
-                bindings, group_vars, plain,
-                project=group_vars + [a.alias for a in plain],
-            ).to_pandas()
-        )
-    for a in distinct_aggs:
-        pieces.append(_distinct_count_agg(bindings, group_vars, a).to_pandas())
-    for a in concat:
-        pieces.append(_group_concat_agg(bindings, group_vars, a).to_pandas())
-    merged = pieces[0]
-    for piece in pieces[1:]:
-        if group_vars:
-            merged = merged.merge(piece, on=group_vars, how="outer")
-        else:
-            merged = pd.concat([merged, piece], axis=1)
-    for a in distinct_aggs:  # groups whose values were all unbound
-        if a.func == "count":
-            merged[a.alias] = merged[a.alias].fillna(0).astype("int64")
-    for a in concat:
-        merged[a.alias] = merged[a.alias].fillna("")
-    return _table_like(
-        bindings, pa.Table.from_pandas(merged[cols], preserve_index=False)
+        if not names:
+            raise SparqlSyntaxError("COUNT(DISTINCT *) over no variables")
+    null = pa.scalar(None, pa.float64())
+
+    def prep(batch: pa.Table) -> pa.Table:
+        def rendered(v):
+            return nt_render_term_arrays(
+                batch[f"{v}__kind"], batch[f"{v}__value"],
+                batch[f"{v}__lang"], batch[f"{v}__datatype"],
+            )
+
+        n = batch.num_rows
+        out = {g: pc.fill_null(rendered(g), "") for g in group_vars}
+        if not group_vars:
+            out["_g"] = pa.array(np.zeros(n, np.int8))
+        for i, a in enumerate(aggs):
+            col = f"_a{i}"
+            if a.var is None and a.distinct:
+                out[col] = pc.binary_join_element_wise(
+                    *(pc.fill_null(rendered(v), "") for v in names),
+                    pa.scalar("\x1f", pa.large_string()),
+                )
+            elif a.var is None:
+                out[col] = pa.array(np.ones(n, np.int64))
+            elif a.func == "count":
+                out[col] = (
+                    rendered(a.var) if a.distinct
+                    else pc.cast(pc.is_valid(batch[f"{a.var}__kind"]), pa.int64())
+                )
+            elif a.func == "sample":
+                out[col] = rendered(a.var)
+            elif a.func == "group_concat":
+                out[col] = pc.cast(batch[f"{a.var}__value"], pa.large_string())
+            else:
+                num = _to_float_coerce(batch[f"{a.var}__value"])
+                out[col] = num = pc.if_else(pc.is_nan(num), null, num)
+                if a.func == "avg":
+                    out[f"_n{i}"] = pc.cast(pc.is_valid(num), pa.int64())
+                if a.distinct:
+                    out[f"_t{i}"] = rendered(a.var)
+        return pa.table(out)
+
+    def finish(table: pa.Table) -> pa.Table:
+        if not group_vars and not table.num_rows:
+            # no solutions: the one row of empty aggregates
+            table = pa.table(
+                {f"_{p}{i}": pa.nulls(1) for i in range(len(aggs)) for p in "an"}
+            )
+        elif not table.num_columns:
+            return table
+        out = {g: table[g] for g in group_vars}
+        for i, a in enumerate(aggs):
+            col = table[f"_a{i}"]
+            if a.func == "count":
+                col = pc.fill_null(pc.cast(col, pa.int64()), 0)
+            elif a.func == "sum":
+                col = pc.fill_null(pc.cast(col, pa.float64()), 0.0)
+            elif a.func == "avg":
+                n = pc.fill_null(pc.cast(table[f"_n{i}"], pa.float64()), 0.0)
+                col = pc.if_else(
+                    pc.equal(n, 0.0), null, pc.divide(pc.cast(col, pa.float64()), n)
+                )
+            elif a.func == "group_concat":
+                col = pc.fill_null(pc.cast(col, pa.large_string()), "")
+            elif a.func == "sample":
+                col = pc.cast(col, pa.large_string())
+            else:
+                col = pc.cast(col, pa.float64())
+            out[a.alias] = col
+        return pa.table({c: out[c] for c in cols})
+
+    def final(table: pa.Table) -> pa.Table:
+        return finish(_agg_combine(table, keys, aggs))
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return _agg_combine(prep(batch), keys, aggs)
+
+    decomposable = not any(a.distinct or a.func == "group_concat" for a in aggs)
+    rows = bindings.map_batches(
+        partial if decomposable else prep, batch_format="pyarrow"
     )
+    if group_vars:
+        return exchange(rows, group_vars, final, batch_format="pyarrow")
+    blocks = [t for t in _blocks(rows) if t.num_columns]
+    table = pa.concat_tables(blocks) if blocks else pa.table({})
+    return _table_like(bindings, final(table))
 
 
 def _apply_dataset_clause(ds, q):

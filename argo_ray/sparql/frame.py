@@ -10,10 +10,10 @@ and runs on whichever executor fits the data:
   callers that rely on sort co-location within a block).  Unlike
   Ray, it calls it on an empty table too, so an empty result keeps
   its typed columns;
-- ``sort`` / ``groupby().aggregate`` / ``aggregate`` run as Arrow
-  kernels; the Sum/Min/Max aggregates map onto ``pa.Table.group_by``
-  through the aggregate objects' public ``name`` and
-  ``get_target_column()``;
+- ``sort`` runs as an Arrow kernel.  There is no ``groupby`` or
+  ``aggregate``: the engine's aggregates are its own Arrow block
+  function run through ``stages.grouping.exchange``, the same on both
+  tiers;
 - every operation is eager: a failing function raises at the call,
   not at consumption.
 
@@ -28,17 +28,6 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-
-
-def _agg_spec(agg) -> tuple[str, str, str]:
-    """``ray.data.aggregate`` Sum/Min/Max → (column, arrow func, alias)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    for cls, func in ((Sum, "sum"), (Min, "min"), (Max, "max")):
-        if isinstance(agg, cls):
-            return agg.get_target_column(), func, agg.name
-    raise NotImplementedError(f"LocalFrame does not support {type(agg).__name__}")
 
 
 class LocalFrame:
@@ -113,33 +102,3 @@ class LocalFrame:
         if batch_format != "pyarrow":
             raise ValueError(f"unsupported batch_format {batch_format!r}")
         yield self.table
-
-    def aggregate(self, *aggs) -> dict:
-        kernels = {"sum": pc.sum, "min": pc.min, "max": pc.max}
-        out = {}
-        for agg in aggs:
-            col, func, name = _agg_spec(agg)
-            out[name] = kernels[func](self.table[col]).as_py()
-        return out
-
-    def groupby(self, key) -> _LocalGroupBy:
-        return _LocalGroupBy(self.table, [key] if isinstance(key, str) else list(key))
-
-
-class _LocalGroupBy:
-    __slots__ = ("table", "keys")
-
-    def __init__(self, table: pa.Table, keys: list[str]):
-        self.table = table
-        self.keys = keys
-
-    def aggregate(self, *aggs) -> LocalFrame:
-        specs = [_agg_spec(a) for a in aggs]
-        out = self.table.group_by(self.keys).aggregate(
-            [(col, func) for col, func, _ in specs]
-        )
-        # Arrow names outputs "<col>_<func>"; Ray names them by alias,
-        # keys first, sorted by key
-        out = out.select(self.keys + [f"{col}_{func}" for col, func, _ in specs])
-        out = out.rename_columns(self.keys + [name for _, _, name in specs])
-        return LocalFrame(out.sort_by([(k, "ascending") for k in self.keys]))

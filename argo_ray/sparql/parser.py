@@ -1285,7 +1285,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
                     if func != "count":
                         raise SparqlSyntaxError(f"{func.upper()}(*) not allowed")
                     # COUNT(DISTINCT *) supported (r4 s4): distinct
-                    # complete solutions, engine._count_distinct_star
+                    # complete solutions, engine._aggregate_query
                     var = None
                 else:
                     t = p.parse_term()

@@ -2,8 +2,9 @@
 check against a whole-table pandas groupby on both executors, the Ray
 version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
-package, one that keeps every file publish in ``io.publish``, and one
-that finds modules no entry point imports."""
+package, one that keeps every file publish in ``io.publish``, one that
+keeps a second aggregate implementation out of the SPARQL engine, and
+one that finds modules no entry point imports."""
 
 import ast
 import pathlib
@@ -276,6 +277,61 @@ def test_guard_sees_the_idiom(tmp_path):
     )
     assert _whole_block_map_after_sort(src) == [2, 5, 9]
 
+
+
+def _second_aggregate_sites(path: pathlib.Path) -> list[int]:
+    """Lines of a ``.groupby(`` call, of an ``.aggregate(`` call on
+    anything but an Arrow ``.group_by(...)``, and of an import of
+    ``ray.data.aggregate``."""
+    lines = set()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            recv = n.func.value
+            arrow = (
+                isinstance(recv, ast.Call) and isinstance(recv.func, ast.Attribute)
+                and recv.func.attr == "group_by"
+            )
+            if n.func.attr == "groupby" or (n.func.attr == "aggregate" and not arrow):
+                lines.add(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("ray.data.aggregate"):
+            lines.add(n.lineno)
+        elif isinstance(n, ast.Import) and any(
+            a.name.startswith("ray.data.aggregate") for a in n.names
+        ):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_sparql_has_one_aggregate():
+    """Every SPARQL aggregate runs through the engine's one Arrow block
+    function (``engine._aggregate_query``) on both tiers: no Ray or
+    pandas ``groupby``/``aggregate`` and no ``ray.data.aggregate``
+    under ``argo_ray/sparql/``."""
+    offenders = [
+        f"{p.relative_to(PKG.parent)}:{line}"
+        for p in sorted((PKG / "sparql").rglob("*.py"))
+        for line in _second_aggregate_sites(p)
+    ]
+    assert not offenders, "a second aggregate implementation at:\n" + "\n".join(offenders)
+
+
+def test_aggregate_guard_sees_the_idioms(tmp_path):
+    """The guard flags Ray's and pandas' spellings and the aggregate
+    import, and lets Arrow's ``Table.group_by(...).aggregate`` pass."""
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from ray.data.aggregate import Sum\n"
+        "def a(ds):\n"
+        "    return ds.groupby('k').aggregate(Sum('v'))\n"
+        "def b(ds):\n"
+        "    return ds.aggregate(Sum('v'))\n"
+        "def c(df):\n"
+        "    return df.groupby('k').agg('sum')\n"
+        "import ray.data.aggregate\n"
+        "def ok(table):\n"
+        "    return table.group_by(['k']).aggregate([('v', 'sum')])\n"
+    )
+    assert _second_aggregate_sites(src) == [1, 3, 5, 7, 8]
 
 # the driver contract, the three jobs and the package faces they use;
 # ``sparql.client`` is the ``python -m`` SPARQL REPL

@@ -1,6 +1,8 @@
 """loop DSL (operator T6): compiler fixtures, interpreter semantics
 table, end-to-end compile→evaluate."""
 
+import pathlib
+
 import pytest
 
 from argo_ray.loop import LoopError, LoopGraph, Resource, compile_loop, evaluate
@@ -11,10 +13,11 @@ A = IRI(RDF_NS + "type")
 
 
 def test_compile_reference_fixture():
-    """loopc/test.loop (the grammar-conformant reference fixture; the
-    top-level test.loop uses positional call args the yacc grammar
-    itself rejects)."""
-    src = open("/root/reference/loop/loopc/test.loop").read()
+    """``ldi.loop``: two functions in the loopc grammar — ``name``
+    declarations, a slashed function URI, a typed and labelled
+    argument, labels on the function and (``of i``) on the argument,
+    and a call with named arguments."""
+    src = (pathlib.Path(__file__).parent / "ldi.loop").read_text()
     triples, funcs, prefixes = compile_loop(src)
     assert funcs == [
         "http://kierdavis.com/data/opencpu/nmicro/inst/nop/impl",
