@@ -14,10 +14,6 @@ DC = "http://purl.org/dc/elements/1.1/"
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 HUB = "https://hub.example.org/"
 
-# link-prediction hub cap: apexes contribute wedges only among their
-# LINKPRED_APEX_CAP lexicographically-first neighbors (both sides).
-LINKPRED_APEX_CAP = 128
-
 # Shared CTE: documents → expected extracted triples (multiset).
 EXP_CTE = f"""
 WITH docs AS (
@@ -96,314 +92,6 @@ TOKENS_CTE_BODY = f"""
   FROM docs
 """
 
-
-def _pagerank_sql(iters: int = 5, seed_where: str | None = None) -> str:
-    """Nested per-iteration CTEs mirroring the simple PageRank power
-    iteration exactly (d=0.85, no dangling redistribution): each r{i}
-    is (1-d)/N + d * SUM over in-edges of r{i-1}/outdeg, with the
-    LEFT JOIN chain giving no-in-edge nodes a NULL sum (COALESCE 0).
-    All literals CAST to DOUBLE so DuckDB never routes through DECIMAL
-    arithmetic; final ranks ROUND(…, 6) like the Ray side."""
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-nn AS MATERIALIZED (SELECT CAST(COUNT(*) AS DOUBLE) AS cnt FROM nodes),
-odeg AS MATERIALIZED (SELECT src, CAST(COUNT(*) AS DOUBLE) AS odeg FROM e GROUP BY src),
-r0 AS MATERIALIZED (SELECT node, CAST(1.0 AS DOUBLE) / (SELECT cnt FROM nn) AS pr FROM nodes)"""
-    if seed_where is not None:
-        # personalized variant: teleport/start vector = 1/|S| on seeds
-        sql = sql.replace(
-            "r0 AS MATERIALIZED (SELECT node, CAST(1.0 AS DOUBLE) / (SELECT cnt FROM nn) AS pr FROM nodes)",
-            f"""seeds AS MATERIALIZED (
-  SELECT 'https://kg.example.org/doc/' || doc_id AS node
-  FROM documents WHERE {seed_where}
-),
-ns AS MATERIALIZED (SELECT CAST(COUNT(*) AS DOUBLE) AS cnt FROM seeds),
-r0 AS MATERIALIZED (
-  SELECT nodes.node,
-         CASE WHEN seeds.node IS NOT NULL
-              THEN CAST(1.0 AS DOUBLE) / (SELECT cnt FROM ns)
-              ELSE CAST(0.0 AS DOUBLE) END AS pr
-  FROM nodes LEFT JOIN seeds ON seeds.node = nodes.node)""",
-        )
-    base_expr = (
-        "CAST(0.15 AS DOUBLE) / (SELECT cnt FROM nn)"
-        if seed_where is None
-        else "CASE WHEN nodes.node IN (SELECT node FROM seeds) "
-             "THEN CAST(0.15 AS DOUBLE) / (SELECT cnt FROM ns) "
-             "ELSE CAST(0.0 AS DOUBLE) END"
-    )
-    for i in range(1, iters + 1):
-        sql += f""",
-r{i} AS MATERIALIZED (
-  SELECT nodes.node,
-         {base_expr}
-         + CAST(0.85 AS DOUBLE) * COALESCE(SUM(r{i - 1}.pr / odeg.odeg), 0) AS pr
-  FROM nodes
-  LEFT JOIN e ON e.dst = nodes.node
-  LEFT JOIN odeg ON odeg.src = e.src
-  LEFT JOIN r{i - 1} ON r{i - 1}.node = e.src
-  GROUP BY nodes.node
-)"""
-    return sql + f"""
-SELECT node, ROUND(pr, 6) AS pr FROM r{iters}
-ORDER BY ROUND(pr, 6) DESC, node LIMIT 20"""
-
-
-def _hits_sql(iters: int = 5) -> str:
-    """Nested per-iteration CTEs mirroring HITS exactly: each a{i} is
-    the in-neighbor hub sum L2-normalized, each h{i} the out-neighbor
-    authority sum L2-normalized, h0 = 1.  Final scores ROUND(…, 6)
-    like the Ray side.  Every iteration CTE is AS MATERIALIZED: the
-    norm subquery references each _raw twice and the chain compounds,
-    so DuckDB's default CTE inlining re-evaluates the base ~2^iters
-    times (it exhausted the fd limit re-opening the parquet)."""
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-h0 AS MATERIALIZED (SELECT node, CAST(1.0 AS DOUBLE) AS val FROM nodes)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-a{i}_raw AS MATERIALIZED (
-  SELECT nodes.node, COALESCE(SUM(h{i - 1}.val), 0) AS val
-  FROM nodes
-  LEFT JOIN e ON e.dst = nodes.node
-  LEFT JOIN h{i - 1} ON h{i - 1}.node = e.src
-  GROUP BY nodes.node
-),
-a{i} AS MATERIALIZED (SELECT node, val / (SELECT SQRT(SUM(val * val)) FROM a{i}_raw) AS val
-         FROM a{i}_raw),
-h{i}_raw AS MATERIALIZED (
-  SELECT nodes.node, COALESCE(SUM(a{i}.val), 0) AS val
-  FROM nodes
-  LEFT JOIN e ON e.src = nodes.node
-  LEFT JOIN a{i} ON a{i}.node = e.dst
-  GROUP BY nodes.node
-),
-h{i} AS MATERIALIZED (SELECT node, val / (SELECT SQRT(SUM(val * val)) FROM h{i}_raw) AS val
-         FROM h{i}_raw)"""
-    return sql + f"""
-SELECT h.node, ROUND(h.val, 6) AS hub, ROUND(a.val, 6) AS authority
-FROM h{iters} h JOIN a{iters} a ON a.node = h.node
-ORDER BY ROUND(a.val, 6) DESC, h.node LIMIT 20"""
-
-
-def _bfs_sql(
-    iters: int = 6, unreached: int = 1_000_000, seed_where: str | None = None
-) -> str:
-    """Nested per-iteration CTEs mirroring the BFS relaxation exactly:
-    d{i}(v) = LEAST(d{i-1}(v), 1 + MIN over in-edges d{i-1}(u)), seed =
-    MIN(node), integer sentinel for unreached — bit-exact, no floats."""
-    seed_cond = (
-        "node = (SELECT MIN(node) FROM nodes)"
-        if seed_where is None
-        else "node IN (SELECT 'https://kg.example.org/doc/' || doc_id "
-             f"FROM documents WHERE {seed_where})"
-    )
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-eu AS MATERIALIZED (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-d0 AS MATERIALIZED (
-  SELECT node,
-         CASE WHEN {seed_cond} THEN 0
-              ELSE {unreached} END AS dist
-  FROM nodes
-)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-d{i} AS MATERIALIZED (
-  SELECT n.node,
-         LEAST(dp.dist, COALESCE(MIN(de.dist + 1), {unreached})) AS dist
-  FROM nodes n
-  JOIN d{i - 1} dp ON dp.node = n.node
-  LEFT JOIN eu ON eu.dst = n.node
-  LEFT JOIN d{i - 1} de ON de.node = eu.src
-  GROUP BY n.node, dp.dist
-)"""
-    return sql + f"""
-SELECT node, CAST(dist AS BIGINT) AS dist FROM d{iters} WHERE dist < {unreached}"""
-
-
-def _sssp_sql(iters: int = 4, unreached: int = 1_000_000) -> str:
-    """Nested per-iteration CTEs mirroring the weighted Bellman-Ford
-    relaxation exactly over the DIRECTED edge set: d{i}(v) =
-    LEAST(d{i-1}(v), MIN over in-edges d{i-1}(u) + 1 + length(v) % 7),
-    seed = the hub page, integer sentinel — bit-exact, no floats."""
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-d0 AS MATERIALIZED (
-  SELECT node,
-         CASE WHEN node = '{HUB}' THEN 0 ELSE {unreached} END AS dist
-  FROM nodes
-)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-d{i} AS MATERIALIZED (
-  SELECT n.node,
-         LEAST(dp.dist,
-               COALESCE(MIN(de.dist + 1 + (length(n.node) % 7)), {unreached}),
-               {unreached}) AS dist
-  FROM nodes n
-  JOIN d{i - 1} dp ON dp.node = n.node
-  LEFT JOIN e ON e.dst = n.node
-  LEFT JOIN d{i - 1} de ON de.node = e.src
-  GROUP BY n.node, dp.dist
-)"""
-    return sql + f"""
-SELECT node, CAST(dist AS BIGINT) AS dist FROM d{iters} WHERE dist < {unreached}"""
-
-
-def _host_pagerank_sql(iters: int = 5) -> str:
-    """PageRank over the reconstructed host-level link graph — the
-    same nested-CTE power iteration as :func:`_pagerank_sql`, with the
-    edge CTE swapped for the host pairs the pages synthesize."""
-    sql = """WITH e AS MATERIALIZED (
-  SELECT DISTINCT 'docs.example.org' AS src, dst FROM (
-    SELECT 'site' || (doc_id % 5) || '.example.org' AS dst FROM documents
-    UNION ALL SELECT 'hub.example.org' FROM documents
-  )
-),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-nn AS MATERIALIZED (SELECT CAST(COUNT(*) AS DOUBLE) AS cnt FROM nodes),
-odeg AS MATERIALIZED (SELECT src, CAST(COUNT(*) AS DOUBLE) AS odeg FROM e GROUP BY src),
-r0 AS MATERIALIZED (SELECT node, CAST(1.0 AS DOUBLE) / (SELECT cnt FROM nn) AS pr FROM nodes)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-r{i} AS MATERIALIZED (
-  SELECT nodes.node,
-         CAST(0.15 AS DOUBLE) / (SELECT cnt FROM nn)
-         + CAST(0.85 AS DOUBLE) * COALESCE(SUM(r{i - 1}.pr / odeg.odeg), 0) AS pr
-  FROM nodes
-  LEFT JOIN e ON e.dst = nodes.node
-  LEFT JOIN odeg ON odeg.src = e.src
-  LEFT JOIN r{i - 1} ON r{i - 1}.node = e.src
-  GROUP BY nodes.node
-)"""
-    return sql + f"""
-SELECT node, ROUND(pr, 6) AS pr FROM r{iters}
-ORDER BY ROUND(pr, 6) DESC, node LIMIT 20"""
-
-
-def _bowtie_sql(iters: int = 6, unreached: int = 1_000_000) -> str:
-    """Two fixed-round directed BFS chains (forward from the hub,
-    backward over reversed edges) + the SCC/IN/OUT/OTHER CASE."""
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-f0 AS MATERIALIZED (
-  SELECT node, CASE WHEN node = '{HUB}' THEN 0 ELSE {unreached} END AS dist FROM nodes),
-b0 AS MATERIALIZED (
-  SELECT node, CASE WHEN node = '{HUB}' THEN 0 ELSE {unreached} END AS dist FROM nodes)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-f{i} AS MATERIALIZED (
-  SELECT n.node, LEAST(dp.dist, COALESCE(MIN(de.dist + 1), {unreached})) AS dist
-  FROM nodes n
-  JOIN f{i - 1} dp ON dp.node = n.node
-  LEFT JOIN e ON e.dst = n.node
-  LEFT JOIN f{i - 1} de ON de.node = e.src
-  GROUP BY n.node, dp.dist
-),
-b{i} AS MATERIALIZED (
-  SELECT n.node, LEAST(dp.dist, COALESCE(MIN(de.dist + 1), {unreached})) AS dist
-  FROM nodes n
-  JOIN b{i - 1} dp ON dp.node = n.node
-  LEFT JOIN e ON e.src = n.node
-  LEFT JOIN b{i - 1} de ON de.node = e.dst
-  GROUP BY n.node, dp.dist
-)"""
-    return sql + f"""
-SELECT f.node,
-       CASE WHEN f.dist < {unreached} AND b.dist < {unreached} THEN 'SCC'
-            WHEN f.dist < {unreached} THEN 'OUT'
-            WHEN b.dist < {unreached} THEN 'IN'
-            ELSE 'OTHER' END AS cls
-FROM f{iters} f JOIN b{iters} b ON b.node = f.node"""
-
-
-def _host_pagerank_weighted_sql(iters: int = 5) -> str:
-    """Weighted host PageRank: contribution = r / (outw / w), the SAME
-    two-division shape the Ray KV plan and the single-task kernel
-    compute, so all three agree bit-for-bit before the final ROUND."""
-    sql = """WITH e AS MATERIALIZED (
-  SELECT 'docs.example.org' AS src, dst, CAST(COUNT(*) AS DOUBLE) AS w FROM (
-    SELECT 'site' || (doc_id % 5) || '.example.org' AS dst FROM documents
-    UNION ALL SELECT 'hub.example.org' FROM documents
-  ) GROUP BY dst
-),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-nn AS MATERIALIZED (SELECT CAST(COUNT(*) AS DOUBLE) AS cnt FROM nodes),
-ow AS MATERIALIZED (SELECT src, SUM(w) AS outw FROM e GROUP BY src),
-r0 AS MATERIALIZED (SELECT node, CAST(1.0 AS DOUBLE) / (SELECT cnt FROM nn) AS pr FROM nodes)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-r{i} AS MATERIALIZED (
-  SELECT nodes.node,
-         CAST(0.15 AS DOUBLE) / (SELECT cnt FROM nn)
-         + CAST(0.85 AS DOUBLE)
-           * COALESCE(SUM(r{i - 1}.pr / (ow.outw / e.w)), 0) AS pr
-  FROM nodes
-  LEFT JOIN e ON e.dst = nodes.node
-  LEFT JOIN ow ON ow.src = e.src
-  LEFT JOIN r{i - 1} ON r{i - 1}.node = e.src
-  GROUP BY nodes.node
-)"""
-    return sql + f"""
-SELECT node, ROUND(pr, 6) AS pr FROM r{iters}
-ORDER BY ROUND(pr, 6) DESC, node LIMIT 20"""
-
-
-def _components_sql(iters: int = 8) -> str:
-    """Fixed-round undirected min-label propagation, labels = node
-    names: l{i}(v) = LEAST(l{i-1}(v), MIN over neighbors l{i-1}(u)) —
-    strings only, bit-exact, mirrors graph.py::label_propagation."""
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-eu AS MATERIALIZED (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e),
-l0 AS MATERIALIZED (SELECT node, node AS label FROM nodes)"""
-    for i in range(1, iters + 1):
-        sql += f""",
-l{i} AS MATERIALIZED (
-  SELECT n.node, LEAST(lp.label, COALESCE(MIN(ln.label), lp.label)) AS label
-  FROM nodes n
-  JOIN l{i - 1} lp ON lp.node = n.node
-  LEFT JOIN eu ON eu.dst = n.node
-  LEFT JOIN l{i - 1} ln ON ln.node = eu.src
-  GROUP BY n.node, lp.label
-)"""
-    return sql + f"""
-SELECT node, label FROM l{iters}"""
-
-
-def _kcore_sql(k: int = 6, rounds: int = 8) -> str:
-    """Fixed-round k-core peeling over the divisor graph of doc ids —
-    one (kept-nodes, surviving-edges) CTE pair per round, mirrors
-    graph.py::kcore (early exit there is the fixpoint, so extra rounds
-    are no-ops on both sides)."""
-    sql = """WITH e0 AS MATERIALIZED (
-  SELECT CAST(a.doc_id AS BIGINT) AS s, CAST(b.doc_id AS BIGINT) AS d
-  FROM documents a JOIN documents b
-    ON a.doc_id >= 1 AND b.doc_id > a.doc_id AND b.doc_id % a.doc_id = 0
-)"""
-    for r in range(1, rounds + 1):
-        sql += f""",
-n{r} AS MATERIALIZED (
-  SELECT node FROM (SELECT s AS node FROM e{r - 1} UNION ALL SELECT d FROM e{r - 1})
-  GROUP BY node HAVING COUNT(*) >= {k}
-),
-e{r} AS MATERIALIZED (
-  SELECT s, d FROM e{r - 1}
-  WHERE s IN (SELECT node FROM n{r}) AND d IN (SELECT node FROM n{r})
-)"""
-    return sql + f"""
-SELECT node AS doc_id, COUNT(*) AS degree
-FROM (SELECT s AS node FROM e{rounds} UNION ALL SELECT d FROM e{rounds})
-GROUP BY node"""
-
-
 ORACLES: dict[str, str] = {
     "rdfa_extract": EXP_CTE + f"SELECT {TERM_COLS} FROM exp",
     "dedup_exact": EXP_CTE + f"SELECT DISTINCT {TERM_COLS} FROM exp",
@@ -453,12 +141,6 @@ ORDER BY degree DESC, node LIMIT 20""",
     + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
 SELECT pred_value AS predicate, CAST(COUNT(*) AS BIGINT) AS n_triples
 FROM d GROUP BY pred_value""",
-    "kg_pagerank": _pagerank_sql(5),
-    "kg_ppr": _pagerank_sql(5, seed_where="doc_id % 10 = 0"),
-    "kg_hits": _hits_sql(5),
-    "kg_bfs": _bfs_sql(6),
-    "kg_sssp": _sssp_sql(4),
-    "kg_bowtie": _bowtie_sql(6),
     # literal datatype/lang histogram
     "kg_literal_hist": EXP_CTE
     + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
@@ -534,22 +216,6 @@ deg AS (SELECT a, COUNT(*) AS degree FROM eu GROUP BY a)
 SELECT CAST(degree AS BIGINT) AS degree,
        CAST(COUNT(*) AS BIGINT) AS n_nodes
 FROM deg GROUP BY degree""",
-    # Hamilton apportionment of a 10k crawl budget over weighted host
-    # PageRank (micro-unit fixed point of ROUND(pr,6))
-    "pages_crawl_budget": "WITH pr AS ("
-    + _host_pagerank_weighted_sql(5)
-    + """),
-u AS (SELECT node AS host, CAST(ROUND(pr * 1000000) AS BIGINT) AS units FROM pr),
-t AS (SELECT SUM(units) AS total FROM u),
-f AS (SELECT host, units,
-             (10000 * units) // (SELECT total FROM t) AS fl,
-             (10000 * units) % (SELECT total FROM t) AS rem
-      FROM u),
-lo AS (SELECT 10000 - SUM(fl) AS leftover FROM f),
-rk AS (SELECT host, fl, ROW_NUMBER() OVER (ORDER BY rem DESC, host) AS rn FROM f)
-SELECT host,
-       CAST(fl + CASE WHEN rn <= (SELECT leftover FROM lo) THEN 1 ELSE 0 END AS BIGINT) AS quota
-FROM rk""",
     # reciprocity: directed edges whose reverse exists / all edges
     "kg_reciprocity": EXP_CTE
     + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
@@ -573,17 +239,6 @@ SELECT CAST(COUNT(*) AS BIGINT) AS n_triples,
          'http://www.w3.org/1999/02/22-rdf-syntax-ns#type'
          THEN obj_value END) AS BIGINT) AS n_classes
 FROM d""",
-    # anchor-text surrogate per link target
-    "pages_anchor_text_agg": """SELECT dst_url,
-  CAST(COUNT(*) AS BIGINT) AS n_anchors,
-  string_agg(DISTINCT anchor, ',' ORDER BY anchor) AS anchors
-FROM (
-  SELECT 'https://site' || (doc_id % 5) || '.example.org/' AS dst_url,
-         'site' AS anchor FROM documents
-  UNION ALL
-  SELECT 'https://hub.example.org/', 'hub' FROM documents
-)
-GROUP BY dst_url""",
     # multi-syntax fan-in: RDFa ∪ microdata ∪ JSON-LD, distinct
     "kg_multisyntax_build": EXP_CTE
     + f""", md AS (
@@ -681,20 +336,10 @@ exp AS (
   SELECT 1, skolem, '', '', 0, 'https://schema.org/name', '', '', 2, 'a' || doc_id, '', '' FROM md
 )
 SELECT {TERM_COLS} FROM exp""",
-    # robots longest-match: /src1 blocks src1,src10..19; /src14 re-allows;
-    # /src3/ blocks src3 only
-    "pages_robots_filter": """SELECT
-  'https://docs.example.org/' || source || '/' || doc_id AS url
-FROM documents
-WHERE NOT ((source LIKE 'src1%' AND source <> 'src14') OR source = 'src3')""",
     # change detection: exactly the lang-mutated generation-2 pages
     "pages_change_detect": """SELECT
   'https://docs.example.org/' || source || '/' || doc_id AS url
 FROM documents WHERE doc_id % 4 = 0 AND lang <> 'xx'""",
-    "pages_redirect_resolve": """SELECT
-  'https://kg.example.org/doc/' || doc_id AS src,
-  'https://kg.example.org/doc/' || (doc_id - (doc_id % 8)) AS dst
-FROM documents WHERE doc_id % 8 BETWEEN 1 AND 3""",
     "kg_predicate_align": EXP_CTE
     + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
 sp AS MATERIALIZED (SELECT DISTINCT subj_value AS s, pred_value AS p FROM d),
@@ -705,24 +350,6 @@ cm AS MATERIALIZED (
 SELECT cm.pred_a, cm.pred_b, CAST(cm.common AS BIGINT) AS common,
        CAST(cm.common AS DOUBLE) / (a.np + b.np - cm.common) AS jaccard
 FROM cm JOIN tot a ON a.p = cm.pred_a JOIN tot b ON b.p = cm.pred_b""",
-    "pages_crawl_frontier": """SELECT DISTINCT dst AS url FROM (
-  SELECT 'https://site' || (doc_id % 5) || '.example.org/' AS dst FROM documents
-  UNION ALL SELECT 'https://hub.example.org/' FROM documents
-) WHERE dst NOT IN (
-  SELECT 'https://docs.example.org/' || source || '/' || doc_id FROM documents
-)""",
-    # anchors to KG nodes survive; the planted nowhere-host noise drops
-    "pages_anchor_link": """SELECT
-  'https://docs.example.org/' || source || '/' || doc_id AS src_url,
-  'https://site' || (doc_id % 5) || '.example.org/' AS entity,
-  'site' AS anchor
-FROM documents
-UNION ALL
-SELECT 'https://docs.example.org/' || source || '/' || doc_id,
-       'https://hub.example.org/', 'hub'
-FROM documents""",
-    "pages_host_pagerank": _host_pagerank_sql(5),
-    "pages_host_pagerank_weighted": _host_pagerank_weighted_sql(5),
     # recency fusion: the gen-2 crawl re-asserts dc:language='xx' for
     # every 4th document one day later; functional newest-wins patches
     # exactly those object values, nothing else
@@ -737,38 +364,6 @@ SELECT DISTINCT subj_kind, subj_value, subj_lang, subj_datatype,
             THEN 'xx' ELSE obj_value END AS obj_value,
        obj_lang, obj_datatype
 FROM d""",
-    "kg_bfs_seeded": _bfs_sql(4, seed_where="doc_id % 10 = 0"),
-    "kg_components": _components_sql(8),
-    "kg_component_sizes": "WITH comp AS ("
-    + _components_sql(8)
-    + """),
-sizes AS (SELECT label, COUNT(*) AS size FROM comp GROUP BY label)
-SELECT CAST(size AS BIGINT) AS size,
-       CAST(COUNT(*) AS BIGINT) AS n_components
-FROM sizes GROUP BY size""",
-    # link prediction: jaccard = common/(da+db-common) is ONE division
-    # of exact integers on both sides → IEEE-identical doubles; full
-    # (jaccard, common, ids) tie-break makes the LIMIT 20 set unique
-    "kg_link_predict": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst
-                   FROM d WHERE obj_kind <> 2 AND subj_value <> obj_value),
-eu AS MATERIALIZED (SELECT src AS a, dst AS b FROM e UNION SELECT dst, src FROM e),
-deg AS MATERIALIZED (SELECT a AS node, COUNT(*) AS dg FROM eu GROUP BY a),
-eu_cap AS MATERIALIZED (
-  SELECT a, b FROM (
-    SELECT a, b, ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) AS rn FROM eu)
-  WHERE rn <= {LINKPRED_APEX_CAP}),
-cn AS MATERIALIZED (
-  SELECT x.b AS na, y.b AS nb, COUNT(*) AS common
-  FROM eu_cap x JOIN eu_cap y ON x.a = y.a AND x.b < y.b GROUP BY x.b, y.b),
-cand AS (
-  SELECT cn.na, cn.nb, cn.common, da.dg + db.dg - cn.common AS u
-  FROM cn JOIN deg da ON da.node = cn.na JOIN deg db ON db.node = cn.nb
-  WHERE NOT EXISTS (SELECT 1 FROM eu WHERE eu.a = cn.na AND eu.b = cn.nb))
-SELECT na AS node_a, nb AS node_b, CAST(common AS BIGINT) AS common,
-       CAST(common AS DOUBLE) / u AS jaccard
-FROM cand ORDER BY jaccard DESC, common DESC, node_a, node_b LIMIT 20""",
     "kg_rdfs_infer": EXP_CTE
     + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
 SELECT DISTINCT * FROM (
@@ -801,7 +396,6 @@ SELECT DISTINCT * FROM (
          obj_kind, obj_value, obj_lang, obj_datatype
   FROM d WHERE pred_value = '{EX}label'
 )""",
-    "graph_kcore": _kcore_sql(6, 8),
     "kg_owl_infer": EXP_CTE
     + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
 nxt AS (
@@ -847,31 +441,6 @@ u AS (
     AND r.pred_value = '{EX}site' AND r.obj_kind <> 2
 )
 SELECT DISTINCT {TERM_COLS} FROM u""",
-    "kg_sameas_canon": EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-alias AS (
-  SELECT subj_kind,
-         CASE WHEN subj_kind = 0 THEN replace(subj_value, 'https://kg.example.org/doc/', 'https://kb.example.org/entity/') ELSE subj_value END AS subj_value,
-         subj_lang, subj_datatype,
-         pred_kind, pred_value, pred_lang, pred_datatype,
-         obj_kind,
-         CASE WHEN obj_kind = 0 THEN replace(obj_value, 'https://kg.example.org/doc/', 'https://kb.example.org/entity/') ELSE obj_value END AS obj_value,
-         obj_lang, obj_datatype
-  FROM d
-),
-u AS (SELECT * FROM d UNION SELECT * FROM alias),
-m AS (
-  SELECT 'https://kg.example.org/doc/' || doc_id AS node, 'https://kb.example.org/entity/' || doc_id AS label
-  FROM documents WHERE doc_id % 4 = 0
-)
-SELECT DISTINCT u.subj_kind,
-       COALESCE(ms.label, u.subj_value) AS subj_value, u.subj_lang, u.subj_datatype,
-       u.pred_kind, u.pred_value, u.pred_lang, u.pred_datatype,
-       u.obj_kind,
-       COALESCE(mo.label, u.obj_value) AS obj_value, u.obj_lang, u.obj_datatype
-FROM u
-LEFT JOIN m ms ON u.subj_kind = 0 AND u.subj_value = ms.node
-LEFT JOIN m mo ON u.obj_kind = 0 AND u.obj_value = mo.node""",
     "group_subject_count": EXP_CTE
     + f"""SELECT subj_kind, subj_value, COUNT(*) AS n_triples
 FROM (SELECT DISTINCT {TERM_COLS} FROM exp)
@@ -1146,7 +715,6 @@ SELECT 'add' AS op, * FROM (SELECT * FROM d_new EXCEPT SELECT * FROM d_old)"""
     )
 
 
-ORACLES["warc_roundtrip"] = ORACLES["dedup_exact"]
 ORACLES["sparql_results_tsv_roundtrip"] = ORACLES["sparql_results_roundtrip"]
 
 # Fixture blanks touch no other blanks, so the canonical label is the
@@ -1261,49 +829,6 @@ WHERE pred_value = '{EX}chars' AND obj_kind = 2
 
 ORACLES["kg_shacl_validate"] = EXP_CTE + _DIRTY_CTE + "\n" + _VERDICTS_SQL
 
-# KG-embedding prep: dense sorted-order ids over entities (subjects +
-# non-literal objects) and relations; (h,r,t) for the edge triples.
-ORACLES["kg_triple_ids"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS (SELECT subj_value, pred_value, obj_value FROM d WHERE obj_kind <> 2),
-ent AS (
-  SELECT t, ROW_NUMBER() OVER (ORDER BY t) - 1 AS id FROM (
-    SELECT subj_value AS t FROM e UNION SELECT obj_value FROM e)
-),
-rel AS (
-  SELECT t, ROW_NUMBER() OVER (ORDER BY t) - 1 AS id FROM (
-    SELECT DISTINCT pred_value AS t FROM e)
-)
-SELECT h.id AS h_id, r.id AS r_id, t.id AS t_id
-FROM e JOIN ent h ON e.subj_value = h.t
-       JOIN rel r ON e.pred_value = r.t
-       JOIN ent t ON e.obj_value = t.t"""
-
-# Negative sampling over the dense-id edges: md5-keyed tail corruption
-# (same hex-prefix-to-UBIGINT idiom as the fingerprint oracle).
-ORACLES["kg_edge_negatives"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS (SELECT subj_value, pred_value, obj_value FROM d WHERE obj_kind <> 2),
-ent AS (
-  SELECT t, ROW_NUMBER() OVER (ORDER BY t) - 1 AS id FROM (
-    SELECT subj_value AS t FROM e UNION SELECT obj_value FROM e)
-),
-rel AS (
-  SELECT t, ROW_NUMBER() OVER (ORDER BY t) - 1 AS id FROM (
-    SELECT DISTINCT pred_value AS t FROM e)
-),
-ids AS (
-  SELECT h.id AS h_id, r.id AS r_id, t.id AS t_id
-  FROM e JOIN ent h ON e.subj_value = h.t
-         JOIN rel r ON e.pred_value = r.t
-         JOIN ent t ON e.obj_value = t.t
-),
-nn AS (SELECT COUNT(*) AS n FROM ent)
-SELECT h_id, r_id, t_id,
-       CAST((t_id + 1 + CAST(('0x' || substr(md5(
-               CAST(h_id AS VARCHAR) || ':' || CAST(r_id AS VARCHAR) || ':'
-               || CAST(t_id AS VARCHAR)), 1, 16)) AS UBIGINT) % (n - 1)) % n
-            AS BIGINT) AS neg_t_id
-FROM ids, nn"""
-
 # N-Quads round-trip: each page's distinct triples in the page-url
 # named graph; the quad columns survive the serialize/parse cycle.
 ORACLES["nquads_roundtrip"] = (
@@ -1379,92 +904,12 @@ ORACLES["kg_node_table"] = EXP_CTE + f"""SELECT entity,
        CAST(n_chars AS BIGINT) AS n_chars
 FROM docs"""
 
-# k-hop neighborhood sampling: 2 hops, fanout 3, md5-ranked neighbor
-# choice over the undirected distinct link graph, seeds = doc_id%10==0.
-ORACLES["kg_khop_sample"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e0 AS (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-e AS (SELECT src, dst FROM e0 UNION SELECT dst, src FROM e0),
-seeds AS (SELECT 'https://kg.example.org/doc/' || doc_id AS seed
-          FROM documents WHERE doc_id % 10 = 0),
-h1 AS (
-  SELECT s.seed, e.dst AS node FROM seeds s JOIN e ON e.src = s.seed
-  QUALIFY ROW_NUMBER() OVER (
-    PARTITION BY s.seed ORDER BY md5(s.seed || ':' || e.dst)) <= 3
-),
-h2 AS (
-  SELECT h1.seed, e.dst AS node FROM h1 JOIN e ON e.src = h1.node
-  QUALIFY ROW_NUMBER() OVER (
-    PARTITION BY h1.seed, h1.node ORDER BY md5(h1.node || ':' || e.dst)) <= 3
-)
-SELECT seed, node, MIN(hop) AS hop FROM (
-  SELECT seed, node, CAST(1 AS BIGINT) AS hop FROM h1
-  UNION ALL
-  SELECT seed, node, 2 FROM h2
-) WHERE node <> seed GROUP BY seed, node"""
-
 # CSR-style adjacency export: sorted neighbor list + out-degree.
 ORACLES["kg_adjacency"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
 e AS (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2)
 SELECT src AS node, string_agg(dst, ',' ORDER BY dst) AS neighbors,
        CAST(COUNT(*) AS BIGINT) AS out_degree
 FROM e GROUP BY src"""
-
-# DeepWalk corpus: 2 walks x 3 steps, md5-keyed deterministic choice.
-def _walks_sql(walk_len: int = 3) -> str:
-    sql = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e0 AS (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-e AS (SELECT src, dst FROM e0 UNION SELECT dst, src FROM e0),
-seeds AS (SELECT 'https://kg.example.org/doc/' || doc_id AS seed
-          FROM documents WHERE doc_id % 10 = 0),
-w0 AS (SELECT seed, CAST(w.walk AS BIGINT) AS walk, seed AS node
-       FROM seeds CROSS JOIN (VALUES (0), (1)) w(walk))"""
-    for step in range(1, walk_len + 1):
-        prev = f"w{step - 1}"
-        sql += f""",
-w{step} AS (
-  SELECT {prev}.seed, {prev}.walk, e.dst AS node
-  FROM {prev} JOIN e ON e.src = {prev}.node
-  QUALIFY ROW_NUMBER() OVER (
-    PARTITION BY {prev}.seed, {prev}.walk
-    ORDER BY md5({prev}.node || ':' || {prev}.seed || ':'
-                 || CAST({prev}.walk AS VARCHAR) || ':{step}:' || e.dst)) = 1
-)"""
-    selects = [
-        f"SELECT seed, walk, CAST({s} AS BIGINT) AS step, node FROM w{s}"
-        for s in range(walk_len + 1)
-    ]
-    return sql + "\n" + "\nUNION ALL\n".join(selects)
-
-
-ORACLES["kg_random_walks"] = _walks_sql(3)
-
-# Degree assortativity: exact-integer moments, one double division.
-ORACLES["kg_assortativity"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e0 AS (SELECT DISTINCT subj_value AS src, obj_value AS dst
-       FROM d WHERE obj_kind <> 2 AND subj_value <> obj_value),
-eu AS (SELECT src AS a, dst AS b FROM e0 UNION SELECT dst, src FROM e0),
-deg AS (SELECT a AS node, COUNT(*) AS dg FROM eu GROUP BY a),
-j AS (SELECT d1.dg AS du, d2.dg AS dv
-      FROM eu JOIN deg d1 ON d1.node = eu.a JOIN deg d2 ON d2.node = eu.b),
-mo AS (SELECT COUNT(*) AS m, SUM(du) AS sdu, SUM(dv) AS sdv,
-              SUM(du * dv) AS sdudv, SUM(du * du) AS sdu2,
-              SUM(dv * dv) AS sdv2
-       FROM j)
-SELECT ROUND(
-  CAST(m * sdudv - sdu * sdv AS DOUBLE)
-  / (sqrt(CAST(m * sdu2 - sdu * sdu AS DOUBLE))
-     * sqrt(CAST(m * sdv2 - sdv * sdv AS DOUBLE))), 6) AS assortativity
-FROM mo"""
-
-# DeepWalk skip-gram pairs: walk self-join within the ±2 step window.
-ORACLES["kg_walk_pairs"] = (
-    "WITH w AS (" + _walks_sql(3) + """)
-SELECT w1.node AS center, w2.node AS context, CAST(COUNT(*) AS BIGINT) AS n_pairs
-FROM w w1 JOIN w w2
-  ON w1.seed = w2.seed AND w1.walk = w2.walk
- AND w1.step <> w2.step AND abs(w1.step - w2.step) <= 2
-GROUP BY w1.node, w2.node"""
-)
 
 # Property-graph edge export: distinct (src, label, dst).
 ORACLES["kg_edge_table"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
@@ -1519,15 +964,6 @@ GROUP BY a.t, b.t"""
 # reification encode->decode is the identity on the deduped graph
 ORACLES["kg_reify_roundtrip"] = ORACLES["dedup_exact"]
 
-# WET conversion records round-trip to the pages projection exactly
-ORACLES["wet_roundtrip"] = """SELECT
-  'https://docs.example.org/' || source || '/' || doc_id AS url,
-  TIMESTAMP '2024-01-01 00:00:00' + to_microseconds(doc_id * 1000000) AS warc_ts,
-  array_to_string(string_split(text, ' ')[1:5], ' ')
-    || ' ' || array_to_string(string_split(text, ' ')[1:5], ' ')
-    || ' site hub' AS text
-FROM documents"""
-
 # CONSTRUCT template-bnode mint: md5 skolemization over the solution's
 # bound terms in sorted-variable order ((doc, l) here), 8 fields
 # joined by chr(31), label-prefixed with chr(30)
@@ -1547,10 +983,6 @@ UNION ALL
 SELECT 1, mint, '', '', 0, '{EX}inLang', '', '', 2, lang, '', ''
 FROM sol"""
 
-ORACLES["warc_status_gate"] = """SELECT
-  'https://docs.example.org/' || source || '/' || doc_id AS url
-FROM documents WHERE doc_id % 13 NOT IN (1, 2, 3)"""
-
 # OPTIONAL-scoped BIND: tag bound only where the optional matched
 ORACLES["sparql_optional_bind_eval"] = EXP_CTE + f"""SELECT
   CASE tt.subj_kind WHEN 0 THEN '<' || tt.subj_value || '>'
@@ -1563,45 +995,6 @@ LEFT JOIN (SELECT DISTINCT subj_value, obj_value AS lang FROM exp
   ON tt.subj_value = l.subj_value"""
 
 ORACLES["nt_gz_roundtrip"] = ORACLES["dedup_exact"]
-
-
-def _closeness_sql(iters: int = 4, unreached: int = 1_000_000, n_landmarks: int = 3) -> str:
-    """Landmark closeness: one BFS pyramid per landmark (docs 0..L-1),
-    distances capped at iters+1, summed per node — integer-exact."""
-    cap = iters + 1
-    sql = EXP_CTE + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2),
-eu AS MATERIALIZED (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
-nodes AS MATERIALIZED (SELECT src AS node FROM e UNION SELECT dst FROM e)"""
-    for li in range(n_landmarks):
-        seed = f"'https://kg.example.org/doc/{li}'"
-        sql += f""",
-l{li}d0 AS MATERIALIZED (
-  SELECT node, CASE WHEN node = {seed} THEN 0 ELSE {unreached} END AS dist
-  FROM nodes
-)"""
-        for i in range(1, iters + 1):
-            sql += f""",
-l{li}d{i} AS MATERIALIZED (
-  SELECT n.node,
-         LEAST(dp.dist, COALESCE(MIN(de.dist + 1), {unreached})) AS dist
-  FROM nodes n
-  JOIN l{li}d{i - 1} dp ON dp.node = n.node
-  LEFT JOIN eu ON eu.dst = n.node
-  LEFT JOIN l{li}d{i - 1} de ON de.node = eu.src
-  GROUP BY n.node, dp.dist
-)"""
-    total = " + ".join(f"LEAST(l{li}.dist, {cap})" for li in range(n_landmarks))
-    joins = " ".join(
-        f"JOIN l{li}d{iters} l{li} ON l{li}.node = n.node"
-        for li in range(n_landmarks)
-    )
-    return sql + f"""
-SELECT n.node, CAST({total} AS BIGINT) AS total_dist
-FROM nodes n {joins}"""
-
-
-ORACLES["kg_landmark_closeness"] = _closeness_sql(4)
 
 ORACLES["kg_prov_export"] = """WITH p AS (
   SELECT doc_id % 4 AS pid, COUNT(*) AS n FROM documents GROUP BY doc_id % 4
@@ -1716,20 +1109,6 @@ UNION ALL
 SELECT 'D', 'https://kg.example.org/doc/' || doc_id
 FROM documents WHERE lang = 'fr'"""
 
-# planted 4-cycles: scc = lexicographic min member; tails singleton
-ORACLES["kg_scc"] = """WITH g AS (
-  SELECT doc_id, doc_id - doc_id % 4 AS grp FROM documents
-), m AS (
-  SELECT grp, MIN('https://kg.example.org/doc/' || doc_id) AS scc
-  FROM g GROUP BY grp
-)
-SELECT 'https://kg.example.org/doc/' || g.doc_id AS node, m.scc AS scc_id
-FROM g JOIN m ON g.grp = m.grp
-UNION ALL
-SELECT 'https://kg.example.org/x/' || doc_id,
-       'https://kg.example.org/x/' || doc_id
-FROM documents WHERE doc_id % 32 = 0"""
-
 # VALUES joined against the language BGP: data-driven filter rows
 ORACLES["sparql_values_eval"] = """SELECT
   '<https://kg.example.org/doc/' || doc_id || '>' AS doc,
@@ -1772,22 +1151,6 @@ SELECT ROUND(2.0 * SUM(rnk * degree) / (COUNT(*) * SUM(degree))
        CAST(COUNT(*) AS BIGINT) AS n_nodes,
        CAST(SUM(degree) AS BIGINT) AS n_degree_sum
 FROM r"""
-
-# 1-WL refinement: color = md5(deg || '|' || sorted neighbor degs)
-ORACLES["kg_wl_colors"] = EXP_CTE + f""", d AS MATERIALIZED (
-  SELECT DISTINCT {TERM_COLS} FROM exp
-), e0 AS MATERIALIZED (
-  SELECT DISTINCT subj_value AS src, obj_value AS dst
-  FROM d WHERE obj_kind <> 2
-), e AS MATERIALIZED (
-  SELECT src AS u, dst AS v FROM e0 UNION SELECT dst, src FROM e0
-), deg AS MATERIALIZED (
-  SELECT u AS node, CAST(COUNT(*) AS VARCHAR) AS lab FROM e GROUP BY u
-)
-SELECT n.node, md5(n.lab || '|' || string_agg(dn.lab, ',' ORDER BY dn.lab))
-         AS wl_color
-FROM deg n JOIN e ON e.u = n.node JOIN deg dn ON dn.node = e.v
-GROUP BY n.node, n.lab"""
 
 # federation + numeric filter + GROUP BY: per-language counts of
 # docs whose endpoint token count exceeds 26
@@ -1871,19 +1234,6 @@ SELECT namespace,
        CAST(COUNT(*) AS BIGINT) AS n_triples
 FROM pn GROUP BY namespace"""
 )
-
-
-ORACLES["og_extract"] = """WITH d AS (
-  SELECT 'https://docs.example.org/' || source || '/' || doc_id AS url,
-         array_to_string(string_split(text, ' ')[1:5], ' ') AS title,
-         lang
-  FROM documents
-)
-SELECT url AS src_url, 'og:title' AS property, title AS content FROM d
-UNION ALL SELECT url, 'og:type', 'article' FROM d
-UNION ALL SELECT url, 'og:url', url FROM d
-UNION ALL SELECT url, 'og:locale', lang FROM d"""
-
 
 # Fellegi–Sunter mirror: u per field = exact SUM/COUNT over the blocked
 # pairs (single double division on both sides), m=0.9 fixed, weights

@@ -411,130 +411,6 @@ def q_kg_predicate_align(sf_dir: str):
     return common.map_batches(score, batch_format="pyarrow")
 
 
-def q_pages_crawl_frontier(sf_dir: str):
-    """Crawl frontier expansion: link targets discovered in this crawl
-    batch that are NOT already-crawled URLs — the next fetch list.
-    Marker anti-join shape: dst rows (m=0) union crawled-url rows
-    (m=1) into ONE groupby(url); url survives iff its marker sum is 0.
-    Shuffle volume is distinct URLs, never raw links."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.weblinks import link_graph
-    from ..pages import pages_dataset
-
-    pages = pages_dataset(sf_dir)
-    dsts = link_graph(pages).map_batches(
-        lambda b: pa.table(
-            {
-                "url": pc.cast(b["dst_url"], pa.string()),
-                "m": pa.array([0] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    crawled = pages.map_batches(
-        lambda b: pa.table(
-            {
-                "url": pc.cast(b["url"], pa.string()),
-                "m": pa.array([1] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return (
-        dsts.union(crawled)
-        .groupby("url")
-        .aggregate(Sum("m", alias_name="_crawled"))
-        .map_batches(
-            lambda b: b.filter(
-                pc.equal(pc.cast(b["_crawled"], pa.int64()), 0)
-            ).select(["url"]),
-            batch_format="pyarrow",
-        )
-    )
-
-
-def q_pages_anchor_link(sf_dir: str):
-    """Hyperlink entity linking: anchors whose target URL IS a KG node
-    become (page, entity, anchor) mention links — the hyperlink twin
-    of the dictionary entity linker.  Noise links to unknown hosts are
-    planted (every 3rd page) and must drop.  Co-located semi-join
-    shape: anchor rows (marker 0) union KG-node marker rows (marker 1)
-    into ONE key sort; a key group emits its anchors iff a node marker
-    is present — shuffle volume is anchors + nodes, no broadcast."""
-    import pandas as pd
-
-    from ..functions.graph import _distinct_nodes
-    from ..functions.weblinks import link_graph
-    from ..stages.grouping import grouped_map
-
-    pages = pages_dataset(sf_dir)
-
-    def plant_noise(b: pa.Table) -> pa.Table:
-        # derive doc_id back from the url tail; every 3rd page gets a
-        # link to a host the KG has never seen
-        import numpy as np
-
-        urls = b["url"].to_pylist()
-        ids = np.array([int(u.rsplit("/", 1)[1]) for u in urls], np.int64)
-        keep = ids % 3 == 0
-        return pa.table(
-            {
-                "src_url": pa.array(np.array(urls, object)[keep], pa.string()),
-                "dst_url": pa.array(
-                    [f"https://nowhere{i}.example.org/" for i in ids[keep]],
-                    pa.string(),
-                ),
-                "anchor": pa.array(["x"] * int(keep.sum()), pa.string()),
-            }
-        )
-
-    links = link_graph(pages).union(
-        pages.map_batches(plant_noise, batch_format="pyarrow")
-    )
-
-    tagged = links.map_batches(
-        lambda b: pa.table(
-            {
-                "key": pc.cast(b["dst_url"], pa.string()),
-                "src_url": pc.cast(b["src_url"], pa.string()),
-                "anchor": pc.cast(b["anchor"], pa.string()),
-                "_ent": pa.array([0] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    nodes = _distinct_nodes(_kg_link_edges(sf_dir)).map_batches(
-        lambda b: pa.table(
-            {
-                "key": pc.cast(b["node"], pa.string()),
-                "src_url": pa.array([""] * b.num_rows, pa.string()),
-                "anchor": pa.array([""] * b.num_rows, pa.string()),
-                "_ent": pa.array([1] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def gate(g: pd.DataFrame) -> pd.DataFrame:
-        if g["_ent"].max() == 0:  # no KG node under this key
-            return pd.DataFrame()
-        out = g.loc[g["_ent"] == 0, ["src_url", "key", "anchor"]]
-        return out.rename(columns={"key": "entity"})
-
-    return grouped_map(tagged.union(nodes), "key", gate)
-
-
-def q_pages_host_pagerank_weighted(sf_dir: str):
-    """Link-count-weighted host authority: the host graph's n_links
-    drive the transition probabilities (w(u,v)/Σw(u,·)) — the ranking
-    a crawl scheduler actually wants, where a host linked 5× as often
-    receives 5× the mass.  Same rounding/tie-break contract as the
-    unweighted twin (:func:`argo_ray.functions.graph.pagerank` with
-    ``weight_col``)."""
-    return _host_pagerank(sf_dir, weighted=True)
-
-
 def q_kg_temporal_fuse(sf_dir: str):
     """Temporal KG fusion (crawl-recency conflict resolution): a
     second crawl generation re-asserts dc:language = 'xx' for every
@@ -612,103 +488,6 @@ def q_kg_temporal_fuse(sf_dir: str):
     return _finalize(fused)
 
 
-def _host_pagerank(sf_dir: str, weighted: bool):
-    """Shared host-authority pipeline: extract anchors → aggregate
-    hosts → 5 PageRank iterations (link-count transition weights when
-    ``weighted``), same rounding/tie-break contract as kg_pagerank."""
-    from ..functions.graph import pagerank
-    from ..functions.weblinks import host_graph
-
-    def project(b: pa.Table) -> pa.Table:
-        cols = {
-            "src": pc.cast(b["src_host"], pa.string()),
-            "dst": pc.cast(b["dst_host"], pa.string()),
-        }
-        if weighted:
-            cols["w"] = pc.cast(b["n_links"], pa.int64())
-        return pa.table(cols)
-
-    edges = host_graph(pages_dataset(sf_dir)).map_batches(
-        project, batch_format="pyarrow"
-    )
-    ranks = pagerank(
-        edges, iters=PAGERANK_ITERS, damping=0.85,
-        weight_col="w" if weighted else None,
-    )
-    rounded = ranks.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pc.cast(b["node"], pa.string()),
-                "pr": pc.round(pc.cast(b["rank"], pa.float64()), ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return rounded.sort(["pr", "node"], descending=[True, False]).limit(20)
-
-
-def q_pages_host_pagerank(sf_dir: str):
-    """Web authority at host granularity: the host-level link graph
-    (distinct host pairs) ranked by 5 PageRank iterations — the
-    composition pipeline a crawl scheduler runs (extract anchors →
-    aggregate hosts → rank)."""
-    return _host_pagerank(sf_dir, weighted=False)
-
-
-PAGERANK_ITERS = 5
-
-from .oracles import LINKPRED_APEX_CAP  # noqa: E402 — single source for the hub cap
-
-
-def q_kg_pagerank(sf_dir: str):
-    """KG analytics: top-20 nodes by PageRank over the distinct
-    (subject → non-literal object) link graph — 5 fixed power
-    iterations of the simple (no dangling-redistribution) convention,
-    d=0.85 (see :mod:`argo_ray.functions.graph` for the distributed
-    plan).  Ranks rounded to 6 decimals so the DuckDB oracle's
-    different float-summation order can never flip the hash."""
-    from ..functions.graph import pagerank
-
-    ranks = pagerank(_kg_link_edges(sf_dir), iters=PAGERANK_ITERS, damping=0.85)
-    rounded = ranks.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pc.cast(b["node"], pa.string()),
-                "pr": pc.round(pc.cast(b["rank"], pa.float64()), ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return rounded.sort(["pr", "node"], descending=[True, False]).limit(20)
-
-
-def q_kg_ppr(sf_dir: str):
-    """Personalized PageRank from the doc_id%10 seed entities: teleport
-    and start vectors put 1/|S| on the seeds, 0 elsewhere; same
-    materialized power-iteration plan as kg_pagerank (seed set is a
-    tiny driver-side list here; at scale it stays a broadcast array).
-    Top-20 by 6-decimal-rounded rank."""
-    from ..functions.graph import pagerank
-
-    seeds = [
-        r["seed"] for r in _entity_seeds(sf_dir).take_all()
-    ]  # |docs|/10 strings — broadcast-sized
-    ranks = pagerank(
-        _kg_link_edges(sf_dir), iters=PAGERANK_ITERS, damping=0.85,
-        teleport_nodes=seeds,
-    )
-    rounded = ranks.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pc.cast(b["node"], pa.string()),
-                "pr": pc.round(pc.cast(b["rank"], pa.float64()), ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return rounded.sort(["pr", "node"], descending=[True, False]).limit(20)
-
-
 def _kg_link_edges(sf_dir: str):
     """Distinct (subject → non-literal object) edge set of the KG."""
     from ray.data.aggregate import Count
@@ -729,145 +508,6 @@ def _kg_link_edges(sf_dir: str):
         .aggregate(Count(alias_name="_n"))  # distinct edges
         .select_columns(["src", "dst"])
     )
-
-
-def q_kg_hits(sf_dir: str):
-    """KG analytics: top-20 nodes by HITS authority (hub score
-    alongside) over the distinct link graph — 5 iterations of
-    Kleinberg's algorithm with per-iteration L2 normalization (see
-    :func:`argo_ray.functions.graph.hits`).  Scores rounded to 6
-    decimals so the oracle's different float-summation order can never
-    flip the hash."""
-    from ..functions.graph import hits
-
-    scored = hits(_kg_link_edges(sf_dir), iters=PAGERANK_ITERS)
-    rounded = scored.map_batches(
-        lambda b: pa.table(
-            {
-                "node": pc.cast(b["node"], pa.string()),
-                "hub": pc.round(pc.cast(b["hub"], pa.float64()), ndigits=6),
-                "authority": pc.round(
-                    pc.cast(b["authority"], pa.float64()), ndigits=6
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return rounded.sort(["authority", "node"], descending=[True, False]).limit(20)
-
-
-def q_kg_bfs(sf_dir: str):
-    """KG analytics: UNDIRECTED BFS hop distance from the
-    lexicographically-smallest node, 6 relaxation rounds (exact within
-    6 hops), reached nodes only.  Undirected because subject→object
-    links rarely chain (objects are leaf IRIs) — symmetrizing gives the
-    neighborhood query users actually ask of a KG.  Pure integer
-    arithmetic — the oracle is bit-exact."""
-    from ..functions.graph import BFS_UNREACHED, bfs_distances
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                b.select(["src", "dst"]),
-                pa.table({"src": b["dst"], "dst": b["src"]}),
-            ]
-        )
-
-    undirected = _kg_link_edges(sf_dir).map_batches(
-        symmetrize, batch_format="pyarrow"
-    )
-    dists = bfs_distances(undirected, iters=6)
-    return dists.map_batches(
-        lambda b: b.filter(
-            pc.less(b["dist"], pa.scalar(BFS_UNREACHED, pa.int64()))
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_kg_bfs_seeded(sf_dir: str):
-    """Multi-source BFS: hop distance to the NEAREST doc_id%10 seed
-    entity over the undirected link graph (4 relaxation rounds —
-    multi-source frontiers converge fast; exact within 4 hops,
-    integer-exact oracle).  The classic nearest-landmark distance
-    feature (:func:`argo_ray.functions.graph.bfs_distances` with
-    ``seeds=``)."""
-    from ..functions.graph import BFS_UNREACHED, bfs_distances
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                b.select(["src", "dst"]),
-                pa.table({"src": b["dst"], "dst": b["src"]}),
-            ]
-        )
-
-    undirected = _kg_link_edges(sf_dir).map_batches(
-        symmetrize, batch_format="pyarrow"
-    )
-    seeds = [r["seed"] for r in _entity_seeds(sf_dir).take_all()]
-    dists = bfs_distances(undirected, iters=4, seeds=seeds)
-    return dists.map_batches(
-        lambda b: b.filter(
-            pc.less(b["dist"], pa.scalar(BFS_UNREACHED, pa.int64()))
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_kg_components(sf_dir: str):
-    """KG analytics: connected-component labels by 8 fixed rounds of
-    undirected min-label propagation over the link graph — every node
-    within 8 hops of its component's minimal node is exactly labeled,
-    and the fixed round count makes the string-only oracle bit-exact
-    (:func:`argo_ray.functions.graph.label_propagation`)."""
-    from ..functions.graph import label_propagation
-
-    return label_propagation(_kg_link_edges(sf_dir), iters=8)
-
-
-def q_kg_scc(sf_dir: str):
-    """Strongly connected components over a planted DIRECTED cycle
-    graph (doc i → i+1 within each 4-group, closing back edge, plus a
-    dangling tail node per 32nd group): one forward-backward min-label
-    coloring round (:func:`argo_ray.functions.graph.scc_min_label`) —
-    cycle members share their lexicographically-minimal member as
-    ``scc_id``, the acyclic tails come out as singletons.  The
-    redirect-loop / circular-citation detector the crawl graph needs;
-    fixture satisfies the documented coloring exactness contract."""
-    from ..functions.graph import scc_min_label
-    from ..io import read_table
-
-    KG = "https://kg.example.org/doc/"
-
-    def plant(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ids = pc.cast(b["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        fwd = ids[ids % 4 < 3]  # i -> i+1 within the 4-group
-        back = ids[ids % 4 == 3]  # closing edge i -> i-3
-        tails = ids[ids % 32 == 0]  # group root -> dangling tail
-        src = (
-            [f"{KG}{i}" for i in fwd]
-            + [f"{KG}{i}" for i in back]
-            + [f"{KG}{i}" for i in tails]
-        )
-        dst = (
-            [f"{KG}{i + 1}" for i in fwd]
-            + [f"{KG}{i - 3}" for i in back]
-            + [f"https://kg.example.org/x/{i}" for i in tails]
-        )
-        return pa.table(
-            {
-                "src": pa.array(src, pa.string()),
-                "dst": pa.array(dst, pa.string()),
-            }
-        )
-
-    edges = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
-        plant, batch_format="pyarrow"
-    )
-    return scc_min_label(edges, iters=5)
 
 
 def q_kg_degree_gini(sf_dir: str):
@@ -945,20 +585,6 @@ def q_kg_degree_gini(sf_dir: str):
     )
 
 
-def q_kg_wl_colors(sf_dir: str):
-    """Weisfeiler-Lehman color refinement (round 1) over the KG link
-    graph — the structural fingerprint graph-ML pipelines hash nodes
-    by before pooling (1-WL = GIN expressivity bound): color =
-    md5(own degree + '|' + sorted neighbor degrees)
-    (:func:`argo_ray.functions.graph.wl_colors`).  Every site node,
-    the hub, and each entity get colors determined purely by local
-    structure; the DuckDB oracle reproduces the md5 bit-for-bit via
-    ``string_agg ORDER BY``."""
-    from ..functions.graph import wl_colors
-
-    return wl_colors(_kg_link_edges(sf_dir), rounds=1)
-
-
 def q_microdata_extract(sf_dir: str):
     """HTML5 microdata extraction (schema.org Article pages built
     deterministically from the documents rows): itemscope/itemid
@@ -999,40 +625,6 @@ def q_jsonld_extract(sf_dir: str):
     )
 
 
-def q_pages_anchor_text_agg(sf_dir: str):
-    """Anchor-text document expansion (classic web IR): all anchor
-    texts pointing at a target URL aggregate into its surrogate
-    description — per-batch DISTINCT partials, ONE groupby(dst), and a
-    sorted comma-join inside the reduce block.  Output:
-    (dst_url, n_anchors, anchors)."""
-    import pandas as pd
-
-    from ..functions.weblinks import link_graph
-    from ..stages.grouping import grouped_map
-
-    links = link_graph(pages_dataset(sf_dir)).map_batches(
-        lambda b: pa.table(
-            {
-                "dst_url": pc.cast(b["dst_url"], pa.string()),
-                "anchor": pc.cast(b["anchor"], pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        # one target URL per call
-        return pd.DataFrame(
-            {
-                "dst_url": [g["dst_url"].iloc[0]],
-                "n_anchors": [int(len(g))],
-                "anchors": [",".join(sorted(set(g["anchor"])))],
-            }
-        )
-
-    return grouped_map(links, "dst_url", agg)
-
-
 def q_kg_degree_hist(sf_dir: str):
     """Degree-distribution histogram of the undirected link graph
     (count of nodes per degree — THE power-law report every web-graph
@@ -1069,35 +661,6 @@ def q_kg_degree_hist(sf_dir: str):
             ),
             batch_format="pyarrow",
         )
-    )
-
-
-def q_pages_crawl_budget(sf_dir: str):
-    """Crawl-budget apportionment: a 10,000-fetch budget splits across
-    hosts proportionally to their (weighted) PageRank authority using
-    largest-remainder (Hamilton) rounding — quotas are integers, sum
-    EXACTLY to the budget, and every step (floor + remainder ranking)
-    is integer-or-single-division arithmetic the oracle replays.  The
-    rank table is host-bounded (the one driver-side step); everything
-    upstream is the distributed host-PageRank pipeline."""
-    BUDGET = 10_000
-    ranks = _host_pagerank(sf_dir, weighted=True).take_all()  # ≤ 20 rows
-    # fixed-point: micro-units of rounded pr (ROUND(pr,6) × 1e6 exact)
-    units = {r["node"]: int(round(r["pr"] * 1_000_000)) for r in ranks}
-    total = sum(units.values())
-    floors = {h: (BUDGET * u) // total for h, u in units.items()}
-    rem = {h: (BUDGET * u) % total for h, u in units.items()}
-    leftover = BUDGET - sum(floors.values())
-    order = sorted(units, key=lambda h: (-rem[h], h))
-    quotas = {
-        h: floors[h] + (1 if i < leftover else 0) for i, h in enumerate(order)
-    }
-    hosts = sorted(quotas)
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "quota": pa.array([quotas[h] for h in hosts], pa.int64()),
-        }
     )
 
 
@@ -1167,7 +730,7 @@ def q_kg_cross_syntax_er(sf_dir: str):
     microdata extraction names ITS entity via schema:headline — both
     literals derive from the same text, so equal titles are the
     blocking key and every cross-namespace pair in a block is a
-    sameAs candidate (feeding canonicalize_sameas downstream).  ONE
+    sameAs candidate.  ONE
     title-keyed sort exchange; per-block pair volume is bounded by the
     title-collision rate.  The oracle replays the exact join,
     collisions included."""
@@ -1678,28 +1241,6 @@ def q_kg_multisyntax_build(sf_dir: str):
     return _finalize(dedup_exact(unioned))
 
 
-def q_pages_robots_filter(sf_dir: str):
-    """robots.txt crawl gate with longest-match semantics: the
-    docs.example.org rules disallow /src1 (a PREFIX — it also blocks
-    src10..src19), re-allow /src14 (longer match wins) and disallow
-    /src3/ — the classic overlapping-prefix trap.  Vectorized
-    starts_with masks per rule, zero shuffles
-    (:func:`argo_ray.functions.weblinks.robots_filter`)."""
-    from ..functions.weblinks import robots_filter
-
-    rules = {
-        "docs.example.org": [
-            ("disallow", "/src1"),
-            ("allow", "/src14"),
-            ("disallow", "/src3/"),
-        ]
-    }
-    return robots_filter(pages_dataset(sf_dir), rules).map_batches(
-        lambda b: pa.table({"url": pc.cast(b["url"], pa.string())}),
-        batch_format="pyarrow",
-    )
-
-
 def q_pages_change_detect(sf_dir: str):
     """Incremental-crawl change detection: two crawl generations hash
     their page bytes (two independent 64-bit vectorized passes = a
@@ -1785,228 +1326,6 @@ def q_pages_change_detect(sf_dir: str):
     )
 
 
-def q_pages_redirect_resolve(sf_dir: str):
-    """Redirect-chain resolution (canonical-URL discovery): planted
-    redirects doc(i) → doc(i-1) for i % 8 in {1,2,3} form chains up to
-    3 hops (3→2→1→0); 2 pointer-doubling rounds collapse every chain
-    to its final non-redirecting target
-    (:func:`argo_ray.functions.weblinks.resolve_redirects`) — log2 of
-    the chain bound in exchanges, never a broadcast.  Closed-form
-    oracle: dst = doc(i - i%8)."""
-    from ..functions.weblinks import resolve_redirects
-    from ..io import read_table
-
-    KG = "https://kg.example.org/doc/"
-
-    def plant(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ids = pc.cast(b["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
-        ids = ids[(ids % 8 >= 1) & (ids % 8 <= 3)]
-        return pa.table(
-            {
-                "src": pa.array([f"{KG}{i}" for i in ids], pa.string()),
-                "dst": pa.array([f"{KG}{i - 1}" for i in ids], pa.string()),
-            }
-        )
-
-    mapping = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
-        plant, batch_format="pyarrow"
-    )
-    return resolve_redirects(mapping, rounds=2)
-
-
-def q_kg_bowtie(sf_dir: str):
-    """Broder bow-tie decomposition of the directed link graph
-    relative to the hub pivot: nodes reachable FROM the hub and able
-    to REACH it (within 6 hops) are SCC, forward-only is OUT,
-    backward-only is IN, neither is OTHER — the classic web-graph
-    macro-structure report.  Two fixed-round BFS passes (forward, and
-    backward over the reversed edge set) share ONE groupby(node) for
-    the classification — no joins."""
-    from ray.data.aggregate import Max
-
-    from ..functions.graph import BFS_UNREACHED, bfs_distances
-
-    HUB = "https://hub.example.org/"
-    edges = _kg_link_edges(sf_dir).materialize()
-    rev = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "src": pc.cast(b["dst"], pa.string()),
-                "dst": pc.cast(b["src"], pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def flags(reached_col: str):
-        def fn(b: pa.Table) -> pa.Table:
-            r = pc.cast(
-                pc.less(
-                    pc.cast(b["dist"], pa.int64()),
-                    pa.scalar(BFS_UNREACHED, pa.int64()),
-                ),
-                pa.int64(),
-            )
-            zero = pa.array([0] * b.num_rows, pa.int64())
-            return pa.table(
-                {
-                    "node": pc.cast(b["node"], pa.string()),
-                    "f": r if reached_col == "f" else zero,
-                    "b": r if reached_col == "b" else zero,
-                }
-            )
-
-        return fn
-
-    fwd = bfs_distances(edges, iters=6, seed=HUB).map_batches(
-        flags("f"), batch_format="pyarrow"
-    )
-    bwd = bfs_distances(rev, iters=6, seed=HUB).map_batches(
-        flags("b"), batch_format="pyarrow"
-    )
-
-    def classify(b: pa.Table) -> pa.Table:
-        f = pc.cast(b["fr"], pa.int64())
-        bb = pc.cast(b["br"], pa.int64())
-        cls = pc.if_else(
-            pc.and_(pc.equal(f, 1), pc.equal(bb, 1)),
-            pa.scalar("SCC", pa.string()),
-            pc.if_else(
-                pc.equal(f, 1),
-                pa.scalar("OUT", pa.string()),
-                pc.if_else(
-                    pc.equal(bb, 1),
-                    pa.scalar("IN", pa.string()),
-                    pa.scalar("OTHER", pa.string()),
-                ),
-            ),
-        )
-        return pa.table({"node": pc.cast(b["node"], pa.string()), "cls": cls})
-
-    return (
-        fwd.union(bwd)
-        .groupby("node")
-        .aggregate(Max("f", alias_name="fr"), Max("b", alias_name="br"))
-        .map_batches(classify, batch_format="pyarrow")
-    )
-
-
-def q_kg_component_sizes(sf_dir: str):
-    """Component-size histogram (the KG fragmentation report): label
-    propagation → per-label count → count-of-counts.  Two small
-    exchanges past the labeling; the histogram is size-bounded by the
-    largest component."""
-    from ray.data.aggregate import Count
-
-    from ..functions.graph import label_propagation
-
-    labels = label_propagation(_kg_link_edges(sf_dir), iters=8)
-    sizes = labels.groupby("label").aggregate(Count(alias_name="size"))
-    return (
-        sizes.groupby("size")
-        .aggregate(Count(alias_name="n_components"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "size": pc.cast(b["size"], pa.int64()),
-                    "n_components": pc.cast(b["n_components"], pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-
-def q_kg_link_predict(sf_dir: str):
-    """KG link prediction: top-20 non-adjacent node pairs by
-    neighborhood Jaccard (common-neighbor count / union-degree) over
-    the undirected link graph — the classic similarity-based missing-
-    edge ranking; the score is one exact-integer division, so the
-    oracle is IEEE-identical.  Hub apexes are capped at 128
-    lexicographically-first neighbors (the web-graph hub — cited from
-    every page — would otherwise make the wedge set quadratic in the
-    corpus); the oracle replays the same cap with a ROW_NUMBER window
-    (:func:`argo_ray.functions.graph.link_prediction_jaccard`)."""
-    from ..functions.graph import link_prediction_jaccard
-
-    return link_prediction_jaccard(
-        _kg_link_edges(sf_dir), k=20, max_apex_degree=LINKPRED_APEX_CAP
-    )
-
-
-def q_kg_sssp(sf_dir: str):
-    """Weighted single-source shortest paths over the DIRECTED KG link
-    graph (fixed-round Bellman-Ford, 4 relaxations): edge weight is
-    the deterministic integer ``1 + length(dst) % 7``, seed is the hub
-    page, output is (node, dist) for reached nodes — the weighted
-    companion to kg_bfs, exercising the additive-min scatter
-    (:func:`argo_ray.functions.graph.sssp_weighted`).  Pure integer
-    arithmetic, bit-exact against the nested-CTE oracle."""
-    from ..functions.graph import sssp_weighted
-
-    def weigh(b: pa.Table) -> pa.Table:
-        ln = pc.cast(pc.utf8_length(pc.cast(b["dst"], pa.string())), pa.int64())
-        w = pc.add(
-            pa.scalar(1, pa.int64()),
-            pc.subtract(
-                ln, pc.multiply(pc.divide(ln, 7), pa.scalar(7, pa.int64()))
-            ),
-        )
-        return pa.table(
-            {
-                "src": pc.cast(b["src"], pa.string()),
-                "dst": pc.cast(b["dst"], pa.string()),
-                "w": w,
-            }
-        )
-
-    edges = _kg_link_edges(sf_dir).map_batches(weigh, batch_format="pyarrow")
-    return sssp_weighted(edges, iters=4, seed="https://hub.example.org/")
-
-
-def q_kg_sameas_canon(sf_dir: str, mode: str = "auto"):
-    """KG entity fusion: a second source asserts the same facts under
-    an alias namespace (kb.example.org); owl:sameAs links connect the
-    two IRIs for every doc_id %% 4 == 0 entity; canonicalization
-    (components over the sameAs set -> broadcast min-label rewrite ->
-    exact dedup) collapses the merged entities' duplicate facts while
-    non-linked entities stay distinct under both namespaces
-    (:func:`argo_ray.stages.canon.canonicalize_sameas`)."""
-    from ..stages.canon import canonicalize_sameas, rewrite_triples
-
-    KG = "https://kg.example.org/doc/"
-    KB = "https://kb.example.org/entity/"
-    base = _deduped(sf_dir).map_batches(
-        lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow"
-    )
-    alias = rewrite_triples(
-        base,
-        [RewriteRule(pattern="^" + re.escape(KG), replacement=KB,
-                     positions=("subj", "obj"))],
-        rehash=False,
-    )
-    union = base.union(alias)
-
-    def sameas_edges(b: pa.Table) -> pa.Table:
-        subj = pc.cast(b["subj_value"], pa.string())
-        is_type = pc.and_(
-            pc.equal(pc.cast(b["pred_value"], pa.string()),
-                     pa.scalar("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")),
-            pc.equal(pc.cast(b["obj_value"], pa.string()), pa.scalar(EX_NS + "Document")),
-        )
-        ents = pc.cast(b.filter(is_type)["subj_value"], pa.string())
-        ids = pc.cast(pc.utf8_slice_codeunits(ents, len(KG), 1 << 30), pa.int64())
-        keep = pc.equal(pc.bit_wise_and(ids, pa.scalar(3, pa.int64())), pa.scalar(0, pa.int64()))
-        src = ents.filter(keep) if isinstance(ents, pa.ChunkedArray) else ents.filter(keep)
-        dst = pc.replace_substring_regex(src, pattern="^" + re.escape(KG), replacement=KB)
-        return pa.table({"src": pc.cast(src, pa.string()), "dst": pc.cast(dst, pa.string())})
-
-    edges = base.map_batches(sameas_edges, batch_format="pyarrow")
-    return _finalize(canonicalize_sameas(union, edges, iters=4, mode=mode))
-
-
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 
 
@@ -2029,23 +1348,6 @@ def _kg_schema() -> pa.Table:
             "p": pa.array([r[1] for r in rows], pa.string()),
             "o": pa.array([r[2] for r in rows], pa.string()),
         }
-    )
-
-
-def q_warc_roundtrip(sf_dir: str):
-    """WARC 1.0 container round-trip (the Common-Crawl shard format):
-    pages → one WARC file per block (warcinfo + response records,
-    Content-Length framing) → offset-based parse back → RDFa extract →
-    dedup.  A lossless container means the distinct-triple multiset is
-    exactly ``dedup_exact``'s (:mod:`argo_ray.sources.warc`)."""
-    from ..sources.warc import parse_warc_batch, warc_serialize_batch
-
-    pages = pages_dataset(sf_dir)
-    back = pages.map_batches(
-        warc_serialize_batch, batch_format="pyarrow"
-    ).map_batches(parse_warc_batch, batch_format="pyarrow")
-    return _finalize(
-        dedup_exact(back.map_batches(extract_rdfa_batch, batch_format="pyarrow"))
     )
 
 
@@ -2301,57 +1603,6 @@ def q_kg_owl_infer(sf_dir: str):
         next_edges, batch_format="pyarrow"
     )
     return _finalize(owl_infer(base.union(chain_edges), _owl_schema()))
-
-
-def q_graph_kcore(sf_dir: str):
-    """k-core decomposition (k=6, fixed 8 peeling rounds,
-    :func:`argo_ray.functions.graph.kcore`) over the divisor graph of
-    doc ids (edge i→j when i divides j) — a deterministic skewed-degree
-    fixture (node 1 touches everything, primes are near-leaves) whose
-    core structure actually peels, unlike the near-regular co-purchase
-    graph.  Returns surviving (doc_id, degree)."""
-    import numpy as np
-
-    from ..functions.graph import kcore
-    from ..io import read_table
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id"])
-    n_max = int(docs.max("doc_id"))
-
-    def divisor_edges(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src, dst = [], []
-        for j in ids:
-            if j < 1:
-                continue
-            m = np.arange(2 * j, n_max + 1, j, dtype=np.int64)
-            if len(m):
-                src.append(np.full(len(m), j, dtype=np.int64))
-                dst.append(m)
-        if not src:
-            return pa.table(
-                {"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())}
-            )
-        s = np.concatenate(src)
-        d = np.concatenate(dst)
-        return pa.table(
-            {
-                "src": pa.array([str(v) for v in s], pa.string()),
-                "dst": pa.array([str(v) for v in d], pa.string()),
-            }
-        )
-
-    edges = docs.map_batches(divisor_edges, batch_format="pyarrow")
-    out = kcore(edges, k=6, rounds=8)
-    return out.map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": pc.cast(b["node"], pa.int64()),
-                "degree": pc.cast(b["degree"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
 
 
 def q_group_subject_count(sf_dir: str):
@@ -3931,37 +3182,16 @@ def q_kg_shacl_validate(sf_dir: str):
     return validate_graph(_planted_dirty(sf_dir), **_SHACL_SHAPES)
 
 
-def q_kg_triple_ids(sf_dir: str):
-    """KG-embedding training prep: the deduped KG's non-literal triples
-    dictionary-encoded to (h_id, r_id, t_id) under dense 0-based ids in
-    sorted term order — one distinct exchange + one sort per dictionary,
-    then three uniform-key hash joins
-    (:func:`argo_ray.functions.kgembed.triples_to_id_edges`)."""
-    from ..functions.kgembed import triples_to_id_edges
-
-    return triples_to_id_edges(_deduped(sf_dir))
-
-
-def q_kg_edge_negatives(sf_dir: str):
-    """KG-embedding negative sampling: one corrupted tail per edge,
-    deterministic md5-keyed offset over the dense entity id space —
-    never the true tail, reproducible in SQL
-    (:func:`argo_ray.functions.kgembed.edge_negatives`)."""
-    from ..functions.kgembed import edge_negatives, triples_to_id_edges
-
-    return edge_negatives(triples_to_id_edges(_deduped(sf_dir)))
-
-
 def q_kg_er_candidates(sf_dir: str):
     """Entity-resolution blocking: discover cross-source owl:sameAs
-    CANDIDATES (the links kg_sameas_canon consumes) by blocked join on
-    the dc:title attribute — block key = exact title, one sort
-    exchange co-locates each block, a per-block cross of the two
-    namespaces emits (src, dst) pairs.  Title collisions across
-    different docs produce extra candidates by design (blocking is a
-    recall stage; precision comes from the downstream verify).  The
-    partitioning assumption is the usual blocked-ER one: a block fits
-    a worker (salt the block key if a title ever goes hot)."""
+    CANDIDATES by blocked join on the dc:title attribute — block
+    key = exact title, one sort exchange co-locates each block, a
+    per-block cross of the two namespaces emits (src, dst) pairs.
+    Title collisions across different docs produce extra candidates
+    by design (blocking is a recall stage; precision comes from the
+    downstream verify).  The partitioning assumption is the usual
+    blocked-ER one: a block fits a worker (salt the block key if a
+    title ever goes hot)."""
     import pandas as pd
 
     from ..stages.grouping import grouped_map
@@ -4077,235 +3307,6 @@ def q_kg_node_table(sf_dir: str):
             Max("site", alias_name="site"),
             Max("n_chars", alias_name="n_chars"),
         )
-    )
-
-
-def _sym_link_edges(sf_dir: str):
-    """Undirected distinct link graph (shared by the GNN-prep ops)."""
-    from ..stages.materialize import distinct_rows
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                b.select(["src", "dst"]),
-                pa.table({"src": b["dst"], "dst": b["src"]}),
-            ]
-        )
-
-    return distinct_rows(
-        _kg_link_edges(sf_dir).map_batches(symmetrize, batch_format="pyarrow"),
-        ["src", "dst"],
-    )
-
-
-def _entity_seeds(sf_dir: str, mod: int = 10):
-    """Every ``mod``-th Document entity as a (seed) Dataset."""
-    from ..io import read_table
-
-    def seeds_fn(b: pa.Table) -> pa.Table:
-        ids = pc.cast(b["doc_id"], pa.int64())
-        m_ = pa.scalar(mod, pa.int64())
-        keep = pc.equal(
-            pc.subtract(ids, pc.multiply(pc.divide(ids, m_), m_)),
-            pa.scalar(0, pa.int64()),
-        )
-        kept = ids.filter(keep)
-        seed = pc.binary_join_element_wise(
-            pa.scalar("https://kg.example.org/doc/", pa.large_string()),
-            pc.cast(kept, pa.large_string()),
-            pa.scalar("", pa.large_string()),
-        )
-        return pa.table({"seed": pc.cast(seed, pa.string())})
-
-    return read_table(sf_dir, "documents").map_batches(
-        seeds_fn, batch_format="pyarrow"
-    )
-
-
-def q_kg_khop_sample(sf_dir: str):
-    """GNN minibatch prep: 2-hop / fanout-3 neighborhood sample from
-    every 10th Document entity over the undirected distinct link
-    graph, md5-ranked deterministic neighbor choice
-    (:func:`argo_ray.functions.graph.khop_sample`)."""
-    from ..functions.graph import khop_sample
-
-    return khop_sample(
-        _sym_link_edges(sf_dir), _entity_seeds(sf_dir), hops=2, fanout=3
-    )
-
-
-def q_kg_random_walks(sf_dir: str):
-    """DeepWalk-style walk corpus: 2 walks × 3 steps from every 10th
-    entity over the undirected link graph, md5-keyed deterministic
-    step choice (:func:`argo_ray.functions.graph.random_walks`)."""
-    from ..functions.graph import random_walks
-
-    return random_walks(
-        _sym_link_edges(sf_dir), _entity_seeds(sf_dir),
-        walk_len=3, walks_per_seed=2,
-    )
-
-
-def q_kg_assortativity(sf_dir: str):
-    """Degree assortativity of the undirected KG link graph (Newman's
-    r): Pearson correlation of endpoint degrees over every directed
-    edge-pair — a one-scalar mixing diagnostic (hub-and-spoke web
-    graphs are strongly disassortative).  Every moment (Σdu, Σdv,
-    Σdudv, Σdu², Σdv², M) accumulates as EXACT integers — per-block
-    partial rows, block-count-bounded driver finish, ONE double
-    division at the end rounded to 6 — so the oracle is
-    IEEE-identical.  Degree attachment is two exchange lookup
-    joins (edge-volume exchanges, no broadcast)."""
-    from ray.data.aggregate import Count
-
-    from ..functions.kgembed import _lookup_join
-
-    edges = _kg_link_edges(sf_dir)
-
-    def both_dirs(b: pa.Table) -> pa.Table:
-        s = pc.cast(b["src"], pa.string())
-        d = pc.cast(b["dst"], pa.string())
-        t = pa.table(
-            {
-                "a": pa.concat_arrays(
-                    [s.combine_chunks(), d.combine_chunks()]
-                    if isinstance(s, pa.ChunkedArray)
-                    else [s, d]
-                ),
-                "b": pa.concat_arrays(
-                    [d.combine_chunks(), s.combine_chunks()]
-                    if isinstance(d, pa.ChunkedArray)
-                    else [d, s]
-                ),
-            }
-        )
-        return t.filter(pc.not_equal(t["a"], t["b"]))
-
-    eu = (
-        edges.map_batches(both_dirs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_n"))
-        .select_columns(["a", "b"])
-        .materialize()
-    )
-    deg_as_ids = (
-        eu.groupby("a")
-        .aggregate(Count(alias_name="degv"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "term": pc.cast(b["a"], pa.string()),
-                    "id": pc.cast(b["degv"], pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    withdeg = _lookup_join(
-        _lookup_join(eu, "a", deg_as_ids, "du"), "b", deg_as_ids, "dv"
-    )
-
-    def moments(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        du = pc.cast(b["du"], pa.int64()).to_numpy(zero_copy_only=False)
-        dv = pc.cast(b["dv"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "m": pa.array([len(du)], pa.int64()),
-                "sdu": pa.array([int(du.sum())], pa.int64()),
-                "sdv": pa.array([int(dv.sum())], pa.int64()),
-                "sdudv": pa.array([int((du * dv).sum())], pa.int64()),
-                "sdu2": pa.array([int((du * du).sum())], pa.int64()),
-                "sdv2": pa.array([int((dv * dv).sum())], pa.int64()),
-            }
-        )
-
-    parts = withdeg.map_batches(moments, batch_format="pyarrow").take_all()
-    m = sum(p["m"] for p in parts)
-    sdu = sum(p["sdu"] for p in parts)
-    sdv = sum(p["sdv"] for p in parts)
-    sdudv = sum(p["sdudv"] for p in parts)
-    sdu2 = sum(p["sdu2"] for p in parts)
-    sdv2 = sum(p["sdv2"] for p in parts)
-    num = m * sdudv - sdu * sdv
-    import math
-
-    den = math.sqrt(float(m * sdu2 - sdu * sdu)) * math.sqrt(
-        float(m * sdv2 - sdv * sdv)
-    )
-    r = round(float(num) / den, 6) if den else 0.0
-    return pa.table({"assortativity": pa.array([r], pa.float64())})
-
-
-def q_kg_walk_pairs(sf_dir: str):
-    """DeepWalk training corpus: skip-gram (center, context) pairs
-    within a ±2 window over every random walk — the node-embedding
-    input that pairs with kg_random_walks exactly as docs_skipgrams
-    pairs with the token stream.  One exchange co-locates each walk's
-    steps, the in-block self-merge is bounded by walk_len², and the
-    pair counts combine per block before the final groupby."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    from ..stages.grouping import grouped_map
-
-    walks = q_kg_random_walks(sf_dir)
-
-    keyed = walks.map_batches(
-        lambda b: pa.table(
-            {
-                "_k": pc.cast(
-                    pc.binary_join_element_wise(
-                        pc.cast(b["seed"], pa.large_string()),
-                        pc.cast(b["walk"], pa.large_string()),
-                        pa.scalar("\x1f", pa.large_string()),
-                    ),
-                    pa.string(),
-                ),
-                "step": pc.cast(b["step"], pa.int64()),
-                "node": pc.cast(b["node"], pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    pair_schema = pa.schema(
-        [("center", pa.string()), ("context", pa.string()), ("part", pa.int64())]
-    )
-
-    def pair_block(df: pd.DataFrame) -> pa.Table:
-        # one walk per call: all ordered step pairs within the window
-        import numpy as np
-
-        steps = df["step"].to_numpy(dtype=np.int64)
-        nodes = df["node"].to_numpy(dtype=object)
-        i, j = np.nonzero(
-            (np.abs(steps[:, None] - steps[None, :]) <= 2)
-            & (steps[:, None] != steps[None, :])
-        )
-        if len(i) == 0:
-            return pair_schema.empty_table()
-        g = (
-            pd.DataFrame({"node_a": nodes[i], "node_b": nodes[j]})
-            .groupby(["node_a", "node_b"], sort=False)
-            .size()
-            .reset_index(name="part")
-        )
-        return pa.table(
-            {
-                "center": pa.array(g["node_a"], pa.string()),
-                "context": pa.array(g["node_b"], pa.string()),
-                "part": pa.array(g["part"].to_numpy(dtype="int64"), pa.int64()),
-            }
-        )
-
-    return (
-        grouped_map(keyed, "_k", pair_block)
-        .groupby(["center", "context"])
-        .aggregate(Sum("part", alias_name="n_pairs"))
     )
 
 
@@ -4783,64 +3784,6 @@ def q_kg_reify_roundtrip(sf_dir: str):
     )
 
 
-def q_wet_roundtrip(sf_dir: str):
-    """WET container round-trip (Common Crawl's extracted-text shard —
-    what LLM-pretraining pipelines actually ingest): pages → one WET
-    file per block (warcinfo + text/plain ``conversion`` records) →
-    parse back to ``(url, warc_ts, text)``.  Lossless container ⇒
-    output equals the pages table's own projection, which the oracle
-    rebuilds relationally (:mod:`argo_ray.sources.warc`)."""
-    from ..sources.warc import parse_wet_batch, wet_serialize_batch
-
-    return (
-        pages_dataset(sf_dir)
-        .map_batches(wet_serialize_batch, batch_format="pyarrow")
-        .map_batches(parse_wet_batch, batch_format="pyarrow")
-    )
-
-
-def q_warc_status_gate(sf_dir: str):
-    """Status-gated ingest (what Common Crawl's fetch layer does before
-    any extraction compute is spent): pages serialized into WARC with
-    planted HTTP statuses (301 for doc_id%13==1, 404 for %13==2, 503
-    for %13==3, else 200), the HTTP envelope parsed back per response
-    record, and only ``200 text/html`` URLs survive.  Container scan +
-    envelope parse stream per block; zero shuffles
-    (:func:`argo_ray.sources.warc.parse_warc_http_batch`)."""
-    from ..sources.warc import parse_warc_http_batch, warc_serialize_status_batch
-
-    def plant(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ids = pc.extract_regex(
-            pc.cast(b["url"], pa.string()), r"/(?P<id>[0-9]+)$"
-        )
-        did = np.asarray(
-            pc.cast(pc.struct_field(ids, "id"), pa.int64()), dtype=np.int64
-        )
-        m = did % 13
-        status = np.where(m == 1, 301, np.where(m == 2, 404, np.where(m == 3, 503, 200)))
-        return b.append_column("status", pa.array(status, pa.int64()))
-
-    gated = (
-        pages_dataset(sf_dir)
-        .map_batches(plant, batch_format="pyarrow")
-        .map_batches(warc_serialize_status_batch, batch_format="pyarrow")
-        .map_batches(parse_warc_http_batch, batch_format="pyarrow")
-    )
-    return gated.map_batches(
-        lambda b: pa.table(
-            {"url": pc.cast(b["url"], pa.string())}
-        ).filter(
-            pc.and_(
-                pc.equal(b["status"], pa.scalar(200, pa.int64())),
-                pc.equal(b["content_type"], pa.scalar("text/html", pa.string())),
-            )
-        ),
-        batch_format="pyarrow",
-    )
-
-
 def q_nt_gz_roundtrip(sf_dir: str):
     """Gzipped N-Triples round-trip (Common-Crawl dumps ship
     ``.nt.gz``): deduped graph → ``.nt.gz`` part files (deterministic
@@ -4859,51 +3802,6 @@ def q_nt_gz_roundtrip(sf_dir: str):
             lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow"
         )
     )
-
-
-def q_kg_landmark_closeness(sf_dir: str):
-    """Landmark-based closeness centrality (the scalable stand-in for
-    exact closeness — all-pairs BFS is infeasible at KG scale, so pick
-    L landmarks and sum capped hop distances to them, Potamias et al.'s
-    classic sketch): 3 deterministic landmark entities (docs 0-2),
-    one undirected 4-round BFS each, per-landmark distances capped at
-    iters+1 (unreached = cap, keeps the contract integer-exact), ONE
-    groupby(node) sum.  3×4 relaxation exchanges + one aggregate."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.graph import bfs_distances
-
-    ITERS, CAP = 4, 5
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                b.select(["src", "dst"]),
-                pa.table({"src": b["dst"], "dst": b["src"]}),
-            ]
-        )
-
-    undirected = _kg_link_edges(sf_dir).map_batches(
-        symmetrize, batch_format="pyarrow"
-    ).materialize()
-
-    def capped(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": pc.cast(b["node"], pa.string()),
-                "part": pc.min_element_wise(
-                    pc.cast(b["dist"], pa.int64()), pa.scalar(CAP, pa.int64())
-                ),
-            }
-        )
-
-    parts = None
-    for k in range(3):
-        d = bfs_distances(
-            undirected, iters=ITERS, seed=f"https://kg.example.org/doc/{k}"
-        ).map_batches(capped, batch_format="pyarrow")
-        parts = d if parts is None else parts.union(d)
-    return parts.groupby("node").aggregate(Sum("part", alias_name="total_dist"))
 
 
 def q_kg_prov_export(sf_dir: str):
@@ -5087,7 +3985,6 @@ def q_kg_incremental_update(sf_dir: str):
         )
     )
     return _finalize(merged)
-
 
 
 def q_sparql_results_parse(sf_dir: str):
@@ -5278,23 +4175,6 @@ def q_kg_namespace_stats(sf_dir: str):
             Sum("np_part", alias_name="n_preds"),
             Sum("nt_part", alias_name="n_triples"),
         )
-    )
-
-
-def q_og_extract(sf_dir: str):
-    """Open Graph self-description mining (ogp.me): synthesize OG head
-    fixtures per page (plus a decoy non-OG meta the extractor must
-    skip), parse back with the vectorized ``<meta property=og:*>``
-    extractor → ``(src_url, property, content)``.  Completes the HTML
-    metadata family (RDFa / microdata / JSON-LD / OG); zero-shuffle
-    streaming maps (:mod:`argo_ray.sources.opengraph`)."""
-    from ..io import read_table
-    from ..sources.opengraph import extract_og_batch, synth_og_batch
-
-    return (
-        read_table(sf_dir, "documents", columns=["doc_id", "text", "lang", "source"])
-        .map_batches(synth_og_batch, batch_format="pyarrow")
-        .map_batches(extract_og_batch, batch_format="pyarrow")
     )
 
 
@@ -5577,22 +4457,11 @@ KG_QUERIES = {
     "group_subject_count": q_group_subject_count,
     "kg_degree_topk": q_kg_degree_topk,
     "kg_predicate_hist": q_kg_predicate_hist,
-    "kg_pagerank": q_kg_pagerank,
-    "kg_hits": q_kg_hits,
-    "kg_bfs": q_kg_bfs,
-    "kg_components": q_kg_components,
-    "kg_scc": q_kg_scc,
-    "kg_wl_colors": q_kg_wl_colors,
     "kg_degree_gini": q_kg_degree_gini,
-    "kg_component_sizes": q_kg_component_sizes,
-    "kg_bowtie": q_kg_bowtie,
-    "pages_redirect_resolve": q_pages_redirect_resolve,
     "pages_change_detect": q_pages_change_detect,
-    "pages_robots_filter": q_pages_robots_filter,
     "microdata_extract": q_microdata_extract,
     "jsonld_extract": q_jsonld_extract,
     "kg_multisyntax_build": q_kg_multisyntax_build,
-    "pages_anchor_text_agg": q_pages_anchor_text_agg,
     "kg_void_stats": q_kg_void_stats,
     "kg_reciprocity": q_kg_reciprocity,
     "kg_degree_hist": q_kg_degree_hist,
@@ -5604,24 +4473,12 @@ KG_QUERIES = {
     "kg_key_detect": q_kg_key_detect,
     "kg_literal_hist": q_kg_literal_hist,
     "docs_length_hist": q_docs_length_hist,
-    "pages_crawl_budget": q_pages_crawl_budget,
-    "kg_link_predict": q_kg_link_predict,
-    "kg_sameas_canon": q_kg_sameas_canon,
-    "kg_sssp": q_kg_sssp,
     "kg_predicate_align": q_kg_predicate_align,
-    "pages_crawl_frontier": q_pages_crawl_frontier,
-    "pages_anchor_link": q_pages_anchor_link,
-    "pages_host_pagerank": q_pages_host_pagerank,
-    "pages_host_pagerank_weighted": q_pages_host_pagerank_weighted,
     "kg_temporal_fuse": q_kg_temporal_fuse,
-    "warc_roundtrip": q_warc_roundtrip,
     "kg_blank_canon": q_kg_blank_canon,
     "kg_reify_roundtrip": q_kg_reify_roundtrip,
-    "wet_roundtrip": q_wet_roundtrip,
     "sparql_construct_bnode_eval": q_sparql_construct_bnode_eval,
-    "warc_status_gate": q_warc_status_gate,
     "nt_gz_roundtrip": q_nt_gz_roundtrip,
-    "kg_landmark_closeness": q_kg_landmark_closeness,
     "kg_prov_export": q_kg_prov_export,
     "kg_incremental_update": q_kg_incremental_update,
     "sparql_over_prov": q_sparql_over_prov,
@@ -5634,7 +4491,6 @@ KG_QUERIES = {
     "kg_entity_cards": q_kg_entity_cards,
     "kg_rdfs_infer": q_kg_rdfs_infer,
     "kg_owl_infer": q_kg_owl_infer,
-    "graph_kcore": q_graph_kcore,
     "typed_coercion": q_typed_coercion,
     "skolemize": q_skolemize,
     "union_sources": q_union_sources,
@@ -5695,19 +4551,11 @@ KG_QUERIES = {
     "kg_qa_report": q_kg_qa_report,
     "kg_delta_apply": q_kg_delta_apply,
     "kg_shacl_validate": q_kg_shacl_validate,
-    "kg_triple_ids": q_kg_triple_ids,
-    "kg_edge_negatives": q_kg_edge_negatives,
     "kg_er_candidates": q_kg_er_candidates,
     "kg_node_table": q_kg_node_table,
-    "kg_khop_sample": q_kg_khop_sample,
     "kg_adjacency": q_kg_adjacency,
     "kg_build_pipeline": q_kg_build_pipeline,
-    "kg_random_walks": q_kg_random_walks,
-    "kg_walk_pairs": q_kg_walk_pairs,
-    "kg_assortativity": q_kg_assortativity,
     "kg_edge_table": q_kg_edge_table,
-    "kg_ppr": q_kg_ppr,
-    "kg_bfs_seeded": q_kg_bfs_seeded,
     "point_lookups": q_point_lookups,
     "list_walk_grouped": q_list_walk_grouped,
     "multi_source_fanin": q_multi_source_fanin,
@@ -5716,7 +4564,6 @@ KG_QUERIES = {
     "repl_prefix_trim": q_repl_prefix_trim,
     "kg_er_fs_score": q_kg_er_fs_score,
     "kg_namespace_stats": q_kg_namespace_stats,
-    "og_extract": q_og_extract,
     "kg_fuse_majority": q_kg_fuse_majority,
     "docs_svo_triples": q_docs_svo_triples,
     "loop_eval": q_loop_eval,

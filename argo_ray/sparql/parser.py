@@ -1249,6 +1249,15 @@ def _parse_select(p: _Parser) -> SelectQuery:
     variables: list[str] = []
     aggregates: list[Aggregate] = []
     select_binds: list[BindBlock] = []  # (expr AS ?alias) projections
+    aliases: list[str] = []  # every AS ?alias of the clause
+
+    def new_alias(name: str) -> str:
+        # SPARQL 1.1 §18.2.4.1: an AS variable must not already be bound
+        if name in variables or name in aliases:
+            raise SparqlSyntaxError(f"?{name} is already projected")
+        aliases.append(name)
+        return name
+
     if p.peek() == ("op", "*"):
         p.next()
     else:
@@ -1257,7 +1266,10 @@ def _parse_select(p: _Parser) -> SelectQuery:
         )
         while True:
             if p.peek()[0] == "var":
-                variables.append(p.next()[1][1:])
+                name = p.next()[1][1:]
+                if name in aliases:
+                    raise SparqlSyntaxError(f"?{name} is already projected")
+                variables.append(name)
             elif (
                 p.peek() == ("op", "(")
                 and p.toks[p.i + 1][1].lower() not in _AGG_FUNCS
@@ -1271,7 +1283,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
                 if k != "var":
                     raise SparqlSyntaxError("AS needs a variable alias")
                 p.expect("op", ")")
-                select_binds.append(BindBlock(expr, v[1:]))
+                select_binds.append(BindBlock(expr, new_alias(v[1:])))
                 variables.append(v[1:])
             elif p.peek() == ("op", "(") and p.toks[p.i + 1][1].lower() in _AGG_FUNCS:
                 p.next()  # (
@@ -1308,7 +1320,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
                     raise SparqlSyntaxError("AS needs a variable alias")
                 p.expect("op", ")")
                 aggregates.append(
-                    Aggregate(func, var, v[1:], agg_distinct, separator)
+                    Aggregate(func, var, new_alias(v[1:]), agg_distinct, separator)
                 )
             else:
                 break
@@ -1328,9 +1340,14 @@ def _parse_select(p: _Parser) -> SelectQuery:
     if p.eat_word("group"):
         p.expect("word", "by")
         while p.peek()[0] == "var":
-            group_by.append(p.next()[1][1:])
+            key = p.next()[1][1:]
+            if key not in group_by:  # GROUP BY ?s ?s groups once
+                group_by.append(key)
         if not group_by:
             raise SparqlSyntaxError("GROUP BY needs variables")
+        for key in group_by:
+            if key in aliases:
+                raise SparqlSyntaxError(f"?{key} is both grouped and an AS alias")
     if aggregates and variables and not set(variables) <= set(group_by):
         raise SparqlSyntaxError(
             "projected plain variables must appear in GROUP BY"

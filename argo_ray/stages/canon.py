@@ -195,163 +195,6 @@ def coerce_literals_batch(batch: pa.Table, pos: str = "obj") -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# owl:sameAs canonicalization — the entity-fusion stage of a KG build.
-# ---------------------------------------------------------------------------
-
-
-class _SameAsCanon:
-    """Actor: resolves the broadcast (node → canonical label) mapping
-    once per worker, rewrites IRI subjects/objects per batch with
-    vectorized ``index_in``/``take`` — the big triple stream never
-    shuffles for the rewrite itself."""
-
-    def __init__(self, mapping_ref):
-        import ray
-
-        m = mapping_ref if isinstance(mapping_ref, pa.Table) else ray.get(mapping_ref)
-        self.nodes = pc.cast(m["node"], pa.large_string())
-        self.labels = pc.cast(m["label"], pa.large_string())
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = {name: batch[name] for name in batch.column_names}
-        for pos in ("subj", "obj"):
-            value = pc.cast(cols[f"{pos}_value"], pa.large_string())
-            idx = pc.index_in(value, value_set=self.nodes)
-            mapped = pc.take(self.labels, idx)
-            is_iri = pc.equal(
-                pc.cast(cols[f"{pos}_kind"], pa.int64()), pa.scalar(0, pa.int64())
-            )
-            hit = pc.and_(is_iri, pc.is_valid(mapped))
-            cols[f"{pos}_value"] = pc.if_else(hit, mapped, value)
-        return pa.table(cols)
-
-
-def _rewrite_one_side_join(triples_ds, mapping_ds, pos: str, triple_fields):
-    """Exchange-join rewrite of ONE term position (no broadcast): tag
-    mapping rows (key=node, __new=label) and triple rows
-    (key={pos}_value, __new=null) into one union-compatible stream, ONE
-    :func:`~argo_ray.stages.grouping.exchange` by key, then a
-    vectorized per-block ``index_in``/``take`` against only the
-    in-block mapping rows.  Shuffle volume = triples + mapping, the
-    exchange class of a hash join."""
-    names = [f.name for f in triple_fields]
-    value_type = next(f.type for f in triple_fields if f.name == f"{pos}_value")
-
-    def tag_triples(b: pa.Table) -> pa.Table:
-        cols = {n: b[n] for n in names}
-        cols["key"] = pc.cast(b[f"{pos}_value"], pa.large_string())
-        cols["__new"] = pa.nulls(b.num_rows, pa.large_string())
-        return pa.table(cols)
-
-    def tag_mapping(b: pa.Table) -> pa.Table:
-        cols = {f.name: pa.nulls(b.num_rows, f.type) for f in triple_fields}
-        cols["key"] = pc.cast(b["node"], pa.large_string())
-        cols["__new"] = pc.cast(b["label"], pa.large_string())
-        return pa.table(cols)
-
-    def merge_block(t: pa.Table) -> pa.Table:
-        is_map = pc.is_valid(t["__new"])
-        maps = t.filter(is_map)
-        rows = t.filter(pc.invert(is_map))
-        if maps.num_rows and rows.num_rows:
-            idx = pc.index_in(rows["key"], value_set=maps["key"])
-            mapped = pc.take(maps["__new"], idx)
-            is_iri = pc.equal(
-                pc.cast(rows[f"{pos}_kind"], pa.int64()), pa.scalar(0, pa.int64())
-            )
-            hit = pc.and_(is_iri, pc.is_valid(mapped))
-            new_val = pc.cast(
-                pc.if_else(
-                    hit, mapped, pc.cast(rows[f"{pos}_value"], pa.large_string())
-                ),
-                value_type,
-            )
-            rows = rows.set_column(
-                rows.schema.get_field_index(f"{pos}_value"), f"{pos}_value", new_val
-            )
-        return rows.drop_columns(["key", "__new"])
-
-    tagged = triples_ds.map_batches(tag_triples, batch_format="pyarrow").union(
-        mapping_ds.map_batches(tag_mapping, batch_format="pyarrow")
-    )
-    return exchange(tagged, "key", merge_block, batch_format="pyarrow")
-
-
-def canonicalize_sameas(
-    triples_ds,
-    sameas_ds,
-    iters: int = 8,
-    mode: str = "auto",
-    broadcast_threshold: int = 2_000_000,
-):
-    """owl:sameAs canonicalization (KG entity fusion): connected
-    components over the ``(src, dst)`` sameAs assertion set by
-    fixed-round min-label propagation (:func:`argo_ray.functions.graph.
-    label_propagation` — the same exactly-SQL-checkable convention as
-    ``kg_components``), every IRI subject/object rewritten to its
-    component's lexicographically-minimal IRI, then exact dedup so
-    facts asserted under merged aliases collapse to one canonical
-    triple.  No reference counterpart (the reference never merges
-    terms; its equality is strict, term.go:54-60) — this is the fusion
-    step a multi-source KG build needs on top of it.
-
-    Scale shape: the sameAs graph is the assertion set (≪ the triple
-    set — only entities somebody linked), so its component mapping is
-    usually the classic broadcast small side: shipped once per worker
-    via ``ray.put``, resolved in ``__init__``, triple stream rewritten
-    in place with zero data movement.  When the mapping outgrows the
-    broadcast budget (``mode="auto"`` counts it against
-    ``broadcast_threshold``; a 100 TB multi-source KG's alias set can
-    itself be huge), the rewrite switches to the no-broadcast
-    exchange join (:func:`_rewrite_one_side_join`), keyed once
-    by subject and once by object — two hash-join-class exchanges,
-    nothing driver-side.  ``mode`` forces ``"broadcast"`` / ``"join"``
-    explicitly (tests pin both paths to identical output).  Either
-    way the finish is the skew-proof ``triple_hash`` dedup.
-    """
-    import ray
-
-    from ..functions.graph import label_propagation
-    from .materialize import dedup_exact
-
-    if mode not in ("auto", "broadcast", "join"):
-        raise ValueError(f"mode must be auto|broadcast|join, got {mode!r}")
-
-    mapping = label_propagation(sameas_ds, iters=iters).map_batches(
-        lambda b: b.filter(pc.not_equal(b["node"], b["label"])),
-        batch_format="pyarrow",
-    )
-    if mode == "auto":
-        mapping = mapping.materialize()  # counted, then reused below
-        mode = "broadcast" if mapping.count() <= broadcast_threshold else "join"
-
-    if mode == "broadcast":
-        tables = ray.get(mapping.to_arrow_refs())
-        small = (
-            pa.concat_tables(tables)
-            if tables
-            else pa.table(
-                {"node": pa.array([], pa.string()), "label": pa.array([], pa.string())}
-            )
-        )
-        ref = ray.put(small)
-        rewritten = triples_ds.map_batches(
-            _SameAsCanon,
-            batch_format="pyarrow",
-            concurrency=2,
-            num_cpus=0,  # a lookup pool: see io.configure_context
-            fn_constructor_kwargs={"mapping_ref": ref},
-        )
-    else:
-        mapping = mapping.materialize()  # consumed by BOTH join passes
-        triple_fields = list(triples_ds.schema().base_schema)
-        rewritten = triples_ds
-        for pos in ("subj", "obj"):
-            rewritten = _rewrite_one_side_join(rewritten, mapping, pos, triple_fields)
-    return dedup_exact(rewritten)
-
-
-# ---------------------------------------------------------------------------
 # Blank-node canonical labeling (graph-equality semantics)
 # ---------------------------------------------------------------------------
 

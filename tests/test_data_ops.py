@@ -1,5 +1,4 @@
-"""Distributed prefix sum (``functions.packing.running_total``) and an
-anchor-extraction edge case (``functions.weblinks``)."""
+"""Distributed prefix sum (``functions.packing.running_total``)."""
 
 import pyarrow as pa
 
@@ -21,20 +20,3 @@ def test_running_total_matches_pandas(ray_session):
     out = out.sort_values("id").reset_index(drop=True)
     expect = out["v"].cumsum()
     assert (out["cum"] == expect).all()
-
-
-def test_extract_links_no_phantom_from_leading_href():
-    """A page whose FIRST tag carries href before any '>' must not
-    phantom-match (the pre-anchor segment is dropped per page)."""
-    from argo_ray.functions.weblinks import extract_links_batch
-
-    b = pa.table(
-        {
-            "url": pa.array(["https://p/1"], pa.string()),
-            "html": pa.array(
-                [b'<link href="/s.css">x<a href="https://t/">t</a>'], pa.binary()
-            ),
-        }
-    )
-    out = extract_links_batch(b)
-    assert out["dst_url"].to_pylist() == ["https://t/"]

@@ -3,8 +3,9 @@ check against a whole-table pandas groupby on both executors, the Ray
 version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
 package, one that keeps every file publish in ``io.publish``, one that
-keeps a second aggregate implementation out of the SPARQL engine, and
-one that finds modules no entry point imports."""
+keeps a second aggregate implementation out of the SPARQL engine, one
+that finds modules no entry point imports, and one that finds registry
+helpers nothing calls."""
 
 import ast
 import pathlib
@@ -404,3 +405,49 @@ def test_orphan_guard_sees_an_unimported_module(tmp_path):
     (pkg / "sub" / "helper.py").write_text("")
     (pkg / "sub" / "dead.py").write_text("import argo_ray.sub.helper\n")
     assert _orphan_modules(tmp_path, ("argo_ray.run",)) == ["argo_ray.sub.dead"]
+
+
+# the driver registry: every query and its oracle SQL are reached from
+# ``KG_QUERIES`` / ``ORACLES``; a helper only a deleted entry used is dead
+REGISTRY_MODULES = ("pipelines/queries.py", "pipelines/oracles.py")
+
+
+def _unreached_functions(path: pathlib.Path) -> list[str]:
+    """Module-level functions of ``path`` that no module-level statement
+    reaches by name, directly or through other functions."""
+    tree = ast.parse(path.read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def named(node: ast.AST) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & defs.keys()
+
+    todo = set().union(*(named(n) for n in tree.body if not isinstance(n, ast.FunctionDef)))
+    seen: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo |= named(defs[name])
+    return sorted(defs.keys() - seen)
+
+
+def test_registry_modules_have_no_dead_helpers():
+    """A query or SQL builder that no registry entry reaches is dead
+    code left behind by a deleted entry."""
+    dead = [f"{rel}::{name}" for rel in REGISTRY_MODULES
+            for name in _unreached_functions(PKG / rel)]
+    assert not dead, "functions nothing at module level reaches:\n" + "\n".join(dead)
+
+
+def test_dead_helper_guard_sees_an_unreached_function(tmp_path):
+    """Reached through the registry or another reached function counts;
+    a function only dead code or itself calls is reported."""
+    mod = tmp_path / "queries.py"
+    mod.write_text(
+        "def helper():\n    return 1\n"
+        "def q_used():\n    return helper()\n"
+        "def q_dead():\n    return helper() + q_dead() + _dead_sql()\n"
+        "def _dead_sql():\n    return q_dead()\n"
+        "REGISTRY = {'used': q_used}\n"
+    )
+    assert _unreached_functions(mod) == ["_dead_sql", "q_dead"]

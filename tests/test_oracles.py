@@ -44,22 +44,18 @@ def test_query_matches_oracle(ray_session, con, name):
 
 
 # One entry per broadcast-lookup actor pool: decode_store (twice, chained,
-# in kg_delta_apply), rdfs_infer, canonicalize_sameas, link_entities and
-# the prefix-cache expansion.
+# in kg_delta_apply), rdfs_infer, link_entities and the prefix-cache
+# expansion.
 LOOKUP_POOL_ENTRIES = [
     "kg_delta_apply",
     "kg_rdfs_infer",
-    "kg_sameas_canon",
     "entity_link",
     "prefix_cache_expand",
 ]
 
-# Entries that run a ``Dataset.join``: the random-walk and k-hop
-# frontier joins, the entity-link join and the OWL chain join.
+# Entries that run a ``Dataset.join``: the entity-link join and the OWL
+# chain join.
 JOIN_ENTRIES = [
-    "kg_random_walks",
-    "kg_walk_pairs",
-    "kg_khop_sample",
     "entity_link_join",
     "kg_owl_infer",
 ]

@@ -100,6 +100,23 @@ def test_parse_rejects_unsupported():
         )
 
 
+@pytest.mark.parametrize(
+    "clause",
+    [
+        "?s (COUNT(*) AS ?s) WHERE { ?s ?p ?o } GROUP BY ?s",
+        "(COUNT(*) AS ?s) WHERE { ?s ?p ?o } GROUP BY ?s",
+        "(COUNT(*) AS ?n) (SUM(?o) AS ?n) WHERE { ?s ?p ?o }",
+        "(STR(?o) AS ?x) (STR(?p) AS ?x) WHERE { ?s ?p ?o }",
+    ],
+)
+def test_parse_rejects_a_reused_alias(clause):
+    """SPARQL 1.1 forbids an AS variable that is already projected,
+    grouped or bound by another AS; accepting one let the aggregate
+    overwrite the key column."""
+    with pytest.raises(SparqlSyntaxError, match="already projected|grouped"):
+        parse_query("SELECT " + clause)
+
+
 def test_parse_update_ops():
     ops = parse_update(
         f"""PREFIX ex: <{EX}>

@@ -5,8 +5,8 @@ Each example builds a store of IRIs, blank nodes and plain, language
 and typed literals (numeric and non-numeric lexical forms), picks one
 of four graph-pattern shapes (one pattern, a join, an OPTIONAL that
 leaves the group key unbound, a pattern that matches nothing), a GROUP
-BY clause (none, one or two keys) and one to three aggregates, and
-compares the engine's rows with DuckDB's as a multiset.
+BY clause (none, one or two keys, or one key twice) and one to three
+aggregates, and compares the engine's rows with DuckDB's as a multiset.
 
 The translation writes down the engine's documented aggregate
 semantics independently of its code:
@@ -27,7 +27,7 @@ semantics independently of its code:
 import math
 
 import duckdb
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from argo_ray.sparql import evaluate_select
@@ -101,7 +101,7 @@ AGG_FORMS = [
 def queries(draw):
     shape = draw(st.sampled_from(sorted(SHAPES)))
     variables = sorted(SHAPES[shape][1])
-    keys = [[], ["s"], ["o"]] + ([["k"], ["s", "k"]] if "k" in variables else [])
+    keys = [[], ["s"], ["o"], ["s", "s"]] + ([["k"], ["s", "k"]] if "k" in variables else [])
     group_by = draw(st.sampled_from(keys))
     if draw(st.integers(0, 9)) == 0:
         # COUNT(DISTINCT *) takes no company
@@ -118,7 +118,7 @@ def queries(draw):
 
 
 def _sparql(shape, group_by, aggs) -> str:
-    select = [f"?{g}" for g in group_by]
+    select = [f"?{g}" for g in dict.fromkeys(group_by)]
     for func, var, distinct, alias in aggs:
         arg = ("DISTINCT " if distinct else "") + (f"?{var}" if var else "*")
         if func == "group_concat":
@@ -143,6 +143,7 @@ def _render_sql(alias: str, pos: str) -> str:
 
 def _duckdb_sql(shape, group_by, aggs) -> str:
     _, variables, frm = SHAPES[shape]
+    group_by = list(dict.fromkeys(group_by))  # a repeated key groups once
     sol = ", ".join(
         f"{_render_sql(a, pos)} AS {v}_r, {a}.{pos}_value AS {v}_v"
         for v, (a, pos) in sorted(variables.items())
@@ -208,6 +209,10 @@ def _rows(rows, cols):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(triples, queries())
+@example(  # GROUP BY ?s ?s groups once
+    [(IRI(EX + "s0"), IRI(EX + "p0"), Literal(v)) for v in ("1", "2")],
+    ("one", ["s", "s"], [("count", None, False, "n0"), ("sum", "o", False, "n1")]),
+)
 def test_aggregates_match_duckdb(sparql_tier, store_triples, query):
     import ray.data
 
