@@ -31,16 +31,18 @@ def _head(variables: list[str]) -> str:
 
 
 def _binding_xml(name: str, kind: int, value: str, lang: str, datatype: str) -> str:
+    # a raw \r would reach the reader as \n (XML end-of-line handling)
+    value = escape(value, {"\r": "&#13;"})
     if kind == KIND_IRI:
-        body = f"<uri>{escape(value)}</uri>"
+        body = f"<uri>{value}</uri>"
     elif kind == KIND_BLANK:
-        body = f"<bnode>{escape(value)}</bnode>"
+        body = f"<bnode>{value}</bnode>"
     elif lang:
-        body = f'<literal xml:lang={quoteattr(lang)}>{escape(value)}</literal>'
+        body = f'<literal xml:lang={quoteattr(lang)}>{value}</literal>'
     elif datatype:
-        body = f"<literal datatype={quoteattr(datatype)}>{escape(value)}</literal>"
+        body = f"<literal datatype={quoteattr(datatype)}>{value}</literal>"
     else:
-        body = f"<literal>{escape(value)}</literal>"
+        body = f"<literal>{value}</literal>"
     return f"<binding name={quoteattr(name)}>{body}</binding>"
 
 

@@ -34,7 +34,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<iri><[^>]*>)
   | (?P<bnode>_:[A-Za-z][A-Za-z0-9]*)
-  | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[a-z0-9-]+|\^\^<[^>]*>|\^\^[A-Za-z_][\w.-]*:[\w.-]*)?)
+  | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>|\^\^[A-Za-z_][\w.-]*:[\w.-]*)?)
   | (?P<qname>[A-Za-z_][\w.-]*:[\w./#-]*)
   | (?P<punct>[;.])
     """,
