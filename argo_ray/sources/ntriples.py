@@ -6,9 +6,10 @@ Faithful reimplementation of the reference's rune-level reader
 0x20-0x7E excluding space/``<``/``"`` (ntriples.go:207), bnode labels
 ``[A-Za-z][A-Za-z0-9]*`` (ntriples.go:233-246), escapes
 ``\\\\ \\" \\t \\r \\n \\uXXXX \\UXXXX`` (ntriples.go:354-399), language
-tags ``[a-z0-9-]+`` (ntriples.go:299), ``^^<iri>`` datatypes
-(ntriples.go:305-349) and the six error kinds with line+column
-(ntriples.go:31-51).
+tags ``[A-Za-z0-9-]+`` as written (the reference, ntriples.go:299, takes
+lower case only; our writers emit tags such as ``en-GB``),
+``^^<iri>`` datatypes (ntriples.go:305-349) and the six error kinds
+with line+column (ntriples.go:31-51).
 
 The parallel unit is the document (or text chunk split on newlines):
 ``parse_ntriples_batch`` is a stateless ``map_batches`` UDF mapping a
@@ -181,7 +182,7 @@ class NTriplesReader:
                                 return Term(
                                     KIND_LITERAL, lexical, lang="".join(lang)
                                 )
-                            if ch == "-" or "a" <= ch <= "z" or "0" <= ch <= "9":
+                            if ch == "-" or ch.isascii() and ch.isalnum():
                                 lang.append(ch)
                             else:
                                 raise self._error(ERR_UNEXPECTED_CHARACTER)
@@ -306,7 +307,7 @@ _NT_LINE_RE = (
     rf"[ \t]+<(?P<p>{_IRI})>[ \t]+"
     rf"(?:<(?P<o_iri>{_IRI})>[ \t]*|_:(?P<o_bn>{_BNODE})[ \t]*"
     rf'|(?P<o_q>")(?P<o_lit>[^"]*)"'
-    rf"(?:@(?P<o_lang>[a-z0-9-]+)[ \t]+|\^\^<(?P<o_dt>{_IRI})>[ \t]*|[ \t]*))"
+    rf"(?:@(?P<o_lang>[A-Za-z0-9-]+)[ \t]+|\^\^<(?P<o_dt>{_IRI})>[ \t]*|[ \t]*))"
     r"\.[ \t]*$"
 )
 _COMMENT_RE = r"^[ \t]*#"

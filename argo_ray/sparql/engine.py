@@ -11,10 +11,12 @@ module IS the endpoint, re-expressed Ray-Data-first:
 - The basic graph pattern joins through ONE primitive: the co-grouped
   exchange (``_cogroup_join``) — pattern binding tables union into
   a single ``stages.grouping.exchange`` on the anchor variable's term
-  hash, then in-block pandas merges on each pair's full shared-variable identity
-  (kind, value, lang, datatype).  Exchange count is O(1) per BGP, not
-  O(patterns) (``Dataset.join`` itself proved flaky in Ray 2.49 on
-  small multi-key inputs, so the engine avoids it entirely).
+  hash, then in-block Arrow hash joins (``pa.Table.join``) on each
+  pair's full shared-variable identity (kind, value, lang, datatype);
+  an unbound variable joins only an unbound one (``_join_pair``).
+  Exchange count is O(1) per BGP, not O(patterns) (``Dataset.join``
+  itself proved flaky in Ray 2.49 on small multi-key inputs, so the
+  engine avoids it entirely).
 - FILTERs are vectorized Arrow kernels applied post-join; SELECT
   renders each variable to its canonical N-Triples string (one string
   column per variable — the same rendering the serializers use, so a
@@ -67,7 +69,6 @@ from ..terms import (
     KIND_LITERAL,
     TRIPLE_COLUMNS,
     Term,
-    hash64,
     nt_parse_term_arrays,
     nt_render_term_arrays,
     table_to_triples,
@@ -346,7 +347,7 @@ def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
 def _norm_table(batch: pa.Table) -> pa.Table:
     """Canonical binding columns — sorted by name, kind → int64, the
     rest → large_string — so datasets from different execution paths
-    (Arrow projection, pandas co-group, union branches) carry one block
+    (Arrow projection, co-group join, union branches) carry one block
     schema and join cleanly."""
     cols = {}
     for c in sorted(batch.column_names):
@@ -375,41 +376,85 @@ def _filter_vars(flt) -> set[str]:
     return {x.name for x in (flt.left, flt.right) if isinstance(x, Var)}
 
 
-def _pattern_key_column(batch: pa.Table, var: str) -> pa.Array:
-    """Single uint64 join key = hash of the variable's full term
-    identity (kind, value, lang, datatype) — used only for the sort
-    exchange; the in-block merges re-check the 4 real columns, so a
-    hash collision merely co-locates two groups, never mis-joins.
+def _row_key(batch: pa.Table, cols: list[str]) -> pa.Array:
+    """One uint64 per row: polars' row hash of ``cols``, cast first to
+    the ``_norm_table`` types (kind int64, the rest large_string) so
+    that one term from two binding sources gets one key.  A transient
+    key with ``terms.hash64``'s contract (stable within one
+    environment, never persisted); its users re-check the real columns,
+    so a collision only co-locates two groups.
 
-    NB: ``hash64`` comes from the module top — a lazy relative import
-    here would execute INSIDE the worker, where ``argo_ray`` is not on
+    NB: only a third-party import may sit in here — an ``argo_ray``
+    import would execute INSIDE the worker, where ``argo_ray`` is not on
     sys.path (workers get this module by value, not by import)."""
-    sep = pa.scalar("\x1f", pa.large_string())
-    joined = pc.binary_join_element_wise(
-        pc.cast(batch[f"{var}__kind"], pa.large_string()),
-        sep,
-        pc.cast(batch[f"{var}__value"], pa.large_string()),
-        sep,
-        pc.cast(batch[f"{var}__lang"], pa.large_string()),
-        sep,
-        pc.cast(batch[f"{var}__datatype"], pa.large_string()),
-        pa.scalar("", pa.large_string()),
-    )
-    return hash64(joined)
+    import polars as pl
+
+    table = pa.table({
+        c: pc.cast(
+            batch[c], pa.int64() if c.endswith("__kind") else pa.large_string()
+        )
+        for c in cols
+    })
+    return pl.from_arrow(table).hash_rows().to_arrow()
+
+
+def _join_pair(left: pa.Table, right: pa.Table, how: str) -> pa.Table:
+    """``left`` joined with ``right`` on every column they share (the
+    shared variables' full term identity) by Arrow's hash join, or
+    their cartesian product by ``take`` when they share none.  ``how``
+    is ``inner``, ``left`` (left outer), ``semi`` or ``anti`` (left
+    semi/anti: ``left``'s rows and columns only, left multiplicity
+    kept).  Output rows are taken from the inputs by row index, so
+    every value — nulls included — comes out as it went in.
+
+    Key rule: a null (an unbound variable) matches only a null, as the
+    engine's joins always have.  Acero never matches null keys, so a
+    key column holding one is filled (kind -1, strings "") and joined
+    together with its null flag."""
+    on = [c for c in left.column_names if c in right.column_names]
+    if on:
+        lk, rk = {}, {}
+        for c in on:
+            a, b = left[c], right[c]
+            if a.null_count or b.null_count:
+                fill = -1 if c.endswith("__kind") else ""
+                lk[c + "?"], rk[c + "?"] = pc.is_null(a), pc.is_null(b)
+                a, b = pc.fill_null(a, fill), pc.fill_null(b, fill)
+            lk[c], rk[c] = a, b
+        keys = list(lk)
+        lk["_li"] = pa.array(np.arange(left.num_rows))
+        rk["_ri"] = pa.array(np.arange(right.num_rows))
+        join_type = {"inner": "inner", "left": "left outer",
+                     "semi": "left semi", "anti": "left anti"}[how]
+        j = pa.table(lk).join(
+            pa.table(rk), keys=keys, join_type=join_type, use_threads=False
+        )
+        if how in ("semi", "anti"):
+            return left.take(j["_li"])
+        li, ri = j["_li"], j["_ri"]
+    else:  # disconnected parts
+        li = np.repeat(np.arange(left.num_rows), right.num_rows)
+        ri = np.tile(np.arange(right.num_rows), left.num_rows)
+    out = left.take(li)
+    extra = right.select([c for c in right.column_names if c not in on]).take(ri)
+    for c in extra.column_names:
+        out = out.append_column(c, extra[c])
+    return out
 
 
 def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
     """Multi-way join of pattern binding tables that all bind ``anchor``:
     tag + null-pad + union → ONE sort exchange on the anchor's term hash
-    → in-block pandas hash merges on each pair's full shared-variable
-    columns.  Replaces a chain of per-pattern hash-shuffle joins (each a
-    fixed-cost actor-pool exchange) with a single exchange.  This is
-    the engine's ONLY join primitive: ``Dataset.join`` proved flaky in
-    Ray 2.49 on small multi-key inputs (intermittent ArrowInvalid
-    'no match or multiple matches for key FieldRef').
+    → in-block Arrow hash joins (``_join_pair``) on each pair's full
+    shared-variable columns.  Replaces a chain of per-pattern
+    hash-shuffle joins (each a fixed-cost actor-pool exchange) with a
+    single exchange.  This is the engine's ONLY join primitive:
+    ``Dataset.join`` proved flaky in Ray 2.49 on small multi-key inputs
+    (intermittent ArrowInvalid 'no match or multiple matches for key
+    FieldRef').
 
     ``anchor=None`` uses a constant key (disconnected parts — the
-    in-block merge degrades to a cartesian ``how='cross'``).
+    in-block join degrades to a cartesian product).
     ``how='left'`` (2 parts) left-joins the second part onto the first
     (OPTIONAL semantics; unmatched rows null-fill the optional vars).
     ``how='semi'``/``how='anti'`` (2 parts) keep/remove first-part rows
@@ -417,41 +462,38 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
     columns, output = first part's columns only (EXISTS / NOT EXISTS /
     MINUS semantics; left multiplicity preserved).
 
-    Skew note: one hot anchor value lands in one block; the merges
-    within it are vectorized pandas joins, but a pathologically hot join
-    key (≳ a block of rows by itself) would serialize — the same
-    documented constraint as ``grouped_map``."""
-    import numpy as np
+    Known deviation from SPARQL: an unbound variable used as a join key
+    matches only another unbound variable, never a bound term, where
+    SPARQL treats it as compatible with any value.  Results differ
+    where an OPTIONAL is keyed on an earlier OPTIONAL's variable, or a
+    MINUS or EXISTS meets a sub-select that left its key unbound
+    (``tests/test_sparql_joins.py`` pins both).  Left to ROADMAP item 1.
 
+    Skew note: one hot anchor value lands in one block; the joins
+    within it are vectorized, but a pathologically hot join key (≳ a
+    block of rows by itself) would serialize — the same documented
+    constraint as ``grouped_map``."""
     pat_vars = [sorted(v) for _, v in parts]
-    all_cols: list[str] = []
-    for vs in pat_vars:
-        for v in vs:
-            for c in _var_cols(v):
-                if c not in all_cols:
-                    all_cols.append(c)
+    all_cols = list(
+        dict.fromkeys(c for vs in pat_vars for v in vs for c in _var_cols(v))
+    )
 
     def pad(i):
-        vs = set(pat_vars[i])
-
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
             key = (
-                _pattern_key_column(batch, anchor)
+                _row_key(batch, _var_cols(anchor))
                 if anchor is not None
-                else pa.array(np.zeros(n, dtype=np.uint64), pa.uint64())
+                else pa.array(np.zeros(n, dtype=np.uint64))
             )
             cols = {"_k": key,
                     "_pat": pa.array(np.full(n, i, dtype=np.int64))}
             for c in all_cols:
-                if c in batch.column_names:
-                    col = batch[c]
-                    if not c.endswith("__kind"):
-                        col = pc.cast(col, pa.large_string())
-                    cols[c] = col
-                else:
-                    t = pa.int64() if c.endswith("__kind") else pa.large_string()
-                    cols[c] = pa.nulls(n, t)
+                t = pa.int64() if c.endswith("__kind") else pa.large_string()
+                cols[c] = (
+                    pc.cast(batch[c], t) if c in batch.column_names
+                    else pa.nulls(n, t)
+                )
             return pa.table(cols)
 
         return fn
@@ -468,57 +510,21 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
     out_cols = (
         [c for v in pat_vars[0] for c in _var_cols(v)] if semi_like else all_cols
     )
-    # every output block, empty or not, carries this one schema: the
-    # _norm_table column order and types
-    schema = pa.schema(
-        [
-            (c, pa.int64() if c.endswith("__kind") else pa.large_string())
-            for c in sorted(out_cols)
-        ]
-    )
+    # every output block, empty or not, carries the _norm_table column
+    # order; the padded union already has its types
+    names = sorted(out_cols)
 
-    def typed(out: pd.DataFrame) -> pa.Table:
-        cols = []
-        for f in schema:
-            if f.name not in out.columns:
-                cols.append(pa.nulls(len(out), f.type))
-                continue
-            col = out[f.name]
-            if f.name.endswith("__kind"):
-                # null-padding in the union coerced kinds to float64;
-                # nullable Int64 keeps left-join misses as nulls
-                col = col.astype("Int64")
-            cols.append(pa.array(col, f.type, from_pandas=True))
-        return pa.table(cols, schema=schema)
-
-    def combine(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return schema.empty_table()
-        frames = []
+    def combine(block: pa.Table) -> pa.Table:
+        tags = block["_pat"]
+        out = None
         for i, vs in enumerate(pat_vars):
-            cols = [c for v in vs for c in _var_cols(v)]
-            frames.append(df.loc[df["_pat"] == i, cols])
-        if semi_like:
-            shared = sorted(set(pat_vars[0]) & set(pat_vars[1]))
-            on = [c for v in shared for c in _var_cols(v)]
-            right = frames[1][on].drop_duplicates()
-            if how == "semi":
-                return typed(frames[0].merge(right, on=on, how="inner"))
-            m = frames[0].merge(right, on=on, how="left", indicator="_exists")
-            return typed(m.loc[m["_exists"] == "left_only"])
-        out = frames[0]
-        seen = set(pat_vars[0])
-        for i in range(1, len(frames)):
-            shared = sorted(seen & set(pat_vars[i]))
-            on = [c for v in shared for c in _var_cols(v)]
-            if on:
-                out = out.merge(frames[i], on=on, how=how)
-            else:  # disconnected parts: cartesian product in-block
-                out = out.merge(frames[i], how="cross")
-            seen |= set(pat_vars[i])
-        return typed(out)
+            part = block.filter(pc.equal(tags, i)).select(
+                [c for v in vs for c in _var_cols(v)]
+            )
+            out = part if out is None else _join_pair(out, part, how)
+        return out.select(names)
 
-    return exchange(unioned, "_k", combine, batch_format="pandas")
+    return exchange(unioned, "_k", combine, batch_format="pyarrow")
 
 
 def _union_bindings(ds, block: UnionBlock):
@@ -551,8 +557,6 @@ def _union_bindings(ds, block: UnionBlock):
 
 def _replicate_rows(ds, n: int):
     """Each row repeated ``n`` times (n==0 → empty, schema kept)."""
-    import numpy as np
-
     def rep(batch: pa.Table) -> pa.Table:
         if n == 0:
             return batch.slice(0, 0)
@@ -1207,7 +1211,7 @@ def _bgp(ds, patterns, filters=(), graph_var=None):
         else:
             # true cross product of two var-bearing sides (disconnected
             # BGP — degenerate by nature): co-group with a constant key
-            # and an in-block pandas cross merge.  NOT Dataset.join on a
+            # and an in-block take-based product.  NOT Dataset.join on a
             # constant key column, which proved flaky in Ray 2.49
             # (intermittent ArrowInvalid on the key FieldRef).
             result = _cogroup_join([(result, bound), (nxt, vars2)], None)
@@ -1401,8 +1405,6 @@ def _eval_num(batch: pa.Table, e) -> pd.Series:
         # Int64 result (ROUND/CEIL/FLOOR are integral by definition;
         # SPARQL ROUND ties go toward +inf).  A non-integral ABS result
         # → NA (the engine's numeric domain is xsd:integer).
-        import numpy as np
-
         arg = e.args[0]
         if isinstance(arg, EVar):
             vals = pc.cast(batch[f"{arg.name}__value"], pa.large_string())
@@ -2011,15 +2013,9 @@ def _negset_bindings(ds, pattern, witness, graph_var=None):
 def _distinct(ds, columns):
     """Global DISTINCT over rendered columns — hash-keyed sort + one
     vectorized per-block pass (same shape as triple dedup, A4)."""
-    from ..terms import hash64
 
     def key(batch: pa.Table) -> pa.Table:
-        parts: list = []
-        for c in columns:
-            parts.append(pc.cast(batch[c], pa.large_string()))
-            parts.append(pa.scalar("\x1f", pa.large_string()))
-        joined = pc.binary_join_element_wise(*parts[:-1], pa.scalar("", pa.large_string()))
-        return batch.append_column("_dk", hash64(joined))
+        return batch.append_column("_dk", _row_key(batch, list(columns)))
 
     ds = ds.map_batches(key, batch_format="pyarrow")
     ds = sorted_unique(ds, list(columns), "_dk")

@@ -1348,6 +1348,8 @@ def _parse_select(p: _Parser) -> SelectQuery:
         for key in group_by:
             if key in aliases:
                 raise SparqlSyntaxError(f"?{key} is both grouped and an AS alias")
+        if not (variables or aggregates):  # SPARQL 1.1 §18.2.4.1
+            raise SparqlSyntaxError("SELECT * cannot be used with GROUP BY")
     if aggregates and variables and not set(variables) <= set(group_by):
         raise SparqlSyntaxError(
             "projected plain variables must appear in GROUP BY"

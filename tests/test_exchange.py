@@ -2,10 +2,10 @@
 check against a whole-table pandas groupby on both executors, the Ray
 version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
-package, one that keeps every file publish in ``io.publish``, one that
-keeps a second aggregate implementation out of the SPARQL engine, one
-that finds modules no entry point imports, and one that finds registry
-helpers nothing calls."""
+package, one that keeps every file publish in ``io.publish``, two that
+keep a second aggregate and a second join implementation out of the
+SPARQL engine, one that finds modules no entry point imports, and one
+that finds registry helpers nothing calls."""
 
 import ast
 import pathlib
@@ -333,6 +333,57 @@ def test_aggregate_guard_sees_the_idioms(tmp_path):
         "    return table.group_by(['k']).aggregate([('v', 'sum')])\n"
     )
     assert _second_aggregate_sites(src) == [1, 3, 5, 7, 8]
+
+
+def _second_join_sites(path: pathlib.Path) -> list[int]:
+    """Lines of a ``.merge(`` call (pandas) and of a ``.join(`` call in
+    Ray's or pandas' spelling: an ``on``, ``how`` or ``num_partitions``
+    keyword, or three positional arguments (``ds.join(other, "inner",
+    4)``).  Arrow's ``Table.join(right, keys=..., join_type=...)`` and
+    ``str.join`` pass."""
+    lines = set()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
+            continue
+        if n.func.attr == "merge":
+            lines.add(n.lineno)
+        elif n.func.attr == "join" and (
+            {k.arg for k in n.keywords} & {"on", "how", "num_partitions"}
+            or len(n.args) >= 3
+        ):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_sparql_has_one_join():
+    """Every SPARQL join runs through the engine's one Arrow block
+    function (``engine._cogroup_join``) on both tiers: no pandas merge
+    and no ``Dataset.join`` under ``argo_ray/sparql/``."""
+    offenders = [
+        f"{p.relative_to(PKG.parent)}:{line}"
+        for p in sorted((PKG / "sparql").rglob("*.py"))
+        for line in _second_join_sites(p)
+    ]
+    assert not offenders, "a second join implementation at:\n" + "\n".join(offenders)
+
+
+def test_join_guard_sees_the_idioms(tmp_path):
+    """The guard flags pandas' ``merge`` and Ray's ``Dataset.join`` in
+    both its keyword and positional spellings, and lets Arrow's
+    ``Table.join`` and ``str.join`` pass."""
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def a(df, r):\n"
+        "    return df.merge(r, on=['k'], how='left')\n"
+        "def b(ds, r):\n"
+        "    return ds.join(r, join_type='inner', num_partitions=2, on=('k',))\n"
+        "def c(ds, r):\n"
+        "    return ds.join(r, 'inner', 2)\n"
+        "def ok(t, r, names):\n"
+        "    t = t.join(r, keys=['k'], join_type='left semi', use_threads=False)\n"
+        "    return t, ', '.join(names)\n"
+    )
+    assert _second_join_sites(src) == [2, 4, 6]
 
 # the driver contract, the three jobs and the package faces they use;
 # ``sparql.client`` is the ``python -m`` SPARQL REPL

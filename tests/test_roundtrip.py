@@ -320,15 +320,13 @@ FORMATS = _formats()
 # characters, even escaped; an empty RDF/XML property element yields no
 # character data, so its triple is dropped (as by the reference's
 # parser); the N-Triples reader keeps the reference's ASCII IRI
-# whitelist and lower-case language tags.
+# whitelist.
 CANNOT_CARRY = {
     ("control_char", "rdfxml"),
     ("control_char", "srx"),
     ("empty_literal", "rdfxml"),
     ("nonascii_iri", "ntriples"),
     ("nonascii_iri", "nquads"),
-    ("region_lang", "ntriples"),
-    ("region_lang", "nquads"),
 }
 
 

@@ -117,6 +117,17 @@ def test_parse_rejects_a_reused_alias(clause):
         parse_query("SELECT " + clause)
 
 
+@pytest.mark.parametrize("query", [
+    "SELECT * WHERE { ?s ?p ?o } GROUP BY ?s",
+    "SELECT ?s WHERE { { SELECT * WHERE { ?s ?p ?o } GROUP BY ?s } }",
+])
+def test_parse_rejects_select_star_with_group_by(query):
+    """SPARQL 1.1 §18.2.4.1 forbids ``SELECT *`` in a grouped query;
+    accepting one returned every ungrouped row."""
+    with pytest.raises(SparqlSyntaxError, match="SELECT \\* cannot"):
+        parse_query(query)
+
+
 def test_parse_update_ops():
     ops = parse_update(
         f"""PREFIX ex: <{EX}>

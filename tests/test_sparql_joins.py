@@ -310,8 +310,10 @@ def test_second_optional_over_unbound_variable(sparql_tier):
 
 def test_unbound_keys_match_each_other(sparql_tier):
     """Both sides unbound on the same key: the rows join.  The second
-    OPTIONAL group leaves ``?k`` unbound for s0 too, so s0's unbound
-    ``?k`` from the first OPTIONAL meets it and ``?x`` binds."""
+    OPTIONAL group leaves ``?k`` unbound on every row, so s0's unbound
+    ``?k`` from the first OPTIONAL meets it and ``?x`` binds; s1's
+    bound ``?k`` does not, and its ``?x`` stays unbound (SPARQL would
+    bind it)."""
     got = _select(
         "SELECT ?s ?k ?x WHERE { ?s ex:p0 ?o "
         "OPTIONAL { ?s ex:p1 ?k } "
