@@ -3,7 +3,8 @@
 Faithful reimplementation of the reference's rune-level reader
 (``/root/reference/ntriples.go:87-472``): ``\\r\\n`` folding
 (ntriples.go:161-178), ``#`` comments, the IRI character whitelist
-0x20-0x7E excluding space/``<``/``"`` (ntriples.go:207), bnode labels
+0x20-0x7E excluding space/``<``/``"`` (ntriples.go:207) plus every code
+point ≥ 0x80 (RDF 1.1 IRIREF; our writers emit such IRIs), bnode labels
 ``[A-Za-z][A-Za-z0-9]*`` (ntriples.go:233-246), escapes
 ``\\\\ \\" \\t \\r \\n \\uXXXX \\UXXXX`` (ntriples.go:354-399), language
 tags ``[A-Za-z0-9-]+`` as written (the reference, ntriples.go:299, takes
@@ -121,7 +122,9 @@ class NTriplesReader:
                 if not buf:
                     raise self._error(ERR_UNEXPECTED_CHARACTER)
                 return "".join(buf)
-            if ord(ch) < 0x20 or ord(ch) > 0x7E or ch in (" ", "<", '"'):
+            # RDF 1.1 IRIREF: any code point but controls, space, DEL
+            # and the ASCII delimiters; ≥ 0x80 is allowed
+            if ord(ch) < 0x20 or ord(ch) == 0x7F or ch in (" ", "<", '"'):
                 raise self._error(ERR_UNEXPECTED_CHARACTER)
             buf.append(ch)
 
@@ -300,7 +303,9 @@ def parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
 # are left to the reader.  Quirks kept exact: a lang tag's terminator is
 # consumed, so ``"x"@en.`` is an error and needs ``[ \t]+`` before the
 # dot; a blank-node object may touch the dot (``_:a.``).
-_IRI = r"[!#-;=?-~]+"  # 0x21-0x7E minus " < > (ntriples.go:207)
+# 0x21-0x7E minus " < > (ntriples.go:207), and every code point ≥ 0x80
+# (RDF 1.1 IRIREF)
+_IRI = r"[!#-;=?-~\x{80}-\x{10FFFF}]+"
 _BNODE = r"[A-Za-z][A-Za-z0-9]*"
 _NT_LINE_RE = (
     rf"^[ \t]*(?:<(?P<s_iri>{_IRI})>|_:(?P<s_bn>{_BNODE}))"

@@ -15,16 +15,10 @@ in-process tier and a ``ray.data.Dataset`` from the Ray tier; both
 answer ``take_all``, ``to_pandas``, ``iter_batches``, ``schema`` and
 ``count``.  ASK returns a ``bool``.
 
-Supported surface (documented subset — unsupported syntax raises):
-
-- ``SELECT [DISTINCT] ?v… | * WHERE { BGP [FILTER …] } [ORDER BY] [LIMIT]``
-- ``ASK { BGP }``
-- ``CONSTRUCT { template } WHERE { BGP } [LIMIT]``
-- ``INSERT DATA { triples }; DELETE DATA { triples }``  (';'-chained)
-- BGP: triple patterns with ``;`` / ``,`` abbreviations, ``a`` keyword,
-  prefixed names, typed/lang literals, numbers.
-- FILTER: ``&&``-conjunctions of ``= != < <= > >=`` comparisons and
-  ``[!]REGEX(?v, "pat")``.
+Supported surface (documented subset — unsupported syntax raises): see
+README's S6+ row.  Each group parses into a SPARQL 1.1 algebra tree
+(``parser.BGP`` … ``parser.SubSelect``) that ``engine._eval``
+evaluates node by node, with SPARQL's compatible joins.
 """
 
 from .engine import (

@@ -4,20 +4,35 @@ The reference's ``SparqlService`` delegates evaluation to a remote
 endpoint and only parses results (``sparqlservice.go:42-95``); this
 module IS the endpoint, re-expressed Ray-Data-first:
 
+- The parser hands over each group as a SPARQL 1.1 algebra tree
+  (BGP, Join, LeftJoin, Minus, Filter, Union, Extend, Graph, Service,
+  Values, SubSelect); ``_eval`` evaluates it with one function per
+  node (``_EVAL``), each of which knows its node's certain and
+  maybe-bound variables (``_scope``).
 - Each triple pattern is a streaming ``map_batches`` filter over the
   triples Dataset (the same vectorized term predicates as operator M1,
   ``stages/filter.py``) that projects matched positions into per-variable
   binding columns — no materialization, blocks stream with backpressure.
-- The basic graph pattern joins through ONE primitive: the co-grouped
-  exchange (``_cogroup_join``) — pattern binding tables union into
-  a single ``stages.grouping.exchange`` on the anchor variable's term
-  hash, then in-block Arrow hash joins (``pa.Table.join``) on each
-  pair's full shared-variable identity (kind, value, lang, datatype);
-  an unbound variable joins only an unbound one (``_join_pair``).
-  Exchange count is O(1) per BGP, not O(patterns) (``Dataset.join``
-  itself proved flaky in Ray 2.49 on small multi-key inputs, so the
-  engine avoids it entirely).
-- FILTERs are vectorized Arrow kernels applied post-join; SELECT
+- Every join goes through ONE primitive: the co-grouped exchange
+  (``_cogroup_join``) — binding tables union into a single
+  ``stages.grouping.exchange`` on the anchor variable's term hash,
+  then in-block Arrow hash joins (``pa.Table.join``) on each pair's
+  shared variables.  A run of Joins (a BGP's patterns, and any
+  UNION, VALUES, sub-select, GRAPH or SERVICE part joined with them)
+  is one multi-way co-group, so the exchange count is O(1) per run,
+  not O(patterns) (``Dataset.join`` itself proved flaky in Ray 2.49 on
+  small multi-key inputs, so the engine avoids it entirely).  The
+  anchor is a variable certain on both sides; with none, a constant
+  key.
+- Joins are SPARQL-compatible (§18.3, ``_join_pair``): rows match when
+  every shared variable bound on both sides holds the same term
+  (kind, value, lang, datatype); an unbound variable is compatible
+  with anything and the merged row takes the bound value.  MINUS
+  removes a row only for a compatible row that shares a bound
+  variable with it (§18.5).
+- FILTERs are vectorized Arrow kernels, pushed down to the deepest
+  node whose solutions all bind their variables (a single pattern's
+  scan when they fit one); SELECT
   renders each variable to its canonical N-Triples string (one string
   column per variable — the same rendering the serializers use, so a
   DuckDB oracle can reproduce results bit-for-bit).
@@ -76,41 +91,44 @@ from ..terms import (
 )
 from .frame import LocalFrame
 from .parser import (
+    BGP,
     AltPath,
-    GraphBlock,
-    GraphMgmtOp,
-    ModifyOp,
-    ServiceBlock,
-    NegPath,
     AskQuery,
-    BindBlock,
     Bound,
     Comparison,
+    ConstructQuery,
+    DescribeQuery,
     EArith,
     EConst,
     EFunc,
     EIf,
     EVar,
-    ConstructQuery,
-    DescribeQuery,
     ExistsFilter,
     ExprComparison,
+    Extend,
+    Filter,
     FuncComparison,
+    Graph,
+    GraphMgmtOp,
     InFilter,
+    Join,
     LangMatches,
+    LeftJoin,
+    Minus,
+    ModifyOp,
+    NegPath,
     OrFilter,
-    SameTerm,
-    MinusBlock,
-    OptionalBlock,
     Regex,
+    SameTerm,
     SelectQuery,
+    Service,
     SparqlSyntaxError,
     StrFunc,
     SubSelect,
     TransPath,
     TypeCheck,
-    UnionBlock,
-    ValuesBlock,
+    Union,
+    Values,
     Var,
     parse_query,
     parse_update,
@@ -180,7 +198,7 @@ def _blocks(ds) -> list[pa.Table]:
 def _service_iris(node):
     """Every ``SERVICE`` endpoint IRI anywhere in a parsed query (the
     AST is nested NamedTuples and lists)."""
-    if isinstance(node, ServiceBlock):
+    if isinstance(node, Service):
         yield node.iri
     if isinstance(node, (tuple, list)):
         for child in node:
@@ -224,38 +242,9 @@ def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
     filters with an OR of term predicates — still ONE scan, and each
     matching triple is its own output row (bag-union multiplicity).
     With ``graph_var`` (GRAPH ?g) the quads dataset's ``url`` column
-    additionally binds ``?g`` as an IRI term per matching row."""
+    additionally binds ``?g`` as an IRI term per matching row.  Forward
+    members only: ``_scan`` handles ``^``-members."""
     from ..stages.filter import term_predicate
-
-    if isinstance(pattern[1], AltPath) and pattern[1].rev_preds:
-        # mixed forward/reverse alternative set (p|^q): union of one
-        # forward scan over the forward members and one scan with the
-        # pattern ends swapped over the ^-members — same bound columns
-        # either way, normalized before the union (bag semantics)
-        s, alt, o = pattern
-        parts = []
-        if alt.preds:
-            parts.append(
-                _pattern_bindings(
-                    ds, (s, AltPath(alt.preds), o),
-                    witness=witness, graph_var=graph_var,
-                )
-            )
-        parts.append(
-            _pattern_bindings(
-                ds, (o, AltPath(alt.rev_preds), s),
-                witness=witness, graph_var=graph_var,
-            )
-        )
-        if len(parts) == 1:
-            return parts[0]
-        (d1, v1), (d2, v2) = parts
-        return (
-            d1.map_batches(_norm_table, batch_format="pyarrow").union(
-                d2.map_batches(_norm_table, batch_format="pyarrow")
-            ),
-            v1 | v2,
-        )
 
     consts = [
         (pos, t) for pos, t in zip(_POS, pattern) if isinstance(t, Term)
@@ -361,8 +350,8 @@ def _norm_table(batch: pa.Table) -> pa.Table:
 
 
 def _filter_vars(flt) -> set[str]:
-    if isinstance(flt, (ExistsFilter, MinusBlock)):
-        return set()  # group filters: never pushed down, applied in _bgp
+    if isinstance(flt, ExistsFilter):
+        return set()  # applied as a co-group join, never pushed down
     if isinstance(flt, OrFilter):
         return set().union(
             set(), *(_filter_vars(p) for group in flt.parts for p in group)
@@ -398,76 +387,119 @@ def _row_key(batch: pa.Table, cols: list[str]) -> pa.Array:
     return pl.from_arrow(table).hash_rows().to_arrow()
 
 
-def _join_pair(left: pa.Table, right: pa.Table, how: str) -> pa.Table:
-    """``left`` joined with ``right`` on every column they share (the
-    shared variables' full term identity) by Arrow's hash join, or
-    their cartesian product by ``take`` when they share none.  ``how``
-    is ``inner``, ``left`` (left outer), ``semi`` or ``anti`` (left
-    semi/anti: ``left``'s rows and columns only, left multiplicity
-    kept).  Output rows are taken from the inputs by row index, so
-    every value — nulls included — comes out as it went in.
+def _join_pair(left: pa.Table, right: pa.Table, how: str, cond=()) -> pa.Table:
+    """``left`` joined with ``right`` on the variables they share, with
+    SPARQL's compatibility rule (§18.3): two rows join when every shared
+    variable bound on both sides holds the same term (kind, value,
+    lang, datatype); an unbound one is compatible with anything, and
+    the merged row takes the bound value.
 
-    Key rule: a null (an unbound variable) matches only a null, as the
-    engine's joins always have.  Acero never matches null keys, so a
-    key column holding one is filled (kind -1, strings "") and joined
-    together with its null flag."""
-    on = [c for c in left.column_names if c in right.column_names]
-    if on:
-        lk, rk = {}, {}
-        for c in on:
-            a, b = left[c], right[c]
-            if a.null_count or b.null_count:
-                fill = -1 if c.endswith("__kind") else ""
-                lk[c + "?"], rk[c + "?"] = pc.is_null(a), pc.is_null(b)
-                a, b = pc.fill_null(a, fill), pc.fill_null(b, fill)
-            lk[c], rk[c] = a, b
-        keys = list(lk)
-        lk["_li"] = pa.array(np.arange(left.num_rows))
-        rk["_ri"] = pa.array(np.arange(right.num_rows))
-        join_type = {"inner": "inner", "left": "left outer",
-                     "semi": "left semi", "anti": "left anti"}[how]
-        j = pa.table(lk).join(
-            pa.table(rk), keys=keys, join_type=join_type, use_threads=False
-        )
-        if how in ("semi", "anti"):
-            return left.take(j["_li"])
-        li, ri = j["_li"], j["_ri"]
-    else:  # disconnected parts
-        li = np.repeat(np.arange(left.num_rows), right.num_rows)
-        ri = np.tile(np.arange(right.num_rows), left.num_rows)
+    Rows are grouped by null pattern (which shared variables they leave
+    unbound), and each pair of patterns is one Arrow hash join on the
+    variables both bind — a single join when no shared variable is
+    unbound, and a constant key when none is bound on both sides.
+    ``how`` is ``inner``, ``left`` (left outer: a left row that no pair
+    matches — after the LeftJoin expression ``cond``, FILTER conjuncts
+    over the merged row — comes out alone), ``semi`` / ``anti`` (left
+    rows with ≥1 / no compatible right row: [NOT] EXISTS) or ``minus``
+    (``anti`` counting only pairs that share a bound variable, §18.5).
+    Output rows are taken from the inputs by row index, so every value
+    comes out as it went in."""
+    lcols, rcols = left.column_names, right.column_names
+    shared = [c[: -len("__kind")] for c in lcols if c.endswith("__kind") and c in rcols]
+    li, ri = [], []
+    for lp, lrows in _null_groups(left, shared):
+        for rp, rrows in _null_groups(right, shared):
+            keys = [v for i, v in enumerate(shared) if not (lp | rp) >> i & 1]
+            if how == "minus" and not keys:
+                continue
+            j = _key_table(left, lrows, keys, "_li").join(
+                _key_table(right, rrows, keys, "_ri"),
+                keys=[c for v in keys for c in _var_cols(v)] or ["_c"],
+                join_type="inner", use_threads=False,
+            )
+            li += j["_li"].chunks
+            ri += j["_ri"].chunks
+    li, ri = pa.chunked_array(li, pa.int64()), pa.chunked_array(ri, pa.int64())
+    if how in ("semi", "anti", "minus"):
+        hit = np.zeros(left.num_rows, bool)
+        hit[li.to_numpy()] = True
+        return left.filter(pa.array(hit if how == "semi" else ~hit))
     out = left.take(li)
-    extra = right.select([c for c in right.column_names if c not in on]).take(ri)
-    for c in extra.column_names:
-        out = out.append_column(c, extra[c])
+    extra = [c for c in rcols if c not in lcols]
+    merge = [v for v in shared if out[f"{v}__kind"].null_count]
+    r = right.select(extra + [c for v in merge for c in _var_cols(v)]).take(ri)
+    for v in merge:
+        bound = pc.is_valid(out[f"{v}__kind"])
+        for c in _var_cols(v):
+            out = out.set_column(
+                out.schema.get_field_index(c), c, pc.if_else(bound, out[c], r[c])
+            )
+    for c in extra:
+        out = out.append_column(c, r[c])
+    if cond:
+        keep = pc.fill_null(_filter_mask(out, cond[0]), False)
+        for f in cond[1:]:
+            keep = pc.and_(keep, pc.fill_null(_filter_mask(out, f), False))
+        out, li = out.filter(keep), li.filter(keep)
+    if how == "left":
+        miss = np.ones(left.num_rows, bool)
+        miss[li.to_numpy()] = False
+        alone = left.filter(pa.array(miss))
+        for c in extra:
+            alone = alone.append_column(c, pa.nulls(alone.num_rows, right.schema.field(c).type))
+        out = pa.concat_tables([out, alone])
     return out
 
 
-def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
-    """Multi-way join of pattern binding tables that all bind ``anchor``:
-    tag + null-pad + union → ONE sort exchange on the anchor's term hash
-    → in-block Arrow hash joins (``_join_pair``) on each pair's full
-    shared-variable columns.  Replaces a chain of per-pattern
-    hash-shuffle joins (each a fixed-cost actor-pool exchange) with a
-    single exchange.  This is the engine's ONLY join primitive:
-    ``Dataset.join`` proved flaky in Ray 2.49 on small multi-key inputs
-    (intermittent ArrowInvalid 'no match or multiple matches for key
-    FieldRef').
+def _null_groups(table: pa.Table, names: list[str]) -> list:
+    """``table``'s rows grouped by which of ``names`` they leave
+    unbound: (bit mask, row indices) pairs — ``None`` for all rows when
+    every one binds them all."""
+    cols = [(i, table[f"{v}__kind"]) for i, v in enumerate(names)]
+    cols = [(i, col) for i, col in cols if col.null_count]
+    if not cols:
+        return [(0, None)]
+    mask = np.zeros(table.num_rows, np.int64)
+    for i, col in cols:
+        mask |= pc.is_null(col).to_numpy(zero_copy_only=False).astype(np.int64) << i
+    return [(p, np.flatnonzero(mask == p)) for p in np.unique(mask)]
 
-    ``anchor=None`` uses a constant key (disconnected parts — the
-    in-block join degrades to a cartesian product).
-    ``how='left'`` (2 parts) left-joins the second part onto the first
-    (OPTIONAL semantics; unmatched rows null-fill the optional vars).
-    ``how='semi'``/``how='anti'`` (2 parts) keep/remove first-part rows
-    that have ≥1 match in the second on the full shared-variable
-    columns, output = first part's columns only (EXISTS / NOT EXISTS /
-    MINUS semantics; left multiplicity preserved).
 
-    Known deviation from SPARQL: an unbound variable used as a join key
-    matches only another unbound variable, never a bound term, where
-    SPARQL treats it as compatible with any value.  Results differ
-    where an OPTIONAL is keyed on an earlier OPTIONAL's variable, or a
-    MINUS or EXISTS meets a sub-select that left its key unbound
-    (``tests/test_sparql_joins.py`` pins both).  Left to ROADMAP item 1.
+def _key_table(table: pa.Table, rows, keys: list[str], index: str) -> pa.Table:
+    """The join-key columns of ``keys`` over ``rows`` (all rows when
+    None), with the rows' indices in ``index`` (a constant ``_c`` key
+    when ``keys`` is empty)."""
+    idx = pa.array(np.arange(table.num_rows) if rows is None else rows)
+    cols = {}
+    for c in (c for v in keys for c in _var_cols(v)):
+        col = table[c] if rows is None else table[c].take(idx)
+        # a bound term's lang/datatype is "" — never let a null there
+        # keep two equal terms apart (Acero matches no null key)
+        cols[c] = pc.fill_null(col, "") if col.null_count and not c.endswith("__kind") else col
+    if not keys:
+        cols["_c"] = pa.array(np.zeros(len(idx), np.int8))
+    cols[index] = idx
+    return pa.table(cols)
+
+
+def _cogroup_join(parts: list, anchor: str | None, how: str = "inner", cond=()):
+    """Multi-way join of binding frames ``parts`` (``(frame, variables)``
+    pairs): tag + null-pad + union → ONE sort exchange on the anchor's
+    term hash → in-block Arrow hash joins (``_join_pair``), left to
+    right.  ``anchor`` must be bound in every solution of every part,
+    so equal terms meet in one block; ``anchor=None`` uses a constant
+    key (one block — how parts that share no such variable join).
+    Replaces a chain of per-pattern hash-shuffle joins (each a
+    fixed-cost actor-pool exchange) with a single exchange.  This is
+    the engine's ONLY join primitive: ``Dataset.join`` proved flaky in
+    Ray 2.49 on small multi-key inputs (intermittent ArrowInvalid 'no
+    match or multiple matches for key FieldRef').
+
+    ``how`` other than ``inner`` takes exactly 2 parts (see
+    ``_join_pair``): ``left`` (OPTIONAL, with its expression ``cond``),
+    ``semi`` / ``anti`` ([NOT] EXISTS) and ``minus``, the last three
+    returning the first part's columns only.
 
     Skew note: one hot anchor value lands in one block; the joins
     within it are vectorized, but a pathologically hot join key (≳ a
@@ -504,55 +536,32 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner"):
             parts[i][0].map_batches(pad(i), batch_format="pyarrow")
         )
 
-    semi_like = how in ("semi", "anti")
-    if semi_like and len(parts) != 2:
-        raise ValueError("semi/anti co-group join needs exactly 2 parts")
+    if how != "inner" and len(parts) != 2:
+        raise ValueError(f"a {how} co-group join needs exactly 2 parts")
     out_cols = (
-        [c for v in pat_vars[0] for c in _var_cols(v)] if semi_like else all_cols
+        [c for v in pat_vars[0] for c in _var_cols(v)]
+        if how in ("semi", "anti", "minus") else all_cols
     )
     # every output block, empty or not, carries the _norm_table column
-    # order; the padded union already has its types
-    names = sorted(out_cols)
+    # order; the padded union already has its types.  With no variable
+    # at all, a witness column keeps the row count.
+    names = sorted(out_cols) or ["_match"]
 
     def combine(block: pa.Table) -> pa.Table:
         tags = block["_pat"]
         out = None
         for i, vs in enumerate(pat_vars):
-            part = block.filter(pc.equal(tags, i)).select(
-                [c for v in vs for c in _var_cols(v)]
-            )
-            out = part if out is None else _join_pair(out, part, how)
+            part = block.filter(pc.equal(tags, i))
+            # a part without variables keeps its rows through a witness
+            part = part.select([c for v in vs for c in _var_cols(v)] or ["_pat"])
+            if not vs:
+                part = part.rename_columns([f"_w{i}"])
+            out = part if out is None else _join_pair(out, part, how, cond)
+        if names == ["_match"]:
+            return pa.table({"_match": np.ones(out.num_rows, np.int64)})
         return out.select(names)
 
     return exchange(unioned, "_k", combine, batch_format="pyarrow")
-
-
-def _union_bindings(ds, block: UnionBlock):
-    """``{A} UNION {B}`` → one bindings Dataset; every branch must bind
-    the same variable set (unbound-variable compatibility semantics are
-    out of the supported subset — fail loudly instead of mis-joining)."""
-    sides, var_sets = [], []
-    for patterns, filters in block.branches:
-        b, vs, leftover = _bgp(ds, patterns, filters)
-        _check_filter_vars(leftover, vs)
-        b = _apply_filters(b, leftover)
-        sides.append(b)
-        # path-internal ($-gensym) vars are branch-local — project away
-        var_sets.append({v for v in vs if "$" not in v})
-    if any(vs != var_sets[0] for vs in var_sets[1:]):
-        raise SparqlSyntaxError(
-            "UNION branches must bind the same variables "
-            f"({[sorted(v) for v in var_sets]})"
-        )
-    cols = [c for v in sorted(var_sets[0]) for c in _var_cols(v)]
-
-    def norm(batch: pa.Table) -> pa.Table:
-        return _norm_table(batch.select(cols))
-
-    out = sides[0].map_batches(norm, batch_format="pyarrow")
-    for s in sides[1:]:
-        out = out.union(s.map_batches(norm, batch_format="pyarrow"))
-    return out, set(var_sets[0])
 
 
 def _replicate_rows(ds, n: int):
@@ -695,20 +704,15 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
     edges, _ = _pattern_bindings(ds, (Var(S), pred, Var(O)))
     edges = _distinct(norm(edges), _var_cols(S) + _var_cols(O)).materialize()
 
-    if isinstance(subj, Term):
-        if tp.zero and isinstance(obj, Term) and subj == obj:
-            # zero-length path: a constant end matches itself
-            return (
-                _table_like(ds, pa.table({witness: pa.array([1], pa.int64())})),
-                set(),
-            )
-        seed, _ = _pattern_bindings(ds, (subj, pred, Var(O)))
+    def bfs(seed, pairs):
+        """Nodes (column O) reachable from ``seed``'s, themselves one
+        hop out, along ``pairs`` (S → O edges), to the fixpoint."""
         reached = _distinct(norm(seed), _var_cols(O)).materialize()
         frontier = reached
-        e_mo = _rename_binding(edges, {S: M})  # (M, O) edge view
+        e_mo = _rename_binding(pairs, {S: M})  # (M, O) edge view
         for _ in range(TRANSITIVE_MAX_HOPS):
             if frontier.count() == 0:
-                break
+                return reached
             f_m = _rename_binding(frontier, {O: M})
             step = _cogroup_join([(f_m, {M}), (e_mo, {M, O})], anchor=M)
             step = _distinct(
@@ -721,13 +725,19 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
                 [(step, {O}), (reached, {O})], anchor=O, how="anti"
             ).materialize()
             if new.count() == 0:
-                break
+                return reached
             reached = reached.union(new).materialize()
             frontier = new
-        else:
-            raise RuntimeError(
-                f"p+ fixpoint exceeded {TRANSITIVE_MAX_HOPS} hops"
+        raise RuntimeError(f"p+ fixpoint exceeded {TRANSITIVE_MAX_HOPS} hops")
+
+    if isinstance(subj, Term):
+        if tp.zero and isinstance(obj, Term) and subj == obj:
+            # zero-length path: a constant end matches itself
+            return (
+                _table_like(ds, pa.table({witness: pa.array([1], pa.int64())})),
+                set(),
             )
+        reached = bfs(_pattern_bindings(ds, (subj, pred, Var(O)))[0], edges)
         if isinstance(obj, Var):
             if tp.zero:
                 reached = _distinct(
@@ -745,38 +755,16 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
 
         return reached.map_batches(wit, batch_format="pyarrow"), set()
 
-    if isinstance(obj, Term):  # reverse BFS from the object end
-        seed, _ = _pattern_bindings(ds, (Var(S), pred, obj))
-        reached = _distinct(norm(seed), _var_cols(S)).materialize()
-        frontier = reached
-        e_sm = _rename_binding(edges, {O: M})  # (S, M) edge view
-        for _ in range(TRANSITIVE_MAX_HOPS):
-            if frontier.count() == 0:
-                break
-            f_m = _rename_binding(frontier, {S: M})
-            step = _cogroup_join([(f_m, {M}), (e_sm, {S, M})], anchor=M)
-            step = _distinct(
-                step.map_batches(
-                    lambda b: b.select(_var_cols(S)), batch_format="pyarrow"
-                ),
-                _var_cols(S),
-            )
-            new = _cogroup_join(
-                [(step, {S}), (reached, {S})], anchor=S, how="anti"
-            ).materialize()
-            if new.count() == 0:
-                break
-            reached = reached.union(new).materialize()
-            frontier = new
-        else:
-            raise RuntimeError(
-                f"p+ fixpoint exceeded {TRANSITIVE_MAX_HOPS} hops"
-            )
+    if isinstance(obj, Term):  # the same BFS from the object end, edges reversed
+        reached = bfs(
+            _pattern_bindings(ds, (Var(O), pred, obj))[0],
+            _rename_binding(edges, {S: O, O: S}),
+        )
         if tp.zero:
             reached = _distinct(
-                reached.union(_term_row(reached, S, obj)), _var_cols(S)
+                reached.union(_term_row(reached, O, obj)), _var_cols(O)
             )
-        return _rename_binding(reached, {S: subj.name}), {subj.name}
+        return _rename_binding(reached, {O: subj.name}), {subj.name}
 
     # both ends variables: full semi-naive closure over the edge set
     all_pairs = edges
@@ -844,54 +832,14 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
     )
 
 
-def _apply_group_filter(result, bound: set, ds, f):
-    """``FILTER [NOT] EXISTS { … }`` / ``MINUS { … }``: evaluate the
-    inner group, then semi/anti co-group join on the shared variables.
-    No shared variables: EXISTS degenerates to a constant condition
-    (inner non-empty?), MINUS removes nothing (SPARQL semantics)."""
-    inner, ivs, leftover = _bgp(ds, f.patterns, f.filters)
-    _check_filter_vars(leftover, ivs)
-    inner = _apply_filters(inner, leftover)
-    negated = True if isinstance(f, MinusBlock) else f.negated
-    shared = sorted(bound & ivs)
-    if not shared:
-        if isinstance(f, MinusBlock):
-            return result
-        nonempty = inner.limit(1).count() > 0
-        return result if nonempty != negated else result.limit(0)
-    return _cogroup_join(
-        [(result, bound), (inner, ivs)],
-        anchor=shared[0],
-        how="anti" if negated else "semi",
-    )
-
-
-def _values_bindings(ds, block: ValuesBlock):
-    """``VALUES`` → an inline bindings Dataset (constant, driver-built;
-    joins like any other part — VALUES at corpus scale is always the
-    small broadcast-able side)."""
-    cols = {}
-    for j, v in enumerate(block.variables):
-        terms = [r[j] for r in block.rows]
-        cols[f"{v}__kind"] = pa.array([t.kind for t in terms], pa.int64())
-        cols[f"{v}__value"] = pa.array([t.value for t in terms], pa.large_string())
-        cols[f"{v}__lang"] = pa.array([t.lang for t in terms], pa.large_string())
-        cols[f"{v}__datatype"] = pa.array(
-            [t.datatype for t in terms], pa.large_string()
-        )
-    return _table_like(ds, pa.table(cols)), set(block.variables)
-
-
 def _subselect_bindings(ds, q):
-    """``{ SELECT … }`` → (bindings, projected vars): evaluate the
+    """``{ SELECT … }`` → bindings of the projected vars: evaluate the
     inner group, project the selected variables' term columns, then
     DISTINCT (over full term identity) and the ORDER BY-backed
     LIMIT/OFFSET slice.  The result joins like any other part.
     Aggregate subqueries route through ``_subselect_aggregate``."""
-    bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
-    bindings, bound = _finish_group(
-        ds, bindings, bound, leftover, q.optionals, q.binds
-    )
+    bindings = _eval(ds, q.where)
+    bound = set().union(*_scope(q.where))
     if q.aggregates:
         return _subselect_aggregate(bindings, q, bound)
     variables = q.variables or sorted(v for v in bound if "$" not in v)
@@ -937,7 +885,7 @@ def _subselect_bindings(ds, q):
         out = out.map_batches(
             lambda b: b.select(cols), batch_format="pyarrow"
         )
-    return out, set(variables)
+    return out
 
 
 _XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
@@ -945,7 +893,7 @@ _XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
 
 def _subselect_aggregate(bindings, q, bound: set):
     """Aggregate subquery ``{ SELECT ?g (COUNT(*) AS ?n) … GROUP BY ?g }``
-    → (bindings, vars).  The group runs through ``_aggregate_query``,
+    → bindings.  The group runs through ``_aggregate_query``,
     then the (one-row-per-group, small-by-design) output is
     lifted back into term-binding columns so it joins like any group
     element: group keys re-parse their canonical renderings
@@ -1036,7 +984,7 @@ def _subselect_aggregate(bindings, q, bound: set):
             )
         return _norm_table(pa.table(res))
 
-    return out.map_batches(to_terms, batch_format="pyarrow"), set(cols)
+    return out.map_batches(to_terms, batch_format="pyarrow")
 
 
 # SPARQL 1.1 Federated Query endpoints: IRI → triples Dataset.  A
@@ -1056,150 +1004,186 @@ def unregister_service(iri: str) -> None:
     _SERVICE_REGISTRY.pop(iri, None)
 
 
-def _service_bindings(ds, block):
-    """``SERVICE [SILENT] <iri> { … }`` → (bindings, vars): the inner
-    group evaluates with the full engine against the registered
-    endpoint dataset (on the tier ``_executor`` chose for the whole
-    query), then joins like any other group element.
-    Unknown endpoint: error, or with SILENT the identity solution
-    (one empty row — §2.2 failure semantics)."""
-    target = _SERVICE_REGISTRY.get(block.iri)
-    if target is None:
-        if not block.silent:
-            raise SparqlSyntaxError(
-                f"no dataset registered for SERVICE <{block.iri}> "
-                "(engine.register_service)"
-            )
-        return _table_like(ds, pa.table({"_svc": pa.array([1], pa.int64())})), set()
-    if isinstance(ds, LocalFrame):
-        target = _pull(target)
-    elif isinstance(target, LocalFrame):
-        target = _table_like(ds, target.table)
-    bindings, bound, leftover = _bgp(target, block.patterns, block.filters)
-    if leftover:
-        _check_filter_vars(leftover, bound)
-        bindings = _apply_filters(bindings, leftover)
-    return bindings, bound
+# -- the algebra evaluator -------------------------------------------------
+# ``_eval`` runs one node of the parser's tree through the function for
+# its type.  Each function takes ``push``, FILTER conjuncts to apply to
+# the node's solutions, and hands every conjunct it can down to a child
+# whose solutions all bind the conjunct's variables, so a filter reaches
+# the pattern scans before any exchange wherever that is exact.  ``gv``
+# names the variable of an enclosing ``GRAPH ?g``, which every triple
+# pattern scan binds from the quads' ``url`` column.
 
 
-def _graph_bindings(ds, block):
-    """``GRAPH <iri>|?g { … }`` → (bindings, vars) over a quads dataset
-    (triples + ``url`` graph column, the ``read_graphstore`` layout).
+def _vars(pattern) -> set[str]:
+    return {t.name for t in pattern if isinstance(t, Var)}
 
-    Constant graph: ONE vectorized url-mask scopes the scan, then the
-    inner group evaluates with the full engine (paths included).
-    Variable graph: every inner pattern binds ``?g`` from ``url``; the
-    co-group join then equates ``?g`` across patterns like any shared
-    variable — no per-graph fan-out, still one scan per pattern."""
-    g = block.graph
-    cols = ds.columns()  # schema metadata only — no execution at this size
-    if cols is not None and "url" not in cols:
-        raise SparqlSyntaxError(
-            "GRAPH needs a quads dataset (url graph column)"
+
+def _scope(node, gv=None) -> tuple[set, set]:
+    """(certain, maybe): the variables every solution of ``node``
+    binds, and those only some solutions bind.  A co-group anchor must
+    be certain; a FILTER, BIND or projection may name either."""
+    t = type(node)
+    if t is BGP:
+        c = set().union(*map(_vars, node.patterns))
+        return (c | {gv} if gv and node.patterns else c), set()
+    if t in (Join, LeftJoin, Union):
+        (c1, m1), (c2, m2) = _scope(node.left, gv), _scope(node.right, gv)
+        if t is Join:
+            return c1 | c2, (m1 | m2) - c1 - c2
+        if t is LeftJoin:
+            return c1, (m1 | c2 | m2) - c1
+        return c1 & c2, (c1 | m1 | c2 | m2) - (c1 & c2)
+    if t is Minus:
+        return _scope(node.left, gv)
+    if t is Filter:
+        return _scope(node.inner, gv)
+    if t is Extend:
+        c, m = _scope(node.inner, gv)
+        e = node.expr
+        if isinstance(e, EConst) or (isinstance(e, EVar) and e.name in c):
+            return c | {node.var}, m
+        return c, m | {node.var}
+    if t is Graph:
+        return _scope(node.inner, node.graph.name if isinstance(node.graph, Var) else None)
+    if t is Service:
+        if node.iri not in _SERVICE_REGISTRY and node.silent:
+            return set(), set()
+        return _scope(node.inner)
+    if t is Values:
+        return set(node.variables), set()
+    q = node.query  # SubSelect
+    c, m = _scope(q.where)
+    if q.aggregates:
+        return {v for v in q.variables if v in c}, (
+            {v for v in q.variables if v not in c} | {a.alias for a in q.aggregates}
         )
-    if isinstance(g, Term):
+    names = set(q.variables or (v for v in c | m if "$" not in v))
+    return names & c, names - c
 
-        def scope(batch: pa.Table) -> pa.Table:
-            if "url" not in batch.column_names:
-                raise SparqlSyntaxError(
-                    "GRAPH needs a quads dataset (url graph column)"
-                )
-            return batch.filter(
-                pc.equal(
-                    pc.cast(batch["url"], pa.large_string()),
-                    pa.scalar(g.value, pa.large_string()),
-                )
+
+def _eval(ds, node, push=(), gv=None):
+    """The solutions of ``node`` as a frame of ``ds``'s tier, with the
+    FILTER conjuncts ``push`` applied."""
+    return _EVAL[type(node)](ds, node, list(push), gv)
+
+
+def _pushable(push, certain) -> list:
+    """The conjuncts of ``push`` a child whose solutions all bind
+    ``certain`` can apply itself."""
+    return [
+        f for f in push
+        if not isinstance(f, ExistsFilter) and _filter_vars(f) and _filter_vars(f) <= certain
+    ]
+
+
+def _finish(ds, frame, scope, push, gv):
+    """``frame`` (solutions over ``scope``) with the conjuncts ``push``
+    applied: masks per batch, then [NOT] EXISTS as a semi/anti
+    co-group join with the inner group's solutions."""
+    frame = _apply_filters(frame, [f for f in push if not isinstance(f, ExistsFilter)])
+    c1, m1 = scope
+    for f in push:
+        if not isinstance(f, ExistsFilter):
+            continue
+        c2, m2 = _scope(f.where, gv)
+        inner = _eval(ds, f.where, (), gv)
+        if not (c1 | m1) & (c2 | m2):  # a constant condition
+            if (inner.limit(1).count() > 0) == f.negated:
+                frame = frame.limit(0)
+            continue
+        shared = sorted(c1 & c2)
+        frame = _cogroup_join(
+            [(frame, c1 | m1), (inner, c2 | m2)], shared[0] if shared else None,
+            "anti" if f.negated else "semi",
+        )
+    return frame
+
+
+def _scan(ds, pattern, witness, gv):
+    """One triple or path pattern → its bindings frame."""
+    subj, pred, obj = pattern
+    if isinstance(pred, (AltPath, NegPath)) and pred.rev_preds:
+        # a mixed forward/reverse set (p|^q, !(p|^q), §18.4): one scan
+        # over the forward members, one with the ends swapped over the
+        # ^-members, normalized for the bag union
+        split = type(pred)
+        parts = [(obj, split(pred.rev_preds), subj)]
+        if pred.preds:
+            parts.append((subj, split(pred.preds), obj))
+        out = None
+        for part in parts:
+            frame = _pattern_bindings(ds, part, witness, gv)[0].map_batches(
+                _norm_table, batch_format="pyarrow"
             )
-
-        scoped = ds.map_batches(scope, batch_format="pyarrow")
-        bindings, bound, leftover = _bgp(scoped, block.patterns, block.filters)
-        if leftover:
-            _check_filter_vars(leftover, bound)
-            bindings = _apply_filters(bindings, leftover)
-        return bindings, bound
-    bindings, bound, leftover = _bgp(
-        ds, block.patterns, block.filters, graph_var=g.name
-    )
-    if leftover:
-        _check_filter_vars(leftover, bound)
-        bindings = _apply_filters(bindings, leftover)
-    return bindings, bound
+            out = frame if out is None else out.union(frame)
+        return out
+    if isinstance(pred, TransPath) and pred.max_one:
+        return _zero_or_one_bindings(ds, pattern, witness=witness)[0]
+    if isinstance(pred, TransPath):
+        return _transitive_bindings(ds, pattern, witness=witness)[0]
+    return _pattern_bindings(ds, pattern, witness=witness, graph_var=gv)[0]
 
 
-def _bgp(ds, patterns, filters=(), graph_var=None):
-    """Basic graph pattern → joined bindings Dataset + bound vars.
+def _leaves(node) -> list:
+    """The inputs of a run of Joins: BGP patterns one by one, other
+    nodes whole."""
+    if type(node) is Join:
+        return _leaves(node.left) + _leaves(node.right)
+    if type(node) is BGP:
+        return list(node.patterns)
+    return [node]
 
-    Single-pattern filters push down to that pattern's scan (before any
-    exchange); the largest subset of patterns sharing one variable joins
-    in a single co-grouped sort exchange; leftover parts join pairwise
-    through the same co-group primitive (anchored on a shared variable,
-    or constant-keyed for disconnected parts).  UNION blocks evaluate
-    recursively and then participate like any other part.  Returns the
-    leftover (cross-pattern) filters for the caller to apply post-join."""
-    if not patterns:
-        raise SparqlSyntaxError("empty graph pattern")
 
-    parts = []  # (bindings ds, var set), filters pushed into the scan
-    remaining_filters = list(filters)
-    for pat_i, pattern in enumerate(patterns):
-        if isinstance(pattern, UnionBlock):
-            b, vs = _union_bindings(ds, pattern)
-        elif isinstance(pattern, SubSelect):
-            b, vs = _subselect_bindings(ds, pattern.query)
-        elif isinstance(pattern, GraphBlock):
-            b, vs = _graph_bindings(ds, pattern)
-        elif isinstance(pattern, ServiceBlock):
-            b, vs = _service_bindings(ds, pattern)
-        elif isinstance(pattern, ValuesBlock):
-            b, vs = _values_bindings(ds, pattern)
-        elif isinstance(pattern[1], NegPath) and pattern[1].rev_preds:
-            b, vs = _negset_bindings(
-                ds, pattern, witness=f"_match{pat_i}", graph_var=graph_var
-            )
-        elif isinstance(pattern[1], TransPath) and pattern[1].max_one:
-            b, vs = _zero_or_one_bindings(ds, pattern, witness=f"_match{pat_i}")
-        elif isinstance(pattern[1], TransPath):
-            b, vs = _transitive_bindings(ds, pattern, witness=f"_match{pat_i}")
+def _join_run(ds, node, push, gv):
+    """BGP and Join: every pattern and joined node of the run is one
+    part; the variable certain in the most parts anchors ONE co-grouped
+    exchange over all of them; leftover parts join pairwise through the
+    same primitive (anchored on a variable certain on both sides, else
+    constant-keyed), and variable-free parts multiply the rest by their
+    row count.  Single-part filters push down into that part (into the
+    scan, before any exchange); the rest apply after the joins."""
+    parts = []  # (frame, certain, maybe)
+    for i, leaf in enumerate(_leaves(node)):
+        if type(leaf) is tuple:  # a triple pattern
+            certain, maybe = _vars(leaf) | ({gv} if gv else set()), set()
+            mine = _pushable(push, certain)
+            frame = _apply_filters(_scan(ds, leaf, f"_match{i}", gv), mine)
         else:
-            b, vs = _pattern_bindings(
-                ds, pattern, witness=f"_match{pat_i}", graph_var=graph_var
-            )
-        push = [f for f in remaining_filters if _filter_vars(f) and _filter_vars(f) <= vs]
-        if push:
-            b = _apply_filters(b, push)
-            remaining_filters = [f for f in remaining_filters if f not in push]
-        parts.append((b, vs))
+            certain, maybe = _scope(leaf, gv)
+            mine = _pushable(push, certain)
+            frame = _eval(ds, leaf, mine, gv)
+        push = [f for f in push if f not in mine]
+        parts.append((frame, certain, maybe))
+    if not parts:  # the identity: one solution binding nothing
+        return _finish(ds, _table_like(ds, pa.table({"_match": [1]})), (set(), set()), push, gv)
 
-    # pick the variable bound by the most patterns as the co-group anchor
     counts: dict[str, int] = {}
-    for _, vs in parts:
-        for v in vs:
+    for _, certain, _ in parts:
+        for v in certain:
             counts[v] = counts.get(v, 0) + 1
     anchor = max(counts, key=lambda v: (counts[v], v)) if counts else None
-
     grouped = [p for p in parts if anchor in p[1]]
     rest = [p for p in parts if anchor not in p[1]]
-
     if len(grouped) >= 2:
-        result = _cogroup_join(grouped, anchor)
-        bound = set().union(*(v for _, v in grouped))
+        result = _cogroup_join([(f, c | m) for f, c, m in grouped], anchor)
+        certain = set().union(*(c for _, c, _ in grouped))
+        maybe = set().union(*(m for _, _, m in grouped)) - certain
     else:
-        result, bound = grouped[0] if grouped else rest.pop(0)
-
-    for nxt, vars2 in rest:
-        shared = sorted(bound & vars2)
+        result, certain, maybe = grouped[0] if grouped else rest.pop(0)
+    for nxt, c2, m2 in rest:
+        shared = sorted(certain & c2)
         if shared:
             result = _cogroup_join(
-                [(result, bound), (nxt, vars2)], anchor=shared[0]
+                [(result, certain | maybe), (nxt, c2 | m2)], anchor=shared[0]
             )
-        elif not vars2 or not bound:
+        elif not (c2 | m2) or not (certain | maybe):
             # one side is a pure witness (ground patterns — the common
             # no-shared-vars case): multiply the other side's multiset by
             # the witness row count.  No join involved — witness counts
             # are tiny by construction (a ground pattern's matches).
-            witness, keeper = (nxt, result) if not vars2 else (result, nxt)
+            witness, keeper = (nxt, result) if not (c2 | m2) else (result, nxt)
             n = witness.count()
-            if not vars2 and not bound:
+            if not (c2 | m2 | certain | maybe):
                 # both ground: the product is a 1-column witness again
                 m = result.count()
                 result = _table_like(
@@ -1209,65 +1193,176 @@ def _bgp(ds, patterns, filters=(), graph_var=None):
             else:
                 result = _replicate_rows(keeper, n)
         else:
-            # true cross product of two var-bearing sides (disconnected
-            # BGP — degenerate by nature): co-group with a constant key
-            # and an in-block take-based product.  NOT Dataset.join on a
-            # constant key column, which proved flaky in Ray 2.49
-            # (intermittent ArrowInvalid on the key FieldRef).
-            result = _cogroup_join([(result, bound), (nxt, vars2)], None)
-        bound |= vars2
-    group_filters = [
-        f for f in remaining_filters if isinstance(f, (ExistsFilter, MinusBlock))
-    ]
-    if group_filters:
-        remaining_filters = [
-            f for f in remaining_filters
-            if not isinstance(f, (ExistsFilter, MinusBlock))
-        ]
-        for f in group_filters:
-            result = _apply_group_filter(result, bound, ds, f)
-    return result, bound, remaining_filters
+            # no variable certain on both sides: one constant-keyed
+            # co-group (a cross product, or a join on variables some
+            # solutions leave unbound)
+            result = _cogroup_join([(result, certain | maybe), (nxt, c2 | m2)], None)
+        certain = certain | c2
+        maybe = (maybe | m2) - certain
+    return _finish(ds, result, (certain, maybe), push, gv)
 
 
-def _check_filter_vars(filters, bound: set) -> None:
-    for f in filters:
-        missing = _filter_vars(f) - bound
-        if missing:
-            raise SparqlSyntaxError(
-                f"FILTER references unbound variable(s): {sorted(missing)}"
-            )
+def _left_join(ds, node, push, gv):
+    """OPTIONAL: a left co-group join.  Expression conjuncts over the
+    right side's certain variables filter it before the join; the
+    others (naming left-side variables) filter each merged pair."""
+    (c1, m1), (c2, m2) = _scope(node.left, gv), _scope(node.right, gv)
+    _check_filter_vars(node.expr, c1 | m1 | c2 | m2)
+    down = _pushable(push, c1)
+    left = _eval(ds, node.left, down, gv)
+    pre = [f for f in node.expr if _filter_vars(f) <= c2]
+    right = _eval(ds, node.right, pre, gv)
+    shared = sorted(c1 & c2)
+    out = _cogroup_join(
+        [(left, c1 | m1), (right, c2 | m2)], shared[0] if shared else None,
+        "left", [f for f in node.expr if f not in pre],
+    )
+    scope = _scope(node, gv)
+    return _finish(ds, out, scope, [f for f in push if f not in down], gv)
 
 
-def _attach_optionals(result, bound: set, ds, optionals):
-    """LEFT-join each OPTIONAL group's bindings onto the required ones
-    (unmatched rows keep nulls in the optional variables — rendered as
-    the empty string, the result parser's representation of an unbound
-    binding)."""
-    for opt in optionals:
-        ob, ovs, leftover = _bgp(ds, opt.patterns, opt.filters)
-        inner = getattr(opt, "optionals", []) or []
-        if inner:
-            # nested OPTIONAL: LeftJoin(A, LeftJoin(B, C)) — the inner
-            # group left-joins onto THIS group's bindings first (r4 s4)
-            ob, ovs = _attach_optionals(ob, ovs, ds, inner)
-        _check_filter_vars(leftover, ovs)
-        ob = _apply_filters(ob, leftover)
-        opt_binds = getattr(opt, "binds", []) or []
-        if opt_binds:
-            # BINDs scoped to the optional group: evaluated on ITS
-            # bindings before the left join, so aliases stay unbound
-            # (null → '') on rows the optional did not match
-            ob, ovs = _apply_binds(ob, opt_binds, ovs)
-        shared = sorted(bound & ovs)
-        if not shared:
-            raise SparqlSyntaxError(
-                "OPTIONAL group shares no variable with the required pattern"
-            )
-        result = _cogroup_join(
-            [(result, bound), (ob, ovs)], anchor=shared[0], how="left"
+def _minus(ds, node, push, gv):
+    """MINUS keeps left rows unchanged, so ``push`` applies to the left
+    side; no shared variable at all removes nothing (§18.5)."""
+    (c1, m1), (c2, m2) = _scope(node.left, gv), _scope(node.right, gv)
+    left = _eval(ds, node.left, push, gv)
+    if not (c1 | m1) & (c2 | m2):
+        return left
+    shared = sorted(c1 & c2)
+    return _cogroup_join(
+        [(left, c1 | m1), (_eval(ds, node.right, (), gv), c2 | m2)],
+        shared[0] if shared else None, "minus",
+    )
+
+
+def _check_filter_vars(filters, scope: set) -> None:
+    missing = set().union(*(_filter_vars(f) for f in filters)) - scope
+    if missing:
+        raise SparqlSyntaxError(
+            f"FILTER references unbound variable(s): {sorted(missing)}"
         )
-        bound |= ovs
-    return result, bound
+
+
+def _filter(ds, node, push, gv):
+    c, m = _scope(node.inner, gv)
+    _check_filter_vars(node.exprs, c | m)
+    return _eval(ds, node.inner, push + list(node.exprs), gv)
+
+
+def _union(ds, node, push, gv):
+    """Bag union of the branches, each padded with unbound columns for
+    the variables only other branches bind."""
+    scope = _scope(node, gv)
+    cols = [c for v in sorted(scope[0] | scope[1]) for c in _var_cols(v)]
+    down = _pushable(push, scope[0])
+
+    def pad(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        if not cols:
+            return pa.table({"_match": np.ones(n, np.int64)})
+        return _norm_table(pa.table({
+            c: batch[c] if c in batch.column_names else pa.nulls(
+                n, pa.int64() if c.endswith("__kind") else pa.large_string()
+            )
+            for c in cols
+        }))
+
+    def branches(n):
+        return branches(n.left) + branches(n.right) if type(n) is Union else [n]
+
+    frames = [
+        _eval(ds, b, down, gv).map_batches(pad, batch_format="pyarrow")
+        for b in branches(node)
+    ]
+    out = frames[0]
+    for f in frames[1:]:
+        out = out.union(f)
+    return _finish(ds, out, scope, [f for f in push if f not in down], gv)
+
+
+def _extend(ds, node, push, gv):
+    c, m = _scope(node.inner, gv)
+    down = [
+        f for f in push
+        if not isinstance(f, ExistsFilter) and node.var not in _filter_vars(f)
+    ]
+    frame = _bind(_eval(ds, node.inner, down, gv), node.expr, node.var, c | m)
+    return _finish(ds, frame, _scope(node, gv), [f for f in push if f not in down], gv)
+
+
+def _graph(ds, node, push, gv):
+    """``GRAPH <iri>|?g { … }`` over a quads dataset (triples + ``url``
+    graph column, the ``read_graphstore`` layout).  Constant graph: ONE
+    vectorized url-mask scopes the scans.  Variable graph: every inner
+    triple pattern binds ``?g`` from ``url``, and the co-group joins
+    equate it like any shared variable — no per-graph fan-out."""
+    g = node.graph
+    cols = ds.columns()  # schema metadata only — no execution at this size
+    if cols is not None and "url" not in cols:
+        raise SparqlSyntaxError("GRAPH needs a quads dataset (url graph column)")
+    if isinstance(g, Var):
+        return _eval(ds, node.inner, push, g.name)
+
+    def scope(batch: pa.Table) -> pa.Table:
+        if "url" not in batch.column_names:
+            raise SparqlSyntaxError("GRAPH needs a quads dataset (url graph column)")
+        return batch.filter(
+            pc.equal(
+                pc.cast(batch["url"], pa.large_string()),
+                pa.scalar(g.value, pa.large_string()),
+            )
+        )
+
+    return _eval(ds.map_batches(scope, batch_format="pyarrow"), node.inner, push)
+
+
+def _service(ds, node, push, gv):
+    """``SERVICE [SILENT] <iri> { … }``: the inner group against the
+    registered endpoint dataset (on the tier ``_executor`` chose for
+    the whole query).  Unknown endpoint: error, or with SILENT the
+    identity solution (one empty row — §2.2 failure semantics)."""
+    target = _SERVICE_REGISTRY.get(node.iri)
+    if target is None:
+        if not node.silent:
+            raise SparqlSyntaxError(
+                f"no dataset registered for SERVICE <{node.iri}> "
+                "(engine.register_service)"
+            )
+        frame = _table_like(ds, pa.table({"_svc": pa.array([1], pa.int64())}))
+        return _finish(ds, frame, (set(), set()), push, gv)
+    if isinstance(ds, LocalFrame):
+        target = _pull(target)
+    elif isinstance(target, LocalFrame):
+        target = _table_like(ds, target.table)
+    return _eval(target, node.inner, push)
+
+
+def _values(ds, node, push, gv):
+    """``VALUES`` → an inline bindings frame (constant, driver-built;
+    joins like any other part — VALUES at corpus scale is always the
+    small broadcast-able side)."""
+    cols = {}
+    for j, v in enumerate(node.variables):
+        terms = [r[j] for r in node.rows]
+        cols[f"{v}__kind"] = pa.array([t.kind for t in terms], pa.int64())
+        cols[f"{v}__value"] = pa.array([t.value for t in terms], pa.large_string())
+        cols[f"{v}__lang"] = pa.array([t.lang for t in terms], pa.large_string())
+        cols[f"{v}__datatype"] = pa.array(
+            [t.datatype for t in terms], pa.large_string()
+        )
+    frame = _table_like(ds, pa.table(cols))
+    return _finish(ds, frame, _scope(node), push, gv)
+
+
+def _subselect(ds, node, push, gv):
+    return _finish(ds, _subselect_bindings(ds, node.query), _scope(node), push, gv)
+
+
+_EVAL = {
+    BGP: _join_run, Join: _join_run, LeftJoin: _left_join, Minus: _minus,
+    Filter: _filter, Union: _union, Extend: _extend, Graph: _graph,
+    Service: _service, Values: _values, SubSelect: _subselect,
+}
 
 
 _XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -1549,7 +1644,7 @@ def _eval_str(batch: pa.Table, e) -> pa.Array:
             pa.scalar(None, pa.large_string()),
         )
     if f == "datatype":
-        # string content of DATATYPE(?x); _apply_binds mints the IRI kind
+        # string content of DATATYPE(?x); _bind mints the IRI kind
         a = e.args[0]
         if not isinstance(a, EVar):
             raise SparqlSyntaxError("DATATYPE() takes a variable")
@@ -1579,129 +1674,108 @@ def _eval_str(batch: pa.Table, e) -> pa.Array:
     raise SparqlSyntaxError(f"unsupported expression function {f!r}")
 
 
-def _apply_binds(ds, binds, bound: set):
-    """``BIND(expr AS ?alias)`` in order: each appends the alias's 4
-    binding columns via one vectorized map_batches — no exchange, no
-    materialization.  Arithmetic yields xsd:integer literals, string
-    functions plain literals, a bare ``?var``/constant copies the term.
-    Null results (expression errors) leave the alias unbound in that
+def _bind(ds, expr, alias: str, bound: set):
+    """``BIND(expr AS ?alias)``: appends the alias's 4 binding columns
+    via one vectorized map_batches — no exchange, no materialization.
+    Arithmetic yields xsd:integer literals, string functions plain
+    literals, a bare ``?var``/constant copies the term.  Null results
+    (expression errors, unbound inputs) leave the alias unbound in that
     row (renders as '', BOUND(?alias) = false)."""
-    for b in binds:
-        if b.alias in bound:
-            raise SparqlSyntaxError(
-                f"BIND alias ?{b.alias} is already bound in the group"
+    if alias in bound:
+        raise SparqlSyntaxError(f"BIND alias ?{alias} is already bound in the group")
+    missing = _expr_vars(expr) - bound
+    if missing:
+        raise SparqlSyntaxError(
+            f"BIND expression references unbound variable(s): {sorted(missing)}"
+        )
+    etype = _expr_type(expr)
+
+    def fn(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        if isinstance(expr, EFunc) and expr.func in (
+            "iri", "strdt", "strlang", "datatype"
+        ):
+            # term constructors: mint an IRI / typed / lang literal
+            # from the string expression (null input → unbound).
+            # DATATYPE() is IRI-valued, so it mints too.
+            vals = (
+                _eval_str(batch, expr)
+                if expr.func == "datatype"
+                else _eval_str(batch, expr.args[0])
             )
-        missing = _expr_vars(b.expr) - bound
-        if missing:
-            raise SparqlSyntaxError(
-                f"BIND expression references unbound variable(s): {sorted(missing)}"
-            )
-        etype = _expr_type(b.expr)
-
-        def fn(batch: pa.Table, expr=b.expr, alias=b.alias, etype=etype):
-            n = batch.num_rows
-            if isinstance(expr, EFunc) and expr.func in (
-                "iri", "strdt", "strlang", "datatype"
-            ):
-                # term constructors: mint an IRI / typed / lang literal
-                # from the string expression (null input → unbound).
-                # DATATYPE() is IRI-valued, so it mints too.
-                vals = (
-                    _eval_str(batch, expr)
-                    if expr.func == "datatype"
-                    else _eval_str(batch, expr.args[0])
-                )
-                okv = pc.is_valid(vals)
-                if expr.func in ("iri", "datatype"):
-                    kind, lang, dt = KIND_IRI, "", ""
-                elif expr.func == "strdt":
-                    kind, lang, dt = KIND_LITERAL, "", expr.args[1].term.value
-                else:
-                    kind, lang, dt = KIND_LITERAL, expr.args[1].term.value, ""
-
-                def _c(v, typ):
-                    return pc.if_else(
-                        okv, pa.scalar(v, typ), pa.scalar(None, typ)
-                    )
-
-                cols = {
-                    f"{alias}__kind": _c(kind, pa.int64()),
-                    f"{alias}__value": vals,
-                    f"{alias}__lang": _c(lang, pa.large_string()),
-                    f"{alias}__datatype": _c(dt, pa.large_string()),
-                }
-                out = batch
-                for cname, col in cols.items():
-                    out = out.append_column(cname, col)
-                return out
-            if etype == "term":
-                if isinstance(expr, EVar):
-                    cols = {
-                        f"{alias}__{f}": batch[f"{expr.name}__{f}"]
-                        for f in _FIELDS
-                    }
-                else:
-                    t = expr.term
-                    cols = {
-                        f"{alias}__kind": pa.array([t.kind] * n, pa.int64()),
-                        f"{alias}__value": pa.array([t.value] * n, pa.large_string()),
-                        f"{alias}__lang": pa.array([t.lang] * n, pa.large_string()),
-                        f"{alias}__datatype": pa.array(
-                            [t.datatype] * n, pa.large_string()
-                        ),
-                    }
+            okv = pc.is_valid(vals)
+            if expr.func in ("iri", "datatype"):
+                kind, lang, dt = KIND_IRI, "", ""
+            elif expr.func == "strdt":
+                kind, lang, dt = KIND_LITERAL, "", expr.args[1].term.value
             else:
-                if etype == "num":
-                    vals = pc.cast(
-                        pa.array(_eval_num(batch, expr)), pa.large_string()
-                    )
-                    dt = _XSD_INTEGER
-                else:
-                    vals = _eval_str(batch, expr)
-                    dt = ""
-                valid = pc.is_valid(vals)
-                cols = {
-                    f"{alias}__kind": pc.if_else(
-                        valid,
-                        pa.scalar(KIND_LITERAL, pa.int64()),
-                        pa.scalar(None, pa.int64()),
-                    ),
-                    f"{alias}__value": vals,
-                    f"{alias}__lang": pc.if_else(
-                        valid,
-                        pa.scalar("", pa.large_string()),
-                        pa.scalar(None, pa.large_string()),
-                    ),
-                    f"{alias}__datatype": pc.if_else(
-                        valid,
-                        pa.scalar(dt, pa.large_string()),
-                        pa.scalar(None, pa.large_string()),
-                    ),
-                }
+                kind, lang, dt = KIND_LITERAL, expr.args[1].term.value, ""
+
+            def _c(v, typ):
+                return pc.if_else(
+                    okv, pa.scalar(v, typ), pa.scalar(None, typ)
+                )
+
+            cols = {
+                f"{alias}__kind": _c(kind, pa.int64()),
+                f"{alias}__value": vals,
+                f"{alias}__lang": _c(lang, pa.large_string()),
+                f"{alias}__datatype": _c(dt, pa.large_string()),
+            }
             out = batch
             for cname, col in cols.items():
                 out = out.append_column(cname, col)
             return out
+        if etype == "term":
+            if isinstance(expr, EVar):
+                cols = {
+                    f"{alias}__{f}": batch[f"{expr.name}__{f}"]
+                    for f in _FIELDS
+                }
+            else:
+                t = expr.term
+                cols = {
+                    f"{alias}__kind": pa.array([t.kind] * n, pa.int64()),
+                    f"{alias}__value": pa.array([t.value] * n, pa.large_string()),
+                    f"{alias}__lang": pa.array([t.lang] * n, pa.large_string()),
+                    f"{alias}__datatype": pa.array(
+                        [t.datatype] * n, pa.large_string()
+                    ),
+                }
+        else:
+            if etype == "num":
+                vals = pc.cast(
+                    pa.array(_eval_num(batch, expr)), pa.large_string()
+                )
+                dt = _XSD_INTEGER
+            else:
+                vals = _eval_str(batch, expr)
+                dt = ""
+            valid = pc.is_valid(vals)
+            cols = {
+                f"{alias}__kind": pc.if_else(
+                    valid,
+                    pa.scalar(KIND_LITERAL, pa.int64()),
+                    pa.scalar(None, pa.int64()),
+                ),
+                f"{alias}__value": vals,
+                f"{alias}__lang": pc.if_else(
+                    valid,
+                    pa.scalar("", pa.large_string()),
+                    pa.scalar(None, pa.large_string()),
+                ),
+                f"{alias}__datatype": pc.if_else(
+                    valid,
+                    pa.scalar(dt, pa.large_string()),
+                    pa.scalar(None, pa.large_string()),
+                ),
+            }
+        out = batch
+        for cname, col in cols.items():
+            out = out.append_column(cname, col)
+        return out
 
-        ds = ds.map_batches(fn, batch_format="pyarrow")
-        bound = bound | {b.alias}
-    return ds, bound
-
-
-def _finish_group(ds, bindings, bound: set, leftover, optionals, binds):
-    """Shared tail of every query form: apply the leftover filters that
-    only need required variables, left-join OPTIONALs, evaluate BINDs,
-    then the remaining filters (which may reference optional variables
-    — BOUND/!BOUND — or BIND aliases)."""
-    pre, post = [], []
-    for f in leftover:
-        (pre if _filter_vars(f) <= bound else post).append(f)
-    bindings = _apply_filters(bindings, pre)
-    bindings, bound = _attach_optionals(bindings, bound, ds, optionals)
-    bindings, bound = _apply_binds(bindings, binds, bound)
-    _check_filter_vars(post, bound)
-    bindings = _apply_filters(bindings, post)
-    return bindings, bound
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _operand(batch: pa.Table, x):
@@ -1970,44 +2044,6 @@ def _render_vars(ds, variables):
         return pa.table(cols)
 
     return ds.map_batches(render, batch_format="pyarrow")
-
-
-def _negset_bindings(ds, pattern, witness, graph_var=None):
-    """NegatedPropertySet with reverse members (SPARQL 1.1 §18.4):
-    the forward component (edges with pred ∉ preds, present iff
-    ``preds`` nonempty) unions with the REVERSED component (inverted
-    edges with pred ∉ rev_preds) — one scan each, schemas normalized
-    to sorted column order for the union."""
-    s, np_, o = pattern
-    pieces = []
-    if np_.preds:
-        pieces.append(
-            _pattern_bindings(
-                ds, (s, NegPath(np_.preds), o),
-                witness=witness, graph_var=graph_var,
-            )
-        )
-    pieces.append(
-        _pattern_bindings(
-            ds, (o, NegPath(np_.rev_preds), s),
-            witness=witness, graph_var=graph_var,
-        )
-    )
-    b, vs = pieces[0]
-    if len(pieces) == 1:
-        return b, vs
-
-    def norm(t: pa.Table) -> pa.Table:
-        return t.select(sorted(t.column_names))
-
-    out = b.map_batches(norm, batch_format="pyarrow")
-    for b2, v2 in pieces[1:]:
-        if v2 != vs:
-            raise SparqlSyntaxError(
-                "negated-set components bind different variables"
-            )
-        out = out.union(b2.map_batches(norm, batch_format="pyarrow"))
-    return out, vs
 
 
 def _distinct(ds, columns):
@@ -2400,7 +2436,7 @@ def _apply_dataset_clause(ds, q):
         return ds
     if q.from_graphs and q.from_named:
         raise SparqlSyntaxError(
-            "combining FROM and FROM NAMED is not supported"
+            "FROM and FROM NAMED cannot be combined"
         )
     cols = ds.columns()
     if cols is not None and "url" not in cols:
@@ -2433,10 +2469,8 @@ def evaluate_select(ds, query: str | SelectQuery):
 
 def _select(ds, q: SelectQuery):
     ds = _apply_dataset_clause(ds, q)
-    bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
-    bindings, bound = _finish_group(
-        ds, bindings, bound, leftover, q.optionals, q.binds
-    )
+    bindings = _eval(ds, q.where)
+    bound = set().union(*_scope(q.where))
     if q.aggregates:
         for v in list(q.group_by) + [a.var for a in q.aggregates if a.var]:
             if v not in bound:
@@ -2503,11 +2537,7 @@ def evaluate_ask(ds, query: str | AskQuery) -> bool:
     if not isinstance(q, AskQuery):
         raise SparqlSyntaxError("not an ASK query")
     ds = _apply_dataset_clause(_executor(ds, q), q)
-    bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
-    bindings, _ = _finish_group(
-        ds, bindings, bound, leftover, q.optionals, q.binds
-    )
-    return bindings.limit(1).count() > 0
+    return _eval(ds, q.where).limit(1).count() > 0
 
 
 def evaluate_construct(ds, query: str | ConstructQuery):
@@ -2523,10 +2553,8 @@ def evaluate_construct(ds, query: str | ConstructQuery):
             if not isinstance(x, (Var, Term)):
                 raise SparqlSyntaxError("bad template term")
     ds = _apply_dataset_clause(_executor(ds, q), q)
-    bindings, bound, leftover = _bgp(ds, q.patterns, q.filters)
-    bindings, bound = _finish_group(
-        ds, bindings, bound, leftover, q.optionals, q.binds
-    )
+    bindings = _eval(ds, q.where)
+    bound = set().union(*_scope(q.where))
     for t in q.template:
         for x in t:
             if isinstance(x, Var) and x.name not in bound:
@@ -2638,10 +2666,7 @@ def evaluate_describe(ds, query: str | DescribeQuery):
         # set is the query RESULT — driver-sized by design, same as any
         # SELECT the client would have issued), then one vectorized
         # is_in subject mask over the store.
-        sel = SelectQuery(
-            [q.var], True, list(q.patterns), list(q.filters),
-            [], None, [], [], [], [], 0, [],
-        )
+        sel = SelectQuery([q.var], True, q.where, [], None)
         vals = sorted({row[q.var] for row in _select(ds, sel).take_all()})
         value_set = pa.array(vals, pa.large_string())
 
@@ -2671,16 +2696,13 @@ def evaluate_describe(ds, query: str | DescribeQuery):
     return out.map_batches(lambda b: b.select(TRIPLE_COLUMNS), batch_format="pyarrow")
 
 
-def _where_solutions(triples, patterns) -> list[dict]:
+def _where_solutions(triples, where) -> list[dict]:
     """A modify op's WHERE solutions over one graph's triples, as
-    ``{var: Term}`` dicts: the engine's own BGP evaluation, run on the
+    ``{var: Term}`` dicts: the engine's own evaluator, run on the
     graph's local frame."""
-    if not patterns:
-        return [{}]
     frame = LocalFrame(triples_to_table(triples, with_hash=False))
-    bindings, bound, _ = _bgp(frame, patterns)
-    table = bindings.table
-    names = sorted(v for v in bound if "$" not in v)
+    table = _eval(frame, where).table
+    names = sorted(v for v in set().union(*_scope(where)) if "$" not in v)
     cols = {
         v: [table[f"{v}__{f}"].to_pylist() for f in _FIELDS] for v in names
     }

@@ -7,9 +7,9 @@ and runs on whichever executor fits the data:
 
 - ``map_batches`` calls the function once on the whole table (one
   batch == one block, which also satisfies ``batch_size=None``
-  callers that rely on sort co-location within a block).  Unlike
-  Ray, it calls it on an empty table too, so an empty result keeps
-  its typed columns;
+  callers that rely on sort co-location within a block), in the
+  ``pyarrow`` batch format only.  Unlike Ray, it calls it on an empty
+  table too, so an empty result keeps its typed columns;
 - ``sort`` runs as an Arrow kernel.  There is no ``groupby`` or
   ``aggregate``: the engine's aggregates are its own Arrow block
   function run through ``stages.grouping.exchange``, the same on both
@@ -26,7 +26,6 @@ the reads result consumers call: ``take_all``, ``to_pandas``,
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 
 
@@ -39,15 +38,9 @@ class LocalFrame:
         self.table = table
 
     def map_batches(self, fn, *, batch_format: str, batch_size=None) -> LocalFrame:
-        if batch_format == "pandas":
-            out = fn(self.table.to_pandas())
-        elif batch_format == "pyarrow":
-            out = fn(self.table)
-        else:
+        if batch_format != "pyarrow":
             raise ValueError(f"unsupported batch_format {batch_format!r}")
-        if isinstance(out, pd.DataFrame):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        return LocalFrame(out)
+        return LocalFrame(fn(self.table))
 
     def union(self, *others: LocalFrame) -> LocalFrame:
         return LocalFrame(
@@ -89,7 +82,7 @@ class LocalFrame:
     def take_all(self) -> list[dict]:
         return self.table.to_pylist()
 
-    def to_pandas(self) -> pd.DataFrame:
+    def to_pandas(self):
         return self.table.to_pandas()
 
     def columns(self) -> list[str]:

@@ -5,12 +5,14 @@ translation of any reference code: the reference never parses SPARQL,
 it only ships query strings over HTTP (``sparqlservice.go:42-95``).
 The subset is exactly what the file-backed service evaluates; anything
 outside it raises ``SparqlSyntaxError`` loudly rather than mis-parsing.
+Every group parses into an algebra tree (``BGP`` … ``SubSelect``
+below); queries and modify ops carry it as their ``where``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from ..terms import IRI, KIND_IRI, KIND_LITERAL, Literal, RDF_TYPE, Term, Blank
 
@@ -25,7 +27,7 @@ class Var(NamedTuple):
     name: str
 
 
-PatTerm = Union[Term, Var]
+PatTerm = Term | Var
 Pattern = tuple  # (PatTerm, PatTerm, PatTerm)
 
 
@@ -114,29 +116,12 @@ class SameTerm(NamedTuple):
 
 
 class ExistsFilter(NamedTuple):
-    """``FILTER [NOT] EXISTS { patterns }`` — semi/anti-join of the
-    outer bindings against the inner group's solutions on their shared
-    variables (constant condition when none are shared)."""
+    """``FILTER [NOT] EXISTS { group }`` — semi/anti-join of the outer
+    solutions against the inner group's on their shared variables
+    (constant condition when none are shared)."""
 
-    patterns: list
-    filters: list
+    where: object  # the inner group's algebra tree
     negated: bool = False
-
-
-class MinusBlock(NamedTuple):
-    """``MINUS { patterns }`` — SPARQL MINUS: remove outer solutions
-    that are compatible with an inner solution sharing ≥1 variable;
-    with no shared variables nothing is removed (unlike NOT EXISTS).
-    Carried in the filter list (it applies post-join like a filter)."""
-
-    patterns: list
-    filters: list
-
-
-Filter = Union[
-    Comparison, Regex, StrFunc, FuncComparison, TypeCheck, InFilter,
-    ExistsFilter, MinusBlock, Bound, LangMatches, SameTerm, OrFilter,
-]
 
 
 # -- BIND expressions ----------------------------------------------------
@@ -182,7 +167,7 @@ class EIf(NamedTuple):
     other: "Expr"
 
 
-Expr = Union[EVar, EConst, EArith, EFunc, EIf]
+Expr = EVar | EConst | EArith | EFunc | EIf
 
 
 class ExprComparison(NamedTuple):
@@ -195,25 +180,6 @@ class ExprComparison(NamedTuple):
     op: str  # = != < <= > >=
     left: Expr
     right: Expr
-
-
-class BindBlock(NamedTuple):
-    """``BIND(expr AS ?alias)`` — evaluated over the group's joined
-    bindings (after OPTIONALs attach), so the alias cannot be used in
-    a triple pattern of the same group (checked at eval time)."""
-
-    expr: Expr
-    alias: str
-
-
-class SubSelect(NamedTuple):
-    """``{ SELECT … }`` as a group element — the inner query's
-    projected variables (including aggregate aliases, which surface as
-    typed literals) join with the rest of the group.  DISTINCT /
-    ORDER BY / LIMIT / OFFSET / FILTER / OPTIONAL / BIND / GROUP BY /
-    aggregates / HAVING are supported inside."""
-
-    query: "SelectQuery"
 
 
 class AltPath(NamedTuple):
@@ -256,60 +222,101 @@ class NegPath(NamedTuple):
     rev_preds: tuple = ()  # tuple[Term, ...] — ^-prefixed members
 
 
-class UnionBlock(NamedTuple):
-    """``{ BGP } UNION { BGP } …`` — each branch is (patterns, filters);
-    branches must bind the same variable set (checked at eval time)."""
+# -- the algebra (SPARQL 1.1 §18.2.2) ------------------------------------
+# ``parse_group`` translates each group, in element order, into a tree of
+# these nodes; the engine evaluates it with one function per node.
+class BGP(NamedTuple):
+    """Triple and path patterns, joined.  ``BGP([])`` is the identity:
+    one solution that binds nothing."""
 
-    branches: list[tuple[list, list]]
+    patterns: list
 
 
-class ValuesBlock(NamedTuple):
+class Join(NamedTuple):
+    left: object
+    right: object
+
+
+class LeftJoin(NamedTuple):
+    """``OPTIONAL``: ``left``'s solutions, each extended by every
+    compatible ``right`` solution on which the FILTER conjuncts
+    ``expr`` (those written directly inside the OPTIONAL) hold, or
+    kept alone when there is none."""
+
+    left: object
+    right: object
+    expr: list = []
+
+
+class Minus(NamedTuple):
+    """``MINUS``: ``left``'s solutions that no compatible ``right``
+    solution shares a bound variable with (§18.5)."""
+
+    left: object
+    right: object
+
+
+class Filter(NamedTuple):
+    """A group's FILTER conjuncts, applied over the whole group."""
+
+    exprs: list
+    inner: object
+
+
+class Union(NamedTuple):
+    """``{ A } UNION { B }``: the bag union; a variable one branch does
+    not bind is unbound in that branch's solutions."""
+
+    left: object
+    right: object
+
+
+class Extend(NamedTuple):
+    """``BIND(expr AS ?var)`` over the group built before it; the
+    variable must not be in scope there."""
+
+    inner: object
+    var: str
+    expr: Expr
+
+
+class Graph(NamedTuple):
+    """``GRAPH <iri>|?g { … }`` over a quads dataset (triples + ``url``
+    graph column, the ``read_graphstore`` layout): a constant graph
+    scopes the scans to it; a variable one binds ``?g`` from ``url`` in
+    every triple pattern inside (so property paths are refused there)."""
+
+    graph: object  # Term (IRI) | Var
+    inner: object
+
+
+class Service(NamedTuple):
+    """``SERVICE [SILENT] <iri> { … }`` — SPARQL 1.1 Federated Query:
+    the inner group evaluates against the dataset REGISTERED for the
+    endpoint IRI (:func:`argo_ray.sparql.engine.register_service` —
+    file/Dataset-backed; no network in this engine).  SILENT + unknown
+    endpoint degrades to the identity solution (spec §2.2)."""
+
+    iri: str
+    inner: object
+    silent: bool = False
+
+
+class Values(NamedTuple):
     """``VALUES ?v { t… }`` / ``VALUES (?a ?b) { (t t) … }`` — inline
-    bindings, joined like any other group element.  UNDEF unsupported."""
+    bindings.  UNDEF unsupported."""
 
     variables: list[str]
     rows: list[tuple[Term, ...]]
 
 
-class OptionalBlock(NamedTuple):
-    """``OPTIONAL { BGP [FILTER …] [BIND …] [OPTIONAL {…}] }`` —
-    left-joined onto the required bindings; BINDs evaluate on the
-    optional side before the join (aliases stay unbound on unmatched
-    rows, per spec group scoping); nested OPTIONALs left-join onto
-    THIS group's bindings first (LeftJoin(A, LeftJoin(B, C)))."""
+class SubSelect(NamedTuple):
+    """``{ SELECT … }`` as a group — the inner query's projected
+    variables (aggregate aliases surface as typed literals) join with
+    the rest of the enclosing group."""
 
-    patterns: list
-    filters: list
-    binds: list = []
-    optionals: list = []
+    query: "SelectQuery"
 
-
-class GraphBlock(NamedTuple):
-    """``GRAPH <iri>|?g { BGP [FILTER …] }`` — scope the inner patterns
-    to one named graph (constant) or bind the graph IRI per match
-    (variable).  Evaluated against a quads dataset (triples + ``url``
-    graph column, the ``read_graphstore`` fan-in layout).  With a
-    variable graph the inner block must be plain triple patterns (no
-    property paths)."""
-
-    graph: object  # Term (IRI) | Var
-    patterns: list
-    filters: list
-
-
-class ServiceBlock(NamedTuple):
-    """``SERVICE [SILENT] <iri> { BGP [FILTER …] }`` — SPARQL 1.1
-    Federated Query: the inner patterns evaluate against the dataset
-    REGISTERED for the endpoint IRI
-    (:func:`argo_ray.sparql.engine.register_service` — file/Dataset-
-    backed; no network in this engine), then join the outer bindings
-    like any group element.  SILENT + unknown endpoint degrades to
-    the identity solution (spec §2.2 failure behavior)."""
-
-    iri: str
-    patterns: list
-    filters: list
-    silent: bool = False
 
 
 class Aggregate(NamedTuple):
@@ -337,40 +344,30 @@ class HavingCond(NamedTuple):
     value: float
 
 
-# an element of a group: a triple Pattern or a UnionBlock
 class SelectQuery(NamedTuple):
     variables: list[str]  # [] = SELECT *
     distinct: bool
-    patterns: list  # Pattern | UnionBlock
-    filters: list[Filter]
+    where: object  # the group's algebra tree
     order_by: list[tuple[str, bool]]  # (var, descending)
     limit: int | None
-    optionals: list[OptionalBlock] = []
     aggregates: list[Aggregate] = []
     group_by: list[str] = []
     having: list[HavingCond] = []
     offset: int = 0
-    binds: list[BindBlock] = []
     from_graphs: list[str] = []  # FROM <iri> — default-graph selection
     from_named: list[str] = []  # FROM NAMED <iri> — GRAPH scope
 
 
 class AskQuery(NamedTuple):
-    patterns: list
-    filters: list[Filter]
-    optionals: list[OptionalBlock] = []
-    binds: list[BindBlock] = []
+    where: object
     from_graphs: list[str] = []
     from_named: list[str] = []
 
 
 class ConstructQuery(NamedTuple):
     template: list[Pattern]
-    patterns: list
-    filters: list[Filter]
+    where: object
     limit: int | None
-    optionals: list[OptionalBlock] = []
-    binds: list[BindBlock] = []
     from_graphs: list[str] = []
     from_named: list[str] = []
 
@@ -383,8 +380,7 @@ class DescribeQuery(NamedTuple):
 
     terms: list[Term]
     var: str | None = None
-    patterns: list = ()
-    filters: list = ()
+    where: object = None
     from_graphs: list = ()
     from_named: list = ()
 
@@ -409,15 +405,15 @@ class GraphMgmtOp(NamedTuple):
 
 class ModifyOp(NamedTuple):
     """Pattern-based update: ``DELETE WHERE { p }`` (delete template =
-    the patterns), ``DELETE { t } [INSERT { t }] WHERE { p }``,
-    ``INSERT { t } WHERE { p }``.  WHERE is a plain BGP (no
-    FILTER/OPTIONAL/BIND — explicit error); the WHERE solutions are
+    the patterns), ``DELETE { t } [INSERT { t }] WHERE { group }``,
+    ``INSERT { t } WHERE { group }``.  The WHERE group's solutions are
     computed ONCE, then the delete template instantiates before the
     insert template (SPARQL 1.1 Update modify order)."""
 
     delete_tmpl: list | None  # triple patterns (Terms and Vars)
     insert_tmpl: list | None
-    where: list
+    where: object  # algebra tree
+
 
 
 _TOKEN = re.compile(
@@ -812,7 +808,7 @@ class _Parser:
         t = self.parse_term()
         return EVar(t.name) if isinstance(t, Var) else EConst(t)
 
-    def parse_bind(self) -> BindBlock:
+    def parse_bind(self, inner) -> Extend:
         self.expect("op", "(")
         expr = self.parse_expression()
         self.expect("word", "as")
@@ -820,9 +816,9 @@ class _Parser:
         if k != "var":
             raise SparqlSyntaxError("BIND needs 'AS ?variable'")
         self.expect("op", ")")
-        return BindBlock(expr, v[1:])
+        return Extend(inner, v[1:], expr)
 
-    def parse_filter(self) -> list[Filter]:
+    def parse_filter(self) -> list:
         """``FILTER ( expr && expr … )`` — each conjunct one of:
         ``term op term`` | ``[!]REGEX(?v, "pat")`` |
         ``[!]CONTAINS/STRSTARTS/STRENDS(?v, "s")`` |
@@ -834,10 +830,9 @@ class _Parser:
         ):
             negated = self.eat_word("not")
             self.expect("word", "exists")
-            pats, flts = self.parse_simple_group()
-            return [ExistsFilter(pats, flts, negated)]
-        out: list[Filter] = []
-        groups: list[list[Filter]] = []  # ||-separated AND-groups
+            return [ExistsFilter(self.parse_group(), negated)]
+        out: list = []
+        groups: list[list] = []  # ||-separated AND-groups
         paren = self.peek() == ("op", "(")
         if paren:
             self.next()
@@ -869,7 +864,7 @@ class _Parser:
         "isblank",
     )
 
-    def _parse_filter_atom(self) -> Filter:
+    def _parse_filter_atom(self):
         """One FILTER conjunct (also reused as an ``IF()`` boolean
         condition)."""
         negated = False
@@ -1009,61 +1004,7 @@ class _Parser:
         right = self.parse_term()
         return Comparison(op, left, right)
 
-    def parse_simple_group(self) -> tuple[list[Pattern], list[Filter]]:
-        """``{ TriplesBlock | FILTER … }`` — no nesting (used for UNION
-        branches and OPTIONAL bodies)."""
-        self.expect("op", "{")
-        patterns: list[Pattern] = []
-        filters: list[Filter] = []
-        while self.peek() != ("op", "}"):
-            if self.eat_word("filter"):
-                filters.extend(self.parse_filter())
-            elif self.at_word("optional") or self.peek() == ("op", "{"):
-                raise SparqlSyntaxError(
-                    "nested OPTIONAL/UNION groups are not supported"
-                )
-            elif self.at_word("minus", "values", "bind"):
-                raise SparqlSyntaxError(
-                    "MINUS/VALUES/BIND inside OPTIONAL/UNION/EXISTS groups "
-                    "are not supported"
-                )
-            else:
-                patterns.extend(self.parse_triples_block())
-        self.expect("op", "}")
-        return patterns, filters
-
-    def parse_optional_group(self):
-        """``{ TriplesBlock | FILTER … | BIND … | OPTIONAL {…} }`` for
-        OPTIONAL bodies — ``parse_simple_group`` plus BIND and nested
-        OPTIONAL (r4 s4; UNION and MINUS/VALUES stay unsupported
-        here)."""
-        self.expect("op", "{")
-        patterns: list[Pattern] = []
-        filters: list[Filter] = []
-        binds: list[BindBlock] = []
-        optionals: list[OptionalBlock] = []
-        while self.peek() != ("op", "}"):
-            if self.eat_word("filter"):
-                filters.extend(self.parse_filter())
-            elif self.eat_word("bind"):
-                binds.append(self.parse_bind())
-            elif self.eat_word("optional"):
-                p, f, b, o = self.parse_optional_group()
-                optionals.append(OptionalBlock(p, f, b, o))
-            elif self.peek() == ("op", "{"):
-                raise SparqlSyntaxError(
-                    "nested UNION groups are not supported"
-                )
-            elif self.at_word("minus", "values"):
-                raise SparqlSyntaxError(
-                    "MINUS/VALUES inside OPTIONAL groups are not supported"
-                )
-            else:
-                patterns.extend(self.parse_triples_block())
-        self.expect("op", "}")
-        return patterns, filters, binds, optionals
-
-    def parse_values(self) -> ValuesBlock:
+    def parse_values(self) -> Values:
         """``VALUES ?v { t… }`` or ``VALUES (?a ?b) { (t t) … }``."""
         variables: list[str] = []
         if self.peek() == ("op", "("):
@@ -1095,83 +1036,74 @@ class _Parser:
         self.expect("op", "}")
         if not rows:
             raise SparqlSyntaxError("empty VALUES block")
-        return ValuesBlock(variables, rows)
+        return Values(variables, rows)
 
-    def parse_group(
-        self,
-    ) -> tuple[list, list[Filter], list[OptionalBlock], list[BindBlock]]:
+    def parse_group(self):
+        """``{ … }`` → its algebra tree, translated in element order as
+        SPARQL 1.1 §18.2.2.6 does: adjacent triple patterns form one
+        BGP; every other element joins onto the tree built so far,
+        except OPTIONAL (a LeftJoin over it, whose own FILTERs become
+        its expression), MINUS (a Minus) and BIND (an Extend); the
+        group's FILTERs wrap the whole group."""
         self.expect("op", "{")
-        patterns: list = []
-        filters: list[Filter] = []
-        optionals: list[OptionalBlock] = []
-        binds: list[BindBlock] = []
+        if self.at_word("select"):
+            self.next()
+            sub = _parse_select(self)
+            self.expect("op", "}")
+            if (sub.limit is not None or sub.offset) and not sub.order_by:
+                raise SparqlSyntaxError(
+                    "LIMIT/OFFSET in a subquery needs ORDER BY "
+                    "(deterministic slice)"
+                )
+            return SubSelect(sub)
+        tree, filters = BGP([]), []
         while self.peek() != ("op", "}"):
             if self.eat_word("filter"):
                 filters.extend(self.parse_filter())
-            elif self.eat_word("bind"):
-                binds.append(self.parse_bind())
             elif self.eat_word("optional"):
-                p, f, ob, oo = self.parse_optional_group()
-                optionals.append(OptionalBlock(p, f, ob, oo))
+                right = self.parse_group()
+                if isinstance(right, Filter):
+                    tree = LeftJoin(tree, right.inner, right.exprs)
+                else:
+                    tree = LeftJoin(tree, right)
             elif self.eat_word("minus"):
-                p, f = self.parse_simple_group()
-                filters.append(MinusBlock(p, f))
-            elif self.eat_word("values"):
-                patterns.append(self.parse_values())
-            elif self.eat_word("service"):
-                silent = bool(self.eat_word("silent"))
-                svc = self.parse_term()
-                if not (isinstance(svc, Term) and svc.kind == KIND_IRI):
-                    raise SparqlSyntaxError(
-                        "SERVICE needs a constant endpoint IRI"
-                    )
-                p, f = self.parse_simple_group()
-                patterns.append(ServiceBlock(svc.value, p, f, silent))
-            elif self.eat_word("graph"):
-                g = self.parse_term()
-                if not (isinstance(g, Var) or (
-                    isinstance(g, Term) and g.kind == KIND_IRI
-                )):
-                    raise SparqlSyntaxError("GRAPH needs an IRI or a variable")
-                p, f = self.parse_simple_group()
-                if isinstance(g, Var):
-                    for pat in p:
-                        if not all(
-                            isinstance(el, (Term, Var)) for el in pat
-                        ) or any(
-                            isinstance(el, Var) and "$" in el.name for el in pat
-                        ):
-                            raise SparqlSyntaxError(
-                                "property paths not allowed inside GRAPH ?var"
-                            )
-                patterns.append(GraphBlock(g, p, f))
-            elif self.peek() == ("op", "{") and (
-                self.toks[self.i + 1][0] == "word"
-                and self.toks[self.i + 1][1].lower() == "select"
-            ):
-                self.next()  # {
-                self.next()  # select
-                sub = _parse_select(self)
-                self.expect("op", "}")
-                if (sub.limit is not None or sub.offset) and not sub.order_by:
-                    raise SparqlSyntaxError(
-                        "LIMIT/OFFSET in a subquery needs ORDER BY "
-                        "(deterministic slice)"
-                    )
-                patterns.append(SubSelect(sub))
-            elif self.peek() == ("op", "{"):
-                branches = [self.parse_simple_group()]
-                while self.eat_word("union"):
-                    branches.append(self.parse_simple_group())
-                if len(branches) < 2:
-                    raise SparqlSyntaxError("braced group without UNION")
-                patterns.append(UnionBlock(branches))
+                tree = Minus(tree, self.parse_group())
+            elif self.eat_word("bind"):
+                tree = self.parse_bind(tree)
             else:
-                patterns.extend(self.parse_triples_block())
+                tree = _join(tree, self._group_element())
             if self.peek() == ("op", "."):  # separators between group elements
                 self.next()
         self.expect("op", "}")
-        return patterns, filters, optionals, binds
+        return Filter(filters, tree) if filters else tree
+
+    def _group_element(self):
+        """One element of a group that joins onto it: VALUES, SERVICE,
+        GRAPH, a nested group or UNION, or a block of triples."""
+        if self.eat_word("values"):
+            return self.parse_values()
+        if self.eat_word("service"):
+            silent = bool(self.eat_word("silent"))
+            svc = self.parse_term()
+            if not (isinstance(svc, Term) and svc.kind == KIND_IRI):
+                raise SparqlSyntaxError("SERVICE needs a constant endpoint IRI")
+            return Service(svc.value, self.parse_group(), silent)
+        if self.eat_word("graph"):
+            g = self.parse_term()
+            if not (isinstance(g, Var) or (isinstance(g, Term) and g.kind == KIND_IRI)):
+                raise SparqlSyntaxError("GRAPH needs an IRI or a variable")
+            inner = self.parse_group()
+            if isinstance(g, Var) and not all(
+                _plain(pat) for pat in _patterns_in(inner)
+            ):
+                raise SparqlSyntaxError("property paths not allowed inside GRAPH ?var")
+            return Graph(g, inner)
+        if self.peek() == ("op", "{"):
+            tree = self.parse_group()
+            while self.eat_word("union"):
+                tree = Union(tree, self.parse_group())
+            return tree
+        return BGP(self.parse_triples_block())
 
     # -- solution modifiers ----------------------------------------------
     def parse_modifiers(self) -> tuple[list[tuple[str, bool]], int | None, int]:
@@ -1240,6 +1172,37 @@ class _Parser:
         return order, limit, offset
 
 
+def _join(left, right):
+    """``Join(left, right)`` with the identity dropped and adjacent
+    BGPs merged into one."""
+    if left == BGP([]):
+        return right
+    if isinstance(left, BGP) and isinstance(right, BGP):
+        return BGP(left.patterns + right.patterns)
+    return Join(left, right)
+
+
+def _patterns_in(node):
+    """Every triple pattern of a tree's BGPs (sub-selects included)."""
+    if isinstance(node, BGP):
+        yield from node.patterns
+    elif isinstance(node, SubSelect):
+        yield from _patterns_in(node.query.where)
+    elif isinstance(node, tuple):
+        for child in node:
+            if isinstance(child, tuple):
+                yield from _patterns_in(child)
+
+
+def _plain(pattern) -> bool:
+    """A pattern of terms and user variables only — no property path
+    (a sequence path leaves ``$``-named intermediate variables)."""
+    return all(
+        isinstance(el, Term) or (isinstance(el, Var) and "$" not in el.name)
+        for el in pattern
+    )
+
+
 def _parse_select(p: _Parser) -> SelectQuery:
     """Everything after the ``SELECT`` keyword up to (not including)
     the closing delimiter — shared by top-level queries (which then
@@ -1248,7 +1211,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
     p.eat_word("reduced")
     variables: list[str] = []
     aggregates: list[Aggregate] = []
-    select_binds: list[BindBlock] = []  # (expr AS ?alias) projections
+    select_binds: list = []  # (alias, expr) of (expr AS ?alias) projections
     aliases: list[str] = []  # every AS ?alias of the clause
 
     def new_alias(name: str) -> str:
@@ -1274,8 +1237,8 @@ def _parse_select(p: _Parser) -> SelectQuery:
                 p.peek() == ("op", "(")
                 and p.toks[p.i + 1][1].lower() not in _AGG_FUNCS
             ):
-                # (expr AS ?alias) projection — desugared to a BIND
-                # appended after the group's own BINDs
+                # (expr AS ?alias) projection — an Extend over the
+                # group's tree
                 p.next()
                 expr = p.parse_expression()
                 p.expect("word", "as")
@@ -1283,7 +1246,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
                 if k != "var":
                     raise SparqlSyntaxError("AS needs a variable alias")
                 p.expect("op", ")")
-                select_binds.append(BindBlock(expr, new_alias(v[1:])))
+                select_binds.append((new_alias(v[1:]), expr))
                 variables.append(v[1:])
             elif p.peek() == ("op", "(") and p.toks[p.i + 1][1].lower() in _AGG_FUNCS:
                 p.next()  # (
@@ -1328,14 +1291,13 @@ def _parse_select(p: _Parser) -> SelectQuery:
             raise SparqlSyntaxError("SELECT needs variables or *")
     from_graphs, from_named = _parse_dataset_clause(p)
     p.eat_word("where")
-    patterns, filters, optionals, binds = p.parse_group()
-    if select_binds:
-        if aggregates:
-            raise SparqlSyntaxError(
-                "(expr AS ?alias) projections cannot be combined with "
-                "aggregates"
-            )
-        binds = list(binds) + select_binds
+    where = p.parse_group()
+    if select_binds and aggregates:
+        raise SparqlSyntaxError(
+            "(expr AS ?alias) projections cannot be combined with aggregates"
+        )
+    for alias, expr in select_binds:
+        where = Extend(where, alias, expr)
     group_by: list[str] = []
     if p.eat_word("group"):
         p.expect("word", "by")
@@ -1394,9 +1356,8 @@ def _parse_select(p: _Parser) -> SelectQuery:
         p.expect("op", ")")
     order, limit, offset = p.parse_modifiers()
     return SelectQuery(
-        variables, distinct, patterns, filters, order, limit, optionals,
-        aggregates, group_by, having, offset, binds, from_graphs,
-        from_named,
+        variables, distinct, where, order, limit, aggregates, group_by,
+        having, offset, from_graphs, from_named,
     )
 
 
@@ -1425,9 +1386,9 @@ def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
     if p.eat_word("ask"):
         fg, fn = _parse_dataset_clause(p)
         p.eat_word("where")
-        patterns, filters, optionals, binds = p.parse_group()
+        where = p.parse_group()
         p.expect("eof")
-        return AskQuery(patterns, filters, optionals, binds, fg, fn)
+        return AskQuery(where, fg, fn)
     if p.eat_word("construct"):
         fg, fn = _parse_dataset_clause(p)
         if p.at_word("where"):
@@ -1437,32 +1398,25 @@ def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
             p.expect("op", "{")
             patterns = p.parse_triples_block()
             p.expect("op", "}")
-            for pat in patterns:
-                if not all(isinstance(el, (Term, Var)) for el in pat) or any(
-                    isinstance(el, Var) and "$" in el.name for el in pat
-                ):
-                    raise SparqlSyntaxError(
-                        "property paths not allowed in CONSTRUCT WHERE"
-                    )
+            if not all(_plain(pat) for pat in patterns):
+                raise SparqlSyntaxError("property paths not allowed in CONSTRUCT WHERE")
             _, limit, offset = p.parse_modifiers()
             if offset:
-                raise SparqlSyntaxError("OFFSET on CONSTRUCT not supported")
+                raise SparqlSyntaxError("CONSTRUCT takes no OFFSET")
             p.expect("eof")
-            return ConstructQuery(patterns, patterns, [], limit, [], [], fg, fn)
+            return ConstructQuery(patterns, BGP(patterns), limit, fg, fn)
         p.expect("op", "{")
         template = p.parse_triples_block()
         p.expect("op", "}")
         fg2, fn2 = _parse_dataset_clause(p)
         fg, fn = fg + fg2, fn + fn2
         p.expect("word", "where")
-        patterns, filters, optionals, binds = p.parse_group()
+        where = p.parse_group()
         _, limit, offset = p.parse_modifiers()
         if offset:
-            raise SparqlSyntaxError("OFFSET on CONSTRUCT not supported")
+            raise SparqlSyntaxError("CONSTRUCT takes no OFFSET")
         p.expect("eof")
-        return ConstructQuery(
-            template, patterns, filters, limit, optionals, binds, fg, fn
-        )
+        return ConstructQuery(template, where, limit, fg, fn)
     if p.eat_word("describe"):
         if p.peek()[0] == "var":
             v = p.next()[1][1:]
@@ -1471,16 +1425,9 @@ def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
                 raise SparqlSyntaxError(
                     "DESCRIBE ?var needs a WHERE group binding it"
                 )
-            patterns, filters, optionals, binds = p.parse_group()
-            if optionals or binds:
-                raise SparqlSyntaxError(
-                    "OPTIONAL/BIND in DESCRIBE WHERE not supported"
-                )
+            where = p.parse_group()
             p.expect("eof")
-            return DescribeQuery(
-                [], var=v, patterns=patterns, filters=filters,
-                from_graphs=fg, from_named=fn,
-            )
+            return DescribeQuery([], v, where, fg, fn)
         terms: list[Term] = []
         while p.peek()[0] in ("iri", "pname"):
             terms.append(p.parse_term(allow_var=False))
@@ -1496,17 +1443,13 @@ def parse_query(text: str) -> SelectQuery | AskQuery | ConstructQuery:
 
 def _update_patterns(p: _Parser, what: str) -> list:
     """One ``{ … }`` block of plain triple patterns (Terms / Vars) for
-    an update template or WHERE — property paths and group keywords are
-    rejected with the block's role in the message."""
+    an update template or DELETE WHERE — property paths and group
+    keywords are rejected with the block's role in the message."""
     p.expect("op", "{")
     pats = p.parse_triples_block(allow_var=True)
     p.expect("op", "}")
-    for pat in pats:
-        for el in pat:
-            if isinstance(el, Var) and "$" in el.name:
-                raise SparqlSyntaxError(f"property paths not allowed in {what}")
-            if not isinstance(el, (Term, Var)):
-                raise SparqlSyntaxError(f"property paths not allowed in {what}")
+    if not all(_plain(pat) for pat in pats):
+        raise SparqlSyntaxError(f"property paths not allowed in {what}")
     return pats
 
 
@@ -1530,8 +1473,7 @@ def parse_update(text: str) -> list[UpdateOp | ModifyOp]:
             else:
                 tmpl = _update_patterns(p, "an INSERT template")
                 p.expect("word", "where")
-                where = _update_patterns(p, "an update WHERE")
-                ops.append(ModifyOp(None, tmpl, where))
+                ops.append(ModifyOp(None, tmpl, p.parse_group()))
         elif p.eat_word("delete"):
             if p.eat_word("data"):
                 p.expect("op", "{")
@@ -1540,15 +1482,14 @@ def parse_update(text: str) -> list[UpdateOp | ModifyOp]:
                 ops.append(UpdateOp("delete", triples))
             elif p.eat_word("where"):
                 pats = _update_patterns(p, "DELETE WHERE")
-                ops.append(ModifyOp(pats, None, pats))
+                ops.append(ModifyOp(pats, None, BGP(pats)))
             else:
                 dtmpl = _update_patterns(p, "a DELETE template")
                 itmpl = None
                 if p.eat_word("insert"):
                     itmpl = _update_patterns(p, "an INSERT template")
                 p.expect("word", "where")
-                where = _update_patterns(p, "an update WHERE")
-                ops.append(ModifyOp(dtmpl, itmpl, where))
+                ops.append(ModifyOp(dtmpl, itmpl, p.parse_group()))
         elif p.at_word("clear", "drop", "create", "copy", "move", "add"):
             ops.append(_parse_graph_mgmt(p))
         else:

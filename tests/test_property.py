@@ -367,7 +367,7 @@ def test_sparql_bgp_differential(sparql_tier, triples, patterns):
     import ray.data
 
     from argo_ray.sparql.engine import evaluate_select
-    from argo_ray.sparql.parser import SelectQuery, Var
+    from argo_ray.sparql.parser import BGP, SelectQuery, Var
     from argo_ray.terms import render_term
 
     variables = sorted(
@@ -376,7 +376,7 @@ def test_sparql_bgp_differential(sparql_tier, triples, patterns):
     if not variables:
         return  # SELECT * over all-ground patterns is out of scope
     ds = ray.data.from_arrow(triples_to_table(triples, with_hash=False))
-    q = SelectQuery(variables, False, list(patterns), [], [], None)
+    q = SelectQuery(variables, False, BGP(list(patterns)), [], None)
     got = sorted(
         tuple(r[v] for v in variables)
         for r in evaluate_select(ds, q).take_all()
@@ -481,7 +481,7 @@ def test_sparql_optional_filter_differential(
 
     from argo_ray.sparql.engine import evaluate_select
     from argo_ray.sparql.parser import (
-        Comparison, OptionalBlock, SelectQuery, Var,
+        BGP, Comparison, Filter, LeftJoin, SelectQuery, Var,
     )
     from argo_ray.terms import render_term
 
@@ -508,10 +508,10 @@ def test_sparql_optional_filter_differential(
     )
 
     ds = ray.data.from_arrow(triples_to_table(triples, with_hash=False))
+    where = LeftJoin(BGP(list(base_pats)), BGP(list(opt_pats)))
     q = SelectQuery(
-        variables, False, list(base_pats),
-        [Comparison("=", Var(fvar), fterm)], [], None,
-        optionals=[OptionalBlock(list(opt_pats), [])],
+        variables, False, Filter([Comparison("=", Var(fvar), fterm)], where),
+        [], None,
     )
     got = sorted(
         tuple(r[v] for v in variables)

@@ -319,14 +319,11 @@ FORMATS = _formats()
 # What a format cannot carry.  XML 1.0 has no form for most control
 # characters, even escaped; an empty RDF/XML property element yields no
 # character data, so its triple is dropped (as by the reference's
-# parser); the N-Triples reader keeps the reference's ASCII IRI
-# whitelist.
+# parser).
 CANNOT_CARRY = {
     ("control_char", "rdfxml"),
     ("control_char", "srx"),
     ("empty_literal", "rdfxml"),
-    ("nonascii_iri", "ntriples"),
-    ("nonascii_iri", "nquads"),
 }
 
 

@@ -15,9 +15,14 @@ from argo_ray.sparql import (
     parse_update,
 )
 from argo_ray.sparql.parser import (
+    BGP,
     AskQuery,
     Comparison,
     ConstructQuery,
+    Extend,
+    Filter,
+    Join,
+    LeftJoin,
     Regex,
     SelectQuery,
     SparqlSyntaxError,
@@ -60,11 +65,14 @@ def test_parse_select_shapes():
     )
     assert isinstance(q, SelectQuery)
     assert q.variables == ["s", "l"] and q.distinct and q.limit == 5
-    assert len(q.patterns) == 2 and len(q.filters) == 2
+    # the group's FILTER conjuncts wrap its one BGP
+    assert isinstance(q.where, Filter) and isinstance(q.where.inner, BGP)
+    patterns = q.where.inner.patterns
+    assert len(patterns) == 2 and len(q.where.exprs) == 2
     assert q.order_by == [("s", True)]
     # ';' abbreviation shares the subject
-    assert q.patterns[0][0] == q.patterns[1][0] == Var("s")
-    assert q.patterns[0][1] == IRI(RDF_TYPE)
+    assert patterns[0][0] == patterns[1][0] == Var("s")
+    assert patterns[0][1] == IRI(RDF_TYPE)
 
 
 def test_parse_literals_and_numbers():
@@ -72,7 +80,7 @@ def test_parse_literals_and_numbers():
         f'PREFIX ex: <{EX}> ASK {{ ?s ex:p "a\\"b"@en . ?s ex:q 42 . ?s ex:r "x"^^ex:T }}'
     )
     assert isinstance(q, AskQuery)
-    objs = [p[2] for p in q.patterns]
+    objs = [p[2] for p in q.where.patterns]
     assert objs[0] == Literal('a"b', lang="en")
     assert objs[1] == Literal("42", datatype=XSD_INT)
     assert objs[2] == Literal("x", datatype=EX + "T")
@@ -586,24 +594,30 @@ def test_union_branches(sparql_tier):
 
 
 def test_union_mismatched_vars_raises(sparql_tier):
-    with pytest.raises(SparqlSyntaxError):
-        evaluate_select(
-            _ds(),
-            f"PREFIX ex: <{EX}> SELECT ?a WHERE {{ {{ ?a ex:lang ?b }} UNION {{ ?a a ex:Doc }} }}",
-        )
+    """Branches that bind different variables no longer raise: a
+    variable one branch does not bind is unbound in its rows."""
+    out = evaluate_select(
+        _ds(),
+        f"PREFIX ex: <{EX}> SELECT ?a ?b WHERE {{ {{ ?a ex:lang ?b }} UNION {{ ?a a ex:Doc }} }}",
+    ).take_all()
+    assert sorted((r["a"], r["b"]) for r in out) == [
+        (f"<{EX}d1>", ""), (f"<{EX}d1>", '"en"'), (f"<{EX}d2>", ""),
+        (f"<{EX}d2>", '"de"'), (f"<{EX}d3>", '"Guten Tag"@de'),
+    ]
 
 
 def test_nested_optional_parses_union_rejected():
-    # nested OPTIONAL supported since r4 s4; bare nested groups (UNION
-    # branches) still raise
+    """Both nest: an OPTIONAL inside an OPTIONAL is a LeftJoin on the
+    inner group's side, and a UNION inside an OPTIONAL (once refused)
+    is the LeftJoin's right side."""
     q = parse_query(
         "SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { ?s ?q ?r OPTIONAL { ?s ?t ?u } } }"
     )
-    assert len(q.optionals) == 1 and len(q.optionals[0].optionals) == 1
-    with pytest.raises(SparqlSyntaxError):
-        parse_query(
-            "SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { { ?s ?q ?r } UNION { ?s ?t ?u } } }"
-        )
+    assert isinstance(q.where, LeftJoin) and isinstance(q.where.right, LeftJoin)
+    q = parse_query(
+        "SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { { ?s ?q ?r } UNION { ?s ?t ?u } } }"
+    )
+    assert isinstance(q.where, LeftJoin) and type(q.where.right).__name__ == "Union"
 
 
 def test_construct_skips_unbound_template_rows(sparql_tier):
@@ -695,11 +709,12 @@ def test_sequence_path_desugars(sparql_tier):
     q = parse_query(
         f"PREFIX ex: <{EX}> SELECT ?a ?b WHERE {{ ?a ex:p/ex:q/ex:r ?b }}"
     )
-    assert len(q.patterns) == 3
+    patterns = q.where.patterns
+    assert len(patterns) == 3
     # chain shares fresh intermediate vars
-    assert q.patterns[0][2] == q.patterns[1][0]
-    assert q.patterns[1][2] == q.patterns[2][0]
-    assert q.patterns[0][2].name.startswith("_path")
+    assert patterns[0][2] == patterns[1][0]
+    assert patterns[1][2] == patterns[2][0]
+    assert patterns[0][2].name.startswith("_path")
     with pytest.raises(SparqlSyntaxError):
         parse_update(f"PREFIX ex: <{EX}> INSERT DATA {{ ex:a ex:p/ex:q ex:b }}")
 
@@ -983,22 +998,15 @@ def test_bind_division_unsupported():
 
 
 def test_bind_inside_optional_parses():
-    # supported since r4 s4 (BIND scoped to the optional group); the
-    # still-unsupported MINUS/VALUES forms keep raising
+    # BIND scoped to the optional group: an Extend on the LeftJoin's
+    # right side
     q = parse_query(
         """SELECT ?s WHERE {
           ?s <http://e/p> ?c .
           OPTIONAL { ?s <http://e/q> ?d . BIND(?d AS ?x) }
         }"""
     )
-    assert len(q.optionals) == 1 and len(q.optionals[0].binds) == 1
-    with pytest.raises(SparqlSyntaxError, match="MINUS/VALUES"):
-        parse_query(
-            """SELECT ?s WHERE {
-              ?s <http://e/p> ?c .
-              OPTIONAL { ?s <http://e/q> ?d . VALUES ?d { "x" } }
-            }"""
-        )
+    assert isinstance(q.where, LeftJoin) and isinstance(q.where.right, Extend)
 
 
 def test_bound_filter_with_optional(sparql_tier):
@@ -1198,9 +1206,10 @@ def test_parse_subselect():
           {{ SELECT ?s WHERE {{ ?s a ex:Doc }} ORDER BY ?s LIMIT 1 }}
         }}"""
     )
-    subs = [p for p in q.patterns if isinstance(p, SubSelect)]
-    assert len(subs) == 1
-    inner = subs[0].query
+    # the triples, then the sub-select, joined in group order
+    assert isinstance(q.where, Join) and isinstance(q.where.left, BGP)
+    assert isinstance(q.where.right, SubSelect)
+    inner = q.where.right.query
     assert inner.variables == ["s"] and inner.limit == 1
     # a sliced subquery without ORDER BY would be nondeterministic
     with pytest.raises(SparqlSyntaxError):
@@ -1490,7 +1499,7 @@ def test_negated_property_set(sparql_tier):
     q = parse_query(
         f"PREFIX ex: <{EX}> SELECT ?o WHERE {{ ex:d1 !(^ex:p) ?o }}"
     )
-    np_ = q.patterns[0][1]
+    np_ = q.where.patterns[0][1]
     assert np_.preds == () and len(np_.rev_preds) == 1
 
 
@@ -1607,14 +1616,34 @@ def test_update_insert_where_join():
 
 
 def test_update_modify_rejects_groups():
+    # DELETE WHERE's block is its template too: plain triples only
     with pytest.raises(SparqlSyntaxError):
         parse_update(
             f"PREFIX ex: <{EX}> DELETE WHERE {{ ?s ex:p/ex:q ?o }}"
         )
     with pytest.raises(SparqlSyntaxError):
         parse_update(
-            f'PREFIX ex: <{EX}> INSERT {{ ?s ex:f "1" }} WHERE {{ ?s ?p ?o . FILTER(?o > 1) }}'
+            f"PREFIX ex: <{EX}> DELETE WHERE {{ ?s ?p ?o . FILTER(?o > 1) }}"
         )
+
+
+def test_update_where_takes_a_group():
+    """A modify op's WHERE is a full group, evaluated by the query
+    engine: the FILTER keeps d1 (120 chars), and the OPTIONAL leaves
+    d2's ``?l`` unbound (d2's lang is "de", not "en"), so its template
+    triple is skipped."""
+    from argo_ray.terms import table_to_triples
+
+    out = apply_update(
+        _upd_table(),
+        f"""PREFIX ex: <{EX}>
+        INSERT {{ ?s ex:flag ?l }} WHERE {{
+          ?s ex:chars ?c OPTIONAL {{ ?s ex:lang ?l FILTER(?l = "en") }}
+          FILTER(?c > 100)
+        }}""",
+    )
+    flags = [(s.value, o.value) for s, p, o in table_to_triples(out) if p.value == EX + "flag"]
+    assert flags == [(EX + "d1", "en")]
 
 
 def test_bind_strbefore_strafter(sparql_tier):
@@ -2852,16 +2881,17 @@ def test_ray_tier_blocks_share_one_schema(ray_session, monkeypatch):
             "?s ex:lang ?l . ?s ex:chars ?c } ORDER BY ?s",
         ).take_all()
         assert len(rows) == 40
-        for patterns in (
+        for where in (
             parse_query(
                 f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s a ex:Doc . "
                 "?s ex:lang ?l . ?s ex:chars ?c }"
-            ).patterns,
+            ).where,
             parse_query(
                 f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?a ex:cites|^ex:lang ?b }}"
-            ).patterns,
+            ).where,
         ):
-            bindings, bound, _ = engine._bgp(store, patterns)
+            bindings = engine._eval(store, where)
+            bound = set().union(*engine._scope(where))
             names = sorted(c for v in bound for c in engine._var_cols(v))
             blocks = ray.get(bindings.materialize().to_arrow_refs())
             typed = [b for b in blocks if b.num_columns]

@@ -5,19 +5,23 @@ Each example builds a store of IRIs, blank nodes and plain, language
 and typed literals, then a query of one to three triple patterns
 (shared and repeated variables, constant positions, a variable
 predicate, an all-constant pattern, parts that share no variable)
-followed by at most one OPTIONAL, MINUS, FILTER EXISTS or FILTER NOT
-EXISTS over one more pattern.  The engine's rows are compared with
-DuckDB's as a multiset, so bag multiplicity is checked too.
+followed by at most two steps, each over one more pattern: OPTIONAL,
+MINUS, FILTER EXISTS, FILTER NOT EXISTS or UNION.  A step's pattern
+may name a variable an earlier OPTIONAL or UNION step left unbound in
+some rows, so join keys are unbound too.  The engine's rows are
+compared with DuckDB's as a multiset, so bag multiplicity is checked.
 
-The translation writes SPARQL's join semantics down independently of
-the engine: a pattern is a scan of the store, a shared variable an
-equality of all four term columns, a disconnected part a cross join,
-OPTIONAL a LEFT JOIN, MINUS a NOT EXISTS on the shared variables (none
-shared: nothing removed) and FILTER [NOT] EXISTS a correlated
-[NOT] EXISTS.  Only queries in which every join key is bound are
-generated: there the engine and SPARQL agree.  What the engine does
-with an unbound join key is pinned by the hand-written tests at the
-end of this file.
+The translation writes SPARQL's semantics down independently of the
+engine, one SQL relation per step: a pattern is a scan of the store, a
+variable shared within the first patterns an equality of all four
+term columns, a disconnected part a cross join.  Across steps a shared
+variable is compatible (§18.3): ``l.v IS NULL OR r.v IS NULL OR l.v =
+r.v``, and the result takes ``COALESCE(l.v, r.v)``.  OPTIONAL is a LEFT
+JOIN on that, UNION a UNION ALL with NULL for the other side's
+variables, FILTER [NOT] EXISTS a correlated [NOT] EXISTS, and MINUS a
+NOT EXISTS that also needs one shared variable bound on both sides
+(§18.5).  The hand-written tests at the end pin single forms on 2–4
+triple stores.
 """
 
 import duckdb
@@ -77,6 +81,9 @@ def _vars(pattern) -> list[str]:
     return [x for kind, x in pattern if kind == "var"]
 
 
+STEPS = ["optional", "minus", "exists", "not_exists", "union"]
+
+
 @st.composite
 def queries(draw):
     bgp = draw(st.lists(_patterns(["a", "b", "c"]), min_size=1, max_size=3))
@@ -89,18 +96,17 @@ def queries(draw):
         if not bound:
             bgp.append((("var", "a"), ("const", PREDS[0]), ("var", "b")))
             bound = ["a", "b"]
-    op = draw(st.sampled_from([None, "optional", "minus", "exists", "not_exists"]))
-    extra = None
-    if op == "optional":
-        # joins on a bound variable, binds a fresh one
-        shared = draw(_var(bound))
-        fresh = ("var", "o1")
-        extra = draw(st.sampled_from([(shared, ("const", p), fresh) for p in PREDS]
-                                     + [(fresh, ("const", p), shared) for p in PREDS]))
-    elif op is not None:
-        # fresh variables stay inside the group; none shared is allowed
-        extra = draw(_patterns(bound + ["m1", "m2"]))
-    return bgp, op, extra
+    steps = []
+    for i in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(STEPS))
+        # an OPTIONAL or UNION step binds a fresh variable later steps
+        # may key on; MINUS / EXISTS variables stay inside their group
+        fresh = [f"o{i}"] if op in ("optional", "union") else [f"m{i}a", f"m{i}b"]
+        pattern = draw(_patterns(bound + fresh))
+        steps.append((op, pattern))
+        if op in ("optional", "union"):
+            bound = sorted(set(bound) | set(_vars(pattern)))
+    return bgp, steps
 
 
 def _term_sparql(t) -> str:
@@ -117,23 +123,28 @@ def _pattern_sparql(pattern) -> str:
     return " ".join(f"?{x}" if k == "var" else _term_sparql(x) for k, x in pattern)
 
 
-def _projected(bgp, op, extra) -> list[str]:
+def _projected(bgp, steps) -> list[str]:
     names = {v for p in bgp for v in _vars(p)}
-    if op == "optional":
-        names |= set(_vars(extra))
+    for op, pattern in steps:
+        if op in ("optional", "union"):
+            names |= set(_vars(pattern))
     return sorted(names)
 
 
-def _sparql(bgp, op, extra) -> str:
+def _sparql(bgp, steps) -> str:
     body = " . ".join(_pattern_sparql(p) for p in bgp)
-    if op == "optional":
-        body += f" OPTIONAL {{ {_pattern_sparql(extra)} }}"
-    elif op == "minus":
-        body += f" MINUS {{ {_pattern_sparql(extra)} }}"
-    elif op is not None:
-        neg = "NOT " if op == "not_exists" else ""
-        body += f" FILTER {neg}EXISTS {{ {_pattern_sparql(extra)} }}"
-    select = " ".join(f"?{v}" for v in _projected(bgp, op, extra))
+    for op, pattern in steps:
+        inner = f"{{ {_pattern_sparql(pattern)} }}"
+        if op == "optional":
+            body += f" OPTIONAL {inner}"
+        elif op == "minus":
+            body += f" MINUS {inner}"
+        elif op == "union":
+            body = f"{{ {body} }} UNION {inner}"
+        else:  # a group's FILTER applies to all of it: nest what came before
+            neg = "NOT " if op == "not_exists" else ""
+            body = f"{{ {body} }} FILTER {neg}EXISTS {inner}"
+    select = " ".join(f"?{v}" for v in _projected(bgp, steps))
     return f"SELECT {select} WHERE {{ {body} }}"
 
 
@@ -159,50 +170,72 @@ def _scan(alias, pattern, env) -> list[str]:
     return conds
 
 
-def _render_sql(alias: str, pos: str) -> str:
-    k, v, lang, dt = (f"{alias}.{pos}_{f}" for f in FIELDS)
+def _bgp_sql(bgp) -> tuple[str, list[str]]:
+    """One relation with a ``{v}_{field}`` column per variable."""
+    env: dict = {}
+    conds: list[str] = []
+    for i, pattern in enumerate(bgp):
+        conds += _scan(f"t{i}", pattern, env)
+    cols = [f"{a}.{pos}_{f} AS {v}_{f}" for v, (a, pos) in env.items() for f in FIELDS]
+    sql = f"SELECT {', '.join(cols) or '1 AS one'} FROM "
+    sql += ", ".join(f"store t{i}" for i in range(len(bgp)))
+    return sql + (f" WHERE {' AND '.join(conds)}" if conds else ""), list(env)
+
+
+def _compatible(shared) -> str:
+    return " AND ".join(
+        f"(l.{v}_kind IS NULL OR r.{v}_kind IS NULL OR ("
+        + " AND ".join(f"l.{v}_{f} = r.{v}_{f}" for f in FIELDS) + "))"
+        for v in shared
+    ) or "TRUE"
+
+
+def _render_sql(v: str) -> str:
+    k, val, lang, dt = (f"{v}_{f}" for f in FIELDS)
     return (
-        f"CASE WHEN {k} IS NULL THEN NULL WHEN {k} = 0 THEN '<' || {v} || '>' "
-        f"WHEN {k} = 1 THEN '_:' || {v} "
-        f"ELSE '\"' || {v} || '\"' || CASE WHEN {lang} <> '' THEN '@' || {lang} "
+        f"CASE WHEN {k} IS NULL THEN NULL WHEN {k} = 0 THEN '<' || {val} || '>' "
+        f"WHEN {k} = 1 THEN '_:' || {val} "
+        f"ELSE '\"' || {val} || '\"' || CASE WHEN {lang} <> '' THEN '@' || {lang} "
         f"WHEN {dt} <> '' THEN '^^<' || {dt} || '>' ELSE '' END END"
     )
 
 
-def _duckdb_sql(bgp, op, extra) -> str:
-    env: dict = {}
-    conds: list[str] = []
-    tables = []
-    for i, pattern in enumerate(bgp):
-        tables.append(f"store t{i}")
-        conds += _scan(f"t{i}", pattern, env)
-    # joins nest left to right, so the LEFT JOIN's ON sees every BGP
-    # alias; the BGP's own conditions filter in the WHERE, which keeps
-    # the same rows as filtering before the LEFT JOIN
-    frm = " CROSS JOIN ".join(tables)
-    if op == "optional":
-        inner_env = dict(env)
-        on = _scan("o", extra, inner_env)
-        frm += f" LEFT JOIN store o ON {' AND '.join(on)}"
-        env = inner_env
-    elif op is not None:
-        inner_env = dict(env)
-        inner = _scan("m", extra, inner_env)
-        shared = [v for v in _vars(extra) if v in env]
-        if op == "minus":
-            if shared:
-                conds.append(
-                    f"NOT EXISTS (SELECT 1 FROM store m WHERE {' AND '.join(inner)})"
+def _duckdb_sql(bgp, steps) -> str:
+    rel, names = _bgp_sql(bgp)
+    for op, pattern in steps:
+        right, rnames = _bgp_sql([pattern])
+        shared = [v for v in rnames if v in names]
+        new = [v for v in rnames if v not in names]
+        on = _compatible(shared)
+        if op == "optional":
+            cols = [
+                f"CASE WHEN l.{v}_kind IS NULL THEN r.{v}_{f} ELSE l.{v}_{f} END AS {v}_{f}"
+                if v in shared else f"l.{v}_{f} AS {v}_{f}"
+                for v in names for f in FIELDS
+            ] + [f"r.{v}_{f} AS {v}_{f}" for v in new for f in FIELDS]
+            rel = f"SELECT {', '.join(cols)} FROM ({rel}) l LEFT JOIN ({right}) r ON {on}"
+        elif op == "union":
+            every = names + new
+
+            def side(alias, have):
+                return ", ".join(
+                    f"{alias}.{v}_{f} AS {v}_{f}" if v in have else f"NULL AS {v}_{f}"
+                    for v in every for f in FIELDS
                 )
+
+            rel = (f"SELECT {side('l', names)} FROM ({rel}) l UNION ALL "
+                   f"SELECT {side('r', rnames)} FROM ({right}) r")
         else:
-            neg = "NOT " if op == "not_exists" else ""
-            where = " AND ".join(inner) or "TRUE"
-            conds.append(f"{neg}EXISTS (SELECT 1 FROM store m WHERE {where})")
-    cols = ", ".join(
-        f"{_render_sql(*env[v])} AS {v}" for v in _projected(bgp, op, extra)
-    )
-    where = f" WHERE {' AND '.join(conds)}" if conds else ""
-    return f"SELECT {cols} FROM {frm}{where}"
+            if op == "minus":  # only a right row sharing a bound variable counts
+                on += " AND (" + (" OR ".join(
+                    f"(l.{v}_kind IS NOT NULL AND r.{v}_kind IS NOT NULL)" for v in shared
+                ) or "FALSE") + ")"
+            neg = "" if op == "exists" else "NOT "
+            rel = f"SELECT l.* FROM ({rel}) l WHERE {neg}EXISTS (SELECT 1 FROM ({right}) r WHERE {on})"
+        if op in ("optional", "union"):
+            names = names + new
+    cols = ", ".join(f"{_render_sql(v)} AS {v}" for v in _projected(bgp, steps))
+    return f"SELECT {cols} FROM ({rel})"
 
 
 def _rows(rows, cols):
@@ -227,6 +260,7 @@ def _check(store_triples, query):
 S0, S1, B0 = ("const", NODES[0]), ("const", NODES[1]), ("const", NODES[3])
 P0, P1, P2 = (("const", p) for p in PREDS)
 A, B, C = ("var", "a"), ("var", "b"), ("var", "c")
+O0, O1 = ("var", "o0"), ("var", "o1")
 STORE = [
     (NODES[0], PREDS[0], NODES[1]),
     (NODES[0], PREDS[0], NODES[1]),  # a duplicate triple: bag multiplicity
@@ -245,24 +279,28 @@ STORE = [
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(triples, queries())
-@example(STORE, ([(A, P0, B), (B, P0, A)], None, None))  # shared variables
-@example(STORE, ([(A, P2, A)], None, None))  # a repeated variable
-@example(STORE, ([(A, P0, B), (S0, P0, S1)], None, None))  # all-constant
-@example(STORE, ([(A, P1, B), (C, P2, ("const", LITERALS[3]))], None, None))  # cartesian
-@example(STORE, ([(A, P0, B)], "optional", (A, P1, ("var", "o1"))))
-@example(STORE, ([(A, P0, B)], "minus", (B, P1, ("var", "m1"))))
-@example(STORE, ([(A, P0, B)], "minus", (("var", "m1"), P1, ("var", "m2"))))
-@example(STORE, ([(A, ("var", "p"), B)], "exists", (A, P2, ("var", "m1"))))
-@example(STORE, ([(A, P0, B)], "not_exists", (B, P1, ("var", "m1"))))
+@example(STORE, ([(A, P0, B), (B, P0, A)], []))  # shared variables
+@example(STORE, ([(A, P2, A)], []))  # a repeated variable
+@example(STORE, ([(A, P0, B), (S0, P0, S1)], []))  # all-constant
+@example(STORE, ([(A, P1, B), (C, P2, ("const", LITERALS[3]))], []))  # cartesian
+@example(STORE, ([(A, P0, B)], [("optional", (A, P1, O0))]))
+@example(STORE, ([(A, P0, B)], [("minus", (B, P1, ("var", "m0a")))]))
+@example(STORE, ([(A, P0, B)], [("minus", (("var", "m0a"), P1, ("var", "m0b")))]))
+@example(STORE, ([(A, ("var", "p"), B)], [("exists", (A, P2, ("var", "m0a")))]))
+@example(STORE, ([(A, P0, B)], [("not_exists", (B, P1, ("var", "m0a")))]))
+# unbound keys: an OPTIONAL chain, MINUS / NOT EXISTS after an
+# OPTIONAL, and UNION branches with different variables
+@example(STORE, ([(A, P0, B)], [("optional", (A, P1, O0)), ("optional", (O0, P2, O1))]))
+@example(STORE, ([(A, P0, B)], [("optional", (A, P1, O0)), ("minus", (A, P2, O0))]))
+@example(STORE, ([(A, P0, B)], [("optional", (A, P1, O0)), ("minus", (O0, P2, ("var", "m1a")))]))
+@example(STORE, ([(A, P0, B)], [("optional", (A, P1, O0)), ("not_exists", (O0, P1, ("var", "m1a")))]))
+@example(STORE, ([(A, P0, B)], [("union", (A, P1, O0)), ("optional", (O0, P2, O1))]))
 def test_joins_match_duckdb(sparql_tier, store_triples, query):
     _check(store_triples, query)
 
 
-# The unbound-key rule.  An unbound variable (a null term) used as a
-# join key matches only another unbound variable, never a bound term.
-# SPARQL treats an unbound variable as compatible with any value, so
-# both results below differ from the specification; they pin what the
-# engine does.
+# Unbound join keys.  An unbound variable is compatible with any value
+# (§18.3): it joins every row, and the merged row takes the bound value.
 
 PIN_STORE = [
     (NODES[0], PREDS[0], LITERALS[0]),
@@ -274,49 +312,109 @@ PIN_STORE = [
 ]
 
 
-def _select(query):
+def _select(query, store=PIN_STORE):
     import ray.data
 
-    table = triples_to_table(PIN_STORE, with_hash=False)
+    table = triples_to_table(store, with_hash=False)
     rows = evaluate_select(ray.data.from_arrow(table), f"PREFIX ex: <{EX}> " + query)
     cols = rows.columns()
-    return sorted(tuple(r[c] or "" for c in cols) for r in rows.take_all())
+    return sorted(
+        tuple((r[c] or "").replace(EX, "") for c in cols) for r in rows.take_all()
+    )
 
 
 def test_minus_after_optional_keeps_unbound_rows(sparql_tier):
-    """A MINUS on a variable an inner OPTIONAL left unbound: the row of
-    s0 (``?k`` unbound) is not compatible-by-key with ``s0 p2 s2`` and
-    stays; SPARQL would remove it (its only bound shared variable,
-    ``?s``, matches)."""
+    """A MINUS on a variable an inner OPTIONAL left unbound: s0's row
+    (``?k`` unbound) is compatible with ``s0 p2 s2`` and shares the
+    bound ``?s`` with it, so it goes, as s1's does."""
     got = _select(
         "SELECT ?s ?k WHERE { "
         "{ SELECT ?s ?k WHERE { ?s ex:p0 ?o OPTIONAL { ?s ex:p1 ?k } } } "
         "MINUS { ?s ex:p2 ?k } }"
     )
-    assert got == [(f"<{EX}s0>", "")]
+    assert got == []
 
 
 def test_second_optional_over_unbound_variable(sparql_tier):
     """A second OPTIONAL keyed on a variable the first one left
-    unbound: s0's unbound ``?k`` matches no ``?k ex:p2 ?z`` row, so
-    ``?z`` stays unbound (SPARQL would extend it with every such row);
-    s1's bound ``?k`` = s2 joins as usual."""
+    unbound: s0's unbound ``?k`` is compatible with every ``?k ex:p2
+    ?z`` row and takes its ``?k``; s1's bound ``?k`` = s2 joins as
+    usual."""
     got = _select(
         "SELECT ?s ?k ?z WHERE { ?s ex:p0 ?o "
         "OPTIONAL { ?s ex:p1 ?k } OPTIONAL { ?k ex:p2 ?z } }"
     )
-    assert got == [(f"<{EX}s0>", "", ""), (f"<{EX}s1>", f"<{EX}s2>", f"<{EX}s0>")]
+    assert got == [
+        ("<s0>", "<s0>", "<s2>"), ("<s0>", "<s1>", "<s2>"),
+        ("<s0>", "<s2>", "<s0>"), ("<s1>", "<s2>", "<s0>"),
+    ]
 
 
 def test_unbound_keys_match_each_other(sparql_tier):
-    """Both sides unbound on the same key: the rows join.  The second
-    OPTIONAL group leaves ``?k`` unbound on every row, so s0's unbound
-    ``?k`` from the first OPTIONAL meets it and ``?x`` binds; s1's
-    bound ``?k`` does not, and its ``?x`` stays unbound (SPARQL would
-    bind it)."""
+    """Both sides unbound on the same key join, and so does a bound
+    side with an unbound one: the second OPTIONAL group leaves ``?k``
+    unbound on every row, so it extends s0 (``?k`` unbound) and s1
+    (``?k`` bound) alike."""
     got = _select(
         "SELECT ?s ?k ?x WHERE { ?s ex:p0 ?o "
         "OPTIONAL { ?s ex:p1 ?k } "
         "OPTIONAL { ?s ex:p2 ?x OPTIONAL { ?x ex:p1 ?k } } }"
     )
-    assert got == [(f"<{EX}s0>", "", f"<{EX}s2>"), (f"<{EX}s1>", f"<{EX}s2>", "")]
+    assert got == [("<s0>", "", "<s2>"), ("<s1>", "<s2>", "<s2>")]
+
+
+def _t(s, p, o):
+    def term(x):
+        return x if not isinstance(x, str) else IRI(EX + x)
+
+    return (term(s), term(p), term(o))
+
+
+# (store, query, SPARQL's answer), each once refused or answered wrong
+FORMS = {
+    "minus_after_optional": (
+        [_t("s0", "p0", "o"), _t("s0", "p1", "k1"), _t("s0", "p2", "k2")],
+        "SELECT ?s ?k WHERE { ?s ex:p0 ?o OPTIONAL { ?s ex:p1 ?k } MINUS { ?s ex:p2 ?k } }",
+        [("<s0>", "<k1>")],
+    ),
+    "optional_sharing_no_variable": (
+        [_t("s0", "p0", "a"), _t("x", "q", "b")],
+        "SELECT ?s ?o ?x WHERE { ?s ex:p0 ?o OPTIONAL { ?x ex:q ex:b } }",
+        [("<s0>", "<a>", "<x>")],
+    ),
+    "optional_over_unbound_key": (
+        [_t("s0", "p0", "o"), _t("z", "p3", "k1")],
+        "SELECT ?s ?k ?z WHERE { ?s ex:p0 ?o OPTIONAL { ?s ex:p9 ?k } "
+        "OPTIONAL { ?z ex:p3 ?k } }",
+        [("<s0>", "<k1>", "<z>")],
+    ),
+    "filter_inside_optional_on_outer_variable": (
+        [_t("s0", "p0", Literal("1")), _t("s0", "p1", Literal("2")),
+         _t("s1", "p0", Literal("3")), _t("s1", "p1", Literal("4"))],
+        'SELECT ?s ?b WHERE { ?s ex:p0 ?a OPTIONAL { ?s ex:p1 ?b FILTER(?a = "1") } }',
+        [("<s0>", '"2"'), ("<s1>", "")],
+    ),
+    "optional_and_bind_in_union_branches": (
+        [_t("s0", "p0", "a"), _t("s0", "p1", "b"), _t("s1", "p0", "c")],
+        "SELECT ?s ?x ?y ?n WHERE { { ?s ex:p0 ?x OPTIONAL { ?s ex:p1 ?y } } "
+        "UNION { ?s ex:p1 ?y BIND(?y AS ?n) } }",
+        [("<s0>", "", "<b>", "<b>"), ("<s0>", "<a>", "<b>", ""), ("<s1>", "<c>", "", "")],
+    ),
+    "union_branches_binding_different_variables": (
+        [_t("s0", "p0", "a"), _t("s1", "p1", "b")],
+        "SELECT ?s ?a ?b WHERE { { ?s ex:p0 ?a } UNION { ?s ex:p1 ?b } }",
+        [("<s0>", "<a>", ""), ("<s1>", "", "<b>")],
+    ),
+    "values_and_minus_inside_optional": (
+        [_t("s0", "p0", "a"), _t("s0", "p1", "b"), _t("s1", "p0", "a"),
+         _t("s1", "p1", "c")],
+        "SELECT ?s ?y WHERE { ?s ex:p0 ?x OPTIONAL { ?s ex:p1 ?y "
+        "VALUES ?y { ex:b ex:c } MINUS { ?s ex:p0 ex:a . ?s ex:p1 ex:c } } }",
+        [("<s0>", "<b>"), ("<s1>", "")],
+    ),
+}
+
+
+def test_compatible_forms(sparql_tier):
+    for form, (store, query, want) in FORMS.items():
+        assert _select(query, store) == want, form
