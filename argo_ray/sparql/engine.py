@@ -4,11 +4,14 @@ The reference's ``SparqlService`` delegates evaluation to a remote
 endpoint and only parses results (``sparqlservice.go:42-95``); this
 module IS the endpoint, re-expressed Ray-Data-first:
 
-- The parser hands over each group as a SPARQL 1.1 algebra tree
-  (BGP, Join, LeftJoin, Minus, Filter, Union, Extend, Graph, Service,
-  Values, SubSelect); ``_eval`` evaluates it with one function per
-  node (``_EVAL``), each of which knows its node's certain and
-  maybe-bound variables (``_scope``).
+- The parser hands over each query as a SPARQL 1.1 algebra tree: a
+  group's BGP, Join, LeftJoin, Minus, Filter, Union, Extend, Graph,
+  Service, Values and SubSelect nodes, under a SELECT's solution
+  modifiers (Group, Having, Project, OrderBy, Distinct, Slice).
+  ``_eval`` evaluates it with one function per node (``_EVAL``), each
+  of which knows its node's certain and maybe-bound variables
+  (``_scope``).  A sub-select is the same tree; its rows turn back
+  into bindings (``_lift``).
 - Each triple pattern is a streaming ``map_batches`` filter over the
   triples Dataset (the same vectorized term predicates as operator M1,
   ``stages/filter.py``) that projects matched positions into per-variable
@@ -32,10 +35,10 @@ module IS the endpoint, re-expressed Ray-Data-first:
   variable with it (§18.5).
 - FILTERs are vectorized Arrow kernels, pushed down to the deepest
   node whose solutions all bind their variables (a single pattern's
-  scan when they fit one); SELECT
-  renders each variable to its canonical N-Triples string (one string
-  column per variable — the same rendering the serializers use, so a
-  DuckDB oracle can reproduce results bit-for-bit).
+  scan when they fit one); the Project node renders each variable to
+  its canonical N-Triples string (one string column per variable —
+  the same rendering the serializers use, so a DuckDB oracle can
+  reproduce results bit-for-bit).
 - GROUP BY and every aggregate run through ONE operator
   (``_aggregate_query``): a per-batch Arrow prep (and partial, when
   every aggregate is decomposable), one ``exchange`` keyed on the
@@ -98,6 +101,7 @@ from .parser import (
     Comparison,
     ConstructQuery,
     DescribeQuery,
+    Distinct,
     EArith,
     EConst,
     EFunc,
@@ -110,6 +114,8 @@ from .parser import (
     FuncComparison,
     Graph,
     GraphMgmtOp,
+    Group,
+    Having,
     InFilter,
     Join,
     LangMatches,
@@ -117,12 +123,15 @@ from .parser import (
     Minus,
     ModifyOp,
     NegPath,
+    OrderBy,
     OrFilter,
+    Project,
     Regex,
     SameTerm,
     SelectQuery,
     Service,
     SparqlSyntaxError,
+    Slice,
     StrFunc,
     SubSelect,
     TransPath,
@@ -832,106 +841,39 @@ def _transitive_bindings(ds, pattern, witness: str = "_match"):
     )
 
 
-def _subselect_bindings(ds, q):
-    """``{ SELECT … }`` → bindings of the projected vars: evaluate the
-    inner group, project the selected variables' term columns, then
-    DISTINCT (over full term identity) and the ORDER BY-backed
-    LIMIT/OFFSET slice.  The result joins like any other part.
-    Aggregate subqueries route through ``_subselect_aggregate``."""
-    bindings = _eval(ds, q.where)
-    bound = set().union(*_scope(q.where))
-    if q.aggregates:
-        return _subselect_aggregate(bindings, q, bound)
-    variables = q.variables or sorted(v for v in bound if "$" not in v)
-    missing = [v for v in variables if v not in bound]
-    if missing:
-        raise SparqlSyntaxError(f"unbound subquery SELECT variables: {missing}")
-    cols = [c for v in variables for c in _var_cols(v)]
-
-    def project(batch: pa.Table) -> pa.Table:
-        return _norm_table(batch.select(cols))
-
-    out = bindings.map_batches(project, batch_format="pyarrow")
-    if q.distinct:
-        out = _distinct(out, cols)
-    if q.order_by:
-        for v, _ in q.order_by:
-            if v not in variables:
-                raise SparqlSyntaxError(f"subquery ORDER BY {v!r} not projected")
-
-        def add_keys(batch: pa.Table) -> pa.Table:
-            for i, (v, _) in enumerate(q.order_by):
-                rendered = pc.fill_null(
-                    nt_render_term_arrays(
-                        batch[f"{v}__kind"], batch[f"{v}__value"],
-                        batch[f"{v}__lang"], batch[f"{v}__datatype"],
-                    ),
-                    "",
-                )
-                batch = batch.append_column(f"_ord{i}", rendered)
-            # §15.1 value order for numeric literals rides the same
-            # derived-key scheme as the top-level sort
-            return _append_order_keys(
-                batch, [(f"_ord{i}", d) for i, (_, d) in enumerate(q.order_by)]
-            )
-
-        keys, desc = _order_sort_spec(
-            [(f"_ord{i}", d) for i, (_, d) in enumerate(q.order_by)]
-        )
-        out = out.map_batches(add_keys, batch_format="pyarrow").sort(
-            keys, descending=desc
-        )
-        out = _apply_slice(out, q.limit, q.offset)
-        out = out.map_batches(
-            lambda b: b.select(cols), batch_format="pyarrow"
-        )
-    return out
-
-
 _XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
 
 
-def _subselect_aggregate(bindings, q, bound: set):
-    """Aggregate subquery ``{ SELECT ?g (COUNT(*) AS ?n) … GROUP BY ?g }``
-    → bindings.  The group runs through ``_aggregate_query``,
-    then the (one-row-per-group, small-by-design) output is
-    lifted back into term-binding columns so it joins like any group
-    element: group keys re-parse their canonical renderings
-    (``nt_parse_term_arrays``), COUNT becomes an xsd:integer literal,
-    SUM/MIN/MAX/AVG xsd:double literals with DuckDB-compatible
-    lexicals (integral values get a trailing ``.0``), SAMPLE re-parses
-    its rendered term."""
-    for v in list(q.group_by) + [a.var for a in q.aggregates if a.var]:
-        if v not in bound:
-            raise SparqlSyntaxError(f"unbound variable ?{v} in aggregate subquery")
-    cols = list(q.variables) + [a.alias for a in q.aggregates]
-    out = _aggregate_query(bindings, q, cols)
-    out = _apply_having(out, q)
-    if q.order_by:
-        order = _resolve_order(q.order_by, q.aggregates, cols)
-        out = out.sort(
-            [v for v, _ in order], descending=[d for _, d in order]
-        )
-        out = _apply_slice(out, q.limit, q.offset)
-    func_by_alias = {a.alias: a.func for a in q.aggregates}
+def _lift(rows, node):
+    """A sub-select's result rows (``node`` is its tree) → term binding
+    columns, so they join like any group element: rendered terms (group
+    keys, projected variables, SAMPLE) re-parse
+    (``nt_parse_term_arrays``, ``""`` = unbound), COUNT becomes an
+    xsd:integer literal, SUM/MIN/MAX/AVG xsd:double literals with
+    DuckDB-compatible lexicals (integral values get a trailing ``.0``),
+    GROUP_CONCAT a plain literal."""
+    names = _names(node)
+    group = _group_of(node)
+    func_by_alias = {a.alias: a.func for a in group.aggregates} if group else {}
 
     def ls(s):
         return pa.scalar(s, pa.large_string())
 
     def to_terms(batch: pa.Table) -> pa.Table:
         res = {}
-        for name in cols:
+        for name in names:
             col = batch[name]
             func = func_by_alias.get(name)
             if func is None or func == "sample":
-                # a rendered term (group key / SAMPLE); "" = unbound key
-                rendered = pc.cast(col, pa.large_string())
+                # a rendered term; "" = unbound.  Combined first: Arrow
+                # 16's if_else misreads a sliced string chunk (OFFSET)
+                rendered = pc.cast(col, pa.large_string()).combine_chunks()
                 rendered = pc.if_else(
                     pc.equal(pc.fill_null(rendered, ""), ls("")),
                     pa.scalar(None, pa.large_string()),
                     rendered,
                 )
-                parsed = nt_parse_term_arrays(rendered.combine_chunks())
+                parsed = nt_parse_term_arrays(rendered)
                 for fld in ("kind", "value", "lang", "datatype"):
                     res[f"{name}__{fld}"] = parsed[fld]
                 continue
@@ -984,7 +926,7 @@ def _subselect_aggregate(bindings, q, bound: set):
             )
         return _norm_table(pa.table(res))
 
-    return out.map_batches(to_terms, batch_format="pyarrow")
+    return rows.map_batches(to_terms, batch_format="pyarrow")
 
 
 # SPARQL 1.1 Federated Query endpoints: IRI → triples Dataset.  A
@@ -1051,14 +993,15 @@ def _scope(node, gv=None) -> tuple[set, set]:
         return _scope(node.inner)
     if t is Values:
         return set(node.variables), set()
-    q = node.query  # SubSelect
-    c, m = _scope(q.where)
-    if q.aggregates:
-        return {v for v in q.variables if v in c}, (
-            {v for v in q.variables if v not in c} | {a.alias for a in q.aggregates}
-        )
-    names = set(q.variables or (v for v in c | m if "$" not in v))
-    return names & c, names - c
+    if t is Group:
+        c, _ = _scope(node.inner)
+        keys = set(node.group_by)
+        return keys & c, (keys - c) | {a.alias for a in node.aggregates}
+    if t is Project:
+        c, _ = _scope(node.inner)
+        names = set(_names(node))
+        return names & c, names - c
+    return _scope(node.inner)  # SubSelect and the other modifiers
 
 
 def _eval(ds, node, push=(), gv=None):
@@ -1355,13 +1298,133 @@ def _values(ds, node, push, gv):
 
 
 def _subselect(ds, node, push, gv):
-    return _finish(ds, _subselect_bindings(ds, node.query), _scope(node), push, gv)
+    rows = _lift(_eval(ds, node.inner), node.inner)
+    return _finish(ds, rows, _scope(node), push, gv)
+
+
+# -- the solution modifiers ------------------------------------------------
+# Over a SELECT's group: their rows are the query's result, one
+# N-Triples-rendered string column per projected variable ("" when
+# unbound) and an aggregate's value as it is.  ``push`` and ``gv``
+# belong to the group below, which evaluates without them.
+_MODIFIERS = (Group, Having, Project, OrderBy, Distinct, Slice)
+
+
+def _names(node) -> list[str]:
+    """The columns of a modifier node's rows, in order."""
+    t = type(node)
+    if t is Project:
+        # SELECT *: path-internal ($-gensym) variables stay invisible
+        return list(node.variables) or sorted(
+            v for v in set().union(*_scope(node.inner)) if "$" not in v
+        )
+    if t is Group:
+        return list(node.group_by) + [a.alias for a in node.aggregates]
+    return _names(node.inner)
+
+
+def _group_of(node):
+    """The Group node under a chain of modifiers, or None."""
+    while type(node) in _MODIFIERS and type(node) is not Group:
+        node = node.inner
+    return node if type(node) is Group else None
+
+
+def _aggregate(ds, node, push, gv):
+    bound = set().union(*_scope(node.inner))
+    for v in node.group_by + [a.var for a in node.aggregates if a.var]:
+        if v not in bound:
+            raise SparqlSyntaxError(f"unbound variable ?{v} in aggregate query")
+    return _aggregate_query(_eval(ds, node.inner), node)
+
+
+def _having(ds, node, push, gv):
+    """HAVING conjuncts, vectorized per batch over the aggregate
+    values."""
+
+    def having_filter(batch: pa.Table) -> pa.Table:
+        mask = None
+        for col, op, value in node.conds:
+            m = _CMP_KERNELS[op](pc.cast(batch[col], pa.float64()), value)
+            mask = m if mask is None else pc.and_(mask, m)
+        return batch.filter(mask)
+
+    return _eval(ds, node.inner).map_batches(having_filter, batch_format="pyarrow")
+
+
+def _project(ds, node, push, gv):
+    """The projected columns: a term binding renders to its canonical
+    N-Triples string (the rendering the result parser S6 round-trips);
+    a Group's columns pass as they are."""
+    names = _names(node)
+    c, m = _scope(node.inner)
+    missing = [v for v in names if v not in c | m]
+    if missing:
+        raise SparqlSyntaxError(f"unbound SELECT variables: {missing}")
+
+    def render(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            v: batch[v] if v in batch.column_names else pc.fill_null(
+                nt_render_term_arrays(
+                    batch[f"{v}__kind"], batch[f"{v}__value"],
+                    batch[f"{v}__lang"], batch[f"{v}__datatype"],
+                ),
+                "",
+            )
+            for v in names
+        })
+
+    return _eval(ds, node.inner).map_batches(render, batch_format="pyarrow")
+
+
+def _order_by(ds, node, push, gv, dedup=False):
+    """ORDER BY over the projected rows.  Rendered terms sort in §15.1
+    order through derived keys (``_append_order_keys``); a Group's
+    aggregate values sort as they are.  ``dedup`` (a DISTINCT over this
+    node) fuses into ONE exchange keyed order-keys-first over all
+    columns, then a vectorized adjacent-row dedup per block: equal rows
+    share every sort key, and ties beyond ORDER BY break on the
+    remaining columns, which SPARQL leaves unspecified.  Over a Group
+    the DISTINCT runs first (an unbound aggregate value is null, which
+    the adjacent compare cannot match)."""
+    names = _names(node.inner)
+    for v, _ in node.keys:
+        if v not in names:
+            raise SparqlSyntaxError(f"ORDER BY {v!r} not in SELECT")
+    inner, group = node.inner, _group_of(node.inner)
+    values = {a.alias for a in group.aggregates if a.func != "sample"} if group else set()
+    if group and dedup:
+        inner, dedup = Distinct(inner), False
+    out = _eval(ds, inner).map_batches(
+        lambda b: _append_order_keys(b, node.keys, values), batch_format="pyarrow"
+    )
+    if dedup:
+        keys, desc = _order_sort_spec(node.keys, tail_cols=names)
+        out = exchange(
+            out, keys, _adjacent_dedup, batch_format="pyarrow", descending=desc
+        )
+    else:
+        keys, desc = _order_sort_spec(node.keys, values=values)
+        out = out.sort(keys, descending=desc)
+    return out.map_batches(_drop_order_keys, batch_format="pyarrow")
+
+
+def _dedup(ds, node, push, gv):
+    if type(node.inner) is OrderBy:
+        return _order_by(ds, node.inner, push, gv, dedup=True)
+    return _distinct(_eval(ds, node.inner), _names(node.inner))
+
+
+def _slice(ds, node, push, gv):
+    return _apply_slice(_eval(ds, node.inner), node.limit, node.offset)
 
 
 _EVAL = {
     BGP: _join_run, Join: _join_run, LeftJoin: _left_join, Minus: _minus,
     Filter: _filter, Union: _union, Extend: _extend, Graph: _graph,
     Service: _service, Values: _values, SubSelect: _subselect,
+    Group: _aggregate, Having: _having, Project: _project, OrderBy: _order_by,
+    Distinct: _dedup, Slice: _slice,
 }
 
 
@@ -2029,23 +2092,6 @@ def _apply_filters(ds, filters):
     return ds.map_batches(fapply, batch_format="pyarrow")
 
 
-def _render_vars(ds, variables):
-    def render(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for v in variables:
-            rendered = nt_render_term_arrays(
-                batch[f"{v}__kind"],
-                batch[f"{v}__value"],
-                batch[f"{v}__lang"],
-                batch[f"{v}__datatype"],
-            )
-            # unbound (OPTIONAL-missed) bindings render as ""
-            cols[v] = pc.fill_null(rendered, "")
-        return pa.table(cols)
-
-    return ds.map_batches(render, batch_format="pyarrow")
-
-
 def _distinct(ds, columns):
     """Global DISTINCT over rendered columns — hash-keyed sort + one
     vectorized per-block pass (same shape as triple dedup, A4)."""
@@ -2074,15 +2120,18 @@ _NUMERIC_LITERAL_RE = (
 )
 
 
-def _append_order_keys(batch: pa.Table, order_by) -> pa.Table:
+def _append_order_keys(batch: pa.Table, order_by, values=()) -> pa.Table:
     """Per order-var derived sort keys implementing the §15.1 order:
     ``_ordrank{i}`` encodes the type tier — unbound(-1) < blank
     node(0) < IRI(1) < numeric literal(2) < other literal(3), numerics
     value-ordered within their tier via ``_ordnum{i}`` (the parsed
     value, 0.0 elsewhere).  Sorting ``[rank, num, rendered]`` with one
     shared descending flag yields the spec's ascending order and its
-    exact reverse for DESC."""
+    exact reverse for DESC.  The ``values`` columns (a Group's
+    aggregate values) sort as they are and get no keys."""
     for i, (v, _) in enumerate(order_by):
+        if v in values:
+            continue
         s = pc.cast(batch[v], pa.large_string())
         ex = pc.extract_regex(s, _NUMERIC_LITERAL_RE)
         num = pc.cast(pc.struct_field(ex, "num"), pa.float64())
@@ -2099,21 +2148,24 @@ def _append_order_keys(batch: pa.Table, order_by) -> pa.Table:
                 ),
             ),
         )
+        unbound = pc.equal(pc.fill_null(s, ""), "")  # rendered as ""
         batch = batch.append_column(
-            f"_ordrank{i}", pc.fill_null(tier, pa.scalar(-1, pa.int8()))
+            f"_ordrank{i}", pc.if_else(unbound, pa.scalar(-1, pa.int8()), tier)
         )
         batch = batch.append_column(f"_ordnum{i}", pc.fill_null(num, 0.0))
     return batch
 
 
-def _order_sort_spec(order_by, tail_cols=()):
+def _order_sort_spec(order_by, tail_cols=(), values=()):
     """(keys, descending) for a Dataset.sort over `_append_order_keys`
-    output: three keys per order var, then any tie-break tail."""
+    output: three keys per order var (one per ``values`` column), then
+    any tie-break tail."""
     keys: list[str] = []
     desc: list[bool] = []
     for i, (v, d) in enumerate(order_by):
-        keys += [f"_ordrank{i}", f"_ordnum{i}", v]
-        desc += [d, d, d]
+        own = [v] if v in values else [f"_ordrank{i}", f"_ordnum{i}", v]
+        keys += own
+        desc += [d] * len(own)
     for c in tail_cols:
         if c not in keys:
             keys.append(c)
@@ -2157,70 +2209,6 @@ def _apply_slice(out, limit: int | None, offset: int):
     elif limit is not None:
         out = out.limit(limit)
     return out
-
-
-def _resolve_order(order_by, aggregates, cols):
-    """ORDER BY keys over an aggregate output: a projected column name
-    passes through; ``func(var)`` / ``func(*)`` (from ORDER BY
-    DESC(COUNT(?v)) …) resolves to the matching SELECT aggregate's
-    alias."""
-    resolved = []
-    for v, d in order_by:
-        if v in cols:
-            resolved.append((v, d))
-            continue
-        if "(" in v:
-            func, _, inner = v.partition("(")
-            inner = inner.rstrip(")")
-            var = None if inner == "*" else inner
-            match = [a for a in aggregates if a.func == func and a.var == var]
-            if match:
-                resolved.append((match[0].alias, d))
-                continue
-            raise SparqlSyntaxError(
-                f"ORDER BY {func.upper()}({inner}) has no matching SELECT aggregate"
-            )
-        raise SparqlSyntaxError(f"ORDER BY {v!r} not in projection")
-    return resolved
-
-
-def _apply_having(out, q: SelectQuery):
-    """HAVING conjuncts over an aggregate output Dataset (columns =
-    group keys + aliases).  Each conjunct resolves to a SELECT
-    aggregate's alias, then filters vectorized per batch."""
-    if not q.having:
-        return out
-    concat_aliases = {
-        a.alias for a in q.aggregates if a.func == "group_concat"
-    }
-    resolved = []
-    for h in q.having:
-        if h.alias is not None:
-            if h.alias not in [a.alias for a in q.aggregates]:
-                raise SparqlSyntaxError(
-                    f"HAVING alias ?{h.alias} is not a SELECT aggregate"
-                )
-            if h.alias in concat_aliases:
-                raise SparqlSyntaxError(
-                    "HAVING cannot compare a GROUP_CONCAT numerically"
-                )
-            resolved.append((h.alias, h.op, h.value))
-        else:
-            match = [a for a in q.aggregates if a.func == h.func and a.var == h.var]
-            if not match:
-                raise SparqlSyntaxError(
-                    f"HAVING {h.func.upper()}(?{h.var}) has no matching SELECT aggregate"
-                )
-            resolved.append((match[0].alias, h.op, h.value))
-
-    def having_filter(batch: pa.Table) -> pa.Table:
-        mask = None
-        for col, op, value in resolved:
-            m = _CMP_KERNELS[op](pc.cast(batch[col], pa.float64()), value)
-            mask = m if mask is None else pc.and_(mask, m)
-        return batch.filter(mask)
-
-    return out.map_batches(having_filter, batch_format="pyarrow")
 
 
 # kernel that combines an aggregate's input column with itself, so one
@@ -2270,7 +2258,7 @@ def _agg_combine(table: pa.Table, keys: list[str], aggs) -> pa.Table:
     return out.sort_by([(k, "ascending") for k in keys])
 
 
-def _aggregate_query(bindings, q: SelectQuery, cols: list[str]):
+def _aggregate_query(bindings, q: Group):
     """GROUP BY and aggregates: one operator for every aggregate class,
     on both tiers.
 
@@ -2397,7 +2385,7 @@ def _aggregate_query(bindings, q: SelectQuery, cols: list[str]):
             else:
                 col = pc.cast(col, pa.float64())
             out[a.alias] = col
-        return pa.table({c: out[c] for c in cols})
+        return pa.table(out)
 
     def final(table: pa.Table) -> pa.Table:
         return finish(_agg_combine(table, keys, aggs))
@@ -2464,71 +2452,7 @@ def evaluate_select(ds, query: str | SelectQuery):
     q = parse_query(query) if isinstance(query, str) else query
     if not isinstance(q, SelectQuery):
         raise SparqlSyntaxError("not a SELECT query")
-    return _select(_executor(ds, q), q)
-
-
-def _select(ds, q: SelectQuery):
-    ds = _apply_dataset_clause(ds, q)
-    bindings = _eval(ds, q.where)
-    bound = set().union(*_scope(q.where))
-    if q.aggregates:
-        for v in list(q.group_by) + [a.var for a in q.aggregates if a.var]:
-            if v not in bound:
-                raise SparqlSyntaxError(f"unbound variable ?{v} in aggregate query")
-        cols = list(q.variables) + [a.alias for a in q.aggregates]
-        out = _aggregate_query(bindings, q, cols)
-        out = _apply_having(out, q)
-        if q.order_by:
-            order = _resolve_order(q.order_by, q.aggregates, cols)
-            out = out.sort(
-                [v for v, _ in order], descending=[d for _, d in order]
-            )
-        return _apply_slice(out, q.limit, q.offset)
-    # SELECT *: path-internal ($-gensym) variables stay invisible
-    variables = q.variables or sorted(v for v in bound if "$" not in v)
-    missing = [v for v in variables if v not in bound]
-    if missing:
-        raise SparqlSyntaxError(f"unbound SELECT variables: {missing}")
-    out = _render_vars(bindings, variables)
-    for v, _ in q.order_by:
-        if v not in variables:
-            raise SparqlSyntaxError(f"ORDER BY {v!r} not in SELECT")
-    if q.distinct and q.order_by:
-        # fused: ONE exchange keyed order-vars-first over all columns,
-        # then vectorized adjacent-row dedup per block (equal rows share
-        # every sort key — the derived numeric keys are functions of the
-        # rendered columns);
-        # ties beyond ORDER BY are broken by the remaining columns,
-        # which SPARQL leaves unspecified
-        out = out.map_batches(
-            lambda b: _append_order_keys(b, q.order_by),
-            batch_format="pyarrow",
-        )
-        keys, desc = _order_sort_spec(q.order_by, tail_cols=variables)
-        out = exchange(
-            out, keys, _adjacent_dedup, batch_format="pyarrow",
-            descending=desc,
-        )
-        out = _apply_slice(out, q.limit, q.offset)
-        return out.map_batches(
-            lambda b: _drop_order_keys(b).select(variables),
-            batch_format="pyarrow",
-        )
-    elif q.distinct:
-        out = _distinct(out, variables)
-    elif q.order_by:
-        out = out.map_batches(
-            lambda b: _append_order_keys(b, q.order_by),
-            batch_format="pyarrow",
-        )
-        keys, desc = _order_sort_spec(q.order_by)
-        out = out.sort(keys, descending=desc)
-        out = _apply_slice(out, q.limit, q.offset)
-        return out.map_batches(
-            lambda b: _drop_order_keys(b).select(variables),
-            batch_format="pyarrow",
-        )
-    return _apply_slice(out, q.limit, q.offset)
+    return _eval(_apply_dataset_clause(_executor(ds, q), q), q.where)
 
 
 def evaluate_ask(ds, query: str | AskQuery) -> bool:
@@ -2666,8 +2590,8 @@ def evaluate_describe(ds, query: str | DescribeQuery):
         # set is the query RESULT — driver-sized by design, same as any
         # SELECT the client would have issued), then one vectorized
         # is_in subject mask over the store.
-        sel = SelectQuery([q.var], True, q.where, [], None)
-        vals = sorted({row[q.var] for row in _select(ds, sel).take_all()})
+        sel = Distinct(Project(q.where, [q.var]))
+        vals = sorted({row[q.var] for row in _eval(ds, sel).take_all()})
         value_set = pa.array(vals, pa.large_string())
 
         def fvar(batch: pa.Table) -> pa.Table:

@@ -6,7 +6,8 @@ it only ships query strings over HTTP (``sparqlservice.go:42-95``).
 The subset is exactly what the file-backed service evaluates; anything
 outside it raises ``SparqlSyntaxError`` loudly rather than mis-parsing.
 Every group parses into an algebra tree (``BGP`` … ``SubSelect``
-below); queries and modify ops carry it as their ``where``.
+below), a SELECT's under its solution modifiers (``Group`` …
+``Slice``); queries and modify ops carry it as their ``where``.
 """
 
 from __future__ import annotations
@@ -311,12 +312,11 @@ class Values(NamedTuple):
 
 
 class SubSelect(NamedTuple):
-    """``{ SELECT … }`` as a group — the inner query's projected
-    variables (aggregate aliases surface as typed literals) join with
-    the rest of the enclosing group."""
+    """``{ SELECT … }`` as a group: the rows of the inner query's tree
+    (its modifier nodes on top) as bindings again, aggregate values as
+    typed literals; they join with the rest of the enclosing group."""
 
-    query: "SelectQuery"
-
+    inner: object
 
 
 class Aggregate(NamedTuple):
@@ -333,27 +333,53 @@ class Aggregate(NamedTuple):
     separator: str = " "
 
 
-class HavingCond(NamedTuple):
-    """One ``HAVING`` conjunct: ``FUNC(?v) op number`` (must match a
-    SELECT aggregate) or ``?alias op number``."""
+# -- the solution modifiers (§18.2.4-5) ------------------------------------
+# A SELECT's tree is its group's tree under, bottom up, Group, Having,
+# Project, OrderBy, Distinct and Slice (each only when the query has
+# it).  Their rows are the query's result: one rendered term per
+# projected variable, an aggregate's value as it is.  ORDER BY keys
+# must be projected here, so sorting the projected rows gives §18.2.5's
+# order (OrderBy under Project).
+class Group(NamedTuple):
+    """GROUP BY and the SELECT aggregates: one row per distinct binding
+    of ``group_by`` (one row in all without GROUP BY), its columns the
+    keys then the aggregate aliases."""
 
-    func: str | None  # None when referencing an alias
-    var: str | None
-    alias: str | None
-    op: str
-    value: float
+    inner: object
+    group_by: list[str]
+    aggregates: list[Aggregate]
+
+
+class Having(NamedTuple):
+    """``HAVING``: ``conds`` are ``(alias, op, number)`` conjuncts over
+    the Group's aggregate values."""
+
+    inner: object
+    conds: list
+
+
+class Project(NamedTuple):
+    inner: object
+    variables: list[str]  # [] = SELECT *
+
+
+class OrderBy(NamedTuple):
+    inner: object
+    keys: list[tuple[str, bool]]  # (column, descending)
+
+
+class Distinct(NamedTuple):
+    inner: object
+
+
+class Slice(NamedTuple):
+    inner: object
+    offset: int
+    limit: int | None
 
 
 class SelectQuery(NamedTuple):
-    variables: list[str]  # [] = SELECT *
-    distinct: bool
-    where: object  # the group's algebra tree
-    order_by: list[tuple[str, bool]]  # (var, descending)
-    limit: int | None
-    aggregates: list[Aggregate] = []
-    group_by: list[str] = []
-    having: list[HavingCond] = []
-    offset: int = 0
+    where: object  # the algebra tree, solution modifiers on top
     from_graphs: list[str] = []  # FROM <iri> — default-graph selection
     from_named: list[str] = []  # FROM NAMED <iri> — GRAPH scope
 
@@ -1048,14 +1074,9 @@ class _Parser:
         self.expect("op", "{")
         if self.at_word("select"):
             self.next()
-            sub = _parse_select(self)
+            sub = _parse_select(self, sub=True)
             self.expect("op", "}")
-            if (sub.limit is not None or sub.offset) and not sub.order_by:
-                raise SparqlSyntaxError(
-                    "LIMIT/OFFSET in a subquery needs ORDER BY "
-                    "(deterministic slice)"
-                )
-            return SubSelect(sub)
+            return SubSelect(sub.where)
         tree, filters = BGP([]), []
         while self.peek() != ("op", "}"):
             if self.eat_word("filter"):
@@ -1115,7 +1136,7 @@ class _Parser:
             def sort_key() -> str:
                 """?var or FUNC([DISTINCT] ?v / *) — aggregate keys are
                 encoded "func(v)" / "func(*)" and resolved against the
-                SELECT aggregates at eval time."""
+                SELECT aggregates by ``_parse_select``."""
                 if self.at_word("count", "sum", "min", "max", "avg"):
                     func = self.next()[1].lower()
                     self.expect("op", "(")
@@ -1186,8 +1207,6 @@ def _patterns_in(node):
     """Every triple pattern of a tree's BGPs (sub-selects included)."""
     if isinstance(node, BGP):
         yield from node.patterns
-    elif isinstance(node, SubSelect):
-        yield from _patterns_in(node.query.where)
     elif isinstance(node, tuple):
         for child in node:
             if isinstance(child, tuple):
@@ -1203,10 +1222,10 @@ def _plain(pattern) -> bool:
     )
 
 
-def _parse_select(p: _Parser) -> SelectQuery:
+def _parse_select(p: _Parser, sub: bool = False) -> SelectQuery:
     """Everything after the ``SELECT`` keyword up to (not including)
     the closing delimiter — shared by top-level queries (which then
-    expect eof) and subqueries (which expect ``}``)."""
+    expect eof) and subqueries (``sub``, which expect ``}``)."""
     distinct = p.eat_word("distinct")
     p.eat_word("reduced")
     variables: list[str] = []
@@ -1312,11 +1331,23 @@ def _parse_select(p: _Parser) -> SelectQuery:
                 raise SparqlSyntaxError(f"?{key} is both grouped and an AS alias")
         if not (variables or aggregates):  # SPARQL 1.1 §18.2.4.1
             raise SparqlSyntaxError("SELECT * cannot be used with GROUP BY")
-    if aggregates and variables and not set(variables) <= set(group_by):
+    if (aggregates or group_by) and variables and not set(variables) <= set(group_by):
         raise SparqlSyntaxError(
             "projected plain variables must appear in GROUP BY"
         )
-    having: list[HavingCond] = []
+
+    def alias_of(func: str, var: str | None, what: str) -> str:
+        # FUNC(?v) / FUNC(*) in HAVING or ORDER BY names the matching
+        # SELECT aggregate
+        for a in aggregates:
+            if a.func == func and a.var == var:
+                return a.alias
+        raise SparqlSyntaxError(
+            f"{what} {func.upper()}({'*' if var is None else '?' + var}) "
+            "has no matching SELECT aggregate"
+        )
+
+    having: list = []
     if p.eat_word("having"):
         if not aggregates:
             raise SparqlSyntaxError("HAVING requires aggregates")
@@ -1324,7 +1355,15 @@ def _parse_select(p: _Parser) -> SelectQuery:
         while True:
             if p.peek()[0] == "var":
                 alias = p.next()[1][1:]
-                func = var = None
+                func = {a.alias: a.func for a in aggregates}.get(alias)
+                if func is None:
+                    raise SparqlSyntaxError(
+                        f"HAVING alias ?{alias} is not a SELECT aggregate"
+                    )
+                if func == "group_concat":
+                    raise SparqlSyntaxError(
+                        "HAVING cannot compare a GROUP_CONCAT numerically"
+                    )
             elif p.at_word("count", "sum", "min", "max", "avg"):
                 func = p.next()[1].lower()
                 p.expect("op", "(")
@@ -1337,7 +1376,7 @@ def _parse_select(p: _Parser) -> SelectQuery:
                         raise SparqlSyntaxError("HAVING aggregate needs a variable")
                     var = t.name
                 p.expect("op", ")")
-                alias = None
+                alias = alias_of(func, var, "HAVING")
             else:
                 raise SparqlSyntaxError(
                     f"HAVING expects ?alias or FUNC(?v), got {p.peek()[1]!r}"
@@ -1348,18 +1387,33 @@ def _parse_select(p: _Parser) -> SelectQuery:
             nk, nv = p.next()
             if nk != "number":
                 raise SparqlSyntaxError("HAVING compares against a number")
-            having.append(HavingCond(func, var, alias, op, float(nv)))
+            having.append((alias, op, float(nv)))
             if p.peek() == ("op", "&&"):
                 p.next()
                 continue
             break
         p.expect("op", ")")
     order, limit, offset = p.parse_modifiers()
-    return SelectQuery(
-        variables, distinct, where, order, limit, aggregates, group_by,
-        having, offset, from_graphs, from_named,
-    )
-
+    if sub and (limit is not None or offset) and not order:
+        raise SparqlSyntaxError(
+            "LIMIT/OFFSET in a subquery needs ORDER BY (deterministic slice)"
+        )
+    for i, (key, desc) in enumerate(order):
+        if "(" in key:
+            func, _, var = key.rstrip(")").partition("(")
+            order[i] = (alias_of(func, None if var == "*" else var, "ORDER BY"), desc)
+    if aggregates or group_by:
+        where = Group(where, group_by, aggregates)
+    if having:
+        where = Having(where, having)
+    where = Project(where, variables + [a.alias for a in aggregates])
+    if order:
+        where = OrderBy(where, order)
+    if distinct:
+        where = Distinct(where)
+    if limit is not None or offset:
+        where = Slice(where, offset, limit)
+    return SelectQuery(where, from_graphs, from_named)
 
 
 def _parse_dataset_clause(p: _Parser) -> tuple[list[str], list[str]]:

@@ -367,7 +367,7 @@ def test_sparql_bgp_differential(sparql_tier, triples, patterns):
     import ray.data
 
     from argo_ray.sparql.engine import evaluate_select
-    from argo_ray.sparql.parser import BGP, SelectQuery, Var
+    from argo_ray.sparql.parser import BGP, Project, SelectQuery, Var
     from argo_ray.terms import render_term
 
     variables = sorted(
@@ -376,7 +376,7 @@ def test_sparql_bgp_differential(sparql_tier, triples, patterns):
     if not variables:
         return  # SELECT * over all-ground patterns is out of scope
     ds = ray.data.from_arrow(triples_to_table(triples, with_hash=False))
-    q = SelectQuery(variables, False, BGP(list(patterns)), [], None)
+    q = SelectQuery(Project(BGP(list(patterns)), variables))
     got = sorted(
         tuple(r[v] for v in variables)
         for r in evaluate_select(ds, q).take_all()
@@ -481,7 +481,7 @@ def test_sparql_optional_filter_differential(
 
     from argo_ray.sparql.engine import evaluate_select
     from argo_ray.sparql.parser import (
-        BGP, Comparison, Filter, LeftJoin, SelectQuery, Var,
+        BGP, Comparison, Filter, LeftJoin, Project, SelectQuery, Var,
     )
     from argo_ray.terms import render_term
 
@@ -489,8 +489,6 @@ def test_sparql_optional_filter_differential(
     opt_vars = {x.name for p in opt_pats for x in p if isinstance(x, Var)}
     if not base_vars:
         return  # all-ground required part: out of scope here
-    if not (opt_vars & base_vars):
-        return  # disconnected OPTIONAL (cartesian) is out of scope
     if fvar not in base_vars:
         return  # filter on the required part only (engine pushes down)
     variables = sorted(base_vars | opt_vars)
@@ -510,8 +508,7 @@ def test_sparql_optional_filter_differential(
     ds = ray.data.from_arrow(triples_to_table(triples, with_hash=False))
     where = LeftJoin(BGP(list(base_pats)), BGP(list(opt_pats)))
     q = SelectQuery(
-        variables, False, Filter([Comparison("=", Var(fvar), fterm)], where),
-        [], None,
+        Project(Filter([Comparison("=", Var(fvar), fterm)], where), variables)
     )
     got = sorted(
         tuple(r[v] for v in variables)

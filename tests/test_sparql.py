@@ -19,12 +19,16 @@ from argo_ray.sparql.parser import (
     AskQuery,
     Comparison,
     ConstructQuery,
+    Distinct,
     Extend,
     Filter,
     Join,
     LeftJoin,
+    OrderBy,
+    Project,
     Regex,
     SelectQuery,
+    Slice,
     SparqlSyntaxError,
     Var,
 )
@@ -64,12 +68,17 @@ def test_parse_select_shapes():
         }} ORDER BY DESC(?s) LIMIT 5"""
     )
     assert isinstance(q, SelectQuery)
-    assert q.variables == ["s", "l"] and q.distinct and q.limit == 5
+    # the solution modifiers wrap the group's tree, bottom up
+    assert isinstance(q.where, Slice) and (q.where.offset, q.where.limit) == (0, 5)
+    order = q.where.inner.inner
+    assert isinstance(q.where.inner, Distinct) and isinstance(order, OrderBy)
+    assert order.keys == [("s", True)]
+    assert isinstance(order.inner, Project) and order.inner.variables == ["s", "l"]
     # the group's FILTER conjuncts wrap its one BGP
-    assert isinstance(q.where, Filter) and isinstance(q.where.inner, BGP)
-    patterns = q.where.inner.patterns
-    assert len(patterns) == 2 and len(q.where.exprs) == 2
-    assert q.order_by == [("s", True)]
+    group = order.inner.inner
+    assert isinstance(group, Filter) and isinstance(group.inner, BGP)
+    patterns = group.inner.patterns
+    assert len(patterns) == 2 and len(group.exprs) == 2
     # ';' abbreviation shares the subject
     assert patterns[0][0] == patterns[1][0] == Var("s")
     assert patterns[0][1] == IRI(RDF_TYPE)
@@ -613,11 +622,13 @@ def test_nested_optional_parses_union_rejected():
     q = parse_query(
         "SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { ?s ?q ?r OPTIONAL { ?s ?t ?u } } }"
     )
-    assert isinstance(q.where, LeftJoin) and isinstance(q.where.right, LeftJoin)
+    assert isinstance(q.where.inner, LeftJoin)
+    assert isinstance(q.where.inner.right, LeftJoin)
     q = parse_query(
         "SELECT ?s WHERE { ?s ?p ?o . OPTIONAL { { ?s ?q ?r } UNION { ?s ?t ?u } } }"
     )
-    assert isinstance(q.where, LeftJoin) and type(q.where.right).__name__ == "Union"
+    assert isinstance(q.where.inner, LeftJoin)
+    assert type(q.where.inner.right).__name__ == "Union"
 
 
 def test_construct_skips_unbound_template_rows(sparql_tier):
@@ -709,7 +720,7 @@ def test_sequence_path_desugars(sparql_tier):
     q = parse_query(
         f"PREFIX ex: <{EX}> SELECT ?a ?b WHERE {{ ?a ex:p/ex:q/ex:r ?b }}"
     )
-    patterns = q.where.patterns
+    patterns = q.where.inner.patterns
     assert len(patterns) == 3
     # chain shares fresh intermediate vars
     assert patterns[0][2] == patterns[1][0]
@@ -1006,7 +1017,8 @@ def test_bind_inside_optional_parses():
           OPTIONAL { ?s <http://e/q> ?d . BIND(?d AS ?x) }
         }"""
     )
-    assert isinstance(q.where, LeftJoin) and isinstance(q.where.right, Extend)
+    assert isinstance(q.where.inner, LeftJoin)
+    assert isinstance(q.where.inner.right, Extend)
 
 
 def test_bound_filter_with_optional(sparql_tier):
@@ -1207,10 +1219,12 @@ def test_parse_subselect():
         }}"""
     )
     # the triples, then the sub-select, joined in group order
-    assert isinstance(q.where, Join) and isinstance(q.where.left, BGP)
-    assert isinstance(q.where.right, SubSelect)
-    inner = q.where.right.query
-    assert inner.variables == ["s"] and inner.limit == 1
+    where = q.where.inner
+    assert isinstance(where, Join) and isinstance(where.left, BGP)
+    assert isinstance(where.right, SubSelect)
+    inner = where.right.inner
+    assert isinstance(inner, Slice) and inner.limit == 1
+    assert inner.inner.inner.variables == ["s"]
     # a sliced subquery without ORDER BY would be nondeterministic
     with pytest.raises(SparqlSyntaxError):
         parse_query(
@@ -1349,6 +1363,50 @@ def test_subquery_aggregate_unbound_group_var_raises(sparql_tier):
         ).take_all()
 
 
+def test_modifiers_over_groups(sparql_tier):
+    """DISTINCT and GROUP BY act on grouped rows, and a sub-select's
+    OFFSET slices its aggregate rows (d1 and d2 have three triples, d3
+    one)."""
+
+    def rows(query):
+        return evaluate_select(_ds(), query).take_all()
+
+    assert sorted(
+        r["n"] for r in rows(
+            "SELECT DISTINCT (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s"
+        )
+    ) == [1, 3]
+    assert rows("SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s ORDER BY ?s") == [
+        {"s": f"<{EX}d{i}>"} for i in (1, 2, 3)
+    ]
+    out = rows(
+        "SELECT ?s ?n WHERE { { SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } "
+        "GROUP BY ?s ORDER BY ?s LIMIT 2 OFFSET 1 } } ORDER BY ?s"
+    )
+    assert out == [
+        {"s": f"<{EX}d2>", "n": f'"3"^^<{XSD_INT}>'},
+        {"s": f"<{EX}d3>", "n": f'"1"^^<{XSD_INT}>'},
+    ]
+    # a group key orders by value (§15.1), 80 before 120
+    out = rows(
+        f"PREFIX ex: <{EX}> SELECT ?c (COUNT(*) AS ?n) WHERE {{ ?s ex:chars ?c }} "
+        "GROUP BY ?c ORDER BY ?c"
+    )
+    assert [r["c"] for r in out] == [f'"{n}"^^<{XSD_INT}>' for n in (80, 120)]
+
+
+def test_order_by_puts_unbound_first(sparql_tier):
+    # §15.1: unbound < … < literals; d3 has no ex:chars
+    query = (
+        f"PREFIX ex: <{EX}> SELECT ?s ?c WHERE {{ ?s ex:lang ?l "
+        "OPTIONAL { ?s ex:chars ?c } } ORDER BY "
+    )
+    out = evaluate_select(_ds(), query + "?c").take_all()
+    assert [r["s"] for r in out] == [f"<{EX}d{i}>" for i in (3, 2, 1)]
+    out = evaluate_select(_ds(), query + "DESC(?c)").take_all()
+    assert [r["s"] for r in out] == [f"<{EX}d{i}>" for i in (1, 2, 3)]
+
+
 # -- GROUP_CONCAT ----------------------------------------------------------
 
 
@@ -1357,10 +1415,10 @@ def test_group_concat_parse():
         'SELECT ?s (GROUP_CONCAT(DISTINCT ?o; SEPARATOR=", ") AS ?os) '
         "WHERE { ?s ?p ?o } GROUP BY ?s"
     )
-    (a,) = q.aggregates
+    (a,) = q.where.inner.aggregates  # Project(Group)
     assert a.func == "group_concat" and a.distinct and a.separator == ", "
     q2 = parse_query("SELECT (GROUP_CONCAT(?o) AS ?os) WHERE { ?s ?p ?o }")
-    assert q2.aggregates[0].separator == " "  # spec default
+    assert q2.where.inner.aggregates[0].separator == " "  # spec default
     with pytest.raises(SparqlSyntaxError):
         parse_query("SELECT (GROUP_CONCAT(*) AS ?x) WHERE { ?s ?p ?o }")
 
@@ -1499,7 +1557,7 @@ def test_negated_property_set(sparql_tier):
     q = parse_query(
         f"PREFIX ex: <{EX}> SELECT ?o WHERE {{ ex:d1 !(^ex:p) ?o }}"
     )
-    np_ = q.where.patterns[0][1]
+    np_ = q.where.inner.patterns[0][1]
     assert np_.preds == () and len(np_.rev_preds) == 1
 
 
@@ -2885,10 +2943,10 @@ def test_ray_tier_blocks_share_one_schema(ray_session, monkeypatch):
             parse_query(
                 f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s a ex:Doc . "
                 "?s ex:lang ?l . ?s ex:chars ?c }"
-            ).where,
+            ).where.inner,
             parse_query(
                 f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?a ex:cites|^ex:lang ?b }}"
-            ).where,
+            ).where.inner,
         ):
             bindings = engine._eval(store, where)
             bound = set().union(*engine._scope(where))
