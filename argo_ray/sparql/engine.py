@@ -221,7 +221,7 @@ def _executor(ds, q):
     services = [
         _SERVICE_REGISTRY[iri] for iri in _service_iris(q)
         if iri in _SERVICE_REGISTRY
-    ]
+    ] if _SERVICE_REGISTRY else []
     if all(_fits_locally(d) for d in (ds, *services)):
         return _pull(ds)
     if isinstance(ds, LocalFrame):  # a local store meets a lazy SERVICE
@@ -283,14 +283,12 @@ def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
                 nm = m if nm is None else pc.or_(nm, m)
             nm = pc.invert(nm)
             mask = nm if mask is None else pc.and_(mask, nm)
+        if graph_var is not None and "url" not in batch.column_names:
+            raise SparqlSyntaxError("GRAPH ?var needs a quads dataset (url graph column)")
         if graph_var is not None and graph_var in var_pos:
             # ?g also appears in a triple position: constrain that
             # position to equal the graph IRI instead of overwriting
             # the binding below (GRAPH ?g { ?g <p> ?o } semantics).
-            if "url" not in batch.column_names:
-                raise SparqlSyntaxError(
-                    "GRAPH ?var needs a quads dataset (url graph column)"
-                )
             pos = var_pos[graph_var][0]
             gm = pc.and_(
                 pc.equal(pc.cast(batch[f"{pos}_kind"], pa.int64()), KIND_IRI),
@@ -323,10 +321,6 @@ def _pattern_bindings(ds, pattern, witness: str = "_match", graph_var=None):
                     col = pc.cast(col, pa.int64())
                 cols[f"{name}__{f}"] = col
         if graph_var is not None and graph_var not in var_pos:
-            if "url" not in batch.column_names:
-                raise SparqlSyntaxError(
-                    "GRAPH ?var needs a quads dataset (url graph column)"
-                )
             n = batch.num_rows
             cols[f"{graph_var}__kind"] = pa.array([KIND_IRI] * n, pa.int64())
             cols[f"{graph_var}__value"] = pc.cast(batch["url"], pa.large_string())
@@ -406,7 +400,9 @@ def _join_pair(left: pa.Table, right: pa.Table, how: str, cond=()) -> pa.Table:
     Rows are grouped by null pattern (which shared variables they leave
     unbound), and each pair of patterns is one Arrow hash join on the
     variables both bind — a single join when no shared variable is
-    unbound, and a constant key when none is bound on both sides.
+    unbound, and a constant key when none is bound on both sides; for
+    ``semi``, ``anti`` and ``minus`` a left semi join, which yields each
+    left row at most once (no keys: every pair matches).
     ``how`` is ``inner``, ``left`` (left outer: a left row that no pair
     matches — after the LeftJoin expression ``cond``, FILTER conjuncts
     over the merged row — comes out alone), ``semi`` / ``anti`` (left
@@ -416,24 +412,31 @@ def _join_pair(left: pa.Table, right: pa.Table, how: str, cond=()) -> pa.Table:
     comes out as it went in."""
     lcols, rcols = left.column_names, right.column_names
     shared = [c[: -len("__kind")] for c in lcols if c.endswith("__kind") and c in rcols]
+    exists = how in ("semi", "anti", "minus")
+    hit = np.zeros(left.num_rows, bool)
     li, ri = [], []
     for lp, lrows in _null_groups(left, shared):
         for rp, rrows in _null_groups(right, shared):
             keys = [v for i, v in enumerate(shared) if not (lp | rp) >> i & 1]
             if how == "minus" and not keys:
                 continue
+            if exists and not keys:  # every pair is compatible
+                if right.num_rows if rrows is None else len(rrows):
+                    hit[slice(None) if lrows is None else lrows] = True
+                continue
             j = _key_table(left, lrows, keys, "_li").join(
                 _key_table(right, rrows, keys, "_ri"),
                 keys=[c for v in keys for c in _var_cols(v)] or ["_c"],
-                join_type="inner", use_threads=False,
+                join_type="left semi" if exists else "inner", use_threads=False,
             )
+            if exists:  # each left row at most once
+                hit[j["_li"].to_numpy()] = True
+                continue
             li += j["_li"].chunks
             ri += j["_ri"].chunks
-    li, ri = pa.chunked_array(li, pa.int64()), pa.chunked_array(ri, pa.int64())
-    if how in ("semi", "anti", "minus"):
-        hit = np.zeros(left.num_rows, bool)
-        hit[li.to_numpy()] = True
+    if exists:
         return left.filter(pa.array(hit if how == "semi" else ~hit))
+    li, ri = pa.chunked_array(li, pa.int64()), pa.chunked_array(ri, pa.int64())
     out = left.take(li)
     extra = [c for c in rcols if c not in lcols]
     merge = [v for v in shared if out[f"{v}__kind"].null_count]
@@ -492,6 +495,18 @@ def _key_table(table: pa.Table, rows, keys: list[str], index: str) -> pa.Table:
     return pa.table(cols)
 
 
+def _pad_cols(batch: pa.Table, cols: list[str]) -> dict:
+    """``batch``'s binding columns ``cols`` in the ``_norm_table`` types
+    (kind int64, the rest large_string), all-null for a variable the
+    batch does not bind."""
+    have = set(batch.column_names)
+    out = {}
+    for c in cols:
+        t = pa.int64() if c.endswith("__kind") else pa.large_string()
+        out[c] = pc.cast(batch[c], t) if c in have else pa.nulls(batch.num_rows, t)
+    return out
+
+
 def _cogroup_join(parts: list, anchor: str | None, how: str = "inner", cond=()):
     """Multi-way join of binding frames ``parts`` (``(frame, variables)``
     pairs): tag + null-pad + union → ONE sort exchange on the anchor's
@@ -527,15 +542,10 @@ def _cogroup_join(parts: list, anchor: str | None, how: str = "inner", cond=()):
                 if anchor is not None
                 else pa.array(np.zeros(n, dtype=np.uint64))
             )
-            cols = {"_k": key,
-                    "_pat": pa.array(np.full(n, i, dtype=np.int64))}
-            for c in all_cols:
-                t = pa.int64() if c.endswith("__kind") else pa.large_string()
-                cols[c] = (
-                    pc.cast(batch[c], t) if c in batch.column_names
-                    else pa.nulls(n, t)
-                )
-            return pa.table(cols)
+            return pa.table({
+                "_k": key, "_pat": pa.array(np.full(n, i, dtype=np.int64)),
+                **_pad_cols(batch, all_cols),
+            })
 
         return fn
 
@@ -846,15 +856,21 @@ _XSD_DOUBLE = "http://www.w3.org/2001/XMLSchema#double"
 
 def _lift(rows, node):
     """A sub-select's result rows (``node`` is its tree) → term binding
-    columns, so they join like any group element: rendered terms (group
-    keys, projected variables, SAMPLE) re-parse
+    columns, so they join like any group element.  Without a Group the
+    rows carry them already; a Group's rendered terms (keys, SAMPLE)
+    re-parse
     (``nt_parse_term_arrays``, ``""`` = unbound), COUNT becomes an
     xsd:integer literal, SUM/MIN/MAX/AVG xsd:double literals with
     DuckDB-compatible lexicals (integral values get a trailing ``.0``),
     GROUP_CONCAT a plain literal."""
     names = _names(node)
     group = _group_of(node)
-    func_by_alias = {a.alias: a.func for a in group.aggregates} if group else {}
+    if group is None:  # the Project kept the term columns
+        cols = [c for v in names for c in _var_cols(v)]
+        return rows.map_batches(
+            lambda b: _norm_table(b.select(cols)), batch_format="pyarrow"
+        )
+    func_by_alias = {a.alias: a.func for a in group.aggregates}
 
     def ls(s):
         return pa.scalar(s, pa.large_string())
@@ -877,26 +893,10 @@ def _lift(rows, node):
                 for fld in ("kind", "value", "lang", "datatype"):
                     res[f"{name}__{fld}"] = parsed[fld]
                 continue
-            if func == "group_concat":
-                # plain (simple) literal per the spec
-                lex = pc.fill_null(pc.cast(col, pa.large_string()), "")
-                okv = pc.is_valid(lex)
-                res[f"{name}__kind"] = pc.if_else(
-                    okv,
-                    pa.scalar(KIND_LITERAL, pa.int64()),
-                    pa.scalar(None, pa.int64()),
-                )
-                res[f"{name}__value"] = lex
-                res[f"{name}__lang"] = pc.if_else(
-                    okv, ls(""), pa.scalar(None, pa.large_string())
-                )
-                res[f"{name}__datatype"] = pc.if_else(
-                    okv, ls(""), pa.scalar(None, pa.large_string())
-                )
-                continue
-            if func == "count":
-                lex = pc.cast(col, pa.large_string())
-                dt = _XSD_INTEGER
+            if func == "group_concat":  # a plain (simple) literal per the spec
+                lex, dt = pc.fill_null(pc.cast(col, pa.large_string()), ""), ""
+            elif func == "count":
+                lex, dt = pc.cast(col, pa.large_string()), _XSD_INTEGER
             else:
                 fcol = pc.cast(col, pa.float64())
                 ok = pc.and_(pc.is_valid(fcol), pc.invert(pc.is_nan(fcol)))
@@ -1196,19 +1196,13 @@ def _union(ds, node, push, gv):
     """Bag union of the branches, each padded with unbound columns for
     the variables only other branches bind."""
     scope = _scope(node, gv)
-    cols = [c for v in sorted(scope[0] | scope[1]) for c in _var_cols(v)]
+    cols = sorted(c for v in scope[0] | scope[1] for c in _var_cols(v))
     down = _pushable(push, scope[0])
 
     def pad(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
         if not cols:
-            return pa.table({"_match": np.ones(n, np.int64)})
-        return _norm_table(pa.table({
-            c: batch[c] if c in batch.column_names else pa.nulls(
-                n, pa.int64() if c.endswith("__kind") else pa.large_string()
-            )
-            for c in cols
-        }))
+            return pa.table({"_match": np.ones(batch.num_rows, np.int64)})
+        return pa.table(_pad_cols(batch, cols))
 
     def branches(n):
         return branches(n.left) + branches(n.right) if type(n) is Union else [n]
@@ -1354,27 +1348,34 @@ def _having(ds, node, push, gv):
 
 def _project(ds, node, push, gv):
     """The projected columns: a term binding renders to its canonical
-    N-Triples string (the rendering the result parser S6 round-trips);
-    a Group's columns pass as they are."""
+    N-Triples string (the rendering the result parser S6 round-trips)
+    and, in a sub-select, keeps its term columns for ``_lift``; a
+    Group's columns pass as they are."""
     names = _names(node)
     c, m = _scope(node.inner)
     missing = [v for v in names if v not in c | m]
     if missing:
         raise SparqlSyntaxError(f"unbound SELECT variables: {missing}")
+    rows = _eval(ds, node.inner)
+    if _group_of(node.inner) is not None:
+        return rows.map_batches(lambda b: b.select(names), batch_format="pyarrow")
+    shown = names if node.render else []
+    keep = [c for v in names for c in _var_cols(v)] if node.terms else []
 
     def render(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            v: batch[v] if v in batch.column_names else pc.fill_null(
+        cols = {
+            v: pc.fill_null(
                 nt_render_term_arrays(
                     batch[f"{v}__kind"], batch[f"{v}__value"],
                     batch[f"{v}__lang"], batch[f"{v}__datatype"],
                 ),
                 "",
             )
-            for v in names
-        })
+            for v in shown
+        }
+        return pa.table({**cols, **{c: batch[c] for c in keep}})
 
-    return _eval(ds, node.inner).map_batches(render, batch_format="pyarrow")
+    return rows.map_batches(render, batch_format="pyarrow")
 
 
 def _order_by(ds, node, push, gv, dedup=False):
@@ -1401,7 +1402,8 @@ def _order_by(ds, node, push, gv, dedup=False):
     if dedup:
         keys, desc = _order_sort_spec(node.keys, tail_cols=names)
         out = exchange(
-            out, keys, _adjacent_dedup, batch_format="pyarrow", descending=desc
+            out, keys, lambda b: _adjacent_dedup(b, keys),
+            batch_format="pyarrow", descending=desc,
         )
     else:
         keys, desc = _order_sort_spec(node.keys, values=values)
@@ -2178,15 +2180,16 @@ def _drop_order_keys(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(drop) if drop else batch
 
 
-def _adjacent_dedup(batch: pa.Table) -> pa.Table:
-    """Drop rows equal to their predecessor across ALL columns (valid
-    only on blocks of a Dataset sorted by all columns)."""
+def _adjacent_dedup(batch: pa.Table, cols: list[str]) -> pa.Table:
+    """Drop rows equal to their predecessor across ``cols``, which must
+    determine the row (valid only on blocks of a Dataset sorted by
+    them)."""
     n = batch.num_rows
     if n <= 1:
         return batch
     batch = batch.combine_chunks()
     same = None
-    for c in batch.column_names:
+    for c in cols:
         col = batch.column(c)
         col = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
         eq = pc.equal(col.slice(1), col.slice(0, n - 1))

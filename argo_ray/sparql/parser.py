@@ -361,6 +361,11 @@ class Having(NamedTuple):
 class Project(NamedTuple):
     inner: object
     variables: list[str]  # [] = SELECT *
+    # the rows' columns: each variable's rendered term (top level, and
+    # where a sub-select's DISTINCT or ORDER BY reads it) and its term
+    # columns (a sub-select's, for the enclosing group to join on)
+    render: bool = True
+    terms: bool = False
 
 
 class OrderBy(NamedTuple):
@@ -1114,10 +1119,17 @@ class _Parser:
             if not (isinstance(g, Var) or (isinstance(g, Term) and g.kind == KIND_IRI)):
                 raise SparqlSyntaxError("GRAPH needs an IRI or a variable")
             inner = self.parse_group()
-            if isinstance(g, Var) and not all(
-                _plain(pat) for pat in _patterns_in(inner)
-            ):
-                raise SparqlSyntaxError("property paths not allowed inside GRAPH ?var")
+            if isinstance(g, Var):
+                if not all(
+                    _plain(pat) for n in _nodes(inner) if type(n) is BGP for pat in n.patterns
+                ):
+                    raise SparqlSyntaxError("property paths not allowed inside GRAPH ?var")
+                if _graph_scope(inner, g) != "bound":
+                    raise SparqlSyntaxError(
+                        "GRAPH ?var needs a group every solution of which binds it: "
+                        "no sub-select, and no OPTIONAL, MINUS, UNION branch or "
+                        "FILTER EXISTS over a group without a triple pattern"
+                    )
             return Graph(g, inner)
         if self.peek() == ("op", "{"):
             tree = self.parse_group()
@@ -1203,14 +1215,49 @@ def _join(left, right):
     return Join(left, right)
 
 
-def _patterns_in(node):
-    """Every triple pattern of a tree's BGPs (sub-selects included)."""
-    if isinstance(node, BGP):
-        yield from node.patterns
-    elif isinstance(node, tuple):
-        for child in node:
-            if isinstance(child, tuple):
-                yield from _patterns_in(child)
+def _nodes(tree):
+    """Every node of an algebra tree, FILTER EXISTS groups included."""
+    if isinstance(tree, tuple) and hasattr(tree, "_fields"):
+        yield tree
+    if isinstance(tree, (tuple, list)):
+        for child in tree:
+            yield from _nodes(child)
+
+
+def _graph_scope(node, g: Var):
+    """How ``node`` stands inside ``GRAPH ?g``: "bound" when every
+    solution binds ?g from the graph it matched in, so one evaluation
+    over all graphs equals one per graph (§18.6); "free" when it reads
+    no graph of the scope (VALUES, SERVICE, another GRAPH, the empty
+    group); None when neither — a sub-select (its aggregates and
+    slices would span every graph), or a group whose solutions some
+    graph-bound part only extends or removes."""
+    t = type(node)
+    if t is BGP:
+        return "bound" if node.patterns else "free"
+    if t is Graph:
+        return "bound" if node.graph == g else "free"
+    if t in (Values, Service):
+        return "free"
+    if t in (Join, Union):
+        kinds = {_graph_scope(node.left, g), _graph_scope(node.right, g)}
+        if None in kinds or (t is Union and len(kinds) > 1):
+            return None
+        return "bound" if "bound" in kinds else "free"
+    if t in (LeftJoin, Minus, Filter, Extend):
+        # the solutions are the first child's; the right side and any
+        # FILTER EXISTS group only extend or remove them
+        first, others = (
+            (node.left, [node.right]) if t in (LeftJoin, Minus) else (node.inner, [])
+        )
+        conds = node.exprs if t is Filter else getattr(node, "expr", [])
+        others += [n.where for n in _nodes(conds) if type(n) is ExistsFilter]
+        kind = _graph_scope(first, g)
+        rest = {_graph_scope(n, g) for n in others}
+        if kind is None or None in rest or (kind == "free" and "bound" in rest):
+            return None
+        return kind
+    return None
 
 
 def _plain(pattern) -> bool:
@@ -1406,7 +1453,10 @@ def _parse_select(p: _Parser, sub: bool = False) -> SelectQuery:
         where = Group(where, group_by, aggregates)
     if having:
         where = Having(where, having)
-    where = Project(where, variables + [a.alias for a in aggregates])
+    where = Project(
+        where, variables + [a.alias for a in aggregates],
+        render=not sub or bool(order or distinct), terms=sub,
+    )
     if order:
         where = OrderBy(where, order)
     if distinct:

@@ -1280,6 +1280,33 @@ def test_subquery_distinct(sparql_tier):
     ]
 
 
+def test_subquery_distinct_order_unbound(sparql_tier):
+    import ray.data
+
+    # DISTINCT + ORDER BY + LIMIT inside the subquery over a variable an
+    # OPTIONAL leaves unbound: d3's two lang rows collapse to one inner
+    # row, which joins back with both of them, ?c unbound
+    trips = TRIPLES + [(IRI(EX + "d3"), IRI(EX + "lang"), Literal("Hallo", lang="de"))]
+    ds = ray.data.from_arrow(triples_to_table(trips, with_hash=False))
+    out = evaluate_select(
+        ds,
+        f"""PREFIX ex: <{EX}>
+        SELECT ?s ?l ?c WHERE {{
+          ?s ex:lang ?l .
+          {{ SELECT DISTINCT ?s ?c WHERE {{
+               ?s ex:lang ?x OPTIONAL {{ ?s ex:chars ?c }}
+             }} ORDER BY ?s LIMIT 3 }}
+        }} ORDER BY ?s ?l""",
+    ).take_all()
+    n = f"^^<{XSD_INT}>"
+    assert out == [
+        {"s": f"<{EX}d1>", "l": '"en"', "c": '"120"' + n},
+        {"s": f"<{EX}d2>", "l": '"de"', "c": '"80"' + n},
+        {"s": f"<{EX}d3>", "l": '"Guten Tag"@de', "c": ""},
+        {"s": f"<{EX}d3>", "l": '"Hallo"@de', "c": ""},
+    ]
+
+
 def test_subquery_offset_desc(sparql_tier):
     out = evaluate_select(
         _ds(),
@@ -1840,6 +1867,48 @@ def test_graph_requires_quads(sparql_tier):
         parse_query(
             f"PREFIX ex: <{EX}> SELECT ?g WHERE {{ GRAPH ?g {{ ?s ex:p+ ?o }} }}"
         )
+
+
+def test_graph_variable_is_per_graph(sparql_tier):
+    import ray.data
+
+    # ex:a holds ex:p in g1 and ex:q in g2: each form below evaluates
+    # once per graph (§18.6), so g2's ex:q never meets g1's ex:p row
+    g1, g2 = "http://graphs.example.org/g1", "http://graphs.example.org/g2"
+    trips = [
+        (IRI(EX + "a"), IRI(EX + "p"), Literal("1")),
+        (IRI(EX + "a"), IRI(EX + "q"), Literal("2")),
+        (IRI(EX + "b"), IRI(EX + "p"), Literal("3")),
+    ]
+    ds = ray.data.from_arrow(
+        triples_to_table(trips, urls=[g1, g2, g2], with_hash=False)
+    )
+
+    def rows(group, projection="?g ?s"):
+        return evaluate_select(
+            ds,
+            f"PREFIX ex: <{EX}> SELECT {projection} WHERE {{ GRAPH ?g {{ {group} }} }} "
+            "ORDER BY ?g",
+        ).take_all()
+
+    both = [{"g": f"<{g1}>", "s": f"<{EX}a>"}, {"g": f"<{g2}>", "s": f"<{EX}b>"}]
+    assert rows("?s ex:p ?o OPTIONAL { ?s ex:q ?x }", "?g ?s ?x") == [
+        dict(r, x="") for r in both
+    ]
+    assert rows("?s ex:p ?o MINUS { ?s ex:q ?x }") == both
+    assert rows("?s ex:p ?o FILTER NOT EXISTS { ?s ex:q ?x }") == both
+    assert rows("?s ex:p ?o FILTER EXISTS { ?s ex:q ?x }") == []
+    # a sub-select would aggregate and slice over every graph at once,
+    # and a group some solutions of which match no triple binds no ?g
+    for group in (
+        "?s ex:p ?o { SELECT ?s (COUNT(*) AS ?x) WHERE { ?s ?p ?v } GROUP BY ?s }",
+        "{ SELECT ?s ?x WHERE { ?s ex:q ?x } }",
+        "VALUES ?s { ex:a }",
+        "OPTIONAL { ?s ex:q ?x }",
+        "{ ?s ex:p ?x } UNION { VALUES ?s { ex:a } }",
+    ):
+        with pytest.raises(SparqlSyntaxError, match="GRAPH"):
+            rows(group)
 
 
 def test_langmatches(sparql_tier):
