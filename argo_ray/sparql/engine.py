@@ -10,8 +10,8 @@ module IS the endpoint, re-expressed Ray-Data-first:
   modifiers (Group, Having, Project, OrderBy, Distinct, Slice).
   ``_eval`` evaluates it with one function per node (``_EVAL``), each
   of which knows its node's certain and maybe-bound variables
-  (``_scope``).  A sub-select is the same tree; its rows turn back
-  into bindings (``_lift``).
+  (``_scope``).  A sub-select is the same tree, whose Project keeps
+  the term columns it joins on (``_lift``).
 - Each triple pattern is a streaming ``map_batches`` filter over the
   triples Dataset (the same vectorized term predicates as operator M1,
   ``stages/filter.py``) that projects matched positions into per-variable
@@ -1232,7 +1232,8 @@ def _graph(ds, node, push, gv):
     graph column, the ``read_graphstore`` layout).  Constant graph: ONE
     vectorized url-mask scopes the scans.  Variable graph: every inner
     triple pattern binds ``?g`` from ``url``, and the co-group joins
-    equate it like any shared variable — no per-graph fan-out."""
+    equate it like any shared variable — no per-graph fan-out (the
+    parser admits only groups for which that equals §18.6's)."""
     g = node.graph
     cols = ds.columns()  # schema metadata only — no execution at this size
     if cols is not None and "url" not in cols:

@@ -285,7 +285,9 @@ class Graph(NamedTuple):
     """``GRAPH <iri>|?g { … }`` over a quads dataset (triples + ``url``
     graph column, the ``read_graphstore`` layout): a constant graph
     scopes the scans to it; a variable one binds ``?g`` from ``url`` in
-    every triple pattern inside (so property paths are refused there)."""
+    every triple pattern inside, so property paths, sub-selects and
+    groups with solutions that match no pattern are refused there
+    (``_graph_scope``)."""
 
     graph: object  # Term (IRI) | Var
     inner: object
