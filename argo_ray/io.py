@@ -37,12 +37,12 @@ def configure_context() -> None:
     Flip side: with reservation off, an actor pool that reserves CPUs
     can hold every CPU the upstream read needs, and the read never runs
     (two chained ``concurrency=2`` pools on a 4-CPU session, one on 2
-    CPUs).  Broadcast-lookup pools (store decode, RDFS entailment,
-    entity linking, prefix expansion) therefore reserve no
-    CPU (``num_cpus=0``): they are lookups against a shipped table, not
-    a share of the cluster.  So do the hash-shuffle aggregators of every
-    ``Dataset.join`` (``aggregator_ray_remote_args``): while idle they
-    held both CPUs of a 2-CPU session and the join's inputs never ran.
+    CPUs).  Broadcast-lookup pools (store decode, entity linking,
+    prefix expansion) therefore reserve no CPU (``num_cpus=0``): they
+    are lookups against a shipped table, not a share of the cluster.
+    So do the hash-shuffle aggregators of every ``Dataset.join``
+    (``aggregator_ray_remote_args``): while idle they held both CPUs of
+    a 2-CPU session and the join's inputs never ran.
     """
     global _CONFIGURED
     if _CONFIGURED:

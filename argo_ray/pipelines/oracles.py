@@ -127,118 +127,6 @@ FROM exp WHERE subj_kind = 0""",
             WHEN pred_value LIKE '%/%' THEN regexp_extract(pred_value, '/([^/]*)$', 1)
             ELSE pred_value END AS local_name
 FROM exp""",
-    "kg_degree_topk": EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-nodes AS (
-  SELECT subj_value AS node FROM d
-  UNION ALL
-  SELECT obj_value FROM d WHERE obj_kind <> 2
-)
-SELECT node, CAST(COUNT(*) AS BIGINT) AS degree
-FROM nodes GROUP BY node
-ORDER BY degree DESC, node LIMIT 20""",
-    "kg_predicate_hist": EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT pred_value AS predicate, CAST(COUNT(*) AS BIGINT) AS n_triples
-FROM d GROUP BY pred_value""",
-    # literal datatype/lang histogram
-    "kg_literal_hist": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT obj_datatype AS datatype, obj_lang AS lang,
-       CAST(COUNT(*) AS BIGINT) AS n_literals
-FROM d WHERE obj_kind = 2 GROUP BY obj_datatype, obj_lang""",
-    # inverse-functional (merge-key) property detection
-    "kg_key_detect": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-po AS (SELECT pred_value AS p, obj_value AS o,
-              COUNT(DISTINCT subj_value) AS n_subj
-       FROM d GROUP BY pred_value, obj_value)
-SELECT p AS predicate,
-       CAST(COUNT(*) AS BIGINT) AS n_objects,
-       CAST(MAX(n_subj) AS BIGINT) AS max_subj_per_obj,
-       CAST(CASE WHEN MAX(n_subj) = 1 THEN 1 ELSE 0 END AS BIGINT) AS is_key
-FROM po GROUP BY p""",
-    # schema induction: modal subject type per non-type predicate
-    "kg_schema_induce": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-ty AS (SELECT DISTINCT subj_value AS node, obj_value AS t FROM d
-       WHERE pred_value = '{RDF_TYPE}'),
-cnt AS (
-  SELECT f.pred_value AS pred, ty.t, COUNT(*) AS n
-  FROM d f JOIN ty ON ty.node = f.subj_value
-  WHERE f.pred_value <> '{RDF_TYPE}'
-  GROUP BY f.pred_value, ty.t
-)
-SELECT pred AS predicate, t AS domain_type, CAST(n AS BIGINT) AS support
-FROM (
-  SELECT *, ROW_NUMBER() OVER (
-    PARTITION BY pred ORDER BY n DESC, t) AS rn
-  FROM cnt
-) WHERE rn = 1""",
-    # dangling references: IRI objects never seen as a subject
-    "kg_dangling_refs": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT obj_value AS node, CAST(COUNT(*) AS BIGINT) AS n_refs
-FROM d
-WHERE obj_kind = 0
-  AND obj_value NOT IN (SELECT DISTINCT subj_value FROM d)
-GROUP BY obj_value""",
-    # log2-bucket document-length histogram (binary digit count = the
-    # exact floor(log2) the Ray side computes via the float exponent)
-    "docs_length_hist": """SELECT
-  CASE WHEN n_chars > 0 THEN length(bin(n_chars)) - 1 ELSE -1 END AS bucket,
-  CAST(COUNT(*) AS BIGINT) AS n_docs
-FROM documents GROUP BY 1""",
-    # per-property cardinality profile over the deduped graph
-    "kg_property_profile": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT pred_value AS predicate,
-       CAST(COUNT(*) AS BIGINT) AS n_triples,
-       CAST(COUNT(DISTINCT subj_value) AS BIGINT) AS n_subjects,
-       CAST(COUNT(DISTINCT obj_value) AS BIGINT) AS n_objects
-FROM d GROUP BY pred_value""",
-    # cross-syntax ER: equal derived titles block rdfa-vs-microdata
-    # entities into sameAs candidates (collisions included)
-    "kg_cross_syntax_er": """WITH t AS (
-  SELECT doc_id, array_to_string(string_split(text, ' ')[1:5], ' ') AS title
-  FROM documents
-)
-SELECT 'https://kg.example.org/doc/' || a.doc_id AS entity_a,
-       'https://kg.example.org/md/' || b.doc_id AS entity_b
-FROM t a JOIN t b ON a.title = b.title""",
-    # degree-distribution histogram over the undirected simple graph
-    "kg_degree_hist": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e0 AS (SELECT DISTINCT subj_value AS src, obj_value AS dst
-       FROM d WHERE obj_kind <> 2 AND subj_value <> obj_value),
-eu AS (SELECT src AS a, dst AS b FROM e0 UNION SELECT dst, src FROM e0),
-deg AS (SELECT a, COUNT(*) AS degree FROM eu GROUP BY a)
-SELECT CAST(degree AS BIGINT) AS degree,
-       CAST(COUNT(*) AS BIGINT) AS n_nodes
-FROM deg GROUP BY degree""",
-    # reciprocity: directed edges whose reverse exists / all edges
-    "kg_reciprocity": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS MATERIALIZED (SELECT DISTINCT subj_value AS src, obj_value AS dst
-                   FROM d WHERE obj_kind <> 2 AND subj_value <> obj_value),
-mo AS (SELECT COUNT(*) AS n_edges,
-              SUM(CASE WHEN r.src IS NOT NULL THEN 1 ELSE 0 END) AS n_recip
-       FROM e LEFT JOIN e r ON r.src = e.dst AND r.dst = e.src)
-SELECT CAST(n_edges AS BIGINT) AS n_edges,
-       CAST(n_recip AS BIGINT) AS n_reciprocal,
-       ROUND(CAST(n_recip AS DOUBLE) / n_edges, 6) AS reciprocity
-FROM mo""",
-    # VoID descriptor: five exact scalars over the deduped graph
-    "kg_void_stats": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT CAST(COUNT(*) AS BIGINT) AS n_triples,
-       CAST(COUNT(DISTINCT subj_value) AS BIGINT) AS n_subjects,
-       CAST(COUNT(DISTINCT CASE WHEN obj_kind <> 2 THEN obj_value END) AS BIGINT) AS n_objects,
-       CAST(COUNT(DISTINCT pred_value) AS BIGINT) AS n_properties,
-       CAST(COUNT(DISTINCT CASE WHEN pred_value =
-         'http://www.w3.org/1999/02/22-rdf-syntax-ns#type'
-         THEN obj_value END) AS BIGINT) AS n_classes
-FROM d""",
     # multi-syntax fan-in: RDFa ∪ microdata ∪ JSON-LD, distinct
     "kg_multisyntax_build": EXP_CTE
     + f""", md AS (
@@ -336,111 +224,6 @@ exp AS (
   SELECT 1, skolem, '', '', 0, 'https://schema.org/name', '', '', 2, 'a' || doc_id, '', '' FROM md
 )
 SELECT {TERM_COLS} FROM exp""",
-    # change detection: exactly the lang-mutated generation-2 pages
-    "pages_change_detect": """SELECT
-  'https://docs.example.org/' || source || '/' || doc_id AS url
-FROM documents WHERE doc_id % 4 = 0 AND lang <> 'xx'""",
-    "kg_predicate_align": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp),
-sp AS MATERIALIZED (SELECT DISTINCT subj_value AS s, pred_value AS p FROM d),
-tot AS MATERIALIZED (SELECT p, COUNT(*) AS np FROM sp GROUP BY p),
-cm AS MATERIALIZED (
-  SELECT x.p AS pred_a, y.p AS pred_b, COUNT(*) AS common
-  FROM sp x JOIN sp y ON x.s = y.s AND x.p < y.p GROUP BY x.p, y.p)
-SELECT cm.pred_a, cm.pred_b, CAST(cm.common AS BIGINT) AS common,
-       CAST(cm.common AS DOUBLE) / (a.np + b.np - cm.common) AS jaccard
-FROM cm JOIN tot a ON a.p = cm.pred_a JOIN tot b ON b.p = cm.pred_b""",
-    # recency fusion: the gen-2 crawl re-asserts dc:language='xx' for
-    # every 4th document one day later; functional newest-wins patches
-    # exactly those object values, nothing else
-    "kg_temporal_fuse": EXP_CTE
-    + f""", d AS MATERIALIZED (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT DISTINCT subj_kind, subj_value, subj_lang, subj_datatype,
-       pred_kind, pred_value, pred_lang, pred_datatype,
-       obj_kind,
-       CASE WHEN pred_value = 'http://purl.org/dc/elements/1.1/language'
-             AND subj_value LIKE 'https://kg.example.org/doc/%'
-             AND CAST(substr(subj_value, 28) AS BIGINT) % 4 = 0
-            THEN 'xx' ELSE obj_value END AS obj_value,
-       obj_lang, obj_datatype
-FROM d""",
-    "kg_rdfs_infer": EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT DISTINCT * FROM (
-  SELECT * FROM d
-  UNION ALL
-  SELECT subj_kind, subj_value, '', '', CAST(0 AS BIGINT), '{RDF_TYPE}', '', '',
-         CAST(0 AS BIGINT), '{EX}' || t.super, '', ''
-  FROM d, (VALUES ('Work'), ('Thing')) t(super)
-  WHERE pred_value = '{RDF_TYPE}' AND obj_value = '{EX}Document'
-  UNION ALL
-  SELECT subj_kind, subj_value, '', '', 0, '{RDF_TYPE}', '', '',
-         0, '{EX}Annotation', '', ''
-  FROM d WHERE pred_value = '{RDF_TYPE}' AND obj_value = '{EX}Mention'
-  UNION ALL
-  SELECT subj_kind, subj_value, '', '', 0, '{RDF_TYPE}', '', '',
-         0, '{EX}CitingAgent', '', ''
-  FROM d WHERE pred_value = '{EX}cites'
-  UNION ALL
-  SELECT obj_kind, obj_value, '', '', 0, '{RDF_TYPE}', '', '',
-         0, '{EX}' || t.super, '', ''
-  FROM d, (VALUES ('Work'), ('Thing')) t(super)
-  WHERE pred_value = '{EX}cites' AND obj_kind <> 2
-  UNION ALL
-  SELECT subj_kind, subj_value, '', '', 0, '{RDF_TYPE}', '', '',
-         0, '{EX}Titled', '', ''
-  FROM d WHERE pred_value = '{DC}title'
-  UNION ALL
-  SELECT subj_kind, subj_value, subj_lang, subj_datatype,
-         0, 'http://www.w3.org/2000/01/rdf-schema#label', '', '',
-         obj_kind, obj_value, obj_lang, obj_datatype
-  FROM d WHERE pred_value = '{EX}label'
-)""",
-    "kg_owl_infer": EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-nxt AS (
-  SELECT 'https://kg.example.org/doc/' || doc_id AS s,
-         'https://kg.example.org/doc/' || (doc_id + 1) AS o
-  FROM documents WHERE doc_id % 50 <> 49
-),
-nextc AS (
-  -- transitive closure of the 50-doc chains = all ordered pairs
-  -- within a block (closed form; no recursion needed)
-  SELECT 'https://kg.example.org/doc/' || a.doc_id AS s,
-         'https://kg.example.org/doc/' || b.doc_id AS o
-  FROM documents a JOIN documents b
-    ON a.doc_id - (a.doc_id % 50) = b.doc_id - (b.doc_id % 50)
-   AND b.doc_id > a.doc_id
-),
-u AS (
-  SELECT * FROM d
-  UNION
-  SELECT CAST(0 AS BIGINT), s, '', '', CAST(0 AS BIGINT), '{EX}next', '', '',
-         CAST(0 AS BIGINT), o, '', '' FROM nxt
-  UNION
-  SELECT 0, s, '', '', 0, '{EX}next', '', '', 0, o, '', '' FROM nextc
-  UNION
-  SELECT obj_kind, obj_value, '', '', 0, '{EX}citedBy', '', '',
-         subj_kind, subj_value, '', ''
-  FROM d WHERE pred_value = '{EX}cites' AND obj_kind <> 2
-  UNION
-  SELECT obj_kind, obj_value, '', '', 0, '{EX}site', '', '',
-         subj_kind, subj_value, '', ''
-  FROM d WHERE pred_value = '{EX}site' AND obj_kind <> 2
-  UNION
-  SELECT l.subj_kind, l.subj_value, '', '', 0, '{EX}citesSite', '', '',
-         r.obj_kind, r.obj_value, '', ''
-  FROM d l JOIN d r ON l.obj_kind = r.subj_kind AND l.obj_value = r.subj_value
-  WHERE l.pred_value = '{EX}cites' AND l.obj_kind <> 2
-    AND r.pred_value = '{EX}site' AND r.obj_kind <> 2
-  UNION
-  SELECT r.obj_kind, r.obj_value, '', '', 0, '{EX}siteCited', '', '',
-         l.subj_kind, l.subj_value, '', ''
-  FROM d l JOIN d r ON l.obj_kind = r.subj_kind AND l.obj_value = r.subj_value
-  WHERE l.pred_value = '{EX}cites' AND l.obj_kind <> 2
-    AND r.pred_value = '{EX}site' AND r.obj_kind <> 2
-)
-SELECT DISTINCT {TERM_COLS} FROM u""",
     "group_subject_count": EXP_CTE
     + f"""SELECT subj_kind, subj_value, COUNT(*) AS n_triples
 FROM (SELECT DISTINCT {TERM_COLS} FROM exp)
@@ -497,17 +280,6 @@ best AS (
 SELECT DISTINCT e.subj_value, b.entity_iri AS entity_value
 FROM d e JOIN best b ON e.obj_value = b.surface_form
 WHERE e.pred_value = '{DC}title' AND e.obj_kind = 2""",
-    "list_roundtrip": EXP_CTE
-    + """SELECT entity AS subj_value, CAST(n AS BIGINT) AS pos,
-       string_split(title, ' ')[n] AS word
-FROM docs, (SELECT UNNEST([1, 2, 3]) AS n) ns
-WHERE len(string_split(title, ' ')) >= n""",
-    "container_encode": EXP_CTE
-    + f"""SELECT CAST(0 AS BIGINT) AS subj_kind, entity AS subj_value,
-       'http://www.w3.org/1999/02/22-rdf-syntax-ns#_' || n AS pred_value,
-       CAST(2 AS BIGINT) AS obj_kind, string_split(title, ' ')[n] AS obj_value
-FROM docs, (SELECT UNNEST([1, 2, 3]) AS n) ns
-WHERE len(string_split(title, ' ')) >= n""",
     # SPARQL SELECT over the deduped KG: the BGP (type/language/site/chars
     # per ?doc) is exactly one row per document; FILTER = the WHERE below;
     # variables render as canonical N-Triples strings.
@@ -691,30 +463,6 @@ FROM docs WHERE doc_id % 7 = 0""",
 }
 
 
-def _delta_sql() -> str:
-    """kg_delta oracle: re-instantiate the expected-triples CTE body
-    twice over two doc filters (old crawl = doc_id%3<>2, recrawl =
-    doc_id%3<>0), then the two distinct-set EXCEPTs tagged del/add."""
-    body = _EXP_PART.rstrip()
-    assert body.endswith(")")
-    body = body[:-1]
-    return (
-        _DOCS_PART
-        + "docs_old AS (SELECT * FROM docs WHERE doc_id % 3 <> 2),\n"
-        + "docs_new AS (SELECT * FROM docs WHERE doc_id % 3 <> 0),\n"
-        + "exp_old AS ("
-        + body.replace("FROM docs", "FROM docs_old")
-        + "),\nexp_new AS ("
-        + body.replace("FROM docs", "FROM docs_new")
-        + f"""),
-d_old AS (SELECT DISTINCT {TERM_COLS} FROM exp_old),
-d_new AS (SELECT DISTINCT {TERM_COLS} FROM exp_new)
-SELECT 'del' AS op, * FROM (SELECT * FROM d_old EXCEPT SELECT * FROM d_new)
-UNION ALL
-SELECT 'add' AS op, * FROM (SELECT * FROM d_new EXCEPT SELECT * FROM d_old)"""
-    )
-
-
 ORACLES["sparql_results_tsv_roundtrip"] = ORACLES["sparql_results_roundtrip"]
 
 # Fixture blanks touch no other blanks, so the canonical label is the
@@ -733,33 +481,6 @@ feats AS (
 SELECT blank, md5(string_agg(feat, chr(10) ORDER BY feat)) AS canon
 FROM feats GROUP BY blank"""
 
-ORACLES["kg_fill_rates"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-typed AS (
-  SELECT DISTINCT subj_value AS s, obj_value AS typ FROM d
-  WHERE pred_value = \'{RDF_TYPE}\' AND obj_kind = 0
-), props AS (
-  SELECT DISTINCT subj_value AS s, pred_value AS p FROM d
-), den AS (
-  SELECT typ, CAST(COUNT(*) AS BIGINT) AS n_entities FROM typed GROUP BY typ
-), pairs AS (
-  SELECT t.typ, pr.p, CAST(COUNT(DISTINCT t.s) AS BIGINT) AS n_with
-  FROM typed t JOIN props pr ON t.s = pr.s GROUP BY t.typ, pr.p
-)
-SELECT pairs.typ AS type, pairs.p AS pred, den.n_entities, pairs.n_with,
-       ROUND(CAST(pairs.n_with AS DOUBLE) / den.n_entities, 6) AS fill_rate
-FROM pairs JOIN den USING (typ)"""
-
-ORACLES["kg_entity_cards"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-pc AS (SELECT pred_value AS p, COUNT(*) AS rarity FROM d GROUP BY pred_value),
-ranked AS (
-  SELECT d.subj_value AS subj, d.pred_value AS pred, d.obj_value AS obj,
-         row_number() OVER (PARTITION BY d.subj_value
-                            ORDER BY pc.rarity, d.pred_value, d.obj_value)
-           AS rank
-  FROM d JOIN pc ON pc.p = d.pred_value
-)
-SELECT subj, CAST(rank AS BIGINT) AS rank, pred, obj
-FROM ranked WHERE rank <= 3"""
 
 # DESCRIBE ?doc (typed Document AND lang "fr"): all distinct triples
 # whose subject is a matched doc entity
@@ -772,62 +493,6 @@ m AS (
 )
 SELECT {TERM_COLS} FROM d JOIN m ON d.subj_value = m.s"""
 
-ORACLES["kg_delta"] = _delta_sql()
-
-
-def _snapshot_sql(keep_filter: str) -> str:
-    """Distinct expected triples of one crawl generation (kg_delta_apply
-    oracle: applying the delta to the old store must yield exactly the
-    recrawl's build)."""
-    body = _EXP_PART.rstrip()[:-1]
-    return (
-        _DOCS_PART
-        + f"docs_gen AS (SELECT * FROM docs WHERE {keep_filter}),\n"
-        + "exp_gen AS ("
-        + body.replace("FROM docs", "FROM docs_gen")
-        + f")\nSELECT DISTINCT {TERM_COLS} FROM exp_gen"
-    )
-
-
-ORACLES["kg_delta_apply"] = _snapshot_sql("doc_id % 3 <> 0")
-
-# SHACL-lite validation over the dirtied KG: planted second titles
-# (doc_id%11), untyped chars literals (doc_id%13), plus the naturally
-# untyped hub subject.  _DIRTY_CTE and the verdict block are shared
-# with the kg_build_pipeline oracle below.
-_DIRTY_CTE = f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-dirty AS (
-  SELECT * FROM d
-  UNION ALL
-  SELECT subj_kind, subj_value, subj_lang, subj_datatype,
-         pred_kind, pred_value, pred_lang, pred_datatype,
-         obj_kind, obj_value || '!', obj_lang, obj_datatype
-  FROM d JOIN docs ON subj_value = entity
-  WHERE pred_value = '{DC}title' AND doc_id % 11 = 0
-  UNION ALL
-  SELECT subj_kind, subj_value, subj_lang, subj_datatype,
-         pred_kind, pred_value, pred_lang, pred_datatype,
-         obj_kind, obj_value, obj_lang, ''
-  FROM d JOIN docs ON subj_value = entity
-  WHERE pred_value = '{EX}chars' AND doc_id % 13 = 0
-)"""
-
-_VERDICTS_SQL = f"""SELECT 'functional:{DC}title' AS shape, subj_value
-FROM dirty WHERE pred_value = '{DC}title'
-GROUP BY subj_value HAVING COUNT(DISTINCT obj_value) > 1
-UNION ALL
-SELECT 'required:rdf-type', subj_value FROM (
-  SELECT subj_value,
-         MAX(CASE WHEN pred_value = '{RDF_TYPE}' THEN 1 ELSE 0 END) AS has_type
-  FROM dirty WHERE subj_kind = 0 GROUP BY subj_value
-) WHERE has_type = 0
-UNION ALL
-SELECT DISTINCT 'datatype:{EX}chars', subj_value
-FROM dirty
-WHERE pred_value = '{EX}chars' AND obj_kind = 2
-  AND obj_datatype <> 'http://www.w3.org/2001/XMLSchema#integer'"""
-
-ORACLES["kg_shacl_validate"] = EXP_CTE + _DIRTY_CTE + "\n" + _VERDICTS_SQL
 
 # N-Quads round-trip: each page's distinct triples in the page-url
 # named graph; the quad columns survive the serialize/parse cycle.
@@ -837,95 +502,11 @@ ORACLES["nquads_roundtrip"] = (
 ORACLES["trig_roundtrip"] = ORACLES["nquads_roundtrip"]
 
 
-def _qa_pairs_sql(src: str) -> str:
-    """QA-report metric block over a triples CTE named ``src``:
-    distinct (metric, value) pairs counted per metric (chr(31) joins
-    mirror the Ray side's \\x1f separator)."""
-    j = " || chr(31) || "
-    full = j.join(
-        f"CAST({c.strip()} AS VARCHAR)"
-        for c in TERM_COLS.replace("\n", " ").split(",")
-    )
-    subj = f"CAST(subj_kind AS VARCHAR){j}subj_value"
-    lit = f"obj_value{j}obj_lang{j}obj_datatype"
-    return f""",
-pairs AS (
-  SELECT DISTINCT * FROM (
-    SELECT 'n_triples' AS metric, {full} AS value FROM {src}
-    UNION ALL SELECT 'n_subjects', {subj} FROM {src}
-    UNION ALL SELECT 'n_predicates', pred_value FROM {src}
-    UNION ALL SELECT 'n_iri_entities', subj_value FROM {src} WHERE subj_kind = 0
-    UNION ALL SELECT 'n_iri_entities', obj_value FROM {src} WHERE obj_kind = 0
-    UNION ALL SELECT 'n_bnodes', subj_value FROM {src} WHERE subj_kind = 1
-    UNION ALL SELECT 'n_bnodes', obj_value FROM {src} WHERE obj_kind = 1
-    UNION ALL SELECT 'n_literals', {lit} FROM {src} WHERE obj_kind = 2
-    UNION ALL SELECT 'n_lang_literals', {lit} FROM {src} WHERE obj_kind = 2 AND obj_lang <> ''
-    UNION ALL SELECT 'n_typed_literals', {lit} FROM {src} WHERE obj_kind = 2 AND obj_datatype <> ''
-    UNION ALL SELECT 'n_typed_subjects', {subj} FROM {src} WHERE pred_value = '{RDF_TYPE}'
-    UNION ALL SELECT 'n_classes', obj_value FROM {src} WHERE pred_value = '{RDF_TYPE}'
-  )
-)
-SELECT metric, CAST(COUNT(*) AS BIGINT) AS n FROM pairs GROUP BY metric"""
-
-
-ORACLES["kg_qa_report"] = (
-    EXP_CTE
-    + f", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)"
-    + _qa_pairs_sql("d")
-)
-
-# Composed KG-build flagship: dirty build -> validation verdicts ->
-# quarantine every violating subject -> QA report of the published
-# graph (same dirty/verdict blocks as kg_shacl_validate).
-ORACLES["kg_build_pipeline"] = (
-    EXP_CTE
-    + _DIRTY_CTE
-    + f""",
-viol AS (SELECT DISTINCT subj_value FROM ({_VERDICTS_SQL})),
-clean AS (
-  SELECT * FROM dirty
-  WHERE subj_value NOT IN (SELECT subj_value FROM viol)
-)"""
-    + _qa_pairs_sql("clean")
-)
-
-# ER blocking: cross-namespace candidate pairs via exact-title join
-# (title collisions across docs intentionally produce extra pairs).
-ORACLES["kg_er_candidates"] = EXP_CTE + """, t AS (SELECT entity, title FROM docs)
-SELECT a.entity AS src,
-       replace(b.entity, 'https://kg.example.org/doc/',
-               'https://kb.example.org/entity/') AS dst
-FROM t a JOIN t b ON a.title = b.title"""
-
-# Property-graph export: one wide attribute row per Document entity
-# (validates extraction + pivot end-to-end against the docs relation).
-ORACLES["kg_node_table"] = EXP_CTE + f"""SELECT entity,
-       '{EX}Document' AS type, title, lang, site,
-       CAST(n_chars AS BIGINT) AS n_chars
-FROM docs"""
-
-# CSR-style adjacency export: sorted neighbor list + out-degree.
-ORACLES["kg_adjacency"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-e AS (SELECT DISTINCT subj_value AS src, obj_value AS dst FROM d WHERE obj_kind <> 2)
-SELECT src AS node, string_agg(dst, ',' ORDER BY dst) AS neighbors,
-       CAST(COUNT(*) AS BIGINT) AS out_degree
-FROM e GROUP BY src"""
-
-# Property-graph edge export: distinct (src, label, dst).
-ORACLES["kg_edge_table"] = EXP_CTE + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp)
-SELECT DISTINCT subj_value AS src, pred_value AS label, obj_value AS dst
-FROM d WHERE obj_kind <> 2"""
-
 # M3: Graph.Get/GetAll/HasSubject point lookups for three fixed entities.
 ORACLES["point_lookups"] = EXP_CTE + """SELECT entity AS subj_value, title,
        CAST(n_chars AS BIGINT) AS chars_int, CAST(1 AS BIGINT) AS has_subject
 FROM docs WHERE doc_id IN (0, 1, 2)"""
 
-# J2: distributed cons-list walk == the in-batch list round-trip's output.
-ORACLES["list_walk_grouped"] = EXP_CTE + """SELECT entity AS subj_value,
-       CAST(n AS BIGINT) AS pos, string_split(title, ' ')[n] AS word
-FROM docs, (SELECT UNNEST([1, 2, 3]) AS n) ns
-WHERE len(string_split(title, ' ')) >= n"""
 
 # S5: split-serialize-reread fan-in recovers the distinct extraction.
 ORACLES["multi_source_fanin"] = EXP_CTE + f"SELECT DISTINCT {TERM_COLS} FROM exp"
@@ -945,20 +526,6 @@ ORACLES["repl_prefix_trim"] = """SELECT doc_id,
        'https://docs.example.org/' || source || '/' || doc_id AS page_uri,
        'https://kg.example.org/doc/' || doc_id AS entity_uri
 FROM documents"""
-
-
-# type co-occurrence over the RDFS-INFERRED graph (reuses its oracle
-# as a CTE so the two can never drift)
-ORACLES["kg_type_cooccur"] = (
-    "WITH inf AS ("
-    + ORACLES["kg_rdfs_infer"]
-    + f"""),
-ty AS (SELECT DISTINCT subj_value AS s, obj_value AS t FROM inf
-       WHERE pred_value = '{RDF_TYPE}')
-SELECT a.t AS type_a, b.t AS type_b, CAST(COUNT(*) AS BIGINT) AS n_entities
-FROM ty a JOIN ty b ON a.s = b.s AND a.t < b.t
-GROUP BY a.t, b.t"""
-)
 
 
 # reification encode->decode is the identity on the deduped graph
@@ -1047,19 +614,6 @@ LEFT JOIN (SELECT DISTINCT subj_value, obj_value AS title, obj_lang AS tl
   ON tt.subj_value = t.subj_value AND l.subj_value IS NOT NULL"""
 
 
-# incremental update must equal the full gen-1 graph: EXP with the
-# recrawl's language mutation
-_MUT_EXP_CTE = EXP_CTE.replace(
-    "SELECT doc_id, text, lang, source, n_chars,",
-    "SELECT doc_id, text, "
-    "CASE WHEN doc_id % 4 = 0 THEN 'xx' ELSE lang END AS lang, "
-    "source, n_chars,",
-)
-assert _MUT_EXP_CTE != EXP_CTE
-ORACLES["kg_incremental_update"] = (
-    _MUT_EXP_CTE + f"SELECT DISTINCT {TERM_COLS} FROM exp"
-)
-
 ORACLES["sparql_count_distinct_star_eval"] = EXP_CTE + """SELECT
   '"' || l.lang || '"' AS l, CAST(COUNT(*) AS BIGINT) AS n
 FROM (SELECT DISTINCT subj_value, obj_value AS lang FROM exp
@@ -1132,25 +686,6 @@ ORACLES["sparql_seq_path_eval"] = """SELECT
   '<https://site' || (doc_id % 5) || '.example.org/>' AS site
 FROM documents"""
 
-# Gini over undirected KG degrees — exact integer sums, shared finish
-ORACLES["kg_degree_gini"] = EXP_CTE + f""", d AS MATERIALIZED (
-  SELECT DISTINCT {TERM_COLS} FROM exp
-), e0 AS MATERIALIZED (
-  SELECT DISTINCT subj_value AS src, obj_value AS dst
-  FROM d WHERE obj_kind <> 2
-), both_dir AS (
-  SELECT src AS node FROM e0 UNION ALL SELECT dst FROM e0
-), deg AS (
-  SELECT node, CAST(COUNT(*) AS BIGINT) AS degree
-  FROM both_dir GROUP BY node
-), r AS (
-  SELECT degree, ROW_NUMBER() OVER (ORDER BY degree, node) AS rnk FROM deg
-)
-SELECT ROUND(2.0 * SUM(rnk * degree) / (COUNT(*) * SUM(degree))
-             - (COUNT(*) + 1.0) / COUNT(*), 6) AS gini_degree,
-       CAST(COUNT(*) AS BIGINT) AS n_nodes,
-       CAST(SUM(degree) AS BIGINT) AS n_degree_sum
-FROM r"""
 
 # federation + numeric filter + GROUP BY: per-language counts of
 # docs whose endpoint token count exceeds 26
@@ -1192,8 +727,6 @@ FROM documents
 ORDER BY n_chars DESC, doc ASC LIMIT 10"""
 
 
-ORACLES["loop_eval"] = "SELECT doc_id, CAST(n_chars + doc_id AS BIGINT) AS loop_result FROM documents"
-
 ORACLES["sparql_results_parse"] = """SELECT doc_id, var, kind, value, lang, datatype FROM (
   SELECT doc_id, 'id' AS var, CAST(2 AS BIGINT) AS kind,
          CAST(doc_id AS VARCHAR) AS value, '' AS lang,
@@ -1217,94 +750,3 @@ ORACLES["format_infer"] = """SELECT doc_id,
 FROM documents"""
 
 
-ORACLES["kg_namespace_stats"] = (
-    EXP_CTE
-    + f""", d AS (SELECT DISTINCT {TERM_COLS} FROM exp),
-pn AS (
-  SELECT CASE WHEN pred_value LIKE '%#%'
-              THEN regexp_extract(pred_value, '^(.*#)[^#]*$', 1)
-              WHEN pred_value LIKE '%/%'
-              THEN regexp_extract(pred_value, '^(.*/)[^/]*$', 1)
-              ELSE '' END AS namespace,
-         pred_value
-  FROM d
-)
-SELECT namespace,
-       CAST(COUNT(DISTINCT pred_value) AS BIGINT) AS n_preds,
-       CAST(COUNT(*) AS BIGINT) AS n_triples
-FROM pn GROUP BY namespace"""
-)
-
-# Fellegi–Sunter mirror: u per field = exact SUM/COUNT over the blocked
-# pairs (single double division on both sides), m=0.9 fixed, weights
-# summed lang+site+chars then ROUND 6 before the >0 decision.
-ORACLES["kg_er_fs_score"] = """WITH l AS (
-  SELECT doc_id,
-         array_to_string(string_split(text, ' ')[1:5], ' ') AS title,
-         lang, doc_id % 5 AS site, n_chars // 100 AS chars
-  FROM documents
-),
-r AS (
-  SELECT doc_id, title,
-         CASE WHEN doc_id % 5 = 0 THEN 'xx' ELSE lang END AS lang,
-         CASE WHEN doc_id % 3 = 0 THEN (site + 1) % 5 ELSE site END AS site,
-         CASE WHEN doc_id % 2 = 0 THEN chars + 1 ELSE chars END AS chars
-  FROM l
-),
-pairs AS (
-  SELECT 'https://kg.example.org/doc/' || a.doc_id AS src,
-         'https://kb.example.org/entity/' || b.doc_id AS dst,
-         CAST(a.lang = b.lang AS BIGINT) AS agree_lang,
-         CAST(a.site = b.site AS BIGINT) AS agree_site,
-         CAST(a.chars = b.chars AS BIGINT) AS agree_chars
-  FROM l a JOIN r b USING (title)
-),
-u AS (
-  SELECT CAST(SUM(agree_lang) AS DOUBLE) / COUNT(*) AS ul,
-         CAST(SUM(agree_site) AS DOUBLE) / COUNT(*) AS us,
-         CAST(SUM(agree_chars) AS DOUBLE) / COUNT(*) AS uc
-  FROM pairs
-)
-SELECT src, dst, agree_lang, agree_site, agree_chars,
-       ROUND(
-         (CASE WHEN agree_lang = 1 THEN ln(0.9 / ul)
-               ELSE ln(0.1 / (1 - ul)) END)
-       + (CASE WHEN agree_site = 1 THEN ln(0.9 / us)
-               ELSE ln(0.1 / (1 - us)) END)
-       + (CASE WHEN agree_chars = 1 THEN ln(0.9 / uc)
-               ELSE ln(0.1 / (1 - uc)) END), 6) AS score,
-       ROUND(
-         (CASE WHEN agree_lang = 1 THEN ln(0.9 / ul)
-               ELSE ln(0.1 / (1 - ul)) END)
-       + (CASE WHEN agree_site = 1 THEN ln(0.9 / us)
-               ELSE ln(0.1 / (1 - us)) END)
-       + (CASE WHEN agree_chars = 1 THEN ln(0.9 / uc)
-               ELSE ln(0.1 / (1 - uc)) END), 6) > 0 AS is_match
-FROM pairs, u"""
-
-
-ORACLES["kg_fuse_majority"] = """SELECT entity, value, support FROM (
-  SELECT entity, value, support,
-         ROW_NUMBER() OVER (
-           PARTITION BY entity ORDER BY support DESC, value) AS rn
-  FROM (
-    SELECT CAST(doc_id % 40 AS BIGINT) AS entity, lang AS value,
-           CAST(COUNT(*) AS BIGINT) AS support
-    FROM documents GROUP BY doc_id % 40, lang
-  )
-) WHERE rn = 1"""
-
-
-ORACLES["docs_svo_triples"] = """WITH toks AS (
-  SELECT doc_id,
-         unnest(string_split(text, ' ')) AS w,
-         generate_subscripts(string_split(text, ' '), 1) AS pos
-  FROM documents
-)
-SELECT a.w AS subj, b.w AS rel, c.w AS obj, CAST(COUNT(*) AS BIGINT) AS n
-FROM toks a
-JOIN toks b ON a.doc_id = b.doc_id AND b.pos = a.pos + 1
-JOIN toks c ON a.doc_id = c.doc_id AND c.pos = a.pos + 2
-WHERE b.w IN ('join', 'merge', 'sort')
-GROUP BY a.w, b.w, c.w
-HAVING COUNT(*) >= 3"""

@@ -118,13 +118,6 @@ def _expand_uri(s: str, vocab_base: str, prefix_map: dict[str, str]) -> str:
     return prefix_map.get(s[:p], "") + s[p + 1 :]
 
 
-def _first_child_text(node: _Node) -> str:
-    if not node.children:
-        return ""
-    first = node.children[0]
-    return first if isinstance(first, str) else ""
-
-
 class _RdfaEvents(HTMLParser):
     """Single-pass event-stream extractor — same pre-order semantics as a
     DOM traversal would give, with zero node allocation (the flagship

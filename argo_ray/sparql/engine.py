@@ -76,7 +76,6 @@ import threading
 import weakref
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -1510,9 +1509,10 @@ def _eval_cond(batch: pa.Table, e: "EIf"):
         return _filter_mask(batch, e.cleft)
     try:
         lnum, rnum = _eval_num(batch, e.cleft), _eval_num(batch, e.cright)
-        num_res = _CMP_KERNELS[e.op](pa.array(lnum), pa.array(rnum))
-        num_ok = lnum.notna() & rnum.notna()
-        if num_ok.all() or statically_numeric(e.cleft) or statically_numeric(e.cright):
+        num_res = _CMP_KERNELS[e.op](lnum, rnum)
+        num_ok = pc.and_(pc.is_valid(lnum), pc.is_valid(rnum))
+        if (pc.all(num_ok, min_count=0).as_py() or statically_numeric(e.cleft)
+                or statically_numeric(e.cright)):
             # statically-numeric side (arith, strlen, or a numeric
             # constant): an NA there is a genuine expression error
             # (→ unbound), not a string-typed value
@@ -1520,18 +1520,78 @@ def _eval_cond(batch: pa.Table, e: "EIf"):
         str_res = _CMP_KERNELS[e.op](
             _eval_str(batch, e.cleft), _eval_str(batch, e.cright)
         )
-        return pc.if_else(pa.array(num_ok.values), num_res, str_res)
+        return pc.if_else(num_ok, num_res, str_res)
     except SparqlSyntaxError:
         return _CMP_KERNELS[e.op](
             _eval_str(batch, e.cleft), _eval_str(batch, e.cright)
         )
 
 
-def _eval_num(batch: pa.Table, e) -> pd.Series:
-    """Integer evaluation → nullable Int64 Series; expression errors
-    (unparseable / non-integral lexical forms, unbound inputs) become
-    NA, which the caller turns into an unbound binding — the SPARQL
-    error-to-unbound rule, vectorized."""
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+# an integer lexical form: sign, digits, an optional all-zero fraction
+_INT_FORM = r"^(?:\+|(?P<sign>-))?0*(?P<digits>[0-9]+)(?:\.0*)?$"
+# any other decimal or double lexical form
+_FLOAT_FORM = r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$"
+
+
+def _lexical_numbers(vals: pa.Array) -> tuple[pa.Array, pa.Array]:
+    """The exact int64 of each integer lexical form (null outside
+    int64), and the float64 of each other decimal or double form; both
+    null elsewhere."""
+    vals = pc.utf8_trim_whitespace(vals)
+    m = pc.extract_regex(vals, pattern=_INT_FORM)
+    sign, digits = pc.struct_field(m, "sign"), pc.struct_field(m, "digits")
+    # int64 holds 19 digits up to 9223372036854775807 (…808 negated);
+    # equal-length digit strings compare as their numbers
+    limit = pc.if_else(pc.equal(sign, "-"), "9223372036854775808", "9223372036854775807")
+    n = pc.utf8_length(digits)
+    fits = pc.or_(pc.less(n, 19), pc.and_(pc.equal(n, 19), pc.less_equal(digits, limit)))
+    text = pc.binary_join_element_wise(sign, digits, pa.scalar("", pa.large_string()))
+    ints = pc.cast(pc.if_else(fits, text, pa.scalar(None, pa.large_string())), pa.int64())
+    other = pc.and_not(pc.match_substring_regex(vals, _FLOAT_FORM), pc.is_valid(m))
+    floats = pc.cast(pc.if_else(other, vals, pa.scalar(None, pa.large_string())), pa.float64())
+    return ints, floats
+
+
+def _integral(f: pa.Array) -> pa.Array:
+    """int64 of each finite integral float in int64 range; null
+    elsewhere (the engine's numeric domain is xsd:integer)."""
+    ok = pc.and_(
+        pc.equal(pc.floor(f), f),
+        pc.and_(pc.greater_equal(f, -(2.0**63)), pc.less(f, 2.0**63)),
+    )
+    return pc.cast(pc.if_else(ok, f, pa.scalar(None, pa.float64())), pa.int64())
+
+
+_ARITH = {
+    "+": (pc.add_checked, lambda a, b: a + b),
+    "-": (pc.subtract_checked, lambda a, b: a - b),
+    "*": (pc.multiply_checked, lambda a, b: a * b),
+}
+
+
+def _arith(op: str, left: pa.Array, right: pa.Array) -> pa.Array:
+    kernel, exact = _ARITH[op]
+    try:
+        return kernel(left, right)
+    except pa.ArrowInvalid:  # an overflow: only the rows that overflow go null
+        out = [
+            None if a is None or b is None else exact(a, b)
+            for a, b in zip(left.to_pylist(), right.to_pylist())
+        ]
+        return pa.array(
+            [v if v is not None and _I64_MIN <= v <= _I64_MAX else None for v in out],
+            pa.int64(),
+        )
+
+
+def _eval_num(batch: pa.Table, e) -> pa.Array:
+    """Integer evaluation → nullable int64 array, exact over the whole
+    int64 range; expression errors (unparseable / non-integral lexical
+    forms, unbound inputs, overflow) become null, which the caller
+    turns into an unbound binding — the SPARQL error-to-unbound rule,
+    vectorized."""
     n = batch.num_rows
     if isinstance(e, EConst):
         t = e.term
@@ -1543,57 +1603,38 @@ def _eval_num(batch: pa.Table, e) -> pd.Series:
             raise SparqlSyntaxError(
                 f"non-integer constant {t.value!r} in arithmetic"
             )
-        return pd.Series([v] * n, dtype="Int64")
+        return pa.array([v if _I64_MIN <= v <= _I64_MAX else None] * n, pa.int64())
     if isinstance(e, EVar):
-        vals = pc.cast(batch[f"{e.name}__value"], pa.large_string())
-        s = pd.to_numeric(
-            pd.Series(vals.to_pylist(), dtype="object"), errors="coerce"
-        )
-        s = s.mask(s.notna() & (s % 1 != 0))  # non-integral → NA
-        return s.astype("Int64")
+        ints, f = _lexical_numbers(_eval_str(batch, e))
+        return pc.coalesce(ints, _integral(f))
     if isinstance(e, EArith):
-        left, right = _eval_num(batch, e.left), _eval_num(batch, e.right)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        return left * right
+        return _arith(e.op, _eval_num(batch, e.left), _eval_num(batch, e.right))
     if isinstance(e, EFunc) and e.func == "strlen":
-        lens = pc.utf8_length(_eval_str(batch, e.args[0]))
-        return pd.Series(lens.to_pylist(), dtype="Int64")
+        return pc.cast(pc.utf8_length(_eval_str(batch, e.args[0])), pa.int64())
     if isinstance(e, EFunc) and e.func in ("abs", "round", "ceil", "floor"):
-        # float-domain eval of the argument's lexical form, integral
-        # Int64 result (ROUND/CEIL/FLOOR are integral by definition;
-        # SPARQL ROUND ties go toward +inf).  A non-integral ABS result
-        # → NA (the engine's numeric domain is xsd:integer).
+        # an integer argument is its own ROUND/CEIL/FLOOR; a decimal or
+        # double lexical form is evaluated in float and kept only when
+        # the result is integral (ROUND/CEIL/FLOOR are integral by
+        # definition; SPARQL ROUND ties go toward +inf; a non-integral
+        # ABS is null)
         arg = e.args[0]
         if isinstance(arg, EVar):
-            vals = pc.cast(batch[f"{arg.name}__value"], pa.large_string())
-            f = pd.to_numeric(
-                pd.Series(vals.to_pylist(), dtype="object"), errors="coerce"
-            )
+            ints, f = _lexical_numbers(_eval_str(batch, arg))
         else:
-            f = _eval_num(batch, arg).astype("Float64")
-        f = f.astype("Float64")
+            ints, f = _eval_num(batch, arg), pa.nulls(n, pa.float64())
         if e.func == "abs":
-            f = f.abs()
+            ints = pc.if_else(pc.equal(ints, _I64_MIN), pa.scalar(None, pa.int64()), pc.abs(ints))
+            f = pc.abs(f)
         elif e.func == "round":
-            f = np.floor(f + 0.5)
-        elif e.func == "ceil":
-            f = np.ceil(f)
+            f = pc.floor(pc.add(f, 0.5))
         else:
-            f = np.floor(f)
-        f = pd.Series(f, dtype="Float64")
-        f = f.mask(f.notna() & (f % 1 != 0))  # non-integral ABS → NA
-        return f.astype("Int64")
+            f = (pc.ceil if e.func == "ceil" else pc.floor)(f)
+        return pc.coalesce(ints, _integral(f))
     if isinstance(e, EIf) and _expr_type(e) == "num":
-        cond = pd.Series(
-            _eval_cond(batch, e).to_pandas().values, dtype="boolean"
+        # a null condition leaves the result null
+        return pc.if_else(
+            _eval_cond(batch, e), _eval_num(batch, e.then), _eval_num(batch, e.other)
         )
-        then_s = _eval_num(batch, e.then)
-        else_s = _eval_num(batch, e.other)
-        out = then_s.where(cond.fillna(False).astype(bool), else_s)
-        return out.mask(cond.isna().values)
     raise SparqlSyntaxError("string expression in arithmetic context")
 
 
@@ -1615,10 +1656,10 @@ def _eval_str(batch: pa.Table, e) -> pa.Array:
         arr = pc.cast(batch[f"{e.name}__value"], pa.large_string())
         return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
     if isinstance(e, EArith) or (isinstance(e, EFunc) and e.func == "strlen"):
-        return pc.cast(pa.array(_eval_num(batch, e)), pa.large_string())
+        return pc.cast(_eval_num(batch, e), pa.large_string())
     if isinstance(e, EIf):
         if _expr_type(e) == "num":
-            return pc.cast(pa.array(_eval_num(batch, e)), pa.large_string())
+            return pc.cast(_eval_num(batch, e), pa.large_string())
         cond = _eval_cond(batch, e)
         # null condition → null result (if_else propagates the null)
         return pc.if_else(
@@ -1661,25 +1702,18 @@ def _eval_str(batch: pa.Table, e) -> pa.Array:
         return _eval_str(batch, e.args[0])
     if f in ("strbefore", "strafter"):
         # spec: no match → "" (empty literal); null input stays null.
-        # One vectorized pandas partition per batch (no pc kernel for
-        # first-occurrence split).
+        # One regex split at the first occurrence of the literal
+        # separator (RE2 quotes it with \Q…\E).
         sep = _const_str(e.args[1], f"{f.upper()} separator")
-        if sep == "":  # spec: empty separator → "" (before) / input (after)
-            arr = _eval_str(batch, e.args[0])
-            if f == "strafter":
-                return arr
-            return pc.if_else(
-                pc.is_valid(arr),
-                pa.scalar("", pa.large_string()),
-                pa.scalar(None, pa.large_string()),
-            )
         arr = _eval_str(batch, e.args[0])
-        s = pd.Series(arr.to_pandas(), dtype="object")
-        parts = s.str.partition(sep)
-        found = s.str.contains(sep, regex=False)
-        out = parts[0 if f == "strbefore" else 2].where(found, "")
-        out = out.mask(s.isna())
-        return pa.array(out, pa.large_string())
+        empty = pc.if_else(
+            pc.is_valid(arr), pa.scalar("", pa.large_string()), pa.scalar(None, pa.large_string())
+        )
+        if sep == "":  # spec: empty separator → "" (before) / input (after)
+            return arr if f == "strafter" else empty
+        quoted = "\\Q" + sep.replace("\\E", "\\E\\\\E\\Q") + "\\E"
+        parts = pc.extract_regex(arr, pattern=f"(?s)^(?P<b>.*?){quoted}(?P<a>.*)$")
+        return pc.coalesce(pc.struct_field(parts, "b" if f == "strbefore" else "a"), empty)
     if f in ("md5", "sha1", "sha256"):
         # lowercase-hex digest of the string value (DuckDB md5()/sha256()
         # twins).  Per-row hashlib: digest cost dwarfs loop overhead and
@@ -1810,9 +1844,7 @@ def _bind(ds, expr, alias: str, bound: set):
                 }
         else:
             if etype == "num":
-                vals = pc.cast(
-                    pa.array(_eval_num(batch, expr)), pa.large_string()
-                )
+                vals = pc.cast(_eval_num(batch, expr), pa.large_string())
                 dt = _XSD_INTEGER
             else:
                 vals = _eval_str(batch, expr)

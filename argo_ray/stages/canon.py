@@ -87,16 +87,6 @@ def rewrite_batch(batch: pa.Table, rules: list[RewriteRule]) -> pa.Table:
     return pa.table(cols)
 
 
-def rewrite_triples(ds, rules: list[RewriteRule], rehash: bool = True):
-    from ..terms import append_subject_hash
-
-    def fn(b: pa.Table) -> pa.Table:
-        out = rewrite_batch(b, rules)
-        return append_subject_hash(out) if rehash and "subject_hash" in b.column_names else out
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # SplitPrefix (M5) — argo.go:219-233: split at last '#', else last '/'.
 # ---------------------------------------------------------------------------

@@ -162,117 +162,3 @@ def salted_subject_key(batch: pa.Table, num_salts: int = 16) -> pa.Table:
         pc.multiply(batch["subject_hash"], pa.scalar(num_salts, pa.uint64())), salt
     )
     return batch.append_column("subject_salted", key)
-
-
-def graph_delta(old_ds, new_ds):
-    """Snapshot diff between two triple sets — the KG-maintenance
-    primitive (recrawl vs previous build): rows of ``op`` ('add' |
-    'del') + the 12 term columns.  No reference counterpart (the
-    reference has no notion of graph versions); semantics are the two
-    SQL EXCEPTs over the distinct sets.
-
-    ONE exchange: both sides project to the term columns with a side
-    tag, union, sort on the skew-proof ``triple_hash`` (identical
-    triples of both sides co-locate in one block), then a vectorized
-    per-block groupby emits triples present on exactly one side.
-    Within-batch combiners dedup each side before the shuffle."""
-
-    def prep(tag: int):
-        def fn(b: pa.Table) -> pa.Table:
-            out = b.select(TRIPLE_COLUMNS)
-            out = _dedup_within_batch(out)
-            out = append_triple_hash(out)
-            return out.append_column("_side", pa.array([tag] * out.num_rows, pa.int64()))
-
-        return fn
-
-    both = old_ds.map_batches(prep(1), batch_format="pyarrow").union(
-        new_ds.map_batches(prep(2), batch_format="pyarrow")
-    )
-
-    def diff_block(df):
-        import pandas as pd
-
-        cols = ["op"] + list(TRIPLE_COLUMNS)
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    c: pd.Series(
-                        [], dtype="int64" if c.endswith("_kind") else "object"
-                    )
-                    for c in cols
-                }
-            )
-        g = (
-            df.groupby(list(TRIPLE_COLUMNS), sort=False, dropna=False)["_side"]
-            .agg(["min", "max"])
-            .reset_index()
-        )
-        only_old = g[(g["min"] == 1) & (g["max"] == 1)].copy()
-        only_new = g[(g["min"] == 2) & (g["max"] == 2)].copy()
-        only_old["op"] = "del"
-        only_new["op"] = "add"
-        out = pd.concat([only_old, only_new], ignore_index=True)
-        return out[cols]
-
-    return exchange(both, DEDUP_KEY, diff_block, batch_format="pandas")
-
-
-def apply_delta(base_ds, delta_ds):
-    """Apply a :func:`graph_delta` result to a base triple set: 'del'
-    rows drop their matching triples, 'add' rows append.  Same
-    ONE-exchange shape as the diff itself — base rows tag 0, delta
-    rows tag 1 (del) / 2 (add), union, triple-hash sort co-locates a
-    triple's every row, then a vectorized per-block resolution keeps
-    (base and not deleted) or added triples."""
-
-    def prep_base(b: pa.Table) -> pa.Table:
-        out = b.select(TRIPLE_COLUMNS)
-        out = _dedup_within_batch(out)
-        out = append_triple_hash(out)
-        return out.append_column(
-            "_dtag", pa.array([0] * out.num_rows, pa.int64())
-        )
-
-    def prep_delta(b: pa.Table) -> pa.Table:
-        tag = pc.if_else(
-            pc.equal(pc.cast(b["op"], pa.string()), pa.scalar("del")),
-            pa.scalar(1, pa.int64()),
-            pa.scalar(2, pa.int64()),
-        )
-        out = b.select(TRIPLE_COLUMNS)
-        out = append_triple_hash(out)
-        return out.append_column("_dtag", pc.cast(tag, pa.int64()))
-
-    both = base_ds.map_batches(prep_base, batch_format="pyarrow").union(
-        delta_ds.map_batches(prep_delta, batch_format="pyarrow")
-    )
-
-    def resolve_block(df):
-        import pandas as pd
-
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    c: pd.Series(
-                        [], dtype="int64" if c.endswith("_kind") else "object"
-                    )
-                    for c in TRIPLE_COLUMNS
-                }
-            )
-        df = df.assign(
-            _base=df["_dtag"] == 0,
-            _del=df["_dtag"] == 1,
-            _add=df["_dtag"] == 2,
-        )
-        g = (
-            df.groupby(list(TRIPLE_COLUMNS), sort=False, dropna=False)[
-                ["_base", "_del", "_add"]
-            ]
-            .max()
-            .reset_index()
-        )
-        keep = (g["_base"] & ~g["_del"]) | g["_add"]
-        return g.loc[keep, list(TRIPLE_COLUMNS)]
-
-    return exchange(both, DEDUP_KEY, resolve_block, batch_format="pandas")

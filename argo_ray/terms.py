@@ -34,9 +34,6 @@ KIND_LITERAL = 2
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF_NS + "type"  # argo.A
-RDF_FIRST = RDF_NS + "first"
-RDF_REST = RDF_NS + "rest"
-RDF_NIL = RDF_NS + "nil"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 

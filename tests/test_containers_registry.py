@@ -1,45 +1,10 @@
-"""Container/list codec (M11) + format registry (S8) tests."""
+"""Format registry (S8) tests."""
 
 from argo_ray.sources.registry import (
     FORMATS,
     format_from_filename,
     format_from_mime_type,
 )
-from argo_ray.stages.containers import (
-    decode_container,
-    decode_list,
-    encode_container,
-    encode_list,
-)
-from argo_ray.terms import IRI, Literal
-
-EX = "http://example.org/ns#"
-RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-
-
-def test_container_roundtrip():
-    root = IRI(EX + "seq")
-    items = [Literal("a"), Literal("b"), IRI(EX + "c")]
-    triples = encode_container(root, items)
-    assert triples[0][1] == IRI(RDF + "_1")
-    assert decode_container(triples, root) == items
-
-
-def test_list_roundtrip():
-    root = IRI(EX + "list")
-    items = [Literal("x"), Literal("y"), Literal("z")]
-    triples = encode_list(root, items, list_key="k1")
-    # every cell typed rdf:List, chain ends at rdf:nil (graph.go:103-126)
-    types = [t for t in triples if t[1] == IRI(RDF + "type")]
-    assert len(types) == 3
-    assert any(t[2] == IRI(RDF + "nil") for t in triples)
-    assert decode_list(triples, root) == items
-    # deterministic cons cells
-    assert encode_list(root, items, list_key="k1") == triples
-
-
-def test_empty_list():
-    assert encode_list(IRI(EX + "l"), [], "k") == []
 
 
 def test_registry_lookup():

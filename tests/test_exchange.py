@@ -4,8 +4,9 @@ version pin on every co-location user, a guard that keeps the
 hand-written ``sort → map_batches(batch_size=None)`` idiom out of the
 package, one that keeps every file publish in ``io.publish``, two that
 keep a second aggregate and a second join implementation out of the
-SPARQL engine, one that finds modules no entry point imports, and one
-that finds registry helpers nothing calls."""
+SPARQL engine, one that finds modules no entry point imports, one that
+finds registry helpers nothing calls, and one that finds private
+functions and classes nothing in the package names."""
 
 import ast
 import pathlib
@@ -513,3 +514,57 @@ def test_dead_helper_guard_sees_an_unreached_function(tmp_path):
         "REGISTRY = {'used': q_used}\n"
     )
     assert _unreached_functions(mod) == ["_dead_sql", "q_dead"]
+
+
+def _unnamed_private_defs(root: pathlib.Path) -> list[str]:
+    """Private (``_``-prefixed, not dunder) module-level functions and
+    classes of the ``argo_ray`` package under ``root`` whose name no
+    module of the package uses outside their own definition: as a name,
+    an attribute or an imported name."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted((root / "argo_ray").rglob("*.py"))}
+    uses: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    for path, tree in trees.items():
+        for n in ast.walk(tree):
+            name = (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                    else n.name.rpartition(".")[2] if isinstance(n, ast.alias) else None)
+            if name is not None:
+                uses.setdefault(name, []).append((path, n.lineno))
+    dead = []
+    for path, tree in trees.items():
+        for d in tree.body:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and d.name.startswith("_") and not d.name.startswith("__")):
+                inside = range(d.lineno, d.end_lineno + 1)
+                if all(p == path and line in inside for p, line in uses.get(d.name, [])):
+                    dead.append(f"{path.relative_to(root).as_posix()}::{d.name}")
+    return dead
+
+
+def test_package_has_no_unnamed_private_defs():
+    """A private function or class that nothing in the package names is
+    dead code: a private name has no caller outside the package."""
+    dead = _unnamed_private_defs(PKG.parent)
+    assert not dead, "private functions/classes nothing names:\n" + "\n".join(dead)
+
+
+def test_private_def_guard_sees_an_unnamed_function(tmp_path):
+    """A call, an attribute access or an import from another module
+    counts; a private def named only inside itself is reported, and
+    public and dunder names are left alone."""
+    pkg = tmp_path / "argo_ray"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        "def _called():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Attr:\n    pass\n"
+        "class _Dead:\n    def m(self):\n        return _Dead\n"
+        "def public():\n    return _called()\n"
+        "def __getattr__(name):\n    return name\n"
+    )
+    (pkg / "b.py").write_text(
+        "from . import a\nfrom .a import _recursive as r\n"
+        "def use():\n    return a._Attr, r\n"
+    )
+    (pkg / "c.py").write_text("def _orphan():\n    pass\n")
+    assert _unnamed_private_defs(tmp_path) == ["argo_ray/a.py::_Dead", "argo_ray/c.py::_orphan"]

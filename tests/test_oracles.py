@@ -43,21 +43,17 @@ def test_query_matches_oracle(ray_session, con, name):
     assert reason is None, f"{name}: {reason}"
 
 
-# One entry per broadcast-lookup actor pool: decode_store (twice, chained,
-# in kg_delta_apply), rdfs_infer, link_entities and the prefix-cache
-# expansion.
+# One entry per broadcast-lookup actor pool: decode_store, link_entities
+# and the prefix-cache expansion.
 LOOKUP_POOL_ENTRIES = [
-    "kg_delta_apply",
-    "kg_rdfs_infer",
+    "store_roundtrip",
     "entity_link",
     "prefix_cache_expand",
 ]
 
-# Entries that run a ``Dataset.join``: the entity-link join and the OWL
-# chain join.
+# Entries that run a ``Dataset.join``: the entity-link join.
 JOIN_ENTRIES = [
     "entity_link_join",
-    "kg_owl_infer",
 ]
 
 

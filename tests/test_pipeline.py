@@ -80,7 +80,7 @@ def test_every_query_has_an_oracle():
     import __ray_entry__ as m
 
     q, o = set(m.queries()), set(m.oracle_sql())
-    assert q == o and len(q) == 129
+    assert q == o and len(q) == 90
 
 
 def test_read_table_sharded_directory_layout(ray_session, tmp_path):

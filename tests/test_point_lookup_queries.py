@@ -1,12 +1,10 @@
 """Unit tests for the r4 driver queries completing the last
-unit-test-only SURVEY.md §2 ops: M3 point lookups, J2 grouped list
-walk, S5 multi-source file fan-in, T1 persisted prefix cache, M12 REPL
-prefix trimming."""
+unit-test-only SURVEY.md §2 ops: M3 point lookups, S5 multi-source file
+fan-in, T1 persisted prefix cache, M12 REPL prefix trimming."""
 
 import pyarrow as pa
 
 from argo_ray.pipelines.queries import (
-    q_list_walk_grouped,
     q_multi_source_fanin,
     q_point_lookups,
     q_prefix_cache_expand,
@@ -22,20 +20,6 @@ def test_point_lookups_shapes(ray_session):
     assert t["has_subject"].to_pylist() == [1, 1, 1]
     assert all(c >= 0 for c in t["chars_int"].to_pylist())
     assert all(x for x in t["title"].to_pylist())
-
-
-def test_list_walk_grouped_matches_in_batch_roundtrip(ray_session):
-    """The distributed (shuffled) walk must produce exactly the in-batch
-    round-trip's rows — same oracle, two execution strategies."""
-    from argo_ray.pipelines.queries import q_list_roundtrip
-
-    def norm(ds):
-        df = ds.to_pandas()[["subj_value", "pos", "word"]]
-        return df.sort_values(["subj_value", "pos"]).reset_index(drop=True)
-
-    a = norm(q_list_walk_grouped(SF_DIR))
-    b = norm(q_list_roundtrip(SF_DIR))
-    assert a.equals(b)
 
 
 def test_multi_source_fanin_recovers_dedup(ray_session):

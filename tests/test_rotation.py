@@ -71,4 +71,4 @@ def test_live_registry_has_oracles_for_every_query():
     o = m.oracle_sql()
     missing = [k for k in q if k not in o]
     assert missing == []
-    assert len(q) == 129
+    assert len(q) == 90

@@ -2265,6 +2265,43 @@ def test_numeric_builtins(sparql_tier):
     assert [r["f"] for r in out] == [f'"-7"{INT}', f'"2"{INT}', f'"-3"{INT}']
 
 
+def test_integer_arithmetic_is_exact_and_overflow_unbinds(sparql_tier):
+    """Integers beyond 2**53 stay exact even when the column also holds
+    decimal and double forms; a value or result outside int64 leaves
+    only its own row unbound."""
+    import ray.data
+
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+    values = [
+        ("a", "120", "integer"), ("b", "80", "integer"),
+        ("c", "9007199254740993", "integer"), ("d", "2.5", "decimal"),
+        ("e", "1e3", "double"), ("f", "abc", "string"),
+        ("g", "99999999999999999999", "integer"),
+    ]
+    trips = [(IRI(EX + s), IRI(EX + "chars"), Literal(v, datatype=XSD + t))
+             for s, v, t in values]
+    ds = ray.data.from_arrow(triples_to_table(trips, with_hash=False))
+    out = evaluate_select(
+        ds,
+        f"""PREFIX ex: <{EX}>
+        SELECT ?s ?inc ?dbl ?sq ?abs ?r WHERE {{
+          ?s ex:chars ?c .
+          BIND(?c + 1 AS ?inc) BIND(?c * 2 AS ?dbl) BIND(?c * ?c AS ?sq)
+          BIND(ABS(0 - ?c) AS ?abs) BIND(ROUND(?c) AS ?r)
+        }} ORDER BY ?s""",
+    ).take_all()
+
+    def col(name):
+        return [r[name].split('"')[1] if r[name] else None for r in out]
+
+    big = 9007199254740993
+    assert col("inc") == ["121", "81", str(big + 1), None, "1001", None, None]
+    assert col("dbl") == ["240", "160", str(big * 2), None, "2000", None, None]
+    assert col("sq") == ["14400", "6400", None, None, "1000000", None, None]
+    assert col("abs") == ["120", "80", str(big), None, "1000", None, None]
+    assert col("r") == ["120", "80", str(big), "3", "1000", None, None]
+
+
 def test_hash_and_accessor_builtins(sparql_tier):
     import hashlib
 

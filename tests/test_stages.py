@@ -1,5 +1,5 @@
 """Unit tests for filter / rewrite / split-prefix / coercion stages and
-RDFS/OWL reasoning."""
+the grouping exchanges."""
 
 import numpy as np
 import pyarrow as pa
@@ -193,88 +193,6 @@ def test_sort_colocation_pinned(ray_session):
     keys = rng.integers(0, 5, 20_000)
     ds = rd.from_items([{"k": int(k), "v": i} for i, k in enumerate(keys)]).repartition(16)
     verify_sorted_colocation(ds, "k")
-
-
-def test_graph_delta_hand_case(ray_session):
-    import ray.data as rd
-
-    from argo_ray.stages.materialize import graph_delta
-    from argo_ray.terms import IRI, Literal
-
-    ex = "http://example.org/"
-
-    def trip(n, o):
-        return (IRI(ex + n), IRI(ex + "p"), Literal(o))
-
-    old = rd.from_arrow(
-        triples_to_table([trip("a", "1"), trip("b", "2"), trip("b", "2")],
-                         with_hash=False)
-    )
-    new = rd.from_arrow(
-        triples_to_table([trip("b", "2"), trip("c", "3")], with_hash=False)
-    )
-    out = graph_delta(old, new).take_all()
-    got = sorted((r["op"], r["subj_value"], r["obj_value"]) for r in out)
-    # b survives (in both, old duplicate collapsed); a deleted; c added
-    assert got == [("add", ex + "c", "3"), ("del", ex + "a", "1")]
-
-    # empty delta: identical snapshots
-    same = rd.from_arrow(triples_to_table([trip("a", "1")], with_hash=False))
-    same2 = rd.from_arrow(triples_to_table([trip("a", "1")], with_hash=False))
-    assert graph_delta(same, same2).count() == 0
-
-
-def test_apply_delta_inverts_graph_delta(ray_session):
-    import ray.data as rd
-
-    from argo_ray.stages.materialize import apply_delta, graph_delta
-    from argo_ray.terms import IRI, Literal
-
-    ex = "http://example.org/"
-
-    def trip(n, o):
-        return (IRI(ex + n), IRI(ex + "p"), Literal(o))
-
-    def ds(*rows):
-        return rd.from_arrow(triples_to_table(list(rows), with_hash=False))
-
-    old = ds(trip("a", "1"), trip("b", "2"))
-    new = ds(trip("b", "2"), trip("c", "3"))
-    applied = apply_delta(old, graph_delta(old, new)).take_all()
-    got = sorted((r["subj_value"], r["obj_value"]) for r in applied)
-    assert got == [(ex + "b", "2"), (ex + "c", "3")]
-
-
-def test_validate_graph_hand_case(ray_session):
-    import ray.data as rd
-
-    from argo_ray.stages.validate import validate_graph
-    from argo_ray.terms import IRI, Literal, triples_to_table as t2t
-
-    ex = "http://example.org/"
-    rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-    xsd_int = "http://www.w3.org/2001/XMLSchema#integer"
-    triples = [
-        (IRI(ex + "a"), IRI(rdf_type), IRI(ex + "T")),
-        (IRI(ex + "a"), IRI(ex + "title"), Literal("t1")),
-        (IRI(ex + "a"), IRI(ex + "title"), Literal("t2")),   # functional violation
-        (IRI(ex + "b"), IRI(ex + "title"), Literal("t1")),   # untyped subject
-        (IRI(ex + "b"), IRI(ex + "n"), Literal("5", datatype=xsd_int)),
-        (IRI(ex + "a"), IRI(ex + "n"), Literal("7")),        # datatype violation
-    ]
-    ds = rd.from_arrow(t2t(triples, with_hash=False))
-    out = validate_graph(
-        ds,
-        functional_preds=(ex + "title",),
-        required_type=True,
-        datatype_constraints={ex + "n": xsd_int},
-    ).take_all()
-    got = sorted((r["shape"], r["subj_value"]) for r in out)
-    assert got == [
-        (f"datatype:{ex}n", ex + "a"),
-        (f"functional:{ex}title", ex + "a"),
-        ("required:rdf-type", ex + "b"),
-    ]
 
 
 def test_grouped_map_verify_flag(ray_session):
@@ -473,157 +391,3 @@ def test_sorted_multi_agg_contract(ray_session):
     assert any(sub is None for _, sub in got_rows)
     # every composite group appears exactly once (no split groups)
     assert len(out) == len(ref_rows)
-
-
-def test_rdfs_infer_closure_composition(ray_session):
-    """subPropertyOf chain p < q < r where r carries the domain and a
-    2-level class chain above it: one pass must still reach the
-    fixpoint (closures pre-composed), and rdfs3 must skip literal
-    objects."""
-    from argo_ray.stages.reason import RDF_TYPE, RDFS_NS, rdfs_infer
-    from argo_ray.terms import TRIPLE_COLUMNS
-
-    X = "http://x/"
-    schema = pa.table(
-        {
-            "s": [X + "p", X + "q", X + "A", X + "r", X + "r"],
-            "p": [
-                RDFS_NS + "subPropertyOf",
-                RDFS_NS + "subPropertyOf",
-                RDFS_NS + "subClassOf",
-                RDFS_NS + "domain",
-                RDFS_NS + "range",
-            ],
-            "o": [X + "q", X + "r", X + "B", X + "A", X + "A"],
-        }
-    )
-
-    def trip(s, p, o, okind):
-        return {
-            "subj_kind": 0, "subj_value": s, "subj_lang": "", "subj_datatype": "",
-            "pred_kind": 0, "pred_value": p, "pred_lang": "", "pred_datatype": "",
-            "obj_kind": okind, "obj_value": o, "obj_lang": "", "obj_datatype": "",
-        }
-
-    rows = [trip(X + "s1", X + "p", X + "o1", 0), trip(X + "s2", X + "p", "lit", 2)]
-    tbl = pa.table({k: [r[k] for r in rows] for k in TRIPLE_COLUMNS})
-    out = rdfs_infer(rd.from_arrow(tbl), schema)
-    got = {
-        (r["subj_value"], r["pred_value"], r["obj_value"]) for r in out.take_all()
-    }
-    # asserted + lifted to q and r; s1/s2 typed A and B (domain of r via
-    # chain, class closure); o1 typed A and B (range, non-literal only)
-    expect = {
-        (X + "s1", X + "p", X + "o1"), (X + "s2", X + "p", "lit"),
-        (X + "s1", X + "q", X + "o1"), (X + "s2", X + "q", "lit"),
-        (X + "s1", X + "r", X + "o1"), (X + "s2", X + "r", "lit"),
-        (X + "s1", RDF_TYPE, X + "A"), (X + "s1", RDF_TYPE, X + "B"),
-        (X + "s2", RDF_TYPE, X + "A"), (X + "s2", RDF_TYPE, X + "B"),
-        (X + "o1", RDF_TYPE, X + "A"), (X + "o1", RDF_TYPE, X + "B"),
-    }
-    assert got == expect
-
-
-def test_owl_infer_property_rules(ray_session):
-    """prp-inv / prp-symp / prp-trp / prp-spo2 over a toy graph: chain
-    a→b→c→d transitive, knows symmetric, cites/citedBy inverse, and a
-    length-2 chain citesSite = cites ∘ site; the final inv/sym pass
-    must flip the closure- and chain-derived edges too."""
-    from argo_ray.stages.reason import (
-        OWL_CHAIN,
-        OWL_INVERSE,
-        OWL_SYMMETRIC,
-        OWL_TRANSITIVE,
-        RDF_FIRST,
-        RDF_NIL,
-        RDF_REST,
-        RDF_TYPE,
-        owl_infer,
-    )
-    from argo_ray.terms import TRIPLE_COLUMNS
-
-    X = "http://x/"
-    schema = pa.table(
-        {
-            "s": [X + "cites", X + "knows", X + "next",
-                  X + "citesSite", "_:c1", "_:c1", "_:c2", "_:c2",
-                  X + "citesSite"],
-            "p": [OWL_INVERSE, RDF_TYPE, RDF_TYPE,
-                  OWL_CHAIN, RDF_FIRST, RDF_REST, RDF_FIRST, RDF_REST,
-                  OWL_INVERSE],
-            "o": [X + "citedBy", OWL_SYMMETRIC, OWL_TRANSITIVE,
-                  "_:c1", X + "cites", "_:c2", X + "site", RDF_NIL,
-                  X + "siteCited"],
-        }
-    )
-
-    def trip(s, p, o, okind=0):
-        return {
-            "subj_kind": 0, "subj_value": s, "subj_lang": "", "subj_datatype": "",
-            "pred_kind": 0, "pred_value": p, "pred_lang": "", "pred_datatype": "",
-            "obj_kind": okind, "obj_value": o, "obj_lang": "", "obj_datatype": "",
-        }
-
-    rows = [
-        trip(X + "a", X + "next", X + "b"),
-        trip(X + "b", X + "next", X + "c"),
-        trip(X + "c", X + "next", X + "d"),
-        trip(X + "u", X + "knows", X + "v"),
-        trip(X + "u", X + "knows", "litname", okind=2),  # literal: never flipped
-        trip(X + "h", X + "cites", X + "doc"),
-        trip(X + "doc", X + "site", X + "s1"),
-    ]
-    tbl = pa.table({k: [r[k] for r in rows] for k in TRIPLE_COLUMNS})
-    out = owl_infer(rd.from_arrow(tbl), schema)
-    got = {
-        (r["subj_value"], r["pred_value"], r["obj_value"]) for r in out.take_all()
-    }
-    expect = {(r["subj_value"], r["pred_value"], r["obj_value"]) for r in rows} | {
-        # transitive closure of next
-        (X + "a", X + "next", X + "c"),
-        (X + "a", X + "next", X + "d"),
-        (X + "b", X + "next", X + "d"),
-        # symmetric knows (literal object NOT flipped)
-        (X + "v", X + "knows", X + "u"),
-        # inverse of cites
-        (X + "doc", X + "citedBy", X + "h"),
-        # chain: citesSite = cites ∘ site, and ITS inverse (final pass)
-        (X + "h", X + "citesSite", X + "s1"),
-        (X + "s1", X + "siteCited", X + "h"),
-    }
-    assert got == expect
-    assert out.count() == len(expect)  # exact-deduped
-
-
-def test_owl_infer_distributed_closure_matches(ray_session):
-    """Force the distributed closure path (gate=0) on a random sparse
-    graph and pin it equal to the single-task path."""
-    from argo_ray.stages.reason import RDF_TYPE, OWL_TRANSITIVE, owl_infer
-    from argo_ray.terms import TRIPLE_COLUMNS
-
-    X = "http://x/"
-    rng = np.random.RandomState(11)
-    n = 40
-    edges = {(int(a), int(b)) for a, b in rng.randint(0, n, size=(60, 2)) if a != b}
-    rows = []
-    for a, b in sorted(edges):
-        rows.append({
-            "subj_kind": 0, "subj_value": f"{X}n{a}", "subj_lang": "", "subj_datatype": "",
-            "pred_kind": 0, "pred_value": X + "r", "pred_lang": "", "pred_datatype": "",
-            "obj_kind": 0, "obj_value": f"{X}n{b}", "obj_lang": "", "obj_datatype": "",
-        })
-    tbl = pa.table({k: [r[k] for r in rows] for k in TRIPLE_COLUMNS})
-    schema = pa.table({"s": [X + "r"], "p": [RDF_TYPE], "o": [OWL_TRANSITIVE]})
-
-    def triple_set(ds):
-        return {
-            (r["subj_value"], r["pred_value"], r["obj_value"])
-            for r in ds.take_all()
-        }
-
-    small = triple_set(owl_infer(rd.from_arrow(tbl), schema))
-    dist = triple_set(
-        owl_infer(rd.from_arrow(tbl), schema, small_graph_edges=0, max_rounds=64)
-    )
-    assert small == dist
-    assert len(small) > len(rows)  # the closure actually added edges
